@@ -10,6 +10,7 @@ simplification heuristics or numerics.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -170,11 +171,19 @@ class SymbolTable:
 # ------------------------------------------------------------- expressions
 
 class Expression:
-    """Immutable node of an expression DAG.
+    """Immutable, hash-consed node of an expression DAG.
 
     Build instances through the module constructors (`const`, `sym`,
     `add`, ...) or the arithmetic operators; direct class construction
     skips simplification and is internal.
+
+    Every node is interned at construction in one weak-value table keyed
+    by its tag, its payload and the identities of its children, so two
+    structurally equal expressions are the same object and equality is
+    identity. A node's table entry dies with the node. Because equal
+    subexpressions share one object, every pass that memoizes by `id()`
+    (differentiate, substitute, normalize, compile) also eliminates
+    common subexpressions.
     """
 
     __slots__ = ("_hash", "__weakref__")
@@ -215,38 +224,24 @@ class Expression:
     def __neg__(self):
         return neg(self)
 
-    # -- structural identity --------------------------------------------
+    # -- identity --------------------------------------------------------
+    #
+    # Equality is inherited from `object` (identity). The hash is
+    # structural rather than `id()`-based so set and dict iteration orders
+    # do not depend on allocation addresses.
 
     def __hash__(self):
         return self._hash
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Expression):
-            return NotImplemented
-        # pairwise DAG walk; the cached hashes reject most mismatches fast
-        pairs = [(self, other)]
-        seen: set[tuple[int, int]] = set()
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            key = (id(a), id(b))
-            if key in seen:
-                continue
-            seen.add(key)
-            if type(a) is not type(b) or a._hash != b._hash:
-                return False
-            if a._payload() != b._payload():
-                return False
-            if len(a.args) != len(b.args):
-                return False
-            pairs.extend(zip(a.args, b.args))
-        return True
+    def __reduce__(self):
+        # rebuild through the constructor, which interns the copy again
+        return type(self), self._new_args()
 
-    def _payload(self):
-        return None
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __str__(self):
         return to_text(self)
@@ -258,35 +253,54 @@ class Expression:
         return f"<{type(self).__name__} {text}>"
 
 
+_NODES = weakref.WeakValueDictionary()
+
+
+def _new_node(cls, key, h, **fields):
+    """A new `cls` node with hash `h` and `fields`, interned under `key`.
+    Callers look `key` up in `_NODES` first."""
+    node = object.__new__(cls)
+    node._hash = h
+    for name, value in fields.items():
+        setattr(node, name, value)
+    _NODES[key] = node
+    return node
+
+
 class Const(Expression):
     __slots__ = ("value",)
 
-    def __init__(self, value: Fraction):
-        self.value = value
-        self._hash = hash(("const", value))
+    def __new__(cls, value: Fraction):
+        key = ("const", value)
+        return _NODES.get(key) or _new_node(cls, key, hash(key), value=value)
 
-    def _payload(self):
-        return self.value
+    def _new_args(self):
+        return (self.value,)
 
 
 class Sym(Expression):
     __slots__ = ("symbol",)
 
-    def __init__(self, symbol: Symbol):
-        self.symbol = symbol
-        self._hash = hash(("sym", symbol))
+    def __new__(cls, symbol: Symbol):
+        key = ("sym", symbol)
+        return _NODES.get(key) or _new_node(cls, key, hash(key), symbol=symbol)
 
-    def _payload(self):
-        return self.symbol
+    def _new_args(self):
+        return (self.symbol,)
 
 
 class _Composite(Expression):
     __slots__ = ("args",)
     _tag = "?"
 
-    def __init__(self, args: tuple):
-        self.args = args
-        self._hash = hash((self._tag,) + tuple(a._hash for a in args))
+    def __new__(cls, args: tuple):
+        # a live node holds its children, so their ids stay unique in the key
+        key = (cls._tag, *map(id, args))
+        return _NODES.get(key) or _new_node(
+            cls, key, hash((cls._tag,) + tuple(a._hash for a in args)), args=args)
+
+    def _new_args(self):
+        return (self.args,)
 
 
 class Sum(_Composite):
@@ -337,17 +351,18 @@ class Power(_Composite):
     __slots__ = ("exponent",)
     _tag = "^"
 
-    def __init__(self, base: Expression, exponent: int):
-        self.exponent = exponent
-        self.args = (base,)
-        self._hash = hash(("^", exponent, base._hash))
+    def __new__(cls, base: Expression, exponent: int):
+        key = ("^", exponent, id(base))
+        return _NODES.get(key) or _new_node(
+            cls, key, hash(("^", exponent, base._hash)),
+            args=(base,), exponent=exponent)
 
     @property
     def base(self):
         return self.args[0]
 
-    def _payload(self):
-        return self.exponent
+    def _new_args(self):
+        return (self.args[0], self.exponent)
 
 
 # ------------------------------------------------------------ constructors

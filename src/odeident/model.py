@@ -265,7 +265,7 @@ def total_time_derivative(m: OdeModel, e: Expression,
         for s, f in zip(m.states, m.rhs):
             if s in syms:
                 terms.append(expr.mul(expr.differentiate(e, s), f))
-    for s in syms:
+    for s in sorted(syms, key=Symbol.sort_key):
         if s.kind in (TV_DERIV, OUTPUT_DERIV):
             terms.append(expr.mul(expr.differentiate(e, s),
                                   expr.sym(s.derivative())))

@@ -1,6 +1,9 @@
 """Expression engine: construction, calculus, canonical forms, evaluation,
 and the text syntax."""
 
+import copy
+import gc
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from odeident import expr as E
-from helpers import XYZ, fd_cases, fd_derivative, random_point
+from odeident import ranktest as R
+from helpers import XYZ, fd_cases, fd_derivative, random_expression, random_point
 
 X, Y, Z = (E.sym(s) for s in XYZ)
 xs, ys, zs = XYZ
@@ -92,8 +96,42 @@ def test_nary_flattening():
 def test_structural_equality_and_hash():
     a = X * Y + Z
     b = X * Y + Z
+    assert a is b
     assert a == b and hash(a) == hash(b)
     assert a != X * Y + Y
+
+
+def test_interning_keeps_tags_and_payloads_apart():
+    assert E.Sum((X, Y)) is not E.Product((X, Y))
+    assert E.Difference((X, Y)) is not E.Quotient((X, Y))
+    assert X ** 2 is not X ** 3
+    assert E.const(1) is E.const(Fraction(2, 2)) is E.ONE
+    assert E.sym(E.Symbol("x")) is X
+    assert E.sym(E.Symbol("x", E.STATE)) is not X
+
+
+def test_copy_and_pickle_return_the_interned_node():
+    e = (X * Y + Z ** -2) / (X - E.const(Fraction(1, 3)))
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+    assert copy.deepcopy([e, X])[0] is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert pickle.loads(pickle.dumps(E.const(Fraction(-7, 2)))) is E.const(Fraction(-7, 2))
+
+
+def test_dropped_nodes_leave_the_table():
+    def jacobian():
+        system = R.build_phi_system(R.build_phi())
+        return R.substitute_dynamics(R.parameter_jacobian(system))
+
+    jacobian()  # builds the cached model once
+    gc.collect()
+    before = len(E._NODES)
+    matrix = jacobian()
+    assert len(E._NODES) > before
+    del matrix
+    gc.collect()
+    assert len(E._NODES) == before
 
 
 def test_symbol_validation():
@@ -416,6 +454,42 @@ def test_prime_field_matches_exact_reduction(e, point):
     assume(den != 0)
     want = exact.numerator * pow(den, -1, p) % p
     assert E.evaluate(e, point, arithmetic=p) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_building_twice_gives_the_same_object(seed):
+    a = random_expression(random.Random(seed), depth=4)
+    b = random_expression(random.Random(seed), depth=4)
+    assert a is b
+    text = E.to_text(a)
+    assert E.parse_expression(text) is E.parse_expression(text)
+    g1 = random_expression(random.Random(seed + 1))
+    g2 = random_expression(random.Random(seed + 1))
+    assert E.substitute(a, {xs: g1, ys: X}) is E.substitute(b, {xs: g2, ys: X})
+    assert E.differentiate(a, xs) is E.differentiate(b, xs)
+
+
+def _structure_keys(order):
+    """Structural key of every node, built from child keys, never ids."""
+    key_of = {}
+    for node in order:
+        payload = (getattr(node, "value", None), getattr(node, "symbol", None),
+                   getattr(node, "exponent", None))
+        key_of[id(node)] = (type(node).__name__, payload,
+                            tuple(key_of[id(c)] for c in node.args))
+    return [key_of[id(n)] for n in order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(exprs=st.lists(_expressions, min_size=1, max_size=3))
+def test_compile_emits_one_instruction_per_distinct_subexpression(exprs):
+    exprs.append(E.differentiate(E.add(*exprs), xs))
+    order = E._topo(exprs)
+    keys = _structure_keys(order)
+    assert len(set(keys)) == len(keys)  # no two nodes share a structure
+    prog = E.compile_program(exprs, XYZ)
+    assert len(prog.instructions) == sum(1 for node in order if node.args)
 
 
 def test_derivative_matches_finite_differences_bulk():

@@ -1,5 +1,8 @@
 """Model text format, the bundled HIV model, and the jet engine."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -165,6 +168,20 @@ def test_jet_symbol_discipline():
             assert all(s.kind != E.OUTPUT_DERIV for s in syms)
             tv_orders = [s.order for s in syms if s.kind == E.TV_DERIV]
             assert all(o <= k - 1 for o in tv_orders)
+
+
+def test_jet_text_does_not_depend_on_the_hash_seed():
+    code = ("from odeident import expr, model; "
+            "print(expr.to_text(model.output_jet(model.hiv_model(), 1, 7).entries[7]))")
+    src = str(Path(M.__file__).resolve().parents[1])
+    texts = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        texts.append(done.stdout)
+    assert texts[0] and texts[0] == texts[1]
 
 
 def test_jet_rejects_negative_order():
