@@ -870,14 +870,30 @@ def equivalent(a: Expression, b: Expression) -> bool:
 
 _OP_ADD, _OP_SUB, _OP_MUL, _OP_DIV, _OP_POW = range(5)
 
+# CPython's parser and compiler recurse on nesting: a single-use operand
+# whose inlined text would nest this deep gets a temporary instead, and a
+# Sum or Product with more operands than _CHUNK is folded left to right
+# through a running temporary, so the float rounding order is unchanged.
+_MAX_INLINE_DEPTH = 48
+_CHUNK = 32
+# Compiling takes about 150 bytes of memory per character of source
+# (CPython 3.11); a long program is compiled in pieces of about this many
+# characters, which bounds that memory
+_PIECE_CHARS = 8192
+
 
 class Program:
     """Straight-line evaluator compiled from expression DAGs.
 
-    Value slots are laid out as [inputs][constants][temporaries]; shared
-    subexpressions occupy a single slot and are computed once per run.
-    Three interpreters share the instruction list: exact rationals,
-    float64, and a prime field.
+    Value slots are laid out as [inputs][constants][temporaries]. Each
+    instruction `(op, dst, ...)` fills one temporary from earlier slots, so
+    shared subexpressions occupy a single slot and are computed once per
+    run. The instruction list is the only intermediate form: on the first
+    run in an arithmetic domain it is emitted as straight-line Python
+    source (`source`), compiled once and cached on the program. The plain
+    rendering (+ - * / **) serves exact rationals and float64 or numpy
+    arrays; the modular one reduces mod p after every operation and raises
+    DivisionByZero on a zero inverse.
     """
 
     def __init__(self, instructions, n_inputs, constants, n_slots, outputs,
@@ -888,128 +904,196 @@ class Program:
         self.n_slots = n_slots
         self.outputs = outputs
         self.input_symbols = input_symbols
-        self._mod_consts: dict[int, list[int]] = {}
-        self._float_consts = [float(c) for c in constants]
+        self._rendered: dict[bool, tuple] = {}  # modular -> (source, maker)
+        self._fns: dict = {}  # "exact", "float" or a prime -> compiled code
 
-    def _template(self, consts) -> list:
-        vals = [None] * self.n_slots
-        base = self.n_inputs
-        for i, c in enumerate(consts):
-            vals[base + i] = c
-        return vals
+    def _render(self, modular: bool) -> tuple:
+        rendered = self._rendered.get(modular)
+        if rendered is None:
+            units = _emit(self, modular)
+            namespace = {"DivisionByZero": DivisionByZero}
+            for unit in units:  # generated purely from the program
+                exec(unit, namespace)
+            rendered = self._rendered[modular] = ("\n".join(units),
+                                                  namespace["_make"])
+        return rendered
+
+    def source(self, modular: bool = False) -> str:
+        """The emitted Python source: `_make(constants)`, or
+        `_make(p, residues)` when modular, returns a function of the input
+        values that returns the list of output values."""
+        return self._render(modular)[0]
+
+    def _bind(self, domain, modular: bool, make_args):
+        fn = self._fns[domain] = self._render(modular)[1](*make_args)
+        return fn
+
+    def _float_fn(self):
+        # arguments pass through unconverted, so numpy arrays broadcast
+        return self._fns.get("float") or self._bind(
+            "float", False, ([float(c) for c in self.constants],))
 
     def run_exact(self, values: Sequence) -> list[Fraction]:
-        vals = self._template(self.constants)
-        for i, v in enumerate(values):
-            vals[i] = Fraction(v)
-        for ins in self.instructions:
-            op = ins[0]
-            if op == _OP_ADD:
-                s = Fraction(0)
-                for j in ins[2]:
-                    s += vals[j]
-                vals[ins[1]] = s
-            elif op == _OP_MUL:
-                s = Fraction(1)
-                for j in ins[2]:
-                    s *= vals[j]
-                vals[ins[1]] = s
-            elif op == _OP_SUB:
-                vals[ins[1]] = vals[ins[2]] - vals[ins[3]]
-            elif op == _OP_DIV:
-                b = vals[ins[3]]
-                if b == 0:
-                    raise DivisionByZero("denominator is zero at this point")
-                vals[ins[1]] = vals[ins[2]] / b
-            else:
-                v = vals[ins[2]]
-                k = ins[3]
-                if v == 0 and k < 0:
-                    raise DivisionByZero("zero base with negative exponent")
-                vals[ins[1]] = v ** k
-        return [vals[o] for o in self.outputs]
+        fn = self._fns.get("exact") or self._bind("exact", False, (self.constants,))
+        try:
+            return fn(*map(Fraction, values))
+        except ZeroDivisionError as exc:
+            raise DivisionByZero(str(exc)) from None
 
     def run_float(self, values: Sequence[float]) -> list[float]:
-        vals = self._template(self._float_consts)
-        for i, v in enumerate(values):
-            vals[i] = float(v)
-        for ins in self.instructions:
-            op = ins[0]
-            if op == _OP_ADD:
-                s = 0.0
-                for j in ins[2]:
-                    s += vals[j]
-                vals[ins[1]] = s
-            elif op == _OP_MUL:
-                s = 1.0
-                for j in ins[2]:
-                    s *= vals[j]
-                vals[ins[1]] = s
-            elif op == _OP_SUB:
-                vals[ins[1]] = vals[ins[2]] - vals[ins[3]]
-            elif op == _OP_DIV:
-                b = vals[ins[3]]
-                if b == 0.0:
-                    raise DivisionByZero("denominator is zero at this point")
-                vals[ins[1]] = vals[ins[2]] / b
-            else:
-                v = vals[ins[2]]
-                k = ins[3]
-                if v == 0.0 and k < 0:
-                    raise DivisionByZero("zero base with negative exponent")
-                vals[ins[1]] = v ** k
-        return [vals[o] for o in self.outputs]
-
-    def _consts_mod(self, p: int) -> list[int]:
-        cached = self._mod_consts.get(p)
-        if cached is None:
-            cached = []
-            for c in self.constants:
-                den = c.denominator % p
-                if den == 0:
-                    raise DivisionByZero(f"constant {c} has no residue mod {p}")
-                cached.append(c.numerator * pow(den, -1, p) % p)
-            self._mod_consts[p] = cached
-        return cached
+        try:
+            return self._float_fn()(*map(float, values))
+        except ZeroDivisionError as exc:
+            raise DivisionByZero(str(exc)) from None
 
     def run_mod(self, values: Sequence[int], p: int) -> list[int]:
-        vals = self._template(self._consts_mod(p))
-        for i, v in enumerate(values):
-            vals[i] = v % p
-        for ins in self.instructions:
-            op = ins[0]
-            if op == _OP_ADD:
-                s = 0
-                for j in ins[2]:
-                    s += vals[j]
-                vals[ins[1]] = s % p
-            elif op == _OP_MUL:
-                s = 1
-                for j in ins[2]:
-                    s = s * vals[j] % p
-                vals[ins[1]] = s
-            elif op == _OP_SUB:
-                vals[ins[1]] = (vals[ins[2]] - vals[ins[3]]) % p
-            elif op == _OP_DIV:
-                b = vals[ins[3]]
-                if b == 0:
-                    raise DivisionByZero("denominator is zero at this point")
-                vals[ins[1]] = vals[ins[2]] * pow(b, -1, p) % p
+        fn = self._fns.get(p) or self._bind(
+            p, True, (p, [_as_residue(c, p) for c in self.constants]))
+        return fn(*[v % p for v in values])
+
+
+def _emit(program: Program, modular: bool) -> list[str]:
+    """Straight-line source for `program`'s instructions, as units that
+    are compiled one after another in one namespace.
+
+    A slot read more than once, or an operand nested `_MAX_INLINE_DEPTH`
+    deep, gets a temporary `t<slot>`; every other slot is inlined into its
+    one reader, so a tree-shaped expression becomes one nested expression.
+    A program longer than `_PIECE_CHARS` is cut into piece functions that
+    pass on the temporaries crossing a cut, chained by a last unit.
+    """
+    uses = [0] * program.n_slots
+    for ins in program.instructions:
+        op = ins[0]
+        for j in (ins[2] if op in (_OP_ADD, _OP_MUL)
+                  else ins[2:3] if op == _OP_POW else ins[2:4]):
+            uses[j] += 1
+    for o in program.outputs:
+        uses[o] += 1
+
+    n_in, n_leaves = program.n_inputs, program.n_inputs + len(program.constants)
+
+    def name(j):
+        return f"v{j}" if j < n_in else f"c{j - n_in}" if j < n_leaves else f"t{j}"
+
+    # slot -> (text, depth, slots read); depth bounds the syntactic nesting
+    text = {j: (name(j), 0, (j,)) for j in range(n_leaves)}
+    lines = []  # (temporary assigned, expression, slots read)
+
+    def read(j):  # a slot read once leaves the table when read
+        return text.pop(j) if uses[j] == 1 else text[j]
+
+    for ins in program.instructions:
+        op, dst = ins[0], ins[1]
+        if op == _OP_POW:
+            base, depth, reads = read(ins[2])
+            k = ins[3]
+            if not modular:
+                body = f"{base}**{k}" if k >= 0 else f"{base}**({k})"
+            elif k >= 0:
+                body = f"pow({base}, {k}, p)"
             else:
-                v = vals[ins[2]]
-                k = ins[3]
-                if v == 0 and k < 0:
-                    raise DivisionByZero("zero base with negative exponent")
-                vals[ins[1]] = pow(v, k, p)
-        return [vals[o] for o in self.outputs]
+                body = f"_inv(pow({base}, {-k}, p))"
+            expression, depth = f"({body})", depth + 2
+        elif op in (_OP_SUB, _OP_DIV):
+            (a, da, ra), (b, db, rb) = read(ins[2]), read(ins[3])
+            if not modular:
+                body = f"{a} - {b}" if op == _OP_SUB else f"{a} / {b}"
+            elif op == _OP_SUB:
+                body = f"({a} - {b}) % p"
+            else:
+                body = f"{a} * _inv({b}) % p"
+            expression, depth, reads = f"({body})", max(da, db) + 3, ra + rb
+        else:
+            operands = [read(j) for j in ins[2]]
+            for start in range(0, len(operands), _CHUNK):
+                chunk = operands[start:start + _CHUNK]
+                if start:
+                    chunk.insert(0, (name(dst), 0, (dst,)))
+                terms = [t for t, _, _ in chunk]
+                if op == _OP_ADD:
+                    body = " + ".join(terms)
+                    if modular:
+                        body = f"({body}) % p"
+                elif not modular:
+                    body = "*".join(terms)
+                else:  # reduce after every multiplication
+                    body = f"{terms[0]} * {' % p * '.join(terms[1:])} % p"
+                expression = f"({body})"
+                depth = max(d for _, d, _ in chunk) + len(chunk) + 1
+                reads = tuple(r for _, _, rs in chunk for r in rs)
+                if start + _CHUNK < len(operands):
+                    lines.append((dst, expression, reads))
+        if uses[dst] == 1 and depth < _MAX_INLINE_DEPTH:
+            text[dst] = (expression, depth, reads)
+        else:
+            lines.append((dst, expression, reads))
+            text[dst] = (name(dst), 0, (dst,))
+
+    returned = [read(o) for o in program.outputs]
+    result = f"[{', '.join(t for t, _, _ in returned)}]"
+    pieces = [[]]
+    size = 0
+    for line in lines:
+        if size > _PIECE_CHARS:
+            pieces.append([])
+            size = 0
+        pieces[-1].append(line)
+        size += len(line[1])
+
+    make = "p, c" if modular else "c"
+    inv = ["def _inv(b):",
+           "    if b == 0:",
+           "        raise DivisionByZero(\"denominator is zero at this point\")",
+           "    return pow(b, -1, p)"] if modular else []
+    inputs = [name(i) for i in range(n_in)]
+    later = {r for _, _, reads in returned for r in reads}  # read after a piece
+    units, calls = [], []
+    for k in reversed(range(len(pieces))):
+        last = k == len(pieces) - 1
+        defined, takes = set(), set()
+        for dst, _, reads in pieces[k]:
+            takes.update(r for r in reads if r not in defined)
+            defined.add(dst)
+        if last:
+            takes.update(r for r in later if r not in defined)
+            hands = result
+        else:
+            hands = f"[{', '.join(map(name, sorted(defined & later)))}]"
+        later = (later - defined) | takes
+        prelude = [f"{name(r)} = c[{r - n_in}]" for r in sorted(takes)
+                   if n_in <= r < n_leaves] + inv
+        assigns = [f"t{dst} = {expression}" for dst, expression, _ in pieces[k]]
+        if len(pieces) == 1:
+            return [_unit("_make", make, prelude, inputs, assigns, result)]
+        args = [name(r) for r in sorted(takes) if not n_in <= r < n_leaves]
+        units.append(_unit(f"_piece{k}", make, prelude, args, assigns, hands))
+        calls.append(f"_p{k}({', '.join(args)})" if last
+                     else f"{hands} = _p{k}({', '.join(args)})")
+    units.reverse()  # both were gathered last piece first
+    calls.reverse()
+    made = [f"_p{k} = _piece{k}({make})" for k in range(len(pieces))]
+    return units + [_unit("_make", make, made, inputs, calls[:-1], calls[-1])]
+
+
+def _unit(name, make, prelude, args, body, result) -> str:
+    """`def name(make)` runs `prelude` and returns a function of `args`
+    that runs `body` and returns `result`."""
+    return "".join([f"def {name}({make}):\n",
+                    *(f"    {line}\n" for line in prelude),
+                    f"    def _fn({', '.join(args)}):\n",
+                    *(f"        {line}\n" for line in body),
+                    f"        return {result}\n",
+                    "    return _fn\n"])
 
 
 def compile_program(exprs: Sequence[Expression],
                     inputs: Sequence[Symbol]) -> Program:
     """Compile expressions into a `Program` over the given input symbols.
 
-    Raises UnboundSymbol at compile time if an expression mentions a
-    symbol outside `inputs`.
+    Raises UnboundSymbol, naming every missing symbol, if an expression
+    mentions a symbol outside `inputs`. No source is emitted here; that
+    happens on the first run in each arithmetic domain.
     """
     input_slot = {s: i for i, s in enumerate(inputs)}
     const_slot: dict[Fraction, int] = {}
@@ -1019,6 +1103,10 @@ def compile_program(exprs: Sequence[Expression],
     next_slot = len(inputs)  # constants and temporaries are appended
 
     order = _topo(list(exprs))
+    missing = sorted({node.symbol.display for node in order
+                      if isinstance(node, Sym) and node.symbol not in input_slot})
+    if missing:
+        raise UnboundSymbol(f"no value bound for symbol(s) {', '.join(missing)}")
     # constants first so the slot layout is [inputs][constants][temps]
     for node in order:
         if isinstance(node, Const) and node.value not in const_slot:
@@ -1030,10 +1118,7 @@ def compile_program(exprs: Sequence[Expression],
         if isinstance(node, Const):
             memo[id(node)] = const_slot[node.value]
         elif isinstance(node, Sym):
-            slot = input_slot.get(node.symbol)
-            if slot is None:
-                raise UnboundSymbol(f"no value bound for symbol '{node.symbol.display}'")
-            memo[id(node)] = slot
+            memo[id(node)] = input_slot[node.symbol]
         else:
             kids = tuple(memo[id(c)] for c in node.args)
             dst = next_slot
@@ -1102,53 +1187,22 @@ def _as_residue(v, p: int) -> int:
 def compile_float_fn(e: Expression, inputs: Sequence[Symbol]):
     """Compile to a plain Python function of float (or numpy array) args.
 
-    Generated source uses only + - * / **, so numpy arrays broadcast
-    through it unchanged. Scalar division by zero raises DivisionByZero.
+    The code is `compile_program([e], inputs)`'s plain rendering, which
+    uses only + - * / **, so numpy arrays broadcast through it unchanged.
+    Scalar division by zero raises DivisionByZero. The function's
+    docstring holds the generated source.
     """
-    name_of = {s: f"v{i}" for i, s in enumerate(inputs)}
-    missing = free_symbols(e) - set(inputs)
-    if missing:
-        names = ", ".join(sorted(s.display for s in missing))
-        raise UnboundSymbol(f"no value bound for symbol(s) {names}")
-    body = _python_source(e, name_of)
-    args = ", ".join(name_of[s] for s in inputs)
-    src = f"def _fn({args}):\n    return {body}\n"
-    namespace: dict = {}
-    exec(src, namespace)  # source is generated purely from the expression
-    raw = namespace["_fn"]
+    program = compile_program([e], inputs)
+    raw = program._float_fn()
 
     def fn(*values):
         try:
-            return raw(*values)
+            return raw(*values)[0]
         except ZeroDivisionError as exc:
             raise DivisionByZero(str(exc)) from None
 
-    fn.__doc__ = src
+    fn.__doc__ = program.source()
     return fn
-
-
-def _python_source(e: Expression, name_of: Mapping[Symbol, str]) -> str:
-    memo: dict[int, str] = {}
-    for node in _topo([e]):
-        if isinstance(node, Const):
-            v = node.value
-            memo[id(node)] = f"({v.numerator}/{v.denominator})" \
-                if v.denominator != 1 else f"({v.numerator})"
-        elif isinstance(node, Sym):
-            memo[id(node)] = name_of[node.symbol]
-        elif isinstance(node, Sum):
-            memo[id(node)] = "(" + " + ".join(memo[id(c)] for c in node.args) + ")"
-        elif isinstance(node, Product):
-            memo[id(node)] = "(" + "*".join(memo[id(c)] for c in node.args) + ")"
-        elif isinstance(node, Difference):
-            a, b = node.args
-            memo[id(node)] = f"({memo[id(a)]} - {memo[id(b)]})"
-        elif isinstance(node, Quotient):
-            a, b = node.args
-            memo[id(node)] = f"({memo[id(a)]} / {memo[id(b)]})"
-        else:
-            memo[id(node)] = f"({memo[id(node.args[0])]})**({node.exponent})"
-    return memo[id(e)]
 
 
 # ---------------------------------------------------------------- printing

@@ -1,8 +1,8 @@
 """Machine-independent size counters of the rank-test pipeline.
 
-The bounds are the sizes the hash-consed engine produces; a change that
-grows the DAG or the compiled program fails here before it shows up as
-wall time.
+The bounds are the sizes the hash-consed engine and the straight-line
+emitter produce; a change that grows the DAG, the compiled program or its
+generated source fails here before it shows up as wall time.
 """
 
 import pytest
@@ -25,15 +25,26 @@ def _jacobian(mode: str):
     return [e for row in matrix for e in row]
 
 
+def _program(flat):
+    symbols = sorted(set().union(*map(E.free_symbols, flat)),
+                     key=E.Symbol.sort_key)
+    return E.compile_program(flat, symbols)
+
+
+def _jet_args(order: int):
+    tv = hiv.tv_params[0]
+    chain = [tv] + [tv.derivative(k) for k in range(1, order)]
+    return sorted(set(hiv.states) | set(hiv.const_params) | set(chain),
+                  key=E.Symbol.sort_key)
+
+
 @pytest.mark.parametrize("mode, nodes, instructions, muls", [
     ("naive", 1047, 1023, 704),
     ("constrained", 1729, 1710, 1228),
 ])
 def test_jacobian_and_program_sizes(mode, nodes, instructions, muls):
     flat = _jacobian(mode)
-    symbols = sorted(set().union(*map(E.free_symbols, flat)),
-                     key=E.Symbol.sort_key)
-    program = E.compile_program(flat, symbols)
+    program = _program(flat)
     assert _nodes(flat) <= nodes
     assert len(program.instructions) <= instructions
     assert sum(1 for ins in program.instructions if ins[0] == E._OP_MUL) <= muls
@@ -42,3 +53,16 @@ def test_jacobian_and_program_sizes(mode, nodes, instructions, muls):
 @pytest.mark.parametrize("output_index, nodes", [(1, 1881), (2, 1002)])
 def test_order_eight_jet_sizes(output_index, nodes):
     assert _nodes([M.output_jet(hiv, output_index, 8).entries[8]]) <= nodes
+
+
+@pytest.mark.parametrize("mode, chars", [("naive", 39368),
+                                         ("constrained", 75395)])
+def test_jacobian_mod_p_source_size(mode, chars):
+    assert len(_program(_jacobian(mode)).source(modular=True)) <= chars
+
+
+@pytest.mark.parametrize("output_index, chars", [(1, 94168), (2, 36466)])
+def test_order_eight_jet_float_source_size(output_index, chars):
+    fn = E.compile_float_fn(M.output_jet(hiv, output_index, 8).entries[8],
+                            _jet_args(8))
+    assert len(fn.__doc__) <= chars

@@ -2,7 +2,9 @@
 and the text syntax."""
 
 import copy
+import functools
 import gc
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -303,8 +305,11 @@ def test_evaluate_float_matches_exact():
 
 
 def test_compile_float_fn_rejects_unbound():
-    with pytest.raises(E.UnboundSymbol):
-        E.compile_float_fn(X + Y, [xs])
+    for compile_ in (E.compile_float_fn,
+                     lambda e, inputs: E.compile_program([e], inputs)):
+        with pytest.raises(E.UnboundSymbol) as err:
+            compile_(Z * X + Y, [xs])
+        assert "symbol(s) y, z" in str(err.value)
 
 
 def test_compiled_program_shares_subexpressions():
@@ -312,6 +317,37 @@ def test_compiled_program_shares_subexpressions():
     prog = E.compile_program([shared * Z, shared + Z], [xs, ys, zs])
     got = prog.run_exact([1, 2, 3])
     assert got == [27, 12]
+
+
+def _deep_or_wide(shape, x, nary):
+    """`x*(x*(...) + 1) + 1` nested 1000 deep, or a 5000-operand Sum or
+    Product; `nary(op, operands)` builds the wide node."""
+    if shape == "deep":
+        e = x
+        for _ in range(1000):
+            e = x * e + 1
+        return e
+    if shape == "wide sum":
+        return nary(operator.add, [k * x for k in range(1, 5001)])
+    return nary(operator.mul,
+                [(x + k) / (x + (k + 1)) for k in range(1, 5001)])
+
+
+@pytest.mark.parametrize("shape", ["deep", "wide sum", "wide product"])
+def test_deep_and_wide_programs_evaluate_in_every_domain(shape):
+    p = (1 << 61) - 1
+    e = _deep_or_wide(shape, X, lambda op, operands:
+                      (E.add if op is operator.add else E.mul)(*operands))
+    # the same arithmetic as a left-to-right Python loop, in the same order
+    exact = _deep_or_wide(shape, Fraction(1, 2), functools.reduce)
+    looped = _deep_or_wide(shape, 0.5, functools.reduce)
+    prog = E.compile_program([e], [xs])
+    assert prog.run_exact([Fraction(1, 2)]) == [exact]
+    assert E.compile_float_fn(e, [xs])(0.5) == looped  # bit for bit
+    assert prog.run_float([0.5]) == [looped]
+    half = pow(2, -1, p)
+    assert prog.run_mod([half], p) == \
+        [exact.numerator * pow(exact.denominator, -1, p) % p]
 
 
 # --------------------------------------------------------------- parsing
@@ -468,6 +504,68 @@ def test_building_twice_gives_the_same_object(seed):
     g2 = random_expression(random.Random(seed + 1))
     assert E.substitute(a, {xs: g1, ys: X}) is E.substitute(b, {xs: g2, ys: X})
     assert E.differentiate(a, xs) is E.differentiate(b, xs)
+
+
+@st.composite
+def _dags(draw):
+    """A random DAG: each step applies + - * / or ^ to earlier nodes, so
+    nodes are shared and divisors may vanish at a point."""
+    nodes = [X, Y, Z] + [E.const(c) for c in draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        min_size=1, max_size=3))]
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        op = draw(st.sampled_from([E.add, E.sub, E.mul, E.div, E.pow_]))
+        a = nodes[draw(st.integers(min_value=0, max_value=len(nodes) - 1))]
+        if op is E.pow_:
+            b = draw(st.integers(min_value=-2, max_value=2))
+        else:
+            b = nodes[draw(st.integers(min_value=0, max_value=len(nodes) - 1))]
+        try:
+            nodes.append(op(a, b))
+        except E.DenominatorIdenticallyZero:
+            pass
+    return nodes[-1]
+
+
+def _poly_at(poly, point) -> Fraction:
+    total = Fraction(0)
+    for mono, c in poly.items():
+        for s, k in mono:
+            c *= Fraction(point[s]) ** k
+        total += c
+    return total
+
+
+def _residue(q: Fraction, p: int) -> int:
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+@settings(max_examples=150, deadline=None)
+@given(e=_dags(), point=st.fixed_dictionaries(
+    {s: st.integers(min_value=-3, max_value=3) for s in XYZ}))
+def test_program_matches_normalized_rational_function(e, point):
+    """Oracle for the one evaluator: the expanded numerator over the expanded
+    denominator, evaluated as polynomials, in all three domains."""
+    p = (1 << 61) - 1
+    values = [point[s] for s in XYZ]
+    prog = E.compile_program([e], XYZ)
+    try:
+        [exact] = prog.run_exact(values)
+    except E.DivisionByZero:
+        assume(False)
+    canon = E.normalize(e)
+    num = _poly_at(canon.numerator, point)
+    den = _poly_at(canon.denominator, point)
+    assert den != 0 and exact == num / den
+    if _residue(den, p) != 0:
+        want = _residue(num, p) * pow(_residue(den, p), -1, p) % p
+        assert prog.run_mod(values, p) == [want]
+    # float64 rounds every intermediate, so cancellation leaves an error
+    # that scales with the largest intermediate, not with the result
+    every_node = E.compile_program(E._topo([e]), XYZ).run_exact(values)
+    scale = max(1.0, max(abs(float(v)) for v in every_node))
+    assert prog.run_float(values)[0] == pytest.approx(
+        float(exact), rel=1e-12, abs=1e-12 * scale)
 
 
 def _structure_keys(order):
