@@ -46,6 +46,21 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
                    help="virus clearance rate (default 1)")
 
 
+def _add_sim_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--eta", type=str, default="1/2",
+                   help="time-varying infection rate, an expression in t "
+                        "(default 1/2)")
+    p.add_argument("--t0", type=float, default=0.0)
+    p.add_argument("--tf", type=float, default=10.0)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="absolute and relative tolerance (default 1e-10)")
+    p.add_argument("--grid", type=int, default=401,
+                   help="dense-output points (default 401)")
+    p.add_argument("--init", type=str, default="1,1,1",
+                   help="initial T_U,T_I,V (default 1,1,1)")
+    _add_param_flags(p)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="odeident",
@@ -76,21 +91,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="transformation parameter (time units)")
     p.add_argument("--sweep", type=str, default=None, metavar="LO:HI:N",
                    help="sweep tau over N values in [LO, HI] instead")
-    p.add_argument("--eta", type=str, default="1/2",
-                   help="time-varying infection rate, an expression in t "
-                        "(default 1/2)")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--tf", type=float, default=10.0)
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="absolute and relative tolerance (default 1e-10)")
-    p.add_argument("--grid", type=int, default=401,
-                   help="dense-output points (default 401)")
-    p.add_argument("--init", type=str, default="1,1,1",
-                   help="initial T_U,T_I,V (default 1,1,1)")
     p.add_argument("--csv", type=str, default=None,
                    help="write the co-integrated trajectory as CSV here "
                         "(single tau only)")
-    _add_param_flags(p)
+    _add_sim_flags(p)
     p.add_argument("--output", choices=("json", "csv", "pretty"),
                    default="json",
                    help="csv streams the trajectory instead of the report "
@@ -102,13 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("both", ranktest.CORRECTED,
                             ranktest.MIAO_AS_PRINTED),
                    default="both")
-    p.add_argument("--eta", type=str, default="1/2")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--tf", type=float, default=10.0)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--grid", type=int, default=401)
-    p.add_argument("--init", type=str, default="1,1,1")
-    _add_param_flags(p)
+    _add_sim_flags(p)
     p.add_argument("--output", choices=("json", "pretty"), default="json")
 
     p = subs.add_parser("parse", help="validate a model file")
@@ -163,11 +161,16 @@ def _cmd_rank(args) -> int:
     return 0
 
 
-def _parse_init(text: str):
-    parts = text.split(",")
+def _sim_inputs(args):
+    """(init, eta, cfg) from the shared simulation flags."""
+    parts = args.init.split(",")
     if len(parts) != 3:
         raise ValueError("--init wants three comma-separated numbers")
-    return [float(x) for x in parts]
+    init = [float(x) for x in parts]
+    eta = sim.EtaSignal.from_text(args.eta)
+    cfg = sim.SimConfig(t0=args.t0, tf=args.tf, abs_tol=args.tol,
+                        rel_tol=args.tol, dense_output_points=args.grid)
+    return init, eta, cfg
 
 
 def _parse_sweep(text: str):
@@ -185,8 +188,7 @@ def _parse_sweep(text: str):
 
 def _cmd_simulate(args) -> int:
     try:
-        init = _parse_init(args.init)
-        eta = sim.EtaSignal.from_text(args.eta)
+        init, eta, cfg = _sim_inputs(args)
         if (args.tau is None) == (args.sweep is None):
             raise ValueError("pass exactly one of --tau or --sweep")
         if args.sweep is not None and args.csv is not None:
@@ -194,9 +196,7 @@ def _cmd_simulate(args) -> int:
         if args.sweep is not None and args.output == "csv":
             raise ValueError("--output csv works with a single --tau only")
         taus = [args.tau] if args.tau is not None else _parse_sweep(args.sweep)
-        cfg = sim.SimConfig(t0=args.t0, tf=args.tf, abs_tol=args.tol,
-                            rel_tol=args.tol, dense_output_points=args.grid)
-    except (ValueError, expr.ParseError) as exc:
+    except (ValueError, expr.ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 
@@ -210,8 +210,7 @@ def _cmd_simulate(args) -> int:
             if args.csv:
                 with open(args.csv, "w", newline="") as fh:
                     sim.write_trajectory_csv(fh, orig, prim)
-    except (transform.SingularTau, transform.SingularPoint,
-            sim.StepSizeUnderflow, sim.NonFiniteState, ValueError) as exc:
+    except (ValueError, expr.ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _MATH_FAIL
 
@@ -230,11 +229,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_phi_check(args) -> int:
     try:
-        init = _parse_init(args.init)
-        eta = sim.EtaSignal.from_text(args.eta)
-        cfg = sim.SimConfig(t0=args.t0, tf=args.tf, abs_tol=args.tol,
-                            rel_tol=args.tol, dense_output_points=args.grid)
-    except (ValueError, expr.ParseError) as exc:
+        init, eta, cfg = _sim_inputs(args)
+    except (ValueError, expr.ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 
@@ -246,7 +242,7 @@ def _cmd_phi_check(args) -> int:
             if args.variant == "both" else [args.variant]
         residuals = {v: sim.phi_residual_along(trajectory, params, eta, v)
                      for v in variants}
-    except (sim.StepSizeUnderflow, sim.NonFiniteState, ValueError) as exc:
+    except (ValueError, expr.ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _MATH_FAIL
 
@@ -276,9 +272,9 @@ def _cmd_phi_check(args) -> int:
 
 def _cmd_parse(args) -> int:
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     try:

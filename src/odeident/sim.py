@@ -3,7 +3,10 @@
 The integrator is the classic Fehlberg 4(5) embedded pair: the 4th-order
 solution is propagated and the difference to the 5th-order solution
 drives the step controller. Dense output uses cubic Hermite interpolation
-on each accepted step, consistent with 4th-order accuracy.
+on each accepted step, consistent with 4th-order accuracy, and is filled
+in as the step is accepted. Plain and co-integrated runs share this one
+solver, one compiled right-hand side per model and one trajectory
+builder.
 
 The indistinguishability experiment co-integrates the original system and
 the transformed one as a single 6-state ODE. The transformed eta is
@@ -26,7 +29,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import expr
-from .expr import AUX, Expression, Symbol, compile_float_fn, free_symbols
+from .expr import (AUX, Expression, Symbol, compile_float_fn,
+                   compile_program, free_symbols)
 from .model import OdeModel, hiv_model, output_jet, output_symbol
 from .ranktest import CORRECTED, PhiRelation, build_phi
 from .transform import Params, TauFamily, admissible_tau_interval
@@ -161,23 +165,32 @@ _MIN_SHRINK = 0.2
 _MAX_GROW = 5.0
 
 
-def _rkf45_steps(f, t0: float, tf: float, y0: np.ndarray,
-                 rtol: float, atol: float, max_step: float):
-    """Adaptive RKF45 from t0 to tf. Yields accepted steps as
-    (t_left, h, y_left, y_right, f_left, f_right)."""
-    t = t0
+def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
+    """Adaptive RKF45 over the window of `cfg`; returns the states on
+    `cfg.grid()`.
+
+    Each accepted step fills the grid points it covers by cubic Hermite
+    interpolation and is then dropped, so only the current step is held.
+    A point belongs to the first step whose right end lies above it; the
+    last step also takes points up to 1e-12 past its end. Points still
+    left get the final state, which is the initial state when the window
+    is too short for a single step.
+    """
+    grid = cfg.grid()
+    t, tf = cfg.t0, cfg.tf
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    max_step = cfg.max_step if cfg.max_step is not None else tf - t
     y = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y)):
         raise NonFiniteState("initial state is not finite")
+    states = np.empty((len(grid), len(y)))
+    filled = 0
+    at_end = 1e-13 * max(abs(tf), 1.0)  # this close to tf counts as there
     f_left = np.asarray(f(t, y), dtype=float)
-    h = min(max_step, (tf - t0) / 100.0)
-    steps = []
+    h = min(max_step, (tf - t) / 100.0)
     k = [None] * 6
-    while True:
-        remaining = tf - t
-        if remaining <= 1e-13 * max(abs(tf), 1.0):
-            break
-        h = min(h, max_step, remaining)
+    while tf - t > at_end:
+        h = min(h, max_step, tf - t)
         if h < 1e-14 * max(abs(t), 1.0):
             raise StepSizeUnderflow(f"step size underflow at t = {t}")
         k[0] = f_left
@@ -199,24 +212,32 @@ def _rkf45_steps(f, t0: float, tf: float, y0: np.ndarray,
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y4))
         err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
         if err <= 1.0:
-            f_right = np.asarray(f(t + h, y4), dtype=float)
+            t_right = t + h
+            f_right = np.asarray(f(t_right, y4), dtype=float)
             if not np.all(np.isfinite(f_right)):
-                raise NonFiniteState(f"derivative not finite at t = {t + h}")
-            steps.append((t, h, y, y4, f_left, f_right))
-            t += h
-            y = y4
-            f_left = f_right
+                raise NonFiniteState(f"derivative not finite at t = {t_right}")
+            if tf - t_right > at_end:
+                stop = np.searchsorted(grid, t_right, "left")
+            else:  # the last step
+                stop = np.searchsorted(grid, t_right + 1e-12, "right")
+            if stop > filled:
+                states[filled:stop] = _hermite(t, h, y, y4, f_left, f_right,
+                                               grid[filled:stop])
+                filled = stop
+            t, y, f_left = t_right, y4, f_right
             if err == 0:
                 h *= _MAX_GROW
             else:
                 h *= min(_MAX_GROW, max(_MIN_SHRINK, _SAFETY * err ** -0.2))
         else:
             h *= max(_MIN_SHRINK, _SAFETY * err ** -0.2)
-    return steps
+    states[filled:] = y
+    if not np.all(np.isfinite(states)):
+        raise NonFiniteState("trajectory left the finite domain")
+    return states
 
 
-def _hermite(step, ts: np.ndarray) -> np.ndarray:
-    t0, h, y0, y1, f0, f1 = step
+def _hermite(t0, h, y0, y1, f0, f1, ts: np.ndarray) -> np.ndarray:
     theta = ((ts - t0) / h)[:, None]
     d = y1 - y0
     return ((1 - theta) * y0 + theta * y1
@@ -224,61 +245,63 @@ def _hermite(step, ts: np.ndarray) -> np.ndarray:
             * ((1 - 2 * theta) * d + (theta - 1) * h * f0 + theta * h * f1))
 
 
-def _dense_eval(steps, grid: np.ndarray) -> np.ndarray:
-    out = np.empty((len(grid), len(steps[0][2])))
-    idx = 0
-    for i, step in enumerate(steps):
-        t0, h = step[0], step[1]
-        t1 = t0 + h
-        last = i == len(steps) - 1
-        hi = idx
-        while hi < len(grid) and (grid[hi] <= t1 + 1e-12 if last else grid[hi] < t1):
-            hi += 1
-        if hi > idx:
-            out[idx:hi] = _hermite(step, grid[idx:hi])
-            idx = hi
-    if idx < len(grid):  # numerical edge: clamp trailing points to the end
-        t0, h, y0, y1, f0, f1 = steps[-1]
-        out[idx:] = y1
-    return out
+# ------------------------------------------------------- shared set-up
+
+def _signals(m: OdeModel, eta: "EtaSignal | Mapping[str, EtaSignal] | None",
+             grid: np.ndarray) -> tuple[list[EtaSignal], list[np.ndarray]]:
+    """The signal of each time-varying parameter, in model order, and its
+    values on the grid, which must be nonnegative."""
+    if not m.tv_params:
+        return [], []
+    if eta is None:
+        raise ValueError("model has time-varying parameters; pass eta")
+    if isinstance(eta, EtaSignal):
+        if len(m.tv_params) != 1:
+            raise ValueError("several tv parameters need a name -> signal map")
+        eta = {m.tv_params[0].name: eta}
+    sigs, cols = [], []
+    for s in m.tv_params:
+        if s.name not in eta:
+            raise ValueError(f"no signal for tv parameter {s.name}")
+        sig = eta[s.name]
+        col = np.broadcast_to(np.asarray(sig(grid), dtype=float), grid.shape)
+        if np.any(col < 0):
+            raise ValueError(f"{s.name} goes negative on the window")
+        sigs.append(sig)
+        cols.append(col)
+    return sigs, cols
 
 
-# ------------------------------------------------------------- integrate
-
-def _compile_rhs(m: OdeModel, params: Mapping[str, float],
-                 eta: "EtaSignal | Mapping[str, EtaSignal] | None"):
-    """Vector field f(t, y) for the model with parameters bound and
-    time-varying parameters driven by their signals."""
-    signals: dict[str, EtaSignal] = {}
-    if m.tv_params:
-        if eta is None:
-            raise ValueError("model has time-varying parameters; pass eta")
-        if isinstance(eta, EtaSignal):
-            if len(m.tv_params) != 1:
-                raise ValueError("several tv parameters need a name -> signal map")
-            signals[m.tv_params[0].name] = eta
-        else:
-            signals = dict(eta)
-        for s in m.tv_params:
-            if s.name not in signals:
-                raise ValueError(f"no signal for tv parameter {s.name}")
-
+def _param_values(m: OdeModel, params: Mapping[str, float]) -> list[float]:
     missing = [s.name for s in m.const_params if s.name not in params]
     if missing:
         raise ValueError("missing parameter value(s): " + ", ".join(missing))
+    return [float(params[s.name]) for s in m.const_params]
 
-    args = list(m.states) + list(m.tv_params) + list(m.const_params)
-    fns = [compile_float_fn(rhs, args) for rhs in m.rhs]
-    pvals = [float(params[s.name]) for s in m.const_params]
-    sigs = [signals[s.name] for s in m.tv_params]
 
-    def f(t, y):
-        tv = [sig(t) for sig in sigs]
-        all_args = list(y) + tv + pvals
-        return [fn(*all_args) for fn in fns]
+def _rhs(m: OdeModel):
+    """The whole vector field as one compiled call, taking the list of
+    state values, then time-varying parameters, then constants, in model
+    order."""
+    inputs = [*m.states, *m.tv_params, *m.const_params]
+    return compile_program(m.rhs, inputs).run_float
 
-    return f, sigs
 
+def _trajectory(m: OdeModel, grid: np.ndarray, states: np.ndarray,
+                known: Mapping[Symbol, np.ndarray]) -> Trajectory:
+    """Samples of `m` on the grid, with the outputs computed from the
+    sampled states and the `known` columns of other symbols."""
+    args = [*m.states, *known]
+    cols = [*states.T, *known.values()]
+    outputs = np.empty((len(grid), len(m.outputs)))
+    for j, (_, e) in enumerate(m.outputs):
+        outputs[:, j] = compile_float_fn(e, args)(*cols)
+    return Trajectory(times=grid, states=states, outputs=outputs,
+                      state_names=tuple(s.name for s in m.states),
+                      output_names=m.output_names)
+
+
+# ------------------------------------------------------------- integrate
 
 def integrate(m: OdeModel, params: Mapping[str, float],
               init: Sequence[float], eta=None,
@@ -291,37 +314,19 @@ def integrate(m: OdeModel, params: Mapping[str, float],
     """
     if len(init) != len(m.states):
         raise ValueError(f"expected {len(m.states)} initial values")
-    f, sigs = _compile_rhs(m, params, eta)
     grid = cfg.grid()
-    for sig in sigs:
-        vals = np.asarray(sig(grid), dtype=float)
-        vals = np.broadcast_to(vals, grid.shape)
-        if np.any(vals < 0):
-            raise ValueError("time-varying signal goes negative on the window")
-    max_step = cfg.max_step if cfg.max_step is not None else (cfg.tf - cfg.t0)
-    steps = _rkf45_steps(f, cfg.t0, cfg.tf, np.asarray(init, dtype=float),
-                         cfg.rel_tol, cfg.abs_tol, max_step)
-    states = _dense_eval(steps, grid)
-    if not np.all(np.isfinite(states)):
-        raise NonFiniteState("trajectory left the finite domain")
-    outputs = _outputs_on_grid(m, params, states, grid, sigs)
-    return Trajectory(
-        times=grid, states=states, outputs=outputs,
-        state_names=tuple(s.name for s in m.states),
-        output_names=m.output_names,
-    )
+    sigs, cols = _signals(m, eta, grid)
+    pvals = _param_values(m, params)
+    rhs = _rhs(m)
 
+    def f(t, y):
+        return rhs(y.tolist() + [sig(t) for sig in sigs] + pvals)
 
-def _outputs_on_grid(m, params, states, grid, sigs) -> np.ndarray:
-    args = list(m.states) + list(m.tv_params) + list(m.const_params)
-    cols = [states[:, i] for i in range(states.shape[1])]
-    cols += [np.broadcast_to(np.asarray(sig(grid), dtype=float), grid.shape)
-             for sig in sigs]
-    cols += [np.full_like(grid, float(params[s.name])) for s in m.const_params]
-    out = np.empty((len(grid), len(m.outputs)))
-    for j, (_, e) in enumerate(m.outputs):
-        out[:, j] = compile_float_fn(e, args)(*cols)
-    return out
+    states = _solve(f, init, cfg)
+    known = dict(zip(m.tv_params, cols))
+    known.update((s, np.full_like(grid, v))
+                 for s, v in zip(m.const_params, pvals))
+    return _trajectory(m, grid, states, known)
 
 
 # ---------------------------------------------- indistinguishability run
@@ -371,51 +376,29 @@ def run_indistinguishability(params: Params, init: Sequence[float],
     pp = inst.params_prime
 
     m = hiv_model()
-    args = list(m.states) + list(m.tv_params) + list(m.const_params)
-    rhs_fns = [compile_float_fn(r, args) for r in m.rhs]
-    out_fns = [compile_float_fn(e, list(m.states)) for _, e in m.outputs]
-    pd, ppd = params.as_dict(), pp.as_dict()
-    base_vals = [float(pd[s.name]) for s in m.const_params]
-    prim_vals = [float(ppd[s.name]) for s in m.const_params]
+    grid = cfg.grid()
+    _signals(m, eta, grid)  # rejects an eta that goes negative on the grid
+    base = _param_values(m, params.as_dict())
+    primed = _param_values(m, pp.as_dict())
+    rhs = _rhs(m)
 
     def f(t, y):
         et = eta(t)
-        orig_args = [y[0], y[1], y[2], et] + base_vals
-        et_p = inst.eta(y[0], y[1], y[2], et)
-        prim_args = [y[3], y[4], y[5], et_p] + prim_vals
-        return [fn(*orig_args) for fn in rhs_fns] + \
-               [fn(*prim_args) for fn in rhs_fns]
-
-    grid = cfg.grid()
-    eta_vals = np.broadcast_to(np.asarray(eta(grid), dtype=float), grid.shape)
-    if np.any(eta_vals < 0):
-        raise ValueError("eta goes negative on the window")
+        y = y.tolist()
+        orig = y[:3]
+        return (rhs(orig + [et] + base)
+                + rhs(y[3:] + [inst.eta(*orig, et)] + primed))
 
     init = [float(v) for v in init]
-    init_primed = inst.map_state(*init)
-    y0 = np.array(init + list(init_primed), dtype=float)
-    max_step = cfg.max_step if cfg.max_step is not None else (cfg.tf - cfg.t0)
-    steps = _rkf45_steps(f, cfg.t0, cfg.tf, y0, cfg.rel_tol, cfg.abs_tol,
-                         max_step)
-    dense = _dense_eval(steps, grid)
-    orig_states = dense[:, :3]
-    prim_states = dense[:, 3:]
-
-    def traj(states):
-        cols = [states[:, i] for i in range(3)]
-        outputs = np.column_stack([fn(*cols) for fn in out_fns])
-        return Trajectory(times=grid, states=states, outputs=outputs,
-                          state_names=tuple(s.name for s in m.states),
-                          output_names=m.output_names)
-
-    orig = traj(orig_states)
-    prim = traj(prim_states)
+    y0 = init + list(inst.map_state(*init))
+    states = _solve(f, y0, cfg)
+    # the HIV outputs read the states only
+    orig = _trajectory(m, grid, states[:, :3], {})
+    prim = _trajectory(m, grid, states[:, 3:], {})
 
     out_dev = np.abs(prim.outputs - orig.outputs) / (1.0 + np.abs(orig.outputs))
-    mapped = np.column_stack(inst.map_state(orig_states[:, 0],
-                                            orig_states[:, 1],
-                                            orig_states[:, 2]))
-    map_dev = np.abs(prim_states - mapped) / (1.0 + np.abs(mapped))
+    mapped = np.column_stack(inst.map_state(*orig.states.T))
+    map_dev = np.abs(prim.states - mapped) / (1.0 + np.abs(mapped))
 
     report = IndistReport(
         tau=tau,

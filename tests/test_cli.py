@@ -145,6 +145,26 @@ def test_simulate_bad_eta_expression(capsys):
     assert "rational" in err
 
 
+def test_simulate_undeclared_eta_symbol_is_usage_error(capsys):
+    code, _, err = run(capsys, "simulate", "--tau", "0", "--eta", "x")
+    assert code == 2
+    assert err.startswith("error:") and "undeclared symbol 'x'" in err
+
+
+@pytest.mark.parametrize("command", [["simulate", "--tau", "0.5"],
+                                     ["phi-check"]])
+def test_eta_pole_at_start_fails_mathematically(capsys, command):
+    code, _, err = run(capsys, *command, "--eta", "1/t")
+    assert code == 1
+    assert "error:" in err
+
+
+def test_simulate_window_too_short_for_a_step(capsys):
+    code, out, _ = run(capsys, "simulate", "--tau", "0.5", "--tf", "1e-14")
+    assert code == 0
+    assert json.loads(out)["max_rel_state_map_dev"] == 0.0
+
+
 # --------------------------------------------------------------- phi-check
 
 def test_phi_check_both_variants(capsys):
@@ -193,6 +213,14 @@ def test_parse_reports_position(tmp_path, capsys):
     code, _, err = run(capsys, "parse", str(bad))
     assert code == 2
     assert "3:13" in err and "ghost" in err
+
+
+def test_parse_rejects_non_utf8_file(tmp_path, capsys):
+    bad = tmp_path / "binary.ode"
+    bad.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "parse", str(bad))
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_parse_missing_file(capsys):

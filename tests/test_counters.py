@@ -1,17 +1,23 @@
-"""Machine-independent size counters of the rank-test pipeline.
+"""Machine-independent counters of the rank-test and simulation pipelines.
 
 The bounds are the sizes the hash-consed engine and the straight-line
 emitter produce; a change that grows the DAG, the compiled program or its
-generated source fails here before it shows up as wall time.
+generated source fails here before it shows up as wall time. The RHS
+evaluation counts of two default-config runs are pinned exactly, so a
+change to the step controller that alters a single step fails here too.
 """
 
+import numpy as np
 import pytest
 
 from odeident import expr as E
 from odeident import model as M
 from odeident import ranktest as R
+from odeident import sim as S
+from odeident import transform as T
 
 hiv = M.hiv_model()
+ONES = T.Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
 
 
 def _nodes(exprs) -> int:
@@ -66,3 +72,31 @@ def test_order_eight_jet_float_source_size(output_index, chars):
     fn = E.compile_float_fn(M.output_jet(hiv, output_index, 8).entries[8],
                             _jet_args(8))
     assert len(fn.__doc__) <= chars
+
+
+class _CountingEta(S.EtaSignal):
+    """Counts scalar calls: the right-hand side evaluates eta once per
+    call, so this is the number of RHS evaluations."""
+
+    calls = 0
+
+    def __call__(self, t):
+        if not isinstance(t, np.ndarray):
+            _CountingEta.calls += 1
+        return super().__call__(t)
+
+
+def _rhs_calls(run) -> int:
+    _CountingEta.calls = 0
+    run(_CountingEta.from_text("1/2"))
+    return _CountingEta.calls
+
+
+def test_co_integrated_run_rhs_calls():
+    assert _rhs_calls(lambda eta: S.run_indistinguishability(
+        ONES, (1.0, 0.2, 1.0), eta, 0.7)) == 13069
+
+
+def test_plain_run_rhs_calls():
+    assert _rhs_calls(lambda eta: S.integrate(
+        hiv, ONES.as_dict(), [1.0, 1.0, 1.0], eta)) == 14575

@@ -116,6 +116,19 @@ def test_blowup_raises():
         S.integrate(m, {}, [3.0], None, S.SimConfig(tf=2.0))
 
 
+# windows shorter than the stepper's end tolerance: no step is taken
+TOO_SHORT = [S.SimConfig(t0=0.0, tf=1e-14),
+             S.SimConfig(t0=1e15, tf=1e15 + 0.125)]
+
+
+@pytest.mark.parametrize("cfg", TOO_SHORT, ids=["tiny", "far"])
+def test_window_without_steps_keeps_initial_state(cfg):
+    traj = S.integrate(hiv, ONES_DICT, [1.0, 0.5, 2.0], HALF, cfg)
+    assert traj.states.shape == (cfg.dense_output_points, 3)
+    assert np.all(traj.states == [1.0, 0.5, 2.0])
+    assert np.all(traj.outputs == [1.5, 2.0])
+
+
 def test_wrong_initial_length():
     with pytest.raises(ValueError):
         S.integrate(hiv, ONES_DICT, [1.0], HALF)
@@ -172,6 +185,16 @@ def test_algebraic_map_preserves_outputs_exactly():
                                orig.states[:, 2])
     assert np.abs((tu + ti) - orig.outputs[:, 0]).max() < 1e-12
     assert np.abs(v - orig.outputs[:, 1]).max() == 0.0
+
+
+@pytest.mark.parametrize("cfg", TOO_SHORT, ids=["tiny", "far"])
+def test_indistinguishability_window_without_steps(cfg):
+    report, orig, prim = S.run_indistinguishability(
+        ONES, [1.0, 0.5, 2.0], HALF, math.log(2.0), cfg)
+    assert np.all(orig.states == [1.0, 0.5, 2.0])
+    assert np.all(prim.states == prim.states[0])
+    assert report.max_rel_output_dev < 1e-15
+    assert report.max_rel_state_map_dev == 0.0
 
 
 def test_inadmissible_tau_raises_before_integration():
