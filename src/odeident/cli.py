@@ -195,18 +195,20 @@ def _cmd_simulate(args) -> int:
             raise ValueError("--csv works with a single --tau only")
         if args.sweep is not None and args.output == "csv":
             raise ValueError("--output csv works with a single --tau only")
-        taus = [args.tau] if args.tau is not None else _parse_sweep(args.sweep)
+        if args.sweep is not None:
+            taus = _parse_sweep(args.sweep)
     except (ValueError, expr.ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 
     params = _params_from_args(args)
     try:
-        reports = []
-        for tau in taus:
+        if args.sweep is not None:
+            reports = sim.tau_sweep(params, init, eta, taus, cfg)
+        else:
             report, orig, prim = sim.run_indistinguishability(
-                params, init, eta, tau, cfg)
-            reports.append(report)
+                params, init, eta, args.tau, cfg)
+            reports = [report]
             if args.csv:
                 with open(args.csv, "w", newline="") as fh:
                     sim.write_trajectory_csv(fh, orig, prim)

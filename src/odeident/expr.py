@@ -928,8 +928,10 @@ class Program:
         fn = self._fns[domain] = self._render(modular)[1](*make_args)
         return fn
 
-    def _float_fn(self):
-        # arguments pass through unconverted, so numpy arrays broadcast
+    def float_fn(self):
+        """The plain rendering in float64 as a function of the input
+        values. Arguments pass through unconverted, so numpy arrays
+        broadcast; scalar division by zero raises ZeroDivisionError."""
         return self._fns.get("float") or self._bind(
             "float", False, ([float(c) for c in self.constants],))
 
@@ -942,7 +944,7 @@ class Program:
 
     def run_float(self, values: Sequence[float]) -> list[float]:
         try:
-            return self._float_fn()(*map(float, values))
+            return self.float_fn()(*map(float, values))
         except ZeroDivisionError as exc:
             raise DivisionByZero(str(exc)) from None
 
@@ -1193,7 +1195,7 @@ def compile_float_fn(e: Expression, inputs: Sequence[Symbol]):
     docstring holds the generated source.
     """
     program = compile_program([e], inputs)
-    raw = program._float_fn()
+    raw = program.float_fn()
 
     def fn(*values):
         try:

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import expr
 from .expr import AUX, Expression, RationalCanonical, Symbol, sym
 from .model import DYNAMICS, hiv_model, total_time_derivative
@@ -27,8 +29,9 @@ from .model import DYNAMICS, hiv_model, total_time_derivative
 __all__ = [
     "IdentityCheck", "Params", "SingularPoint", "SingularTau", "TauFamily",
     "TransformedInstance", "admissible_tau_interval", "eta_prime_value",
-    "eta_prime_expr", "params_prime_exprs", "state_map_exprs",
-    "transform_params", "transform_state", "verify_identities",
+    "eta_prime_values", "eta_prime_expr", "params_prime_exprs",
+    "state_map_exprs", "transform_params", "transform_state",
+    "verify_identities",
 ]
 
 _DENOM_EPS = 1e-12
@@ -131,14 +134,35 @@ def eta_prime_value(T_U, T_I, V, eta, params: Params, tau=None, *, u=None):
     u = _resolve_u(params, tau, u)
     if u == 1:
         return eta
-    d, rho = params.delta, params.rho
-    num = eta*T_U*V*rho*u + (T_I*d*d - T_I*d*rho - eta*T_U*V*d) * (u - 1)
-    den = V * (T_I*d + T_U*rho) * u - V*T_I*d
-    scale = abs(V * rho * (T_U + T_I) * u)
+    num, den, scale = _eta_prime_parts(T_U, T_I, V, eta, params, u)
     if den == 0 or abs(den) <= _DENOM_EPS * scale:
         raise SingularPoint(
             f"eta' denominator {den} vanishes relative to scale {scale}")
     return num / den
+
+
+def eta_prime_values(T_U, T_I, V, eta, params: Params, u: np.ndarray):
+    """eta_prime_value for a stack of twins, one per entry of u, each with
+    its own states: entries with u == 1 give eta exactly, and any other
+    entry at its pole raises SingularPoint."""
+    num, den, scale = _eta_prime_parts(T_U, T_I, V, eta, params, u)
+    same = u == 1
+    bad = ((den == 0) | (abs(den) <= _DENOM_EPS * scale)) & ~same
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SingularPoint(f"eta' denominator {den[i]} vanishes relative "
+                            f"to scale {scale[i]} at u = {u[i]}")
+    return np.where(same, eta, num / np.where(same, 1.0, den))
+
+
+def _eta_prime_parts(T_U, T_I, V, eta, params: Params, u):
+    """Numerator, denominator and natural scale of eta' in plain
+    arithmetic, so floats and numpy arrays alike."""
+    d, rho = params.delta, params.rho
+    num = eta*T_U*V*rho*u + (T_I*d*d - T_I*d*rho - eta*T_U*V*d) * (u - 1)
+    den = V * (T_I*d + T_U*rho) * u - V*T_I*d
+    scale = abs(V * rho * (T_U + T_I) * u)
+    return num, den, scale
 
 
 def admissible_tau_interval(params: Params) -> tuple[float | None, float | None]:

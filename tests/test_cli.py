@@ -1,11 +1,15 @@
 """Command-line surface: subcommands, exit codes, schema-stable JSON."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
-from odeident import cli
+from odeident import cli, sim
+from odeident.transform import Params
+
+ONES = Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
 
 REPO_MODEL = Path(__file__).parent.parent / "models" / "hiv.ode"
 
@@ -157,6 +161,36 @@ def test_eta_pole_at_start_fails_mathematically(capsys, command):
     code, _, err = run(capsys, *command, "--eta", "1/t")
     assert code == 1
     assert "error:" in err
+
+
+def test_eta_pole_inside_the_window_fails_before_integrating(capsys):
+    # t = 5 is a grid point; without the grid check the run grinds
+    # toward the pole for minutes
+    code, _, err = run(capsys, "simulate", "--tau", "0.5",
+                       "--eta", "1/(t-5)^2")
+    assert code == 1
+    assert err == "error: eta is not finite on the window\n"
+
+
+@pytest.mark.parametrize("command", [["simulate", "--tau", "0.5"],
+                                     ["simulate", "--sweep=0:1:3"],
+                                     ["phi-check"]])
+def test_eta_pole_prints_only_the_error_line(capsys, command):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *command, "--eta", "1/t")
+    assert code == 1
+    assert out == "" and err == "error: eta is not finite on the window\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_simulate_sweep_matches_tau_sweep(capsys):
+    code, out, _ = run(capsys, "simulate", "--sweep=-0.5:0.5:3", "--tf", "2",
+                       "--init", "1,0.2,1")
+    assert code == 0
+    reports = sim.tau_sweep(ONES, [1.0, 0.2, 1.0], sim.EtaSignal.constant(0.5),
+                            [-0.5, 0.0, 0.5], sim.SimConfig(tf=2.0))
+    assert json.loads(out) == [r.to_dict() for r in reports]
 
 
 def test_simulate_window_too_short_for_a_step(capsys):

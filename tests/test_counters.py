@@ -3,8 +3,9 @@
 The bounds are the sizes the hash-consed engine and the straight-line
 emitter produce; a change that grows the DAG, the compiled program or its
 generated source fails here before it shows up as wall time. The RHS
-evaluation counts of two default-config runs are pinned exactly, so a
-change to the step controller that alters a single step fails here too.
+evaluation counts of two default-config runs and of the stacked
+criterion-5 tau sweep are pinned exactly, so a change to the step
+controller that alters a single step fails here too.
 """
 
 import numpy as np
@@ -100,3 +101,11 @@ def test_co_integrated_run_rhs_calls():
 def test_plain_run_rhs_calls():
     assert _rhs_calls(lambda eta: S.integrate(
         hiv, ONES.as_dict(), [1.0, 1.0, 1.0], eta)) == 14575
+
+
+def test_tau_sweep_rhs_calls():
+    # one stacked evaluation covers all 20 twins of the criterion-5 sweep
+    taus = [float(t) for t in np.linspace(-1.0, 1.5, 16)] + [
+        -1e-3, -1e-4, 1e-4, 1e-3]
+    assert _rhs_calls(lambda eta: S.tau_sweep(
+        ONES, (1.0, 0.2, 1.0), eta, taus)) == 15708

@@ -129,6 +129,27 @@ def test_window_without_steps_keeps_initial_state(cfg):
     assert np.all(traj.outputs == [1.5, 2.0])
 
 
+def test_stacked_rows_take_the_steps_of_the_hardest_row():
+    # a row with a zero vector field has zero error; the step error is the
+    # worst row's, so the hard row steps exactly as in a run of its own
+    rates = np.array([[1.0, 7.0, 0.3], [0.0, 0.0, 0.0]])
+    cfg = S.SimConfig(tf=3.0, abs_tol=1e-8, rel_tol=1e-8)
+    stacked = S._solve(lambda t, y: -rates * y, [[1.0, 2.0, 3.0]] * 2, cfg)
+    alone = S._solve(lambda t, y: -rates[0] * y, [1.0, 2.0, 3.0], cfg)
+    assert stacked.shape == (cfg.dense_output_points, 2, 3)
+    assert np.array_equal(stacked[:, 0], alone)
+    assert np.allclose(stacked[:, 1], [1.0, 2.0, 3.0], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("text", ["1/t", "1/(t-5)^2"])
+def test_eta_not_finite_on_the_grid_rejected(text):
+    pole = S.EtaSignal.from_text(text)
+    with pytest.raises(ValueError, match="not finite"):
+        S.integrate(hiv, ONES_DICT, [1.0, 1.0, 1.0], pole)
+    with pytest.raises(ValueError, match="not finite"):
+        S.run_indistinguishability(ONES, [1.0, 1.0, 1.0], pole, 0.5)
+
+
 def test_wrong_initial_length():
     with pytest.raises(ValueError):
         S.integrate(hiv, ONES_DICT, [1.0], HALF)
@@ -231,6 +252,55 @@ def test_tau_sweep_bounded_and_continuous():
                           S.SimConfig(tf=5.0))
     devs = [r.max_rel_output_dev for r in reports]
     assert all(d < 1e-6 for d in devs)
+
+
+class _EtaCalls(S.EtaSignal):
+    calls = 0
+
+    def __call__(self, t):
+        _EtaCalls.calls += 1
+        return super().__call__(t)
+
+
+def test_tau_sweep_checks_every_tau_before_integrating():
+    steep = Params(lam=1.0, delta=2.0, rho=1.0, c=1.0, N=1.0)
+    bad = math.log(2.0) + 0.5  # past the admissible interval
+    with pytest.raises(SingularTau) as single:
+        S.run_indistinguishability(steep, [1.0, 1.0, 1.0], HALF, bad)
+    eta = _EtaCalls.from_text("1/2")
+    _EtaCalls.calls = 0
+    with pytest.raises(SingularTau) as swept:
+        S.tau_sweep(steep, [1.0, 1.0, 1.0], eta, [0.1, 0.2, bad])
+    assert str(swept.value) == str(single.value)
+    assert _EtaCalls.calls == 0
+
+
+def test_tau_sweep_of_no_taus_is_empty():
+    assert S.tau_sweep(ONES, [1.0, 1.0, 1.0], HALF, []) == []
+
+
+CRITERION_5_TAUS = [float(t) for t in np.linspace(-1.0, 1.5, 16)] + [
+    -1e-3, -1e-4, 1e-4, 1e-3]
+
+
+@pytest.mark.parametrize("text", ["1/2", "1/2 + t/20"])
+def test_tau_sweep_members_agree_with_single_runs(text):
+    eta = S.EtaSignal.from_text(text)
+    init = [1.0, 0.2, 1.0]
+    swept = S._twin_runs(ONES, init, eta, CRITERION_5_TAUS, S.SimConfig())
+    assert len(swept) == len(CRITERION_5_TAUS)
+    for tau, (report, orig, prim) in zip(CRITERION_5_TAUS, swept):
+        single, s_orig, s_prim = S.run_indistinguishability(ONES, init, eta,
+                                                            tau)
+        for got, want in ((orig, s_orig), (prim, s_prim)):
+            assert np.array_equal(got.times, want.times)
+            scale = 1.0 + np.abs(want.states)
+            assert np.max(np.abs(got.states - want.states) / scale) < 1e-9
+        got, want = report.to_dict(), single.to_dict()
+        for key in ("max_rel_output_dev", "max_rel_state_map_dev"):
+            assert got.pop(key) < 1e-6
+            want.pop(key)
+        assert got == want
 
 
 def test_time_varying_eta_also_indistinguishable():

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from odeident import expr as E
@@ -12,6 +13,7 @@ from odeident import transform as T
 
 EXACT = T.Params(lam=F(1), delta=F(1), rho=F(2), c=F(1), N=F(1))
 ONES = T.Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
+SKEW = T.Params(lam=1.0, delta=0.8, rho=1.7, c=1.2, N=3.0)
 
 
 # ----------------------------------------------------------- parameter map
@@ -81,6 +83,28 @@ def test_eta_identity_at_tau_zero():
 def test_eta_singular_when_no_virus():
     with pytest.raises(T.SingularPoint):
         T.eta_prime_value(F(1), F(1), F(0), F(1, 2), EXACT, u=F(2))
+
+
+def test_stacked_eta_matches_each_member():
+    u = np.array([0.5, 1.0, 2.0, 3.0])
+    T_U, T_I, V = (np.array(c) for c in ([1.0, 0.3, 2.0, 0.7],
+                                         [0.2, 0.9, 0.1, 1.1],
+                                         [1.5, 0.4, 0.8, 2.5]))
+    got = T.eta_prime_values(T_U, T_I, V, 0.5, SKEW, u)
+    for i in range(len(u)):
+        assert got[i] == T.eta_prime_value(T_U[i], T_I[i], V[i], 0.5, SKEW,
+                                           u=u[i])
+    assert got[1] == 0.5  # u == 1 gives eta exactly
+
+
+def test_stacked_eta_singular_at_any_member():
+    u = np.array([1.0, 2.0])
+    ok = T.eta_prime_values(np.ones(2), np.ones(2), np.array([0.0, 1.0]),
+                            0.5, ONES, u)
+    assert ok[0] == 0.5  # V = 0 is no pole where u == 1
+    with pytest.raises(T.SingularPoint, match="u = 2.0"):
+        T.eta_prime_values(np.ones(2), np.ones(2), np.array([1.0, 0.0]),
+                           0.5, ONES, u)
 
 
 def test_eta_dual_entry_oracle():
