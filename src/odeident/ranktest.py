@@ -302,32 +302,32 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
     started = time.perf_counter()
     symbols = list(symbols)
     order = {s: i for i, s in enumerate(symbols)}
-    n_rows = len(matrix)
-    flat = [e for row in matrix for e in row]
-    program = compile_program(flat, symbols)
+    n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
+    program = compile_program([e for row in matrix for e in row], symbols)
 
-    def evaluate_rows(point: list[int], p: int) -> list[list[int]]:
-        values = program.run_mod(point, p)
-        return [values[r * len(matrix[0]):(r + 1) * len(matrix[0])]
-                for r in range(n_rows)]
+    def rank_at(p: int, trial, pinned: Mapping[Symbol, int]) -> int:
+        """Rank mod p at the first point drawn for `trial` that misses
+        every denominator; the `pinned` symbols keep their values."""
+        for attempt in range(_MAX_RETRIES_PER_TRIAL):
+            point = _draw_point(seed, p, trial, attempt, len(symbols), p)
+            for s, v in pinned.items():
+                point[order[s]] = v % p
+            try:
+                values = program.run_mod(point, p)
+            except DivisionByZero:
+                continue
+            return _rank_mod([values[r * n_cols:(r + 1) * n_cols]
+                              for r in range(n_rows)], p)
+        raise ExhaustedRetries(
+            f"{_MAX_RETRIES_PER_TRIAL} random points in a row hit a "
+            f"denominator (prime {p}, trial {trial})")
 
     observed: dict[int, int] = {}
     per_prime_max: list[int] = []
     for p in primes:
         best = 0
         for trial in range(trials):
-            for attempt in range(_MAX_RETRIES_PER_TRIAL):
-                point = _draw_point(seed, p, trial, attempt, len(symbols), p)
-                try:
-                    rows = evaluate_rows(point, p)
-                except DivisionByZero:
-                    continue
-                break
-            else:
-                raise ExhaustedRetries(
-                    f"{_MAX_RETRIES_PER_TRIAL} random points in a row hit a "
-                    f"denominator (prime {p}, trial {trial})")
-            r = _rank_mod(rows, p)
+            r = rank_at(p, trial, {})
             observed[r] = observed.get(r, 0) + 1
             if r > best:
                 best = r
@@ -340,20 +340,7 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
 
     structured_rank = None
     if structured_point is not None:
-        p = primes[0]
-        for attempt in range(_MAX_RETRIES_PER_TRIAL):
-            point = _draw_point(seed, p, "structured", attempt, len(symbols), p)
-            for s, v in structured_point.items():
-                point[order[s]] = v % p
-            try:
-                rows = evaluate_rows(point, p)
-            except DivisionByZero:
-                continue
-            structured_rank = _rank_mod(rows, p)
-            break
-        else:
-            raise ExhaustedRetries("structured point evaluation kept hitting "
-                                   "a denominator")
+        structured_rank = rank_at(primes[0], "structured", structured_point)
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return RankReport(

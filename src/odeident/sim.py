@@ -5,8 +5,10 @@ solution is propagated and the difference to the 5th-order solution
 drives the step controller. Dense output uses cubic Hermite interpolation
 on each accepted step, consistent with 4th-order accuracy, and is filled
 in as the step is accepted. Plain and co-integrated runs share this one
-solver, one compiled right-hand side per model and one trajectory
-builder.
+solver and one trajectory builder. A run compiles one program per
+evaluation site: one for the right-hand side, one for the outputs of all
+its trajectories (every twin of a sweep included), and a relation
+residual compiles two, the output jets and the relation's terms.
 
 The indistinguishability experiment co-integrates the original system and
 the transformed one as a single 6-state ODE. The transformed eta is
@@ -32,9 +34,9 @@ from . import expr
 from .expr import (AUX, Expression, Symbol, compile_float_fn,
                    compile_program, free_symbols)
 from .model import OdeModel, hiv_model, output_jet, output_symbol
-from .ranktest import CORRECTED, PhiRelation, build_phi
-from .transform import (Params, TauFamily, TransformedInstance,
-                        admissible_tau_interval, eta_prime_values)
+from .ranktest import CORRECTED, build_phi
+from .transform import (Params, TauFamily, admissible_tau_interval,
+                        eta_prime_values)
 
 __all__ = [
     "EtaSignal", "IndistReport", "NonFiniteState", "SimConfig",
@@ -116,6 +118,8 @@ class SimConfig:
     dense_output_points: int = 401
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.tf)):
+            raise ValueError("t0 and tf must be finite")
         if not self.tf > self.t0:
             raise ValueError("tf must exceed t0")
         for tol in (self.abs_tol, self.rel_tol):
@@ -166,6 +170,10 @@ _MIN_SHRINK = 0.2
 _MAX_GROW = 5.0
 
 
+def _finite(x) -> bool:
+    return np.isfinite(x).all()
+
+
 def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
     """Adaptive RKF45 over the window of `cfg`; returns the states on
     `cfg.grid()`, shaped (grid points, *y0.shape).
@@ -187,7 +195,7 @@ def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     max_step = cfg.max_step if cfg.max_step is not None else tf - t
     y = np.asarray(y0, dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not _finite(y):
         raise NonFiniteState("initial state is not finite")
     states = np.empty((len(grid), *y.shape))
     filled = 0
@@ -203,14 +211,14 @@ def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
         failed = False
         for i in range(1, 6):
             yi = y + h * sum(a * ki for a, ki in zip(_A[i], k[:i]))
-            if not np.all(np.isfinite(yi)):
+            if not _finite(yi):
                 failed = True
                 break
             k[i] = np.asarray(f(t + _C[i] * h, yi), dtype=float)
         if not failed:
             y4 = y + h * sum(b * ki for b, ki in zip(_B4, k))
             err_vec = h * sum(e * ki for e, ki in zip(_E, k))
-            if not (np.all(np.isfinite(y4)) and np.all(np.isfinite(err_vec))):
+            if not (_finite(y4) and _finite(err_vec)):
                 failed = True
         if failed:
             h *= _MIN_SHRINK
@@ -222,7 +230,7 @@ def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
         if err <= 1.0:
             t_right = t + h
             f_right = np.asarray(f(t_right, y4), dtype=float)
-            if not np.all(np.isfinite(f_right)):
+            if not _finite(f_right):
                 raise NonFiniteState(f"derivative not finite at t = {t_right}")
             if tf - t_right > at_end:
                 stop = np.searchsorted(grid, t_right, "left")
@@ -240,7 +248,7 @@ def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
         else:
             h *= max(_MIN_SHRINK, _SAFETY * err ** -0.2)
     states[filled:] = y
-    if not np.all(np.isfinite(states)):
+    if not _finite(states):
         raise NonFiniteState("trajectory left the finite domain")
     return states
 
@@ -275,7 +283,7 @@ def _signals(m: OdeModel, eta: "EtaSignal | Mapping[str, EtaSignal] | None",
         with np.errstate(all="ignore"):  # a pole on the grid is reported below
             col = np.broadcast_to(np.asarray(sig(grid), dtype=float),
                                   grid.shape)
-        if not np.all(np.isfinite(col)):
+        if not _finite(col):
             raise ValueError(f"{s.name} is not finite on the window")
         if np.any(col < 0):
             raise ValueError(f"{s.name} goes negative on the window")
@@ -298,16 +306,17 @@ def _rhs(m: OdeModel) -> expr.Program:
     return compile_program(m.rhs, [*m.states, *m.tv_params, *m.const_params])
 
 
-def _trajectory(m: OdeModel, grid: np.ndarray, states: np.ndarray,
-                known: Mapping[Symbol, np.ndarray]) -> Trajectory:
-    """Samples of `m` on the grid, with the outputs computed from the
-    sampled states and the `known` columns of other symbols."""
-    args = [*m.states, *known]
-    cols = [*states.T, *known.values()]
-    outputs = np.empty((len(grid), len(m.outputs)))
-    for j, (_, e) in enumerate(m.outputs):
-        outputs[:, j] = compile_float_fn(e, args)(*cols)
-    return Trajectory(times=grid, states=states, outputs=outputs,
+def _trajectory(m: OdeModel, outputs: expr.Program, grid: np.ndarray,
+                states: np.ndarray, *rest) -> Trajectory:
+    """Samples of `m` on the grid; `outputs` reads the sampled state
+    columns followed by `rest`."""
+    values = np.empty((len(grid), len(m.outputs)))
+    try:
+        for j, col in enumerate(outputs.float_fn()(*states.T, *rest)):
+            values[:, j] = col
+    except ZeroDivisionError as exc:  # a quotient of scalar values only
+        raise expr.DivisionByZero(str(exc)) from None
+    return Trajectory(times=grid, states=states, outputs=values,
                       state_names=tuple(s.name for s in m.states),
                       output_names=m.output_names)
 
@@ -328,16 +337,14 @@ def integrate(m: OdeModel, params: Mapping[str, float],
     grid = cfg.grid()
     sigs, cols = _signals(m, eta, grid)
     pvals = _param_values(m, params)
-    rhs = _rhs(m).run_float
+    rhs = _rhs(m)
 
     def f(t, y):
-        return rhs(y.tolist() + [sig(t) for sig in sigs] + pvals)
+        return rhs.run_float(y.tolist() + [sig(t) for sig in sigs] + pvals)
 
     states = _solve(f, init, cfg)
-    known = dict(zip(m.tv_params, cols))
-    known.update((s, np.full_like(grid, v))
-                 for s, v in zip(m.const_params, pvals))
-    return _trajectory(m, grid, states, known)
+    outputs = compile_program([e for _, e in m.outputs], rhs.input_symbols)
+    return _trajectory(m, outputs, grid, states, *cols, *pvals)
 
 
 # ---------------------------------------------- indistinguishability run
@@ -447,42 +454,35 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
                             + rhs(*prim, et_p, *primed)).T
 
         states = _solve(f, y0, cfg)
-    return [_twin_result(m, params, inst, eta, cfg, grid, states[:, i])
-            for i, inst in enumerate(insts)]
 
-
-def _twin_result(m: OdeModel, params: Params, inst: TransformedInstance,
-                 eta: EtaSignal, cfg: SimConfig, grid: np.ndarray,
-                 states: np.ndarray
-                 ) -> tuple[IndistReport, Trajectory, Trajectory]:
-    """Report and trajectories of one twin from its (grid, 6) states."""
-    # the HIV outputs read the states only
-    orig = _trajectory(m, grid, states[:, :3], {})
-    prim = _trajectory(m, grid, states[:, 3:], {})
-
-    out_dev = np.abs(prim.outputs - orig.outputs) / (1.0 + np.abs(orig.outputs))
-    mapped = np.column_stack(inst.map_state(*orig.states.T))
-    map_dev = np.abs(prim.states - mapped) / (1.0 + np.abs(mapped))
-
-    report = IndistReport(
-        tau=inst.tau,
-        max_rel_output_dev=float(np.max(out_dev)),
-        max_rel_state_map_dev=float(np.max(map_dev)),
-        grid_size=len(grid),
-        params=params,
-        params_prime=inst.params_prime,
-        admissible_tau_interval=admissible_tau_interval(params),
-        eta_text=eta.text(),
-        config=cfg,
-    )
-    return report, orig, prim
+    # the HIV outputs read the states only: one program for every trajectory
+    outputs = compile_program([e for _, e in m.outputs], m.states)
+    runs = []
+    for i, inst in enumerate(insts):
+        orig = _trajectory(m, outputs, grid, states[:, i, :3])
+        prim = _trajectory(m, outputs, grid, states[:, i, 3:])
+        out_dev = (np.abs(prim.outputs - orig.outputs)
+                   / (1.0 + np.abs(orig.outputs)))
+        mapped = np.column_stack(inst.map_state(*orig.states.T))
+        map_dev = np.abs(prim.states - mapped) / (1.0 + np.abs(mapped))
+        runs.append((IndistReport(
+            tau=inst.tau,
+            max_rel_output_dev=float(np.max(out_dev)),
+            max_rel_state_map_dev=float(np.max(map_dev)),
+            grid_size=len(grid),
+            params=params,
+            params_prime=inst.params_prime,
+            admissible_tau_interval=admissible_tau_interval(params),
+            eta_text=eta.text(),
+            config=cfg,
+        ), orig, prim))
+    return runs
 
 
 # --------------------------------------------------- relation residuals
 
 def phi_residual_along(trajectory: Trajectory, params: Params,
-                       eta: EtaSignal, variant: str = CORRECTED,
-                       phi: PhiRelation | None = None) -> float:
+                       eta: EtaSignal, variant: str = CORRECTED) -> float:
     """Worst scaled residual of the input-output relation along a
     trajectory.
 
@@ -495,43 +495,26 @@ def phi_residual_along(trajectory: Trajectory, params: Params,
     if len(trajectory.times) == 0:
         return 0.0
     m = hiv_model()
-    phi = phi or build_phi(variant, m)
-
-    max_eta_order = 1  # the relation is second order, jets to order 2
-    jet_exprs: dict[Symbol, Expression] = {}
-    for i in (1, 2):
-        jet = output_jet(m, i, 2)
-        for k, e in enumerate(jet.entries):
-            jet_exprs[output_symbol(m, i, k)] = e
-
-    tv = m.tv_params[0]
-    eta_fns = eta.derivative_chain(max_eta_order)
     grid = trajectory.times
-    eta_cols = {tv.derivative(k) if k else tv:
-                np.broadcast_to(np.asarray(fn(grid), dtype=float), grid.shape)
-                for k, fn in enumerate(eta_fns)}
+    consts = [np.full_like(grid, v) for v in _param_values(m, params.as_dict())]
 
-    args = list(m.states) + list(m.const_params) + list(eta_cols.keys())
-    cols = [trajectory.states[:, i] for i in range(3)]
-    pd = params.as_dict()
-    cols += [np.full_like(grid, float(pd[s.name])) for s in m.const_params]
-    cols += list(eta_cols.values())
+    # the relation is second order: jets to order 2, which read eta and eta'
+    tv = m.tv_params[0]
+    etas = [np.broadcast_to(np.asarray(fn(grid), dtype=float), grid.shape)
+            for fn in eta.derivative_chain(1)]
+    jets = compile_program(
+        [e for i in (1, 2) for e in output_jet(m, i, 2).entries],
+        [*m.states, *m.const_params, tv, tv.derivative(1)])
+    jet_vals = jets.float_fn()(*trajectory.states.T, *consts, *etas)
 
-    jet_vals = {s: compile_float_fn(e, args)(*cols) for s, e in jet_exprs.items()}
-
-    terms = phi.expression.args if isinstance(phi.expression, expr.Sum) \
-        else (phi.expression,)
-    term_args = sorted({s for t in terms for s in free_symbols(t)},
-                       key=Symbol.sort_key)
-    term_cols = []
-    for s in term_args:
-        if s.kind == expr.OUTPUT_DERIV:
-            term_cols.append(jet_vals[s])
-        else:
-            term_cols.append(np.full_like(grid, float(pd[s.name])))
+    relation = build_phi(variant, m).expression
+    terms = compile_program(
+        relation.args if isinstance(relation, expr.Sum) else [relation],
+        [*(output_symbol(m, i, k) for i in (1, 2) for k in range(3)),
+         *m.const_params])
     term_vals = np.column_stack(
-        [np.broadcast_to(compile_float_fn(t, term_args)(*term_cols), grid.shape)
-         for t in terms])
+        [np.broadcast_to(v, grid.shape)
+         for v in terms.float_fn()(*jet_vals, *consts)])
 
     total = np.abs(term_vals.sum(axis=1))
     scale = np.abs(term_vals).max(axis=1)
@@ -545,16 +528,13 @@ def write_trajectory_csv(fileobj, trajectory: Trajectory,
                          primed: Trajectory | None = None) -> None:
     """Header: t,T_U,T_I,V,y1,y2 and, with a twin, the _p columns."""
     writer = csv.writer(fileobj)
-    header = (["t"] + list(trajectory.state_names) + list(trajectory.output_names))
+    header = ["t", *trajectory.state_names, *trajectory.output_names]
+    columns = [trajectory.times[:, None], trajectory.states,
+               trajectory.outputs]
     if primed is not None:
-        header += [f"{n}_p" for n in primed.state_names]
-        header += [f"{n}_p" for n in primed.output_names]
+        header += [f"{n}_p"
+                   for n in (*primed.state_names, *primed.output_names)]
+        columns += [primed.states, primed.outputs]
     writer.writerow(header)
-    for i, t in enumerate(trajectory.times):
-        row = [repr(float(t))]
-        row += [repr(float(v)) for v in trajectory.states[i]]
-        row += [repr(float(v)) for v in trajectory.outputs[i]]
-        if primed is not None:
-            row += [repr(float(v)) for v in primed.states[i]]
-            row += [repr(float(v)) for v in primed.outputs[i]]
-        writer.writerow(row)
+    for row in np.hstack(columns):
+        writer.writerow([repr(float(v)) for v in row])

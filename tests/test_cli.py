@@ -193,6 +193,20 @@ def test_simulate_sweep_matches_tau_sweep(capsys):
     assert json.loads(out) == [r.to_dict() for r in reports]
 
 
+@pytest.mark.parametrize("command", [["simulate", "--tau", "0.5"],
+                                     ["simulate", "--sweep=0:1:3"],
+                                     ["phi-check"]])
+@pytest.mark.parametrize("window", [["--tf", "inf"], ["--tf", "nan"]])
+def test_non_finite_window_is_usage_error(capsys, command, window):
+    # an infinite window made a NaN grid, integrated nothing and passed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *command, *window)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_simulate_window_too_short_for_a_step(capsys):
     code, out, _ = run(capsys, "simulate", "--tau", "0.5", "--tf", "1e-14")
     assert code == 0

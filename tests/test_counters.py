@@ -5,12 +5,14 @@ emitter produce; a change that grows the DAG, the compiled program or its
 generated source fails here before it shows up as wall time. The RHS
 evaluation counts of two default-config runs and of the stacked
 criterion-5 tau sweep are pinned exactly, so a change to the step
-controller that alters a single step fails here too.
+controller that alters a single step fails here too. The programs a
+simulation compiles are bounded per run, not per output or per twin.
 """
 
 import numpy as np
 import pytest
 
+from odeident import cli
 from odeident import expr as E
 from odeident import model as M
 from odeident import ranktest as R
@@ -103,9 +105,41 @@ def test_plain_run_rhs_calls():
         hiv, ONES.as_dict(), [1.0, 1.0, 1.0], eta)) == 14575
 
 
+# the criterion-5 taus
+SWEEP_TAUS = [float(t) for t in np.linspace(-1.0, 1.5, 16)] + [
+    -1e-3, -1e-4, 1e-4, 1e-3]
+
+
 def test_tau_sweep_rhs_calls():
     # one stacked evaluation covers all 20 twins of the criterion-5 sweep
-    taus = [float(t) for t in np.linspace(-1.0, 1.5, 16)] + [
-        -1e-3, -1e-4, 1e-4, 1e-3]
     assert _rhs_calls(lambda eta: S.tau_sweep(
-        ONES, (1.0, 0.2, 1.0), eta, taus)) == 15708
+        ONES, (1.0, 0.2, 1.0), eta, SWEEP_TAUS)) == 15708
+
+
+def _compile_calls(monkeypatch, run) -> int:
+    """compile_program calls made by `run`, compile_float_fn's included."""
+    calls = []
+    original = E.compile_program
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(E, "compile_program", counting)
+    monkeypatch.setattr(S, "compile_program", counting)
+    run()
+    return len(calls)
+
+
+# the eta signal (1), the right-hand side (1) and the outputs of every
+# trajectory (1); phi-check adds per relation variant the eta chain (2),
+# the output jets (1) and the relation's terms (1)
+@pytest.mark.parametrize("run, bound", [
+    (lambda: S.run_indistinguishability(
+        ONES, (1.0, 0.2, 1.0), S.EtaSignal.from_text("1/2"), 0.7), 3),
+    (lambda: S.tau_sweep(
+        ONES, (1.0, 0.2, 1.0), S.EtaSignal.from_text("1/2"), SWEEP_TAUS), 3),
+    (lambda: cli.main(["phi-check"]), 11),
+], ids=["single tau", "tau sweep", "phi-check"])
+def test_programs_compiled_per_run(monkeypatch, capsys, run, bound):
+    assert _compile_calls(monkeypatch, run) <= bound

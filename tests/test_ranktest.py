@@ -234,6 +234,17 @@ def test_exhausted_retries_on_identically_singular_entry():
         R.generic_rank(bad, [x], trials=1, seed=1)
 
 
+def test_exhausted_retries_at_the_structured_point():
+    # every random point is valid, but pinning x = 0 puts each structured
+    # point on the denominator
+    x = E.Symbol("x")
+    matrix = [[E.div(E.ONE, E.sym(x))]]
+    assert R.generic_rank(matrix, [x], trials=2, seed=1).generic_rank == 1
+    with pytest.raises(R.ExhaustedRetries):
+        R.generic_rank(matrix, [x], trials=2, seed=1,
+                       structured_point={x: 0})
+
+
 def test_generic_rank_validation():
     eye = _const_matrix([[1]])
     with pytest.raises(ValueError):

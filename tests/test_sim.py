@@ -42,6 +42,17 @@ def test_eta_signal_text_round_trip():
     assert S.EtaSignal.from_text(sig.text())(0.0) == 0.5
 
 
+def test_output_quotient_of_constants_by_zero_raises():
+    # the outputs get the constants as scalars, so 1/k is a Python float
+    # division; it fails typed, as the right-hand side would
+    from odeident import expr as E
+    m = M.parse_model("model z\nstates x\nparams k\node x = -x\n"
+                      "output y = x + 1/k\n")
+    with pytest.raises(E.DivisionByZero):
+        S.integrate(m, {"k": 0.0}, [1.0],
+                    cfg=S.SimConfig(tf=1.0, dense_output_points=3))
+
+
 def test_negative_eta_rejected_at_samples():
     sig = S.EtaSignal.from_text("1/2 - t")  # negative beyond t = 1/2
     with pytest.raises(ValueError):
@@ -59,6 +70,11 @@ def test_sim_config_validation():
         S.SimConfig(max_step=0.0)
     with pytest.raises(ValueError):
         S.SimConfig(dense_output_points=1)
+    # an infinite window gives a NaN grid that integrates nothing
+    for window in ({"tf": math.inf}, {"t0": -math.inf}, {"tf": math.nan},
+                   {"t0": math.nan}, {"t0": -math.inf, "tf": math.inf}):
+        with pytest.raises(ValueError):
+            S.SimConfig(**window)
 
 
 # -------------------------------------------------------------- integrate
@@ -337,6 +353,51 @@ def test_relation_residual_with_time_varying_eta():
     cfg = S.SimConfig(tf=10.0)
     traj = S.integrate(hiv, ONES_DICT, [1.0, 1.0, 1.0], sig, cfg)
     assert S.phi_residual_along(traj, ONES, sig, "corrected") < 1e-6
+
+
+def _residual_term_by_term(traj, params, eta, variant):
+    """The relation residual with one compile_float_fn per jet entry and
+    per relation term, every constant a full column."""
+    from odeident import expr as E
+    from odeident import ranktest as R
+    grid = traj.times
+    tv = hiv.tv_params[0]
+    consts = {s: np.full_like(grid, float(params.as_dict()[s.name]))
+              for s in hiv.const_params}
+    cols = {**dict(zip(hiv.states, traj.states.T)), **consts}
+    for k, fn in enumerate(eta.derivative_chain(1)):
+        cols[tv.derivative(k) if k else tv] = np.broadcast_to(
+            np.asarray(fn(grid), dtype=float), grid.shape)
+    for i in (1, 2):
+        for k, e in enumerate(M.output_jet(hiv, i, 2).entries):
+            args = sorted(E.free_symbols(e), key=E.Symbol.sort_key)
+            cols[M.output_symbol(hiv, i, k)] = np.broadcast_to(
+                E.compile_float_fn(e, args)(*(cols[s] for s in args)),
+                grid.shape)
+    terms = []
+    for term in R.build_phi(variant, hiv).expression.args:
+        args = sorted(E.free_symbols(term), key=E.Symbol.sort_key)
+        terms.append(np.broadcast_to(
+            E.compile_float_fn(term, args)(*(cols[s] for s in args)),
+            grid.shape))
+    terms = np.column_stack(terms)
+    total, scale = np.abs(terms.sum(axis=1)), np.abs(terms).max(axis=1)
+    return float(np.where(scale > 0, total / np.where(scale > 0, scale, 1.0),
+                          0.0).max())
+
+
+@pytest.mark.parametrize("variant", ["corrected", "miao"])
+@pytest.mark.parametrize("eta_text", ["1/2", "1/2 + t/20"])
+def test_relation_residual_matches_term_by_term_evaluation(variant, eta_text):
+    # the two compiled programs round exactly like one function per entry;
+    # delta^2 of this delta rounds differently as a Python float than in
+    # numpy, so the constants must stay columns
+    eta = S.EtaSignal.from_text(eta_text)
+    params = Params(lam=2.0, delta=1.700026977, rho=0.3, c=2.5, N=5.0)
+    traj = S.integrate(hiv, params.as_dict(), [1.0, 0.2, 1.0], eta,
+                       S.SimConfig(tf=4.0, dense_output_points=41))
+    assert (S.phi_residual_along(traj, params, eta, variant)
+            == _residual_term_by_term(traj, params, eta, variant))
 
 
 def test_relation_residual_empty_grid_is_zero():
