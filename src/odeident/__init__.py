@@ -27,9 +27,10 @@ from .ranktest import (
     phi_vanishes_on_dynamics, run_rank_test, substitute_dynamics,
 )
 from .sim import (
-    EtaSignal, IndistReport, NonFiniteState, SimConfig, StepSizeUnderflow,
-    Trajectory, integrate, phi_residual_along, run_indistinguishability,
-    tau_sweep, write_trajectory_csv,
+    EtaSignal, IndistReport, NonFiniteState, SimConfig, StepBudgetExceeded,
+    StepSizeUnderflow, Trajectory, integrate, phi_residual_along,
+    phi_residuals_along, run_indistinguishability, tau_sweep,
+    write_trajectory_csv,
 )
 from .transform import (
     IdentityCheck, Params, SingularPoint, SingularTau, TauFamily,

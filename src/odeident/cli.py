@@ -242,8 +242,8 @@ def _cmd_phi_check(args) -> int:
         trajectory = sim.integrate(model.hiv_model(), pd, init, eta, cfg)
         variants = [ranktest.CORRECTED, ranktest.MIAO_AS_PRINTED] \
             if args.variant == "both" else [args.variant]
-        residuals = {v: sim.phi_residual_along(trajectory, params, eta, v)
-                     for v in variants}
+        residuals = sim.phi_residuals_along(trajectory, params, eta,
+                                            variants)
     except (ValueError, expr.ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _MATH_FAIL

@@ -4,11 +4,18 @@ The integrator is the classic Fehlberg 4(5) embedded pair: the 4th-order
 solution is propagated and the difference to the 5th-order solution
 drives the step controller. Dense output uses cubic Hermite interpolation
 on each accepted step, consistent with 4th-order accuracy, and is filled
-in as the step is accepted. Plain and co-integrated runs share this one
-solver and one trajectory builder. A run compiles one program per
-evaluation site: one for the right-hand side, one for the outputs of all
-its trajectories (every twin of a sweep included), and a relation
-residual compiles two, the output jets and the relation's terms.
+in as the step is accepted. Plain, co-integrated and stacked runs share
+this one solver loop and one trajectory builder. The loop calls one step
+attempt emitted as straight-line Python per state width, in two
+renderings: a 1-D state is one Python float per component, and a stacked
+2-D state is one numpy array. Both round their stage sums exactly as the
+generic `y + h * sum(a * k for ...)` does. A run that needs more than
+`_MAX_ATTEMPTS` step attempts stops with StepBudgetExceeded.
+
+A run compiles one program per evaluation site: one for the right-hand
+side and one for the outputs of all its trajectories (every twin of a
+sweep included). Relation residuals compile the output jets once and the
+terms of each relation variant.
 
 The indistinguishability experiment co-integrates the original system and
 the transformed one as a single 6-state ODE. The transformed eta is
@@ -23,6 +30,7 @@ states.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,9 +48,9 @@ from .transform import (Params, TauFamily, admissible_tau_interval,
 
 __all__ = [
     "EtaSignal", "IndistReport", "NonFiniteState", "SimConfig",
-    "StepSizeUnderflow", "TIME_SYMBOL", "Trajectory", "integrate",
-    "phi_residual_along", "run_indistinguishability", "tau_sweep",
-    "write_trajectory_csv",
+    "StepBudgetExceeded", "StepSizeUnderflow", "TIME_SYMBOL", "Trajectory",
+    "integrate", "phi_residual_along", "phi_residuals_along",
+    "run_indistinguishability", "tau_sweep", "write_trajectory_csv",
 ]
 
 TIME_SYMBOL = Symbol("t", AUX)
@@ -51,6 +59,11 @@ TIME_SYMBOL = Symbol("t", AUX)
 class StepSizeUnderflow(expr.ExprError):
     """The controller drove the step below resolvable size (stiffness or a
     singularity on the path)."""
+
+
+class StepBudgetExceeded(StepSizeUnderflow):
+    """The run took more step attempts than its budget allows (a pole
+    between grid points, or a window far longer than the dynamics)."""
 
 
 class NonFiniteState(expr.ExprError):
@@ -88,11 +101,13 @@ class EtaSignal:
         return self._fn(t)
 
     def derivative_chain(self, order: int) -> list[Callable]:
-        """Compiled [eta, eta', ..., eta^(order)] as functions of t."""
+        """Compiled [eta, eta', ..., eta^(order)] as functions of t; eta
+        itself is the signal's own compiled function."""
         chain = [self.expression]
         for _ in range(order):
             chain.append(expr.differentiate(chain[-1], TIME_SYMBOL))
-        return [compile_float_fn(e, [TIME_SYMBOL]) for e in chain]
+        return [self._fn] + [compile_float_fn(e, [TIME_SYMBOL])
+                             for e in chain[1:]]
 
     def text(self) -> str:
         return expr.to_text(self.expression)
@@ -168,20 +183,104 @@ _E = tuple(b4 - b5 for b4, b5 in zip(_B4, _B5))
 _SAFETY = 0.9
 _MIN_SHRINK = 0.2
 _MAX_GROW = 5.0
+# accepted plus rejected step attempts of one run. A default run takes
+# about 2,200 and the tightest-tolerance test run about 32,000, while a
+# run toward a pole between grid points, or over 1e308 time units, would
+# not end
+_MAX_ATTEMPTS = 100_000
 
 
 def _finite(x) -> bool:
     return np.isfinite(x).all()
 
 
+def _pairwise(terms: list[str]) -> str:
+    """Source summing `terms` in numpy's float64 order (pairwise, eight
+    accumulators, blocks of 128), so the sum rounds like ndarray.sum();
+    the terms must be nonnegative, as numpy's leading 0.0 is left out."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return f"({_pairwise(terms[:half])} + {_pairwise(terms[half:])})"
+    if n < 8:
+        return f"({' + '.join(terms)})"
+    stop = n - n % 8
+    r = terms[:8]
+    for i in range(8, stop, 8):
+        r = [f"({r[j]} + {terms[i + j]})" for j in range(8)]
+    block = (f"((({r[0]} + {r[1]}) + ({r[2]} + {r[3]}))"
+             f" + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]})))")
+    return f"({' + '.join([block, *terms[stop:]])})"
+
+
+def _emit_attempt(width: int | None) -> str:
+    """Source of `_attempt(f, t, h, y, k0, atol, rtol)`: one RKF45 step
+    attempt of size h from (t, y), where k0 = f(t, y). It returns the
+    4th-order solution y4 and the worst row's sum of squared scaled
+    errors, or None as soon as a stage, y4 or the error is not finite.
+
+    Each stage sum is rendered as the generic `y + h * sum(a*k for ...)`
+    evaluates it, `y + h * (0 + a0*k0 + a1*k1 ...)` with zero coefficients
+    kept, so it rounds the same way. With `width` None the state is one
+    numpy array whose rows are stacked systems; with an int it is `width`
+    Python floats, one variable each, and f takes and returns lists.
+    """
+    flat = width is not None
+    parts = [f"_{j}" for j in range(width)] if flat else [""]
+
+    def vec(name):
+        return ", ".join(name + c for c in parts) + ("," if flat else "")
+
+    def stage_sum(coefs, c):
+        terms = " + ".join(f"{a!r}*k{i}{c}" for i, a in enumerate(coefs))
+        return f"(0 + {terms})"
+
+    def finite(*names):
+        if flat:
+            return " and ".join(f"isfinite({n}{c})" for n in names
+                                for c in parts)
+        return " and ".join(f"_finite({n})" for n in names)
+
+    body = [f"{vec('y')} = y", f"{vec('k0')} = k0"] if flat else []
+    for i in range(1, 6):
+        body += [f"s{i}{c} = y{c} + h * {stage_sum(_A[i], c)}" for c in parts]
+        body.append(f"if not ({finite(f's{i}')}): return None")
+        arg = f"[{vec(f's{i}')}]" if flat else f"s{i}"
+        body.append(f"{vec(f'k{i}')} = f(t + {_C[i]!r}*h, {arg})")
+    body += [f"y4{c} = y{c} + h * {stage_sum(_B4, c)}" for c in parts]
+    body += [f"e{c} = h * {stage_sum(_E, c)}" for c in parts]
+    body.append(f"if not ({finite('y4', 'e')}): return None")
+    if flat:
+        body += [f"q{c} = e{c} / (atol + rtol * max(abs(y{c}), abs(y4{c})))"
+                 for c in parts]
+        body.append(f"return [{vec('y4')}], "
+                    f"{_pairwise([f'q{c}*q{c}' for c in parts])}")
+    else:
+        body += ["q = e / (atol + rtol * np.maximum(np.abs(y), np.abs(y4)))",
+                 "return y4, float((q*q).sum(axis=-1).max())"]
+    return "".join(["def _attempt(f, t, h, y, k0, atol, rtol):\n",
+                    *(f"    {line}\n" for line in body)])
+
+
+@functools.cache
+def _attempt_fn(width: int | None):
+    """`_emit_attempt(width)` compiled, once per width."""
+    namespace = {"isfinite": math.isfinite, "_finite": _finite, "np": np}
+    exec(_emit_attempt(width), namespace)  # generated from the tableau only
+    return namespace["_attempt"]
+
+
 def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
     """Adaptive RKF45 over the window of `cfg`; returns the states on
     `cfg.grid()`, shaped (grid points, *y0.shape).
 
-    A 1-D `y0` is one system; a 2-D `y0` stacks one system per row, and
-    all rows take the same steps. The step error is the largest of the
-    rows' RMS errors, so no row is held to a looser tolerance than it
-    would be in a run of its own.
+    A 1-D `y0` is one system, stepped on Python floats: f takes and
+    returns a list. A 2-D `y0` stacks one system per row, stepped as one
+    numpy array, and all rows take the same steps. The step error is the
+    largest of the rows' RMS errors, so no row is held to a looser
+    tolerance than it would be in a run of its own. A run gives up with
+    StepBudgetExceeded after `_MAX_ATTEMPTS` step attempts, and a scalar
+    division by zero in f raises DivisionByZero.
 
     Each accepted step fills the grid points it covers by cubic Hermite
     interpolation and is then dropped, so only the current step is held.
@@ -194,59 +293,58 @@ def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
     t, tf = cfg.t0, cfg.tf
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     max_step = cfg.max_step if cfg.max_step is not None else tf - t
-    y = np.asarray(y0, dtype=float)
-    if not _finite(y):
+    y0 = np.asarray(y0, dtype=float)
+    if not _finite(y0):
         raise NonFiniteState("initial state is not finite")
-    states = np.empty((len(grid), *y.shape))
+    flat = y0.ndim == 1
+    width = y0.shape[-1]
+    attempt = _attempt_fn(width if flat else None)
+    states = np.empty((len(grid), *y0.shape))
     filled = 0
     at_end = 1e-13 * max(abs(tf), 1.0)  # this close to tf counts as there
-    f_left = np.asarray(f(t, y), dtype=float)
+    y = y0.tolist() if flat else y0
     h = min(max_step, (tf - t) / 100.0)
-    k = [None] * 6
-    while tf - t > at_end:
-        h = min(h, max_step, tf - t)
-        if h < 1e-14 * max(abs(t), 1.0):
-            raise StepSizeUnderflow(f"step size underflow at t = {t}")
-        k[0] = f_left
-        failed = False
-        for i in range(1, 6):
-            yi = y + h * sum(a * ki for a, ki in zip(_A[i], k[:i]))
-            if not _finite(yi):
-                failed = True
-                break
-            k[i] = np.asarray(f(t + _C[i] * h, yi), dtype=float)
-        if not failed:
-            y4 = y + h * sum(b * ki for b, ki in zip(_B4, k))
-            err_vec = h * sum(e * ki for e, ki in zip(_E, k))
-            if not (_finite(y4) and _finite(err_vec)):
-                failed = True
-        if failed:
-            h *= _MIN_SHRINK
-            continue
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y4))
-        # the worst row's mean square; max(sum) / n is max(mean) exactly
-        sq = (err_vec / scale) ** 2
-        err = math.sqrt(float(sq.sum(axis=-1).max()) / sq.shape[-1])
-        if err <= 1.0:
-            t_right = t + h
-            f_right = np.asarray(f(t_right, y4), dtype=float)
-            if not _finite(f_right):
-                raise NonFiniteState(f"derivative not finite at t = {t_right}")
-            if tf - t_right > at_end:
-                stop = np.searchsorted(grid, t_right, "left")
-            else:  # the last step
-                stop = np.searchsorted(grid, t_right + 1e-12, "right")
-            if stop > filled:
-                states[filled:stop] = _hermite(t, h, y, y4, f_left, f_right,
-                                               grid[filled:stop])
-                filled = stop
-            t, y, f_left = t_right, y4, f_right
-            if err == 0:
-                h *= _MAX_GROW
+    attempts = 0
+    try:
+        f_left = f(t, y)
+        while tf - t > at_end:
+            h = min(h, max_step, tf - t)
+            if h < 1e-14 * max(abs(t), 1.0):
+                raise StepSizeUnderflow(f"step size underflow at t = {t}")
+            attempts += 1
+            if attempts > _MAX_ATTEMPTS:
+                raise StepBudgetExceeded(
+                    f"no end after {_MAX_ATTEMPTS} step attempts, at t = {t}")
+            step = attempt(f, t, h, y, f_left, atol, rtol)
+            if step is None:
+                h *= _MIN_SHRINK
+                continue
+            y4, sq = step
+            err = math.sqrt(sq / width)
+            if err <= 1.0:
+                t_right = t + h
+                f_right = f(t_right, y4)
+                if not _finite(f_right):
+                    raise NonFiniteState(
+                        f"derivative not finite at t = {t_right}")
+                if tf - t_right > at_end:
+                    stop = np.searchsorted(grid, t_right, "left")
+                else:  # the last step
+                    stop = np.searchsorted(grid, t_right + 1e-12, "right")
+                if stop > filled:
+                    states[filled:stop] = _hermite(
+                        t, h, *map(np.asarray, (y, y4, f_left, f_right)),
+                        grid[filled:stop])
+                    filled = stop
+                t, y, f_left = t_right, y4, f_right
+                if err == 0:
+                    h *= _MAX_GROW
+                else:
+                    h *= min(_MAX_GROW, max(_MIN_SHRINK, _SAFETY * err ** -0.2))
             else:
-                h *= min(_MAX_GROW, max(_MIN_SHRINK, _SAFETY * err ** -0.2))
-        else:
-            h *= max(_MIN_SHRINK, _SAFETY * err ** -0.2)
+                h *= max(_MIN_SHRINK, _SAFETY * err ** -0.2)
+    except ZeroDivisionError as exc:  # a quotient of Python floats
+        raise expr.DivisionByZero(str(exc)) from None
     states[filled:] = y
     if not _finite(states):
         raise NonFiniteState("trajectory left the finite domain")
@@ -337,13 +435,15 @@ def integrate(m: OdeModel, params: Mapping[str, float],
     grid = cfg.grid()
     sigs, cols = _signals(m, eta, grid)
     pvals = _param_values(m, params)
-    rhs = _rhs(m)
+    program = _rhs(m)
+    rhs = program.float_fn()
 
     def f(t, y):
-        return rhs.run_float(y.tolist() + [sig(t) for sig in sigs] + pvals)
+        return rhs(*y, *[sig(t) for sig in sigs], *pvals)
 
     states = _solve(f, init, cfg)
-    outputs = compile_program([e for _, e in m.outputs], rhs.input_symbols)
+    outputs = compile_program([e for _, e in m.outputs],
+                              program.input_symbols)
     return _trajectory(m, outputs, grid, states, *cols, *pvals)
 
 
@@ -415,7 +515,7 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
     states first, transformed second. Each right-hand side evaluation
     reads eta once and runs the compiled vector field twice on columns.
     A single twin keeps the state flat and runs on Python floats, about
-    four times faster than numpy on one row.
+    ten times faster than numpy on one row.
     """
     # every SingularTau before any integration
     insts = [TauFamily(tau=tau, params=params).instance() for tau in taus]
@@ -426,25 +526,23 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
     _signals(m, eta, grid)  # rejects an eta that is not finite and >= 0
     base = _param_values(m, params.as_dict())
     primed = [_param_values(m, inst.params_prime.as_dict()) for inst in insts]
-    program = _rhs(m)
+    rhs = _rhs(m).float_fn()
     init = [float(v) for v in init]
     y0 = [init + list(inst.map_state(*init)) for inst in insts]
 
     if len(insts) == 1:
-        inst, primed, rhs = insts[0], primed[0], program.run_float
+        inst, primed = insts[0], primed[0]
 
         def f(t, y):
             et = eta(t)
-            y = y.tolist()
             orig = y[:3]
-            return (rhs(orig + [et] + base)
-                    + rhs(y[3:] + [inst.eta(*orig, et)] + primed))
+            return (rhs(*orig, et, *base)
+                    + rhs(*y[3:], inst.eta(*orig, et), *primed))
 
         states = _solve(f, y0[0], cfg)[:, None, :]
     else:
         u = np.array([inst.u for inst in insts])
         primed = np.array(primed).T
-        rhs = program.float_fn()
 
         def f(t, y):
             et = eta(t)
@@ -492,8 +590,17 @@ def phi_residual_along(trajectory: Trajectory, params: Params,
     dimensionless; an identically satisfied relation stays at rounding
     level while a wrong one is order one. An empty grid returns 0.
     """
+    return phi_residuals_along(trajectory, params, eta, [variant])[variant]
+
+
+def phi_residuals_along(trajectory: Trajectory, params: Params,
+                        eta: EtaSignal, variants: Sequence[str]
+                        ) -> dict[str, float]:
+    """`phi_residual_along` for each variant of the relation. The eta
+    chain and the output jets are compiled and evaluated once for all
+    variants; only each variant's terms are compiled on their own."""
     if len(trajectory.times) == 0:
-        return 0.0
+        return {variant: 0.0 for variant in variants}
     m = hiv_model()
     grid = trajectory.times
     consts = [np.full_like(grid, v) for v in _param_values(m, params.as_dict())]
@@ -506,20 +613,23 @@ def phi_residual_along(trajectory: Trajectory, params: Params,
         [e for i in (1, 2) for e in output_jet(m, i, 2).entries],
         [*m.states, *m.const_params, tv, tv.derivative(1)])
     jet_vals = jets.float_fn()(*trajectory.states.T, *consts, *etas)
+    jet_symbols = [output_symbol(m, i, k) for i in (1, 2) for k in range(3)]
 
-    relation = build_phi(variant, m).expression
-    terms = compile_program(
-        relation.args if isinstance(relation, expr.Sum) else [relation],
-        [*(output_symbol(m, i, k) for i in (1, 2) for k in range(3)),
-         *m.const_params])
-    term_vals = np.column_stack(
-        [np.broadcast_to(v, grid.shape)
-         for v in terms.float_fn()(*jet_vals, *consts)])
-
-    total = np.abs(term_vals.sum(axis=1))
-    scale = np.abs(term_vals).max(axis=1)
-    residual = np.where(scale > 0, total / np.where(scale > 0, scale, 1.0), 0.0)
-    return float(residual.max())
+    residuals = {}
+    for variant in variants:
+        relation = build_phi(variant, m).expression
+        terms = compile_program(
+            relation.args if isinstance(relation, expr.Sum) else [relation],
+            [*jet_symbols, *m.const_params])
+        term_vals = np.column_stack(
+            [np.broadcast_to(v, grid.shape)
+             for v in terms.float_fn()(*jet_vals, *consts)])
+        total = np.abs(term_vals.sum(axis=1))
+        scale = np.abs(term_vals).max(axis=1)
+        residual = np.where(scale > 0,
+                            total / np.where(scale > 0, scale, 1.0), 0.0)
+        residuals[variant] = float(residual.max())
+    return residuals
 
 
 # ----------------------------------------------------------- CSV export

@@ -1,9 +1,13 @@
-"""Shared test utilities: random expressions and a finite-difference oracle."""
+"""Shared test utilities: random expressions, a finite-difference oracle
+and a reference RKF45 stepper."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from odeident import expr as E
 
@@ -67,3 +71,82 @@ def fd_cases(n: int, seed: int = 20240501, depth: int = 3):
             continue
         yield e, s, point
         produced += 1
+
+
+# ------------------------------------------------- reference RKF45 stepper
+
+_C = (0.0, 1/4, 3/8, 12/13, 1.0, 1/2)
+_A = ((), (1/4,), (3/32, 9/32), (1932/2197, -7200/2197, 7296/2197),
+      (439/216, -8.0, 3680/513, -845/4104),
+      (-8/27, 2.0, -3554/2565, 1859/4104, -11/40))
+_B4 = (25/216, 0.0, 1408/2565, 2197/4104, -1/5, 0.0)
+_B5 = (16/135, 0.0, 6656/12825, 28561/56430, -9/50, 2/55)
+_E = tuple(b4 - b5 for b4, b5 in zip(_B4, _B5))
+
+
+def reference_solve(f, y0, cfg) -> np.ndarray:
+    """The Fehlberg 4(5) stepper written the generic way on numpy arrays:
+    stage sums `y + h * sum(a * k for ...)`, the same step control and the
+    same dense output as `odeident.sim._solve`, which must agree with it
+    bit for bit. f takes and returns arrays (or sequences); a 2-D y0
+    stacks systems as rows."""
+    def finite(x):
+        return bool(np.all(np.isfinite(x)))
+
+    def hermite(t0, h, y0, y1, f0, f1, ts):
+        theta = ((ts - t0) / h).reshape((-1,) + (1,) * y0.ndim)
+        d = y1 - y0
+        return ((1 - theta) * y0 + theta * y1
+                + theta * (theta - 1)
+                * ((1 - 2 * theta) * d + (theta - 1) * h * f0
+                   + theta * h * f1))
+
+    grid = cfg.grid()
+    t, tf = cfg.t0, cfg.tf
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    max_step = cfg.max_step if cfg.max_step is not None else tf - t
+    y = np.asarray(y0, dtype=float)
+    states = np.empty((len(grid), *y.shape))
+    filled = 0
+    at_end = 1e-13 * max(abs(tf), 1.0)
+    f_left = np.asarray(f(t, y), dtype=float)
+    h = min(max_step, (tf - t) / 100.0)
+    k = [None] * 6
+    while tf - t > at_end:
+        h = min(h, max_step, tf - t)
+        assert h >= 1e-14 * max(abs(t), 1.0), "step size underflow"
+        k[0] = f_left
+        failed = False
+        for i in range(1, 6):
+            yi = y + h * sum(a * ki for a, ki in zip(_A[i], k[:i]))
+            if not finite(yi):
+                failed = True
+                break
+            k[i] = np.asarray(f(t + _C[i] * h, yi), dtype=float)
+        if not failed:
+            y4 = y + h * sum(b * ki for b, ki in zip(_B4, k))
+            err_vec = h * sum(e * ki for e, ki in zip(_E, k))
+            failed = not (finite(y4) and finite(err_vec))
+        if failed:
+            h *= 0.2
+            continue
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y4))
+        sq = (err_vec / scale) ** 2
+        err = math.sqrt(float(sq.sum(axis=-1).max()) / sq.shape[-1])
+        if err <= 1.0:
+            t_right = t + h
+            f_right = np.asarray(f(t_right, y4), dtype=float)
+            if tf - t_right > at_end:
+                stop = np.searchsorted(grid, t_right, "left")
+            else:
+                stop = np.searchsorted(grid, t_right + 1e-12, "right")
+            if stop > filled:
+                states[filled:stop] = hermite(t, h, y, y4, f_left, f_right,
+                                              grid[filled:stop])
+                filled = stop
+            t, y, f_left = t_right, y4, f_right
+            h *= 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        else:
+            h *= max(0.2, 0.9 * err ** -0.2)
+    states[filled:] = y
+    return states

@@ -172,6 +172,19 @@ def test_eta_pole_inside_the_window_fails_before_integrating(capsys):
     assert err == "error: eta is not finite on the window\n"
 
 
+@pytest.mark.parametrize("flags", [["--tf", "1e308"],
+                                   ["--eta", "1/(t-5)^2", "--grid", "400"]],
+                         ids=["huge window", "pole between grid points"])
+def test_endless_run_stops_at_the_step_budget(capsys, monkeypatch, flags):
+    # both used to run on without end; the real budget of 100,000 attempts
+    # stops each in about 4 s, and a smaller one takes the same path sooner
+    monkeypatch.setattr(sim, "_MAX_ATTEMPTS", 5000)
+    code, out, err = run(capsys, "simulate", "--tau", "0.5", *flags)
+    assert code == 1
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: no end after 5000 step attempts")
+
+
 @pytest.mark.parametrize("command", [["simulate", "--tau", "0.5"],
                                      ["simulate", "--sweep=0:1:3"],
                                      ["phi-check"]])

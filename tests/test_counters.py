@@ -132,14 +132,14 @@ def _compile_calls(monkeypatch, run) -> int:
 
 
 # the eta signal (1), the right-hand side (1) and the outputs of every
-# trajectory (1); phi-check adds per relation variant the eta chain (2),
-# the output jets (1) and the relation's terms (1)
+# trajectory (1); phi-check adds eta' (1) and the output jets (1) once,
+# and the relation's terms (1) per variant
 @pytest.mark.parametrize("run, bound", [
     (lambda: S.run_indistinguishability(
         ONES, (1.0, 0.2, 1.0), S.EtaSignal.from_text("1/2"), 0.7), 3),
     (lambda: S.tau_sweep(
         ONES, (1.0, 0.2, 1.0), S.EtaSignal.from_text("1/2"), SWEEP_TAUS), 3),
-    (lambda: cli.main(["phi-check"]), 11),
+    (lambda: cli.main(["phi-check"]), 7),
 ], ids=["single tau", "tau sweep", "phi-check"])
 def test_programs_compiled_per_run(monkeypatch, capsys, run, bound):
     assert _compile_calls(monkeypatch, run) <= bound

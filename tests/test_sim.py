@@ -7,9 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from odeident import expr as E
 from odeident import model as M
 from odeident import sim as S
-from odeident.transform import Params, SingularTau
+from odeident.transform import Params, SingularTau, TauFamily
+
+from helpers import reference_solve
 
 hiv = M.hiv_model()
 ONES = Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
@@ -130,6 +133,94 @@ def test_blowup_raises():
     m = M.parse_model("model blow\nstates x\node x = x^2\noutput o = x\n")
     with pytest.raises((S.StepSizeUnderflow, S.NonFiniteState)):
         S.integrate(m, {}, [3.0], None, S.SimConfig(tf=2.0))
+
+
+def test_step_budget_raises_typed_error(monkeypatch):
+    # a window far longer than the dynamics runs out of step attempts
+    monkeypatch.setattr(S, "_MAX_ATTEMPTS", 500)
+    m = M.parse_model("model d\nstates x\node x = -x\noutput o = x\n")
+    with pytest.raises(S.StepBudgetExceeded, match="500 step attempts"):
+        S.integrate(m, {}, [1.0], None, S.SimConfig(tf=1e6))
+    assert issubclass(S.StepBudgetExceeded, S.StepSizeUnderflow)
+
+
+def test_flat_right_hand_side_division_by_zero_is_typed():
+    m = M.parse_model("model p\nstates x\node x = 1/(x-1)\noutput o = x\n")
+    with pytest.raises(E.DivisionByZero):
+        S.integrate(m, {}, [1.0], None, S.SimConfig(tf=1.0))
+
+
+def test_co_integrated_division_by_zero_is_typed(monkeypatch):
+    # the same vector field with a term that divides by T_U - 1: the
+    # original system starts on its pole
+    pole = M.parse_model(M.HIV_MODEL_TEXT.replace("- c*V\n",
+                                                  "- c*V + 1/(T_U - 1)\n"))
+    monkeypatch.setattr(S, "hiv_model", lambda: pole)
+    with pytest.raises(E.DivisionByZero):
+        S.run_indistinguishability(ONES, [1.0, 1.0, 1.0], HALF, 0.5)
+
+
+# -------------------------------------------- reference stepper oracle
+# the emitted step attempt must round exactly like the generic stepper
+
+ORACLE_ETAS = ["1/2", "1/2 + t/20"]
+
+
+@pytest.mark.parametrize("text", ORACLE_ETAS)
+def test_integrate_matches_reference_stepper(text):
+    eta = S.EtaSignal.from_text(text)
+    rhs = S._rhs(hiv)
+    pvals = S._param_values(hiv, ONES_DICT)
+    want = reference_solve(
+        lambda t, y: rhs.run_float([*y, eta(t), *pvals]), [1.0, 1.0, 1.0],
+        S.SimConfig())
+    got = S.integrate(hiv, ONES_DICT, [1.0, 1.0, 1.0], eta).states
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("text", ORACLE_ETAS)
+def test_co_integrated_run_matches_reference_stepper(text):
+    eta = S.EtaSignal.from_text(text)
+    inst = TauFamily(tau=0.7, params=ONES).instance()
+    rhs = S._rhs(hiv)
+    base = S._param_values(hiv, ONES_DICT)
+    primed = S._param_values(hiv, inst.params_prime.as_dict())
+
+    def f(t, y):
+        et, orig = eta(t), list(y[:3])
+        return (rhs.run_float([*orig, et, *base])
+                + rhs.run_float([*y[3:], inst.eta(*orig, et), *primed]))
+
+    init = [1.0, 0.2, 1.0]
+    want = reference_solve(f, init + list(inst.map_state(*init)),
+                           S.SimConfig())
+    _, orig, prim = S.run_indistinguishability(ONES, init, eta, 0.7)
+    assert np.array_equal(np.hstack([orig.states, prim.states]), want)
+
+
+def test_stacked_rows_match_reference_stepper():
+    rhs = S._rhs(hiv).float_fn()
+    pvals = S._param_values(hiv, ONES_DICT)
+
+    def f(t, y):
+        return np.array(rhs(*y.T, 0.5 + t / 20, *pvals)).T
+
+    y0 = [[1.0, 0.2, 1.0], [2.0, 1.0, 0.5]]
+    assert np.array_equal(S._solve(f, y0, S.SimConfig()),
+                          reference_solve(f, y0, S.SimConfig()))
+
+
+@pytest.mark.parametrize("width", [9, 130])
+def test_wide_flat_state_matches_reference_stepper(width):
+    # from 8 components on numpy sums the squared errors pairwise; the flat
+    # rendering must sum them in the same order
+    rng = np.random.default_rng(width)
+    a = rng.normal(size=(width, width)) / width - np.eye(width)
+    y0 = rng.uniform(0.5, 1.5, width)
+    cfg = S.SimConfig(tf=1.0, dense_output_points=5)
+    assert np.array_equal(
+        S._solve(lambda t, y: (a @ y).tolist(), y0, cfg),
+        reference_solve(lambda t, y: a @ y, y0, cfg))
 
 
 # windows shorter than the stepper's end tolerance: no step is taken
