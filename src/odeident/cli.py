@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import expr, model, ranktest, sim, transform
@@ -167,6 +168,8 @@ def _sim_inputs(args):
     if len(parts) != 3:
         raise ValueError("--init wants three comma-separated numbers")
     init = [float(x) for x in parts]
+    if not all(map(math.isfinite, init)):
+        raise ValueError("--init wants finite numbers")
     eta = sim.EtaSignal.from_text(args.eta)
     cfg = sim.SimConfig(t0=args.t0, tf=args.tf, abs_tol=args.tol,
                         rel_tol=args.tol, dense_output_points=args.grid)

@@ -142,9 +142,11 @@ def eta_prime_value(T_U, T_I, V, eta, params: Params, tau=None, *, u=None):
 
 
 def eta_prime_values(T_U, T_I, V, eta, params: Params, u: np.ndarray):
-    """eta_prime_value for a stack of twins, one per entry of u, each with
-    its own states: entries with u == 1 give eta exactly, and any other
-    entry at its pole raises SingularPoint."""
+    """eta_prime_value for a stack of twins, one per entry of u: entries
+    with u == 1 give eta exactly, and any other entry at its pole raises
+    SingularPoint. The states are arrays, one entry per twin, or Python
+    floats shared by all twins; then the u-free part of the formula is
+    evaluated once and only the u-dependent operations run on arrays."""
     num, den, scale = _eta_prime_parts(T_U, T_I, V, eta, params, u)
     same = u == 1
     bad = ((den == 0) | (abs(den) <= _DENOM_EPS * scale)) & ~same

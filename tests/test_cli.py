@@ -220,6 +220,17 @@ def test_non_finite_window_is_usage_error(capsys, command, window):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command", [["simulate", "--tau", "0.5"],
+                                     ["simulate", "--sweep=0:1:3"],
+                                     ["phi-check"]])
+@pytest.mark.parametrize("init", ["nan,0.2,1", "1,0.2,inf", "1,-inf,1"])
+def test_non_finite_init_is_usage_error(capsys, command, init):
+    # it used to pass the flags and fail in the integrator with exit 1
+    code, out, err = run(capsys, *command, "--init", init)
+    assert code == 2
+    assert out == "" and err == "error: --init wants finite numbers\n"
+
+
 def test_simulate_window_too_short_for_a_step(capsys):
     code, out, _ = run(capsys, "simulate", "--tau", "0.5", "--tf", "1e-14")
     assert code == 0

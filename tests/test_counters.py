@@ -5,8 +5,10 @@ emitter produce; a change that grows the DAG, the compiled program or its
 generated source fails here before it shows up as wall time. The RHS
 evaluation counts of two default-config runs and of the stacked
 criterion-5 tau sweep are pinned exactly, so a change to the step
-controller that alters a single step fails here too. The programs a
-simulation compiles are bounded per run, not per output or per twin.
+controller that alters a single step fails here too; so is the number of
+the sweep's vector-field evaluations that run on numpy columns. The
+programs a simulation compiles are bounded per run, not per output or
+per twin.
 """
 
 import numpy as np
@@ -114,6 +116,36 @@ def test_tau_sweep_rhs_calls():
     # one stacked evaluation covers all 20 twins of the criterion-5 sweep
     assert _rhs_calls(lambda eta: S.tau_sweep(
         ONES, (1.0, 0.2, 1.0), eta, SWEEP_TAUS)) == 15708
+
+
+def _array_rhs_calls(monkeypatch, run) -> int:
+    """Calls of the compiled right-hand side that receive numpy arrays."""
+    calls = []
+    compile_rhs = S._rhs
+
+    def counting_rhs(m):
+        program = compile_rhs(m)
+        fn = program.float_fn()
+
+        def counted(*args):
+            if any(isinstance(a, np.ndarray) for a in args):
+                calls.append(1)
+            return fn(*args)
+
+        program.float_fn = lambda: counted
+        return program
+
+    monkeypatch.setattr(S, "_rhs", counting_rhs)
+    run()
+    return len(calls)
+
+
+def test_tau_sweep_array_rhs_calls(monkeypatch):
+    # the original system, shared by all rows, runs on Python floats: only
+    # the twins' half of each stacked evaluation takes numpy columns
+    assert _array_rhs_calls(monkeypatch, lambda: S.tau_sweep(
+        ONES, (1.0, 0.2, 1.0), S.EtaSignal.from_text("1/2"),
+        SWEEP_TAUS)) == 15708
 
 
 def _compile_calls(monkeypatch, run) -> int:

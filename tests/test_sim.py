@@ -10,7 +10,8 @@ import pytest
 from odeident import expr as E
 from odeident import model as M
 from odeident import sim as S
-from odeident.transform import Params, SingularTau, TauFamily
+from odeident.transform import (Params, SingularTau, TauFamily,
+                                eta_prime_values)
 
 from helpers import reference_solve
 
@@ -390,7 +391,39 @@ CRITERION_5_TAUS = [float(t) for t in np.linspace(-1.0, 1.5, 16)] + [
     -1e-3, -1e-4, 1e-4, 1e-3]
 
 
-@pytest.mark.parametrize("text", ["1/2", "1/2 + t/20"])
+@pytest.mark.parametrize("text", ORACLE_ETAS)
+def test_tau_sweep_matches_reference_stepper(text):
+    # the generic stacked right-hand side: every row, its original states
+    # included, evaluated on numpy columns
+    eta = S.EtaSignal.from_text(text)
+    insts = [TauFamily(tau=tau, params=ONES).instance()
+             for tau in CRITERION_5_TAUS]
+    u = np.array([inst.u for inst in insts])
+    rhs = S._rhs(hiv).float_fn()
+    base = S._param_values(hiv, ONES_DICT)
+    primed = np.array([S._param_values(hiv, inst.params_prime.as_dict())
+                       for inst in insts]).T
+
+    def f(t, y):
+        et = eta(t)
+        orig, prim = y[:, :3].T, y[:, 3:].T
+        et_p = eta_prime_values(*orig, et, ONES, u)
+        return np.array(rhs(*orig, et, *base) + rhs(*prim, et_p, *primed)).T
+
+    init = [1.0, 0.2, 1.0]
+    want = reference_solve(
+        f, [init + list(inst.map_state(*init)) for inst in insts],
+        S.SimConfig())
+    # the invariant the sweep relies on: all rows share one original
+    assert all(np.array_equal(want[:, i, :3], want[:, 0, :3])
+               for i in range(len(insts)))
+    swept = S._twin_runs(ONES, init, eta, CRITERION_5_TAUS, S.SimConfig())
+    got = np.stack([np.hstack([orig.states, prim.states])
+                    for _, orig, prim in swept], axis=1)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("text", ORACLE_ETAS)
 def test_tau_sweep_members_agree_with_single_runs(text):
     eta = S.EtaSignal.from_text(text)
     init = [1.0, 0.2, 1.0]

@@ -97,6 +97,25 @@ def test_stacked_eta_matches_each_member():
     assert got[1] == 0.5  # u == 1 gives eta exactly
 
 
+def test_stacked_eta_with_shared_states_matches_each_member():
+    # the states of a sweep's original system, shared by every twin
+    u = np.array([0.5, 1.0, 2.0, 3.0])
+    got = T.eta_prime_values(0.7, 1.1, 2.5, 0.5, SKEW, u)
+    for i in range(len(u)):
+        assert got[i] == T.eta_prime_value(0.7, 1.1, 2.5, 0.5, SKEW, u=u[i])
+    assert got[1] == 0.5  # u == 1 gives eta exactly
+
+
+def test_stacked_eta_with_shared_states_singular_at_one_member():
+    # T_I/T_U = u/(1-u) is the pole of the member with that u alone: T_I =
+    # T_U is the pole of u = 1/2 only
+    u = np.array([1.0, 2.0, 0.5, 3.0])
+    others = T.eta_prime_values(1.0, 1.0, 1.0, 0.5, ONES, u[[0, 1, 3]])
+    assert np.all(np.isfinite(others))
+    with pytest.raises(T.SingularPoint, match="at u = 0.5$"):
+        T.eta_prime_values(1.0, 1.0, 1.0, 0.5, ONES, u)
+
+
 def test_stacked_eta_singular_at_any_member():
     u = np.array([1.0, 2.0])
     ok = T.eta_prime_values(np.ones(2), np.ones(2), np.array([0.0, 1.0]),
