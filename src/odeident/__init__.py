@@ -34,8 +34,8 @@ from .sim import (
 )
 from .transform import (
     IdentityCheck, Params, SingularPoint, SingularTau, TauFamily,
-    TransformedInstance, admissible_tau_interval, eta_prime_value,
-    transform_params, transform_state, verify_identities,
+    admissible_tau_interval, eta_prime_value, transform_params,
+    transform_state, verify_identities,
 )
 
 __version__ = "0.1.0"

@@ -83,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True,
                    help="required; there is no wall-clock seeding")
     p.add_argument("--primes", type=str, default=None,
-                   help="comma-separated primes > 2^60 "
-                        "(default: three fixed 62-bit primes)")
+                   help="comma-separated primes in (2^60, 3.18e23), where "
+                        "primality is proven (default: three 62-bit primes)")
     p.add_argument("--output", choices=("json", "pretty"), default="json")
 
     p = subs.add_parser("simulate", help="indistinguishability experiment")
@@ -181,6 +181,8 @@ def _parse_sweep(text: str):
     if len(parts) != 3:
         raise ValueError("--sweep wants LO:HI:N")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("--sweep wants finite LO and HI")
     if n < 1:
         raise ValueError("--sweep wants N >= 1")
     if n == 1:
@@ -194,6 +196,8 @@ def _cmd_simulate(args) -> int:
         init, eta, cfg = _sim_inputs(args)
         if (args.tau is None) == (args.sweep is None):
             raise ValueError("pass exactly one of --tau or --sweep")
+        if args.tau is not None and not math.isfinite(args.tau):
+            raise ValueError("--tau wants a finite number")
         if args.sweep is not None and args.csv is not None:
             raise ValueError("--csv works with a single --tau only")
         if args.sweep is not None and args.output == "csv":

@@ -211,8 +211,13 @@ class RankReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+_MILLER_RABIN_BOUND = 318665857834031151167461  # psi_12, OEIS A014233
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 64 bits."""
+    """Miller-Rabin with the prime bases 2..37, proven deterministic for
+    n < psi_12 = _MILLER_RABIN_BOUND, about 3.2e23 (Sorenson and Webster
+    2015). Above it a True is only probable; callers stay below."""
     if n < 2:
         return False
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -296,8 +301,9 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
     if len(set(primes)) < 2:
         raise ValueError("need at least two distinct primes")
     for p in primes:
-        if p <= 2**60 or not is_prime(p):
-            raise ValueError(f"{p} is not a prime exceeding 2^60")
+        if not 2**60 < p < _MILLER_RABIN_BOUND or not is_prime(p):
+            raise ValueError(f"{p} is not a prime between 2^60 and "
+                             f"{_MILLER_RABIN_BOUND}")
 
     started = time.perf_counter()
     symbols = list(symbols)

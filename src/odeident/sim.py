@@ -526,7 +526,7 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
     row.
     """
     # every SingularTau before any integration
-    insts = [TauFamily(tau=tau, params=params).instance() for tau in taus]
+    insts = [TauFamily(tau=tau, params=params) for tau in taus]
     if not insts:
         return []
     m = hiv_model()
@@ -555,7 +555,7 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
         def f(t, y):
             et = eta(t)
             orig = y[0, :3].tolist()  # every row holds this original state
-            et_p = eta_prime_values(*orig, et, params, u)
+            et_p = eta_prime_values(*orig, et, params, u=u)
             dy = np.empty(y.shape)
             dy[:, :3] = rhs(*orig, et, *base)
             for j, col in enumerate(rhs(*y[:, 3:].T, et_p, *primed), 3):

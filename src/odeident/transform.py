@@ -7,9 +7,12 @@ parameters while both outputs stay identical for all time. Existence of
 this family for arbitrarily small tau is what defeats local
 identifiability of delta, N and eta.
 
-Everything is phrased in u = e^(rho*tau). Numerically u is computed once
-per (rho, tau) and reused so all transformed quantities are mutually
-consistent; symbolically u is one auxiliary nonzero symbol, which makes
+Everything is phrased in u = e^(rho*tau). Numerically tau becomes u in
+one place, `TauFamily`, which computes u and the transformed parameters
+once and rejects a u that is not finite and positive; the maps
+`transform_params`, `transform_state` and `eta_prime_value` take u only,
+as the keyword argument `u`, so all transformed quantities of a member
+share one u. Symbolically u is one auxiliary nonzero symbol, which makes
 all three verification identities rational and therefore decidable by
 exact expansion.
 """
@@ -17,7 +20,7 @@ exact expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +31,7 @@ from .model import DYNAMICS, hiv_model, total_time_derivative
 
 __all__ = [
     "IdentityCheck", "Params", "SingularPoint", "SingularTau", "TauFamily",
-    "TransformedInstance", "admissible_tau_interval", "eta_prime_value",
+    "admissible_tau_interval", "eta_prime_value",
     "eta_prime_values", "eta_prime_expr", "params_prime_exprs",
     "state_map_exprs", "transform_params", "transform_state",
     "verify_identities",
@@ -38,8 +41,9 @@ _DENOM_EPS = 1e-12
 
 
 class SingularTau(expr.ExprError):
-    """tau outside the admissible interval: the delta' denominator
-    (rho - delta) * e^(rho tau) + delta is nonpositive or vanishing."""
+    """tau outside the admissible interval, where the delta' denominator
+    (rho - delta) * e^(rho tau) + delta is nonpositive or vanishing, or so
+    large in magnitude that u = e^(rho tau) is not finite and positive."""
 
 
 class SingularPoint(expr.ExprError):
@@ -67,62 +71,47 @@ class Params:
                 raise ValueError(f"parameter {name} must be positive, got {v}")
 
 
-def _resolve_u(params: Params, tau, u):
-    """Exactly one of tau, u; u = e^(rho tau) computed once and reused."""
-    if (tau is None) == (u is None):
-        raise ValueError("pass exactly one of tau or u")
-    if u is None:
-        u = math.exp(params.rho * tau)
-    if not u > 0:
-        raise ValueError("u = e^(rho tau) must be positive")
-    return u
-
-
-def _delta_denominator(params: Params, u):
-    return (params.rho - params.delta) * u + params.delta
-
-
-def transform_params(params: Params, tau=None, *, u=None) -> Params:
-    """Transformed constants: delta' = delta*rho / ((rho-delta)*u + delta),
-    N' = N*u; lambda, rho, c unchanged. u == 1 is the identity, exactly."""
-    u = _resolve_u(params, tau, u)
-    if u == 1:
-        return params
-    den = _delta_denominator(params, u)
-    if den <= 0 or abs(den) < _DENOM_EPS:
+def _admissible_denominator(params: Params, u):
+    """The delta' denominator; SingularTau unless it is at least 1e-12."""
+    den = (params.rho - params.delta) * u + params.delta
+    if den < _DENOM_EPS:
         raise SingularTau(
             f"delta' denominator (rho-delta)*u + delta = {den} at u = {u}; "
             f"admissible tau interval: {admissible_tau_interval(params)}")
+    return den
+
+
+def transform_params(params: Params, *, u) -> Params:
+    """Transformed constants: delta' = delta*rho / ((rho-delta)*u + delta),
+    N' = N*u; lambda, rho, c unchanged. u == 1 is the identity, exactly."""
+    if not u > 0:
+        raise ValueError(f"u must be positive, got {u}")
+    if u == 1:
+        return params
     return Params(
         lam=params.lam,
-        delta=params.delta * params.rho / den,
+        delta=params.delta * params.rho / _admissible_denominator(params, u),
         rho=params.rho,
         c=params.c,
         N=params.N * u,
     )
 
 
-def _state_mix(params: Params, u):
-    # T_I' = a * T_I with a = (delta/u + rho - delta) / rho
-    return (params.delta / u + params.rho - params.delta) / params.rho
-
-
-def transform_state(T_U, T_I, V, params: Params, tau=None, *, u=None):
+def transform_state(T_U, T_I, V, params: Params, *, u):
     """Transformed states: T_I' = a*T_I, T_U' = T_U + (1-a)*T_I, V' = V,
-    with a = (delta e^(-rho tau) + rho - delta)/rho. The sum T_U' + T_I'
-    equals T_U + T_I identically, so output one never changes."""
-    u = _resolve_u(params, tau, u)
+    with a = (delta/u + rho - delta)/rho. The sum T_U' + T_I' equals
+    T_U + T_I identically, so output one never changes."""
+    if not u > 0:
+        raise ValueError(f"u must be positive, got {u}")
     if u == 1:
         return T_U, T_I, V
-    den = _delta_denominator(params, u)
-    if den <= 0 or abs(den) < _DENOM_EPS:
-        raise SingularTau(f"inadmissible u = {u} (denominator {den})")
-    a = _state_mix(params, u)
+    _admissible_denominator(params, u)  # raises SingularTau
+    a = (params.delta / u + params.rho - params.delta) / params.rho
     T_I_p = T_I * a
     return T_U + T_I - T_I_p, T_I_p, V
 
 
-def eta_prime_value(T_U, T_I, V, eta, params: Params, tau=None, *, u=None):
+def eta_prime_value(T_U, T_I, V, eta, params: Params, *, u):
     """Transformed time-varying parameter, evaluated as printed:
 
         eta' = [eta T_U V rho u + (T_I d^2 - T_I d rho - eta T_U V d)(u-1)]
@@ -131,7 +120,8 @@ def eta_prime_value(T_U, T_I, V, eta, params: Params, tau=None, *, u=None):
     Raises SingularPoint when the denominator falls below 1e-12 of the
     natural scale V rho (T_U + T_I) u.
     """
-    u = _resolve_u(params, tau, u)
+    if not u > 0:
+        raise ValueError(f"u must be positive, got {u}")
     if u == 1:
         return eta
     num, den, scale = _eta_prime_parts(T_U, T_I, V, eta, params, u)
@@ -141,7 +131,7 @@ def eta_prime_value(T_U, T_I, V, eta, params: Params, tau=None, *, u=None):
     return num / den
 
 
-def eta_prime_values(T_U, T_I, V, eta, params: Params, u: np.ndarray):
+def eta_prime_values(T_U, T_I, V, eta, params: Params, *, u: np.ndarray):
     """eta_prime_value for a stack of twins, one per entry of u: entries
     with u == 1 give eta exactly, and any other entry at its pole raises
     SingularPoint. The states are arrays, one entry per twin, or Python
@@ -181,34 +171,28 @@ def admissible_tau_interval(params: Params) -> tuple[float | None, float | None]
 
 @dataclass(frozen=True)
 class TauFamily:
-    """One member of the family: a base parameter set and a tau."""
+    """One member of the family, the one place where tau becomes
+    u = e^(rho tau): u and the transformed parameters are computed once,
+    and SingularTau is raised for an inadmissible tau or a u that is not
+    finite and positive. The state and eta maps share that u."""
 
     tau: float
     params: Params
+    u: float = field(init=False)
+    params_prime: Params = field(init=False)
 
     def __post_init__(self):
         self.params.validate_positive()
-        transform_params(self.params, self.tau)  # raises SingularTau early
-
-    def instance(self) -> "TransformedInstance":
-        u = math.exp(self.params.rho * self.tau)
-        return TransformedInstance(
-            tau=self.tau,
-            u=u,
-            params=self.params,
-            params_prime=transform_params(self.params, u=u),
-        )
-
-
-@dataclass(frozen=True)
-class TransformedInstance:
-    """Concrete transformed parameters plus the state and eta maps, all
-    sharing one u = e^(rho tau)."""
-
-    tau: float
-    u: float
-    params: Params
-    params_prime: Params
+        try:
+            u = math.exp(self.params.rho * self.tau)
+        except OverflowError:
+            u = math.inf
+        if not 0 < u < math.inf:
+            raise SingularTau(f"u = e^(rho tau) = {u} at tau = {self.tau} "
+                              f"is not finite and positive")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "params_prime",
+                           transform_params(self.params, u=u))
 
     def map_state(self, T_U, T_I, V):
         return transform_state(T_U, T_I, V, self.params, u=self.u)

@@ -75,6 +75,11 @@ def test_rank_bad_primes_flag(capsys):
     code, _, err = run(capsys, "rank", "--seed", "1", "--primes", "101,103")
     assert code == 2
     assert "2^60" in err
+    # the prime 2^89 - 1 lies beyond the proven range of the primality test
+    code, _, err = run(capsys, "rank", "--seed", "1", "--primes",
+                       f"{2**89 - 1},4611686018427388039")
+    assert code == 2
+    assert err.startswith("error:") and "318665857834031151167461" in err
 
 
 def test_rank_unknown_flag(capsys):
@@ -229,6 +234,26 @@ def test_non_finite_init_is_usage_error(capsys, command, init):
     code, out, err = run(capsys, *command, "--init", init)
     assert code == 2
     assert out == "" and err == "error: --init wants finite numbers\n"
+
+
+@pytest.mark.parametrize("flag", ["--tau=nan", "--tau=inf", "--tau=-inf",
+                                  "--sweep=nan:1:3", "--sweep=0:inf:3",
+                                  "--sweep=-inf:0:1"])
+def test_non_finite_tau_is_usage_error(capsys, flag):
+    # it used to exit 1 blaming a positive u or a pole of eta'
+    code, out, err = run(capsys, "simulate", flag)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--tau=1000", "--tau=-1000",
+                                  "--sweep=0:800:3"])
+def test_tau_whose_u_is_not_finite_fails_mathematically(capsys, flag):
+    # e^(rho tau) overflowing in math.exp used to escape as a traceback
+    code, out, err = run(capsys, "simulate", flag)
+    assert code == 1
+    assert out == "" and err.startswith("error: u = e^(rho tau)")
+    assert err.count("\n") == 1
 
 
 def test_simulate_window_too_short_for_a_step(capsys):

@@ -257,6 +257,12 @@ def test_generic_rank_validation():
                        primes=(R.DEFAULT_PRIMES[0], R.DEFAULT_PRIMES[0] + 2))
     with pytest.raises(ValueError):
         R.generic_rank(eye, [], trials=1, seed=1, primes=(101, 103))
+    # a prime, but beyond the range where is_prime is proven
+    with pytest.raises(ValueError, match="318665857834031151167461"):
+        R.generic_rank(eye, [], trials=1, seed=1,
+                       primes=(2**89 - 1, R.DEFAULT_PRIMES[0]))
+    assert R.generic_rank(eye, [], trials=1, seed=1,
+                          primes=R.DEFAULT_PRIMES).generic_rank == 1
 
 
 def test_is_prime():

@@ -182,7 +182,7 @@ def test_integrate_matches_reference_stepper(text):
 @pytest.mark.parametrize("text", ORACLE_ETAS)
 def test_co_integrated_run_matches_reference_stepper(text):
     eta = S.EtaSignal.from_text(text)
-    inst = TauFamily(tau=0.7, params=ONES).instance()
+    inst = TauFamily(tau=0.7, params=ONES)
     rhs = S._rhs(hiv)
     base = S._param_values(hiv, ONES_DICT)
     primed = S._param_values(hiv, inst.params_prime.as_dict())
@@ -309,7 +309,7 @@ def test_algebraic_map_preserves_outputs_exactly():
     from odeident.transform import TauFamily
     report, orig, _ = S.run_indistinguishability(
         ONES, [1.0, 1.0, 1.0], HALF, math.log(2.0))
-    inst = TauFamily(math.log(2.0), ONES).instance()
+    inst = TauFamily(math.log(2.0), ONES)
     tu, ti, v = inst.map_state(orig.states[:, 0], orig.states[:, 1],
                                orig.states[:, 2])
     assert np.abs((tu + ti) - orig.outputs[:, 0]).max() < 1e-12
@@ -396,8 +396,7 @@ def test_tau_sweep_matches_reference_stepper(text):
     # the generic stacked right-hand side: every row, its original states
     # included, evaluated on numpy columns
     eta = S.EtaSignal.from_text(text)
-    insts = [TauFamily(tau=tau, params=ONES).instance()
-             for tau in CRITERION_5_TAUS]
+    insts = [TauFamily(tau=tau, params=ONES) for tau in CRITERION_5_TAUS]
     u = np.array([inst.u for inst in insts])
     rhs = S._rhs(hiv).float_fn()
     base = S._param_values(hiv, ONES_DICT)
@@ -407,7 +406,7 @@ def test_tau_sweep_matches_reference_stepper(text):
     def f(t, y):
         et = eta(t)
         orig, prim = y[:, :3].T, y[:, 3:].T
-        et_p = eta_prime_values(*orig, et, ONES, u)
+        et_p = eta_prime_values(*orig, et, ONES, u=u)
         return np.array(rhs(*orig, et, *base) + rhs(*prim, et_p, *primed)).T
 
     init = [1.0, 0.2, 1.0]

@@ -19,9 +19,9 @@ SKEW = T.Params(lam=1.0, delta=0.8, rho=1.7, c=1.2, N=3.0)
 # ----------------------------------------------------------- parameter map
 
 def test_tau_zero_is_the_exact_identity():
-    assert T.transform_params(ONES, 0.0) is ONES
-    got = T.transform_params(T.Params(0.7, 0.3, 1.9, 2.2, 11.0), 0.0)
-    assert got == T.Params(0.7, 0.3, 1.9, 2.2, 11.0)
+    assert T.TauFamily(tau=0.0, params=ONES).params_prime is ONES
+    got = T.TauFamily(tau=0.0, params=T.Params(0.7, 0.3, 1.9, 2.2, 11.0))
+    assert got.params_prime == T.Params(0.7, 0.3, 1.9, 2.2, 11.0)
 
 
 def test_parameter_map_hand_values():
@@ -41,20 +41,39 @@ def test_near_singular_tau_detected():
     bad = T.Params(lam=1.0, delta=3.0, rho=1.0, c=1.0, N=1.0)
     hi = T.admissible_tau_interval(bad)[1]
     with pytest.raises(T.SingularTau):
-        T.transform_params(bad, hi)
+        T.TauFamily(tau=hi, params=bad)
 
 
-def test_exactly_one_of_tau_or_u():
-    with pytest.raises(ValueError):
-        T.transform_params(ONES)
-    with pytest.raises(ValueError):
-        T.transform_params(ONES, 0.5, u=2.0)
+def test_maps_take_u_by_keyword_only():
+    # a positional value would be a tau read as u: it is refused instead
+    with pytest.raises(TypeError):
+        T.transform_params(ONES, 0.5)
+    with pytest.raises(TypeError):
+        T.transform_state(1.0, 1.0, 1.0, ONES, 0.5)
+    with pytest.raises(TypeError):
+        T.eta_prime_value(1.0, 1.0, 1.0, 0.5, ONES, 0.5)
+    for u in (0.0, -2.0, math.nan):
+        with pytest.raises(ValueError):
+            T.transform_params(ONES, u=u)
+        with pytest.raises(ValueError):
+            T.transform_state(1.0, 1.0, 1.0, ONES, u=u)
+        with pytest.raises(ValueError):
+            T.eta_prime_value(1.0, 1.0, 1.0, 0.5, ONES, u=u)
+
+
+@pytest.mark.parametrize("tau", [1000.0, -1000.0, math.inf, -math.inf,
+                                 math.nan])
+def test_family_rejects_tau_whose_u_is_not_finite_and_positive(tau):
+    # e^(rho tau) overflows, underflows to 0 or is nan
+    with pytest.raises(T.SingularTau, match="not finite and positive"):
+        T.TauFamily(tau=tau, params=ONES)
 
 
 # --------------------------------------------------------------- state map
 
 def test_state_map_identity_at_tau_zero():
-    assert T.transform_state(2.0, 3.0, 4.0, ONES, 0.0) == (2.0, 3.0, 4.0)
+    fam = T.TauFamily(tau=0.0, params=ONES)
+    assert fam.map_state(2.0, 3.0, 4.0) == (2.0, 3.0, 4.0)
 
 
 def test_output_sum_is_exactly_preserved():
@@ -77,7 +96,7 @@ def test_state_map_linear_in_infected_cells():
 # ------------------------------------------------------------- eta mapping
 
 def test_eta_identity_at_tau_zero():
-    assert T.eta_prime_value(1.0, 1.0, 1.0, 0.5, ONES, 0.0) == 0.5
+    assert T.TauFamily(tau=0.0, params=ONES).eta(1.0, 1.0, 1.0, 0.5) == 0.5
 
 
 def test_eta_singular_when_no_virus():
@@ -90,7 +109,7 @@ def test_stacked_eta_matches_each_member():
     T_U, T_I, V = (np.array(c) for c in ([1.0, 0.3, 2.0, 0.7],
                                          [0.2, 0.9, 0.1, 1.1],
                                          [1.5, 0.4, 0.8, 2.5]))
-    got = T.eta_prime_values(T_U, T_I, V, 0.5, SKEW, u)
+    got = T.eta_prime_values(T_U, T_I, V, 0.5, SKEW, u=u)
     for i in range(len(u)):
         assert got[i] == T.eta_prime_value(T_U[i], T_I[i], V[i], 0.5, SKEW,
                                            u=u[i])
@@ -100,7 +119,7 @@ def test_stacked_eta_matches_each_member():
 def test_stacked_eta_with_shared_states_matches_each_member():
     # the states of a sweep's original system, shared by every twin
     u = np.array([0.5, 1.0, 2.0, 3.0])
-    got = T.eta_prime_values(0.7, 1.1, 2.5, 0.5, SKEW, u)
+    got = T.eta_prime_values(0.7, 1.1, 2.5, 0.5, SKEW, u=u)
     for i in range(len(u)):
         assert got[i] == T.eta_prime_value(0.7, 1.1, 2.5, 0.5, SKEW, u=u[i])
     assert got[1] == 0.5  # u == 1 gives eta exactly
@@ -110,20 +129,20 @@ def test_stacked_eta_with_shared_states_singular_at_one_member():
     # T_I/T_U = u/(1-u) is the pole of the member with that u alone: T_I =
     # T_U is the pole of u = 1/2 only
     u = np.array([1.0, 2.0, 0.5, 3.0])
-    others = T.eta_prime_values(1.0, 1.0, 1.0, 0.5, ONES, u[[0, 1, 3]])
+    others = T.eta_prime_values(1.0, 1.0, 1.0, 0.5, ONES, u=u[[0, 1, 3]])
     assert np.all(np.isfinite(others))
     with pytest.raises(T.SingularPoint, match="at u = 0.5$"):
-        T.eta_prime_values(1.0, 1.0, 1.0, 0.5, ONES, u)
+        T.eta_prime_values(1.0, 1.0, 1.0, 0.5, ONES, u=u)
 
 
 def test_stacked_eta_singular_at_any_member():
     u = np.array([1.0, 2.0])
     ok = T.eta_prime_values(np.ones(2), np.ones(2), np.array([0.0, 1.0]),
-                            0.5, ONES, u)
+                            0.5, ONES, u=u)
     assert ok[0] == 0.5  # V = 0 is no pole where u == 1
     with pytest.raises(T.SingularPoint, match="u = 2.0"):
         T.eta_prime_values(np.ones(2), np.ones(2), np.array([1.0, 0.0]),
-                           0.5, ONES, u)
+                           0.5, ONES, u=u)
 
 
 def test_eta_dual_entry_oracle():
@@ -179,7 +198,7 @@ def test_local_continuity_near_tau_zero():
     p = T.Params(lam=1.0, delta=0.8, rho=1.7, c=1.0, N=3.0)
     slope_delta = abs(p.delta * (p.rho - p.delta))
     for tau in (1e-4, -1e-4, 1e-6, -1e-6):
-        got = T.transform_params(p, tau)
+        got = T.TauFamily(tau=tau, params=p).params_prime
         assert abs(got.delta - p.delta) <= 2 * slope_delta * abs(tau)
         assert abs(got.N - p.N) <= 2 * p.N * p.rho * abs(tau)
 
@@ -201,10 +220,10 @@ def test_family_rejects_nonpositive_parameters():
 
 def test_family_instance_consistency():
     fam = T.TauFamily(tau=0.25, params=ONES)
-    inst = fam.instance()
-    assert inst.u == pytest.approx(math.exp(0.25))
-    assert inst.params_prime.N == pytest.approx(math.exp(0.25))
-    tu, ti, v = inst.map_state(1.0, 1.0, 1.0)
+    assert fam.u == pytest.approx(math.exp(0.25))
+    assert fam.params_prime == T.transform_params(ONES, u=fam.u)
+    assert fam.params_prime.N == pytest.approx(math.exp(0.25))
+    tu, ti, v = fam.map_state(1.0, 1.0, 1.0)
     assert tu + ti == pytest.approx(2.0, abs=1e-15)
 
 
