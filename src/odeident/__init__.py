@@ -12,8 +12,8 @@ from .expr import (
     Expression, ExprError, ParseError, RationalCanonical, Symbol,
     SymbolTable, UnboundSymbol, UndeclaredSymbol,
     add, const, differentiate, div, equivalent, evaluate, free_symbols,
-    is_zero, mul, neg, normalize, parse_expression, pow_, sub, substitute,
-    sym, to_text,
+    is_zero, mul, neg, normalize, parse_expression, partials, pow_, sub,
+    substitute, sym, to_text,
 )
 from .model import (
     HIV_MODEL_TEXT, MissingOdeForState, MixedModeSymbols, OdeModel,

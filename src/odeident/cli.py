@@ -29,7 +29,14 @@ _PHI_CORRECTED_MAX = 1e-6
 _PHI_MIAO_MIN = 1e-2
 
 
+_PARAM_FLAGS = (("--lambda", "lam"), ("--delta", "delta"), ("--rho", "rho"),
+                ("--c", "c"), ("--N", "N"))
+
+
 def _params_from_args(args) -> transform.Params:
+    for flag, dest in _PARAM_FLAGS:
+        if not math.isfinite(getattr(args, dest)):
+            raise ValueError(f"{flag} wants a finite number")
     return transform.Params(lam=args.lam, delta=args.delta, rho=args.rho,
                             c=args.c, N=args.N)
 
@@ -188,7 +195,11 @@ def _parse_sweep(text: str):
     if n == 1:
         return [lo]
     stepw = (hi - lo) / (n - 1)
-    return [lo + i * stepw for i in range(n)]
+    taus = [lo + i * stepw for i in range(n)]
+    if not all(map(math.isfinite, taus)):
+        # HI - LO, or a tau near the float limit, overflowed
+        raise ValueError("--sweep spans more than the float range")
+    return taus
 
 
 def _cmd_simulate(args) -> int:
@@ -204,11 +215,11 @@ def _cmd_simulate(args) -> int:
             raise ValueError("--output csv works with a single --tau only")
         if args.sweep is not None:
             taus = _parse_sweep(args.sweep)
+        params = _params_from_args(args)
     except (ValueError, expr.ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 
-    params = _params_from_args(args)
     try:
         if args.sweep is not None:
             reports = sim.tau_sweep(params, init, eta, taus, cfg)
@@ -239,11 +250,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_phi_check(args) -> int:
     try:
         init, eta, cfg = _sim_inputs(args)
+        params = _params_from_args(args)
     except (ValueError, expr.ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 
-    params = _params_from_args(args)
     pd = params.as_dict()
     try:
         trajectory = sim.integrate(model.hiv_model(), pd, init, eta, cfg)

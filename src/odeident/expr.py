@@ -24,8 +24,8 @@ __all__ = [
     "UnboundSymbol", "DivisionByZero", "DenominatorIdenticallyZero",
     "add", "compile_float_fn", "compile_program", "const", "differentiate",
     "div", "equivalent", "evaluate", "free_symbols", "is_zero", "mul",
-    "neg", "normalize", "parse_expression", "pow_", "sub", "substitute",
-    "substitute_many", "sym", "to_text", "ZERO", "ONE",
+    "neg", "normalize", "parse_expression", "partials", "pow_", "sub",
+    "substitute", "substitute_many", "sym", "to_text", "ZERO", "ONE",
 ]
 
 
@@ -96,7 +96,8 @@ class Symbol:
     `kind` tags the role a symbol plays in an ODE model. Members of a
     time-derivative chain (time-varying parameters and model outputs)
     carry `order`; output symbols additionally carry a 1-based
-    `output_index`.
+    `output_index`. The hash (the dataclass's field-tuple hash) and the
+    sort key are computed once, at construction.
     """
 
     name: str
@@ -113,6 +114,17 @@ class Symbol:
             raise ValueError("output symbols need a 1-based output index")
         if self.kind not in _DERIVABLE and self.order != 0:
             raise ValueError(f"symbols of kind {self.kind!r} have no derivative chain")
+        fields = (self.name, self.kind, self.order, self.output_index)
+        object.__setattr__(self, "_hash", hash(fields))
+        object.__setattr__(self, "_sort_key",
+                           (self.name, self.order, self.kind, self.output_index))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild, never copy _hash
+        return Symbol, (self.name, self.kind, self.order, self.output_index)
 
     @property
     def display(self) -> str:
@@ -129,7 +141,7 @@ class Symbol:
         return Symbol(self.name, self.kind, self.order + shift, self.output_index)
 
     def sort_key(self):
-        return (self.name, self.order, self.kind, self.output_index)
+        return self._sort_key
 
 
 class SymbolTable:
@@ -519,56 +531,71 @@ def free_symbols(e: Expression) -> set[Symbol]:
 
 # ---------------------------------------------------------- differentiate
 
-def differentiate(e: Expression, s: Symbol) -> Expression:
-    """Partial derivative of `e` with respect to `s`.
+def partials(roots: Sequence[Expression],
+             symbols: Sequence[Symbol]) -> tuple[tuple[Expression, ...], ...]:
+    """Partial derivatives of every root with respect to every symbol:
+    entry [i][j] is d roots[i] / d symbols[j].
 
-    All other symbols are held fixed. Subtrees not mentioning `s` are
-    pruned to zero without being rebuilt, which keeps the result sharing
-    structure with the input.
+    All other symbols are held fixed. One traversal of the roots' shared
+    DAG records, as a bitmask, which of the symbols each node mentions;
+    the pass for a symbol then visits only the nodes that mention it, and
+    every subtree that does not is pruned to zero without being rebuilt,
+    which keeps the results sharing structure with the input.
     """
-    order = _topo([e])
-    mentions: dict[int, bool] = {}
+    order = _topo(list(roots))
+    bit = {s: 1 << j for j, s in enumerate(symbols)}
+    masks: dict[int, int] = {}
     for node in order:
         if isinstance(node, Sym):
-            mentions[id(node)] = node.symbol == s
+            masks[id(node)] = bit.get(node.symbol, 0)
         elif isinstance(node, Const):
-            mentions[id(node)] = False
+            masks[id(node)] = 0
         else:
-            mentions[id(node)] = any(mentions[id(c)] for c in node.args)
+            m = 0
+            for c in node.args:
+                m |= masks[id(c)]
+            masks[id(node)] = m
 
-    memo: dict[int, Expression] = {}
-    for node in order:
-        if not mentions[id(node)]:
-            memo[id(node)] = ZERO
-            continue
-        if isinstance(node, Sym):
-            memo[id(node)] = ONE
-        elif isinstance(node, Sum):
-            memo[id(node)] = add(*(memo[id(c)] for c in node.args if mentions[id(c)]))
-        elif isinstance(node, Difference):
-            a, b = node.args
-            memo[id(node)] = sub(memo[id(a)], memo[id(b)])
-        elif isinstance(node, Product):
-            terms = []
-            fs = node.args
-            for i, f in enumerate(fs):
-                if mentions[id(f)]:
-                    terms.append(mul(*fs[:i], memo[id(f)], *fs[i + 1:]))
-            memo[id(node)] = add(*terms)
-        elif isinstance(node, Quotient):
-            n, d = node.args
-            if not mentions[id(d)]:
-                memo[id(node)] = div(memo[id(n)], d)
-            else:
-                num = sub(mul(memo[id(n)], d), mul(n, memo[id(d)]))
-                memo[id(node)] = div(num, pow_(d, 2))
-        elif isinstance(node, Power):
-            b = node.args[0]
-            k = node.exponent
-            memo[id(node)] = mul(const(k), pow_(b, k - 1), memo[id(b)])
-        else:  # pragma: no cover
-            raise TypeError(f"cannot differentiate {type(node).__name__}")
-    return memo[id(e)]
+    columns = []
+    for s in symbols:
+        b = bit[s]
+        memo: dict[int, Expression] = {}
+        deriv = memo.get
+        for node in [n for n in order if masks[id(n)] & b]:
+            if isinstance(node, Sym):
+                memo[id(node)] = ONE
+            elif isinstance(node, Sum):
+                memo[id(node)] = add(*(memo[id(c)] for c in node.args
+                                       if masks[id(c)] & b))
+            elif isinstance(node, Difference):
+                x, y = node.args
+                memo[id(node)] = sub(deriv(id(x), ZERO), deriv(id(y), ZERO))
+            elif isinstance(node, Product):
+                terms = []
+                fs = node.args
+                for i, f in enumerate(fs):
+                    if masks[id(f)] & b:
+                        terms.append(mul(*fs[:i], memo[id(f)], *fs[i + 1:]))
+                memo[id(node)] = add(*terms)
+            elif isinstance(node, Quotient):
+                n, den = node.args
+                if not masks[id(den)] & b:
+                    memo[id(node)] = div(memo[id(n)], den)
+                else:
+                    num = sub(mul(deriv(id(n), ZERO), den), mul(n, memo[id(den)]))
+                    memo[id(node)] = div(num, pow_(den, 2))
+            else:  # Power
+                base = node.args[0]
+                k = node.exponent
+                memo[id(node)] = mul(const(k), pow_(base, k - 1), memo[id(base)])
+        columns.append([deriv(id(r), ZERO) for r in roots])
+    return tuple(tuple(col[i] for col in columns) for i in range(len(roots)))
+
+
+def differentiate(e: Expression, s: Symbol) -> Expression:
+    """Partial derivative of `e` with respect to `s`: the one-root,
+    one-symbol case of `partials`."""
+    return partials([e], [s])[0][0]
 
 
 # -------------------------------------------------------------- substitute
@@ -615,10 +642,15 @@ def substitute_many(exprs: Sequence[Expression],
 
 # ---------------------------------------------- polynomials and normalize
 #
-# A polynomial is a dict mapping monomials to nonzero Fractions; a monomial
-# is a sorted tuple of (Symbol, exponent) pairs. The empty dict is zero.
+# `normalize` expands over indices: the free symbols of the expression,
+# sorted by `Symbol.sort_key`, are numbered 0, 1, ..., and a monomial is a
+# tuple of (index, exponent) int pairs sorted by index. A polynomial is a
+# dict mapping monomials to nonzero coefficients, which stay Python ints
+# until a non-integral constant brings in a `Fraction`; the empty dict is
+# zero. `RationalCanonical` holds the public form of the same dicts: each
+# index replaced by its Symbol and each coefficient made a Fraction.
 
-_POLY_ONE = {(): Fraction(1)}
+_POLY_ONE = {(): 1}
 
 
 def _mono_mul(m1, m2):
@@ -626,10 +658,10 @@ def _mono_mul(m1, m2):
         return m2
     if not m2:
         return m1
-    merged: dict[Symbol, int] = dict(m1)
-    for s, k in m2:
-        merged[s] = merged.get(s, 0) + k
-    return tuple(sorted(merged.items(), key=lambda it: it[0].sort_key()))
+    merged = dict(m1)
+    for i, k in m2:
+        merged[i] = merged.get(i, 0) + k
+    return tuple(sorted(merged.items()))
 
 
 def _poly_add(p1, p2):
@@ -651,7 +683,7 @@ def _poly_add(p1, p2):
     return out
 
 
-def _poly_scale(p, f: Fraction):
+def _poly_scale(p, f):
     if f == 0:
         return {}
     if f == 1:
@@ -695,6 +727,18 @@ def _poly_pow(p, k: int):
     return result
 
 
+def _indexed(p, index):
+    """The indexed form of the public polynomial `p`; `index` numbers its
+    symbols in sort-key order."""
+    return {tuple((index[s], k) for s, k in m): c for m, c in p.items()}
+
+
+def _public(p, symbols):
+    """The public form of the indexed polynomial `p` over `symbols`."""
+    return {tuple((symbols[i], k) for i, k in m): Fraction(c)
+            for m, c in p.items()}
+
+
 def _mono_order_key(mono):
     return (sum(k for _, k in mono), tuple((s.sort_key(), k) for s, k in mono))
 
@@ -730,10 +774,11 @@ def _poly_str(p) -> str:
 class RationalCanonical:
     """Expanded numerator/denominator pair of a rational function.
 
-    The denominator is scaled so its leading coefficient (graded-lex
-    order) is 1; numerator and denominator are not GCD-reduced. Equality
-    is decided exactly by cross-multiplication, which is sound without
-    cancellation.
+    Each polynomial is a dict from monomials, tuples of (Symbol, exponent)
+    pairs in sort-key order, to nonzero Fractions. The denominator is
+    scaled so its leading coefficient (graded-lex order) is 1; numerator
+    and denominator are not GCD-reduced. Equality is decided exactly by
+    cross-multiplication, which is sound without cancellation.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -742,7 +787,7 @@ class RationalCanonical:
         if not denominator:
             raise DenominatorIdenticallyZero("denominator expands to the zero polynomial")
         if not numerator:
-            numerator, denominator = {}, dict(_POLY_ONE)
+            numerator, denominator = {}, {(): Fraction(1)}
         else:
             lead = _leading_coefficient(denominator)
             if lead != 1:
@@ -757,11 +802,12 @@ class RationalCanonical:
         return not self.numerator
 
     def equivalent(self, other: "RationalCanonical") -> bool:
-        cross = _poly_add(
-            _poly_mul(self.numerator, other.denominator),
-            _poly_scale(_poly_mul(other.numerator, self.denominator), Fraction(-1)),
-        )
-        return not cross
+        symbols = sorted(self.free_symbols() | other.free_symbols(),
+                         key=Symbol.sort_key)
+        index = {s: i for i, s in enumerate(symbols)}
+        n1, d1, n2, d2 = (_indexed(p, index) for p in (
+            self.numerator, self.denominator, other.numerator, other.denominator))
+        return not _poly_add(_poly_mul(n1, d2), _poly_scale(_poly_mul(n2, d1), -1))
 
     def __eq__(self, other):
         if not isinstance(other, RationalCanonical):
@@ -787,7 +833,7 @@ class RationalCanonical:
 
     def __str__(self):
         num = _poly_str(self.numerator)
-        if self.denominator == _POLY_ONE:
+        if self.denominator == {(): 1}:
             return num
         return f"({num}) / ({_poly_str(self.denominator)})"
 
@@ -799,15 +845,23 @@ def normalize(e: Expression) -> RationalCanonical:
     """Expand `e` into a canonical numerator/denominator pair.
 
     `normalize(e).is_zero` is an exact zero test for the rational
-    function `e` denotes. Shared DAG nodes are expanded once.
+    function `e` denotes. Shared DAG nodes are expanded once. The
+    expansion runs over indexed monomials and int coefficients (see the
+    section comment), and the public form is built once, from the root's
+    pair.
     """
+    order = _topo([e])
+    symbols = sorted({node.symbol for node in order if isinstance(node, Sym)},
+                     key=Symbol.sort_key)
+    index = {s: i for i, s in enumerate(symbols)}
     memo: dict[int, tuple[dict, dict]] = {}
-    for node in _topo([e]):
+    for node in order:
         if isinstance(node, Const):
-            num = {(): node.value} if node.value != 0 else {}
+            v = node.value
+            num = {(): v.numerator if v.denominator == 1 else v} if v else {}
             memo[id(node)] = (num, _POLY_ONE)
         elif isinstance(node, Sym):
-            memo[id(node)] = ({((node.symbol, 1),): Fraction(1)}, _POLY_ONE)
+            memo[id(node)] = ({((index[node.symbol], 1),): 1}, _POLY_ONE)
         elif isinstance(node, Sum):
             n, d = memo[id(node.args[0])]
             for child in node.args[1:]:
@@ -821,7 +875,7 @@ def normalize(e: Expression) -> RationalCanonical:
         elif isinstance(node, Difference):
             n1, d1 = memo[id(node.args[0])]
             n2, d2 = memo[id(node.args[1])]
-            n2 = _poly_scale(n2, Fraction(-1))
+            n2 = _poly_scale(n2, -1)
             if d1 is d2 is _POLY_ONE:
                 memo[id(node)] = (_poly_add(n1, n2), _POLY_ONE)
             else:
@@ -854,7 +908,7 @@ def normalize(e: Expression) -> RationalCanonical:
                         "zero raised to a negative power")
                 memo[id(node)] = (_poly_pow(d, -k), _poly_pow(n, -k))
     num, den = memo[id(e)]
-    return RationalCanonical(num, den)
+    return RationalCanonical(_public(num, symbols), _public(den, symbols))
 
 
 def is_zero(e: Expression) -> bool:

@@ -260,16 +260,14 @@ def total_time_derivative(m: OdeModel, e: Expression,
         raise MixedModeSymbols(
             "state symbols are not allowed in output-symbols mode")
 
-    terms = []
-    if mode == DYNAMICS:
-        for s, f in zip(m.states, m.rhs):
-            if s in syms:
-                terms.append(expr.mul(expr.differentiate(e, s), f))
-    for s in sorted(syms, key=Symbol.sort_key):
-        if s.kind in (TV_DERIV, OUTPUT_DERIV):
-            terms.append(expr.mul(expr.differentiate(e, s),
-                                  expr.sym(s.derivative())))
-    return expr.add(*terms)
+    # each symbol that moves with time, and its time derivative; states
+    # occur only in dynamics mode
+    moving = [(s, f) for s, f in zip(m.states, m.rhs) if s in syms]
+    moving += [(s, expr.sym(s.derivative()))
+               for s in sorted(syms, key=Symbol.sort_key)
+               if s.kind in (TV_DERIV, OUTPUT_DERIV)]
+    grads = expr.partials([e], [s for s, _ in moving])[0]
+    return expr.add(*(expr.mul(g, f) for g, (_, f) in zip(grads, moving)))
 
 
 @dataclass(frozen=True)

@@ -143,11 +143,7 @@ def parameter_jacobian(system: PhiSystem,
     """
     m = m or hiv_model()
     params = {s.name: s for s in m.const_params}
-    cols = [params[n] for n in PARAM_ORDER]
-    return tuple(
-        tuple(expr.differentiate(entry, p) for p in cols)
-        for entry in system.entries
-    )
+    return expr.partials(system.entries, [params[n] for n in PARAM_ORDER])
 
 
 def substitute_dynamics(matrix: Sequence[Sequence[Expression]],

@@ -67,8 +67,9 @@ class Params:
 
     def validate_positive(self) -> None:
         for name, v in self.as_dict().items():
-            if not v > 0:
-                raise ValueError(f"parameter {name} must be positive, got {v}")
+            if not 0 < v < math.inf:
+                raise ValueError(
+                    f"parameter {name} must be finite and positive, got {v}")
 
 
 def _admissible_denominator(params: Params, u):

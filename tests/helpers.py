@@ -1,5 +1,6 @@
-"""Shared test utilities: random expressions, a finite-difference oracle
-and a reference RKF45 stepper."""
+"""Shared test utilities: random expressions, a finite-difference oracle,
+reference implementations of expansion and differentiation, and a
+reference RKF45 stepper."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from odeident import expr as E
+from odeident import transform as T
 
 XYZ = tuple(E.Symbol(n) for n in ("x", "y", "z"))
 
@@ -72,6 +74,213 @@ def fd_cases(n: int, seed: int = 20240501, depth: int = 3):
         yield e, s, point
         produced += 1
 
+
+# ------------------------------------- reference expansion and derivative
+#
+# The engine's earlier `normalize` and `differentiate`, written directly
+# on Symbol-keyed monomials with Fraction coefficients and one DAG
+# traversal per symbol. `odeident.expr` must agree with them exactly:
+# the same polynomial dicts in the same insertion order, and the same
+# derivative node objects.
+
+_REF_ONE = {(): Fraction(1)}
+
+
+def _ref_mono_mul(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    merged = dict(m1)
+    for s, k in m2:
+        merged[s] = merged.get(s, 0) + k
+    return tuple(sorted(merged.items(), key=lambda it: it[0].sort_key()))
+
+
+def _ref_poly_add(p1, p2):
+    if not p1:
+        return p2
+    if not p2:
+        return p1
+    out = dict(p1)
+    for m, c in p2.items():
+        v = out.get(m)
+        if v is None:
+            out[m] = c
+        else:
+            v = v + c
+            if v == 0:
+                del out[m]
+            else:
+                out[m] = v
+    return out
+
+
+def _ref_poly_scale(p, f):
+    if f == 0:
+        return {}
+    if f == 1:
+        return p
+    return {m: c * f for m, c in p.items()}
+
+
+def _ref_poly_mul(p1, p2):
+    if not p1 or not p2:
+        return {}
+    if p1 is _REF_ONE:
+        return p2
+    if p2 is _REF_ONE:
+        return p1
+    if len(p1) > len(p2):
+        p1, p2 = p2, p1
+    out = {}
+    for m1, c1 in p1.items():
+        for m2, c2 in p2.items():
+            m = _ref_mono_mul(m1, m2)
+            v = out.get(m)
+            if v is None:
+                out[m] = c1 * c2
+            else:
+                v = v + c1 * c2
+                if v == 0:
+                    del out[m]
+                else:
+                    out[m] = v
+    return out
+
+
+def _ref_poly_pow(p, k):
+    result = _REF_ONE
+    base = p
+    while k:
+        if k & 1:
+            result = _ref_poly_mul(result, base)
+        base = _ref_poly_mul(base, base) if k > 1 else base
+        k >>= 1
+    return result
+
+
+def reference_normalize(e: E.Expression) -> E.RationalCanonical:
+    """Expand `e` the way the engine did before it indexed its symbols."""
+    memo = {}
+    for node in E._topo([e]):
+        if isinstance(node, E.Const):
+            num = {(): node.value} if node.value != 0 else {}
+            memo[id(node)] = (num, _REF_ONE)
+        elif isinstance(node, E.Sym):
+            memo[id(node)] = ({((node.symbol, 1),): Fraction(1)}, _REF_ONE)
+        elif isinstance(node, E.Sum):
+            n, d = memo[id(node.args[0])]
+            for child in node.args[1:]:
+                n2, d2 = memo[id(child)]
+                if d is d2 is _REF_ONE:
+                    n = _ref_poly_add(n, n2)
+                else:
+                    n = _ref_poly_add(_ref_poly_mul(n, d2), _ref_poly_mul(n2, d))
+                    d = _ref_poly_mul(d, d2)
+            memo[id(node)] = (n, d)
+        elif isinstance(node, E.Difference):
+            n1, d1 = memo[id(node.args[0])]
+            n2, d2 = memo[id(node.args[1])]
+            n2 = _ref_poly_scale(n2, Fraction(-1))
+            if d1 is d2 is _REF_ONE:
+                memo[id(node)] = (_ref_poly_add(n1, n2), _REF_ONE)
+            else:
+                memo[id(node)] = (
+                    _ref_poly_add(_ref_poly_mul(n1, d2), _ref_poly_mul(n2, d1)),
+                    _ref_poly_mul(d1, d2),
+                )
+        elif isinstance(node, E.Product):
+            n, d = _REF_ONE, _REF_ONE
+            for child in node.args:
+                n2, d2 = memo[id(child)]
+                n = _ref_poly_mul(n, n2)
+                d = _ref_poly_mul(d, d2)
+            memo[id(node)] = (n, d)
+        elif isinstance(node, E.Quotient):
+            n1, d1 = memo[id(node.args[0])]
+            n2, d2 = memo[id(node.args[1])]
+            if not n2:
+                raise E.DenominatorIdenticallyZero(
+                    "denominator expands to the zero polynomial")
+            memo[id(node)] = (_ref_poly_mul(n1, d2), _ref_poly_mul(d1, n2))
+        else:  # Power
+            n, d = memo[id(node.args[0])]
+            k = node.exponent
+            if k >= 0:
+                memo[id(node)] = (_ref_poly_pow(n, k), _ref_poly_pow(d, k))
+            else:
+                if not n:
+                    raise E.DenominatorIdenticallyZero(
+                        "zero raised to a negative power")
+                memo[id(node)] = (_ref_poly_pow(d, -k), _ref_poly_pow(n, -k))
+    num, den = memo[id(e)]
+    return E.RationalCanonical(num, dict(den))
+
+
+def reference_differentiate(e: E.Expression, s: E.Symbol) -> E.Expression:
+    """d e / d s with one traversal of `e` for this one symbol."""
+    order = E._topo([e])
+    mentions = {}
+    for node in order:
+        if isinstance(node, E.Sym):
+            mentions[id(node)] = node.symbol == s
+        elif isinstance(node, E.Const):
+            mentions[id(node)] = False
+        else:
+            mentions[id(node)] = any(mentions[id(c)] for c in node.args)
+
+    memo = {}
+    for node in order:
+        if not mentions[id(node)]:
+            memo[id(node)] = E.ZERO
+            continue
+        if isinstance(node, E.Sym):
+            memo[id(node)] = E.ONE
+        elif isinstance(node, E.Sum):
+            memo[id(node)] = E.add(*(memo[id(c)] for c in node.args
+                                     if mentions[id(c)]))
+        elif isinstance(node, E.Difference):
+            a, b = node.args
+            memo[id(node)] = E.sub(memo[id(a)], memo[id(b)])
+        elif isinstance(node, E.Product):
+            terms = []
+            fs = node.args
+            for i, f in enumerate(fs):
+                if mentions[id(f)]:
+                    terms.append(E.mul(*fs[:i], memo[id(f)], *fs[i + 1:]))
+            memo[id(node)] = E.add(*terms)
+        elif isinstance(node, E.Quotient):
+            n, d = node.args
+            if not mentions[id(d)]:
+                memo[id(node)] = E.div(memo[id(n)], d)
+            else:
+                num = E.sub(E.mul(memo[id(n)], d), E.mul(n, memo[id(d)]))
+                memo[id(node)] = E.div(num, E.pow_(d, 2))
+        else:  # Power
+            b = node.args[0]
+            k = node.exponent
+            memo[id(node)] = E.mul(E.const(k), E.pow_(b, k - 1), memo[id(b)])
+    return memo[id(e)]
+
+
+
+def identity_residuals() -> list:
+    """The three residuals `transform.verify_identities` expands; each is
+    zero as a rational function when its identity holds."""
+    residuals = []
+    normalize = E.normalize
+
+    def recording(e):
+        residuals.append(e)
+        return normalize(e)
+
+    E.normalize = recording
+    try:
+        T.verify_identities()
+    finally:
+        E.normalize = normalize
+    return residuals
 
 # ------------------------------------------------- reference RKF45 stepper
 

@@ -246,6 +246,28 @@ def test_non_finite_tau_is_usage_error(capsys, flag):
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("sweep", ["--sweep=-1e308:1e308:3",
+                                   "--sweep=0:1.7976931348623157e308:4"])
+def test_sweep_beyond_the_float_range_is_usage_error(capsys, sweep):
+    # HI - LO overflowed to inf, and the first tau, LO + 0 * inf, was nan
+    code, out, err = run(capsys, "simulate", sweep)
+    assert code == 2
+    assert out == "" and err == "error: --sweep spans more than the float range\n"
+
+
+@pytest.mark.parametrize("command", [["simulate", "--tau", "0.5"],
+                                     ["simulate", "--sweep=0:1:3"],
+                                     ["phi-check"]])
+@pytest.mark.parametrize("flag", ["--lambda", "--rho", "--delta", "--N", "--c"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_non_finite_parameter_is_usage_error(capsys, command, flag, value):
+    # an infinite N or c used to fail in the integrator ("step size
+    # underflow"), and a nan rho as a nonpositive parameter, with exit 1
+    code, out, err = run(capsys, *command, f"{flag}={value}")
+    assert code == 2
+    assert out == "" and err == f"error: {flag} wants a finite number\n"
+
+
 @pytest.mark.parametrize("flag", ["--tau=1000", "--tau=-1000",
                                   "--sweep=0:800:3"])
 def test_tau_whose_u_is_not_finite_fails_mathematically(capsys, flag):

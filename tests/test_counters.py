@@ -2,7 +2,8 @@
 
 The bounds are the sizes the hash-consed engine and the straight-line
 emitter produce; a change that grows the DAG, the compiled program or its
-generated source fails here before it shows up as wall time. The RHS
+generated source fails here before it shows up as wall time, and so does
+one that traverses the DAG more often to build the jets or the Jacobian. The RHS
 evaluation counts of two default-config runs and of the stacked
 criterion-5 tau sweep are pinned exactly, so a change to the step
 controller that alters a single step fails here too; so is the number of
@@ -64,6 +65,32 @@ def test_jacobian_and_program_sizes(mode, nodes, instructions, muls):
 @pytest.mark.parametrize("output_index, nodes", [(1, 1881), (2, 1002)])
 def test_order_eight_jet_sizes(output_index, nodes):
     assert _nodes([M.output_jet(hiv, output_index, 8).entries[8]]) <= nodes
+
+
+def _traversals(monkeypatch, run) -> int:
+    """Calls of the engine's one DAG traversal, `expr._topo`, by `run`."""
+    calls = []
+    topo = E._topo
+
+    def counting(roots):
+        calls.append(1)
+        return topo(roots)
+
+    monkeypatch.setattr(E, "_topo", counting)
+    run()
+    return len(calls)
+
+
+# one traversal for the free symbols and one for all partials, per total
+# derivative (8 per jet); the relation system takes 4 total derivatives
+# and the Jacobian one traversal for all 25 entries. One traversal per
+# symbol made these 109 and 65
+@pytest.mark.parametrize("run, bound", [
+    (lambda: [M.output_jet(hiv, i, 8) for i in (1, 2)], 32),
+    (lambda: R.parameter_jacobian(R.build_phi_system(R.build_phi())), 9),
+], ids=["order-8 jets", "relation system and Jacobian"])
+def test_dag_traversals(monkeypatch, run, bound):
+    assert _traversals(monkeypatch, run) <= bound
 
 
 @pytest.mark.parametrize("mode, chars", [("naive", 39368),

@@ -13,8 +13,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from odeident import expr as E
+from odeident import model as M
 from odeident import ranktest as R
-from helpers import XYZ, fd_cases, fd_derivative, random_expression, random_point
+from helpers import (XYZ, fd_cases, fd_derivative, identity_residuals,
+                     random_expression, random_point, reference_differentiate,
+                     reference_normalize)
 
 X, Y, Z = (E.sym(s) for s in XYZ)
 xs, ys, zs = XYZ
@@ -595,3 +598,105 @@ def test_derivative_matches_finite_differences_bulk():
         exact = E.evaluate(E.differentiate(e, s), point, arithmetic="float64")
         fd = fd_derivative(e, s, point)
         assert abs(fd - exact) <= 1e-6 * (1.0 + abs(exact))
+
+
+# ------------------------- agreement with the reference implementations
+#
+# `normalize` expands over indexed monomials with int coefficients and
+# `partials` differentiates for many symbols in one traversal; both must
+# give exactly what the Symbol-keyed reference implementations in
+# helpers.py give: the same dicts in the same insertion order, and the
+# same derivative node objects.
+
+def _items(rc):
+    return list(rc.numerator.items()), list(rc.denominator.items())
+
+
+def _assert_expands_like_reference(e):
+    got, want = E.normalize(e), reference_normalize(e)
+    assert _items(got) == _items(want)
+    for poly in (got.numerator, got.denominator):
+        assert all(type(c) is Fraction for c in poly.values())
+
+
+@pytest.mark.parametrize("output_index", [1, 2])
+def test_jets_expand_like_reference(output_index):
+    jet = M.output_jet(M.hiv_model(), output_index, 7)
+    for entry in jet.entries:
+        _assert_expands_like_reference(entry)
+
+
+def test_identity_residuals_expand_like_reference():
+    residuals = identity_residuals()
+    assert len(residuals) == 3
+    for residual in residuals:
+        # the residual is zero; its operands are not
+        for e in (residual, *residual.args):
+            _assert_expands_like_reference(e)
+
+
+@pytest.mark.parametrize("variant", [R.CORRECTED, R.MIAO_AS_PRINTED])
+def test_relations_on_the_dynamics_expand_like_reference(variant):
+    relation = R.build_phi(variant).expression
+    _assert_expands_like_reference(
+        R.substitute_dynamics([[relation]], max_order=2)[0][0])
+
+
+_fractional = st.fractions(min_value=Fraction(-7, 2), max_value=Fraction(7, 2),
+                           max_denominator=9).filter(lambda q: q.denominator > 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(e=st.one_of(_expressions, _dags()), q=_fractional, r=_fractional)
+def test_rational_expressions_expand_like_reference(e, q, r):
+    # q and r bring non-integral coefficients into the numerator and
+    # into the denominator
+    for case in (e, E.add(E.mul(E.const(q), e), X),
+                 E.div(E.add(e, E.const(q)), E.add(E.mul(E.const(r), Y), Z))):
+        try:
+            want = reference_normalize(case)
+        except E.DenominatorIdenticallyZero:
+            with pytest.raises(E.DenominatorIdenticallyZero):
+                E.normalize(case)
+            continue
+        got = E.normalize(case)
+        assert _items(got) == _items(want)
+        assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots=st.lists(st.one_of(_expressions, _dags()), min_size=1, max_size=3),
+       symbols=st.lists(st.sampled_from([*XYZ, E.Symbol("w")]), max_size=4))
+def test_partials_are_the_reference_derivatives(roots, symbols):
+    got = E.partials(roots, symbols)
+    assert len(got) == len(roots)
+    for root, row in zip(roots, got):
+        assert len(row) == len(symbols)
+        for s, d in zip(symbols, row):
+            assert d is reference_differentiate(root, s)
+
+
+def test_partials_of_the_relation_system_are_the_reference_derivatives():
+    entries = R.build_phi_system(R.build_phi()).entries
+    symbols = sorted(set().union(*map(E.free_symbols, entries)),
+                     key=E.Symbol.sort_key)
+    got = E.partials(entries, symbols)
+    for entry, row in zip(entries, got):
+        for s, d in zip(symbols, row):
+            assert d is reference_differentiate(entry, s)
+    params = {s.name: s for s in M.hiv_model().const_params}
+    jacobian = R.parameter_jacobian(R.build_phi_system(R.build_phi()))
+    assert jacobian == tuple(
+        tuple(reference_differentiate(entry, params[n]) for n in R.PARAM_ORDER)
+        for entry in entries)
+
+
+@pytest.mark.parametrize("output_index", [1, 2])
+def test_partials_of_the_jets_are_the_reference_derivatives(output_index):
+    entries = M.output_jet(M.hiv_model(), output_index, 6).entries
+    symbols = sorted(set().union(*map(E.free_symbols, entries)),
+                     key=E.Symbol.sort_key)
+    got = E.partials(entries, symbols)
+    for entry, row in zip(entries, got):
+        for s, d in zip(symbols, row):
+            assert d is reference_differentiate(entry, s)

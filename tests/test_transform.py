@@ -1,6 +1,7 @@
 """The tau family: numeric kernels, domain handling, and the symbolic
 verification of the transformed dynamics."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -67,6 +68,16 @@ def test_family_rejects_tau_whose_u_is_not_finite_and_positive(tau):
     # e^(rho tau) overflows, underflows to 0 or is nan
     with pytest.raises(T.SingularTau, match="not finite and positive"):
         T.TauFamily(tau=tau, params=ONES)
+
+
+
+@pytest.mark.parametrize("name", ["lam", "delta", "rho", "c", "N"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+def test_family_rejects_parameters_not_finite_and_positive(name, value):
+    # an infinite parameter used to pass validation
+    params = dataclasses.replace(ONES, **{name: value})
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        T.TauFamily(tau=0.5, params=params)
 
 
 # --------------------------------------------------------------- state map
