@@ -959,7 +959,7 @@ class Program:
         self.outputs = outputs
         self.input_symbols = input_symbols
         self._rendered: dict[bool, tuple] = {}  # modular -> (source, maker)
-        self._fns: dict = {}  # "exact", "float" or a prime -> compiled code
+        self._fns: dict = {}  # "exact", "float", "plain" or a prime -> code
 
     def _render(self, modular: bool) -> tuple:
         rendered = self._rendered.get(modular)
@@ -988,6 +988,12 @@ class Program:
         broadcast; scalar division by zero raises ZeroDivisionError."""
         return self._fns.get("float") or self._bind(
             "float", False, ([float(c) for c in self.constants],))
+
+    def plain_fn(self):
+        """float_fn with integral constants bound as Python ints: Fraction
+        inputs stay exact, and float inputs give float_fn's bits."""
+        return self._fns.get("plain") or self._bind("plain", False, (
+            [int(c) if c.denominator == 1 else c for c in self.constants],))
 
     def run_exact(self, values: Sequence) -> list[Fraction]:
         fn = self._fns.get("exact") or self._bind("exact", False, (self.constants,))

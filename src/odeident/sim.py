@@ -47,7 +47,7 @@ from .expr import (AUX, Expression, Symbol, compile_float_fn,
 from .model import OdeModel, hiv_model, output_jet, output_symbol
 from .ranktest import CORRECTED, build_phi
 from .transform import (Params, TauFamily, admissible_tau_interval,
-                        eta_prime_values)
+                        eta_prime_stack)
 
 __all__ = [
     "EtaSignal", "IndistReport", "NonFiniteState", "SimConfig",
@@ -549,13 +549,13 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
 
         states = _solve(f, y0[0], cfg)[:, None, :]
     else:
-        u = np.array([inst.u for inst in insts])
+        eta_prime = eta_prime_stack(params, np.array([i.u for i in insts]))
         primed = np.array(primed).T
 
         def f(t, y):
             et = eta(t)
             orig = y[0, :3].tolist()  # every row holds this original state
-            et_p = eta_prime_values(*orig, et, params, u=u)
+            et_p = eta_prime(*orig, et)
             dy = np.empty(y.shape)
             dy[:, :3] = rhs(*orig, et, *base)
             for j, col in enumerate(rhs(*y[:, 3:].T, et_p, *primed), 3):

@@ -15,13 +15,17 @@ as the keyword argument `u`, so all transformed quantities of a member
 share one u. Symbolically u is one auxiliary nonzero symbol, which makes
 all three verification identities rational and therefore decidable by
 exact expansion.
+
+The family is written once, as the closed forms that `verify_identities`
+proves. They are compiled when this module is imported, and the numeric
+maps run that code on floats, Fractions and numpy arrays alike; beyond it
+they only check u and compare the guards.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,10 +35,9 @@ from .model import DYNAMICS, hiv_model, total_time_derivative
 
 __all__ = [
     "IdentityCheck", "Params", "SingularPoint", "SingularTau", "TauFamily",
-    "admissible_tau_interval", "eta_prime_value",
-    "eta_prime_values", "eta_prime_expr", "params_prime_exprs",
-    "state_map_exprs", "transform_params", "transform_state",
-    "verify_identities",
+    "admissible_tau_interval", "eta_prime_expr", "eta_prime_stack",
+    "eta_prime_value", "params_prime_exprs", "state_map_exprs",
+    "transform_params", "transform_state", "verify_identities",
 ]
 
 _DENOM_EPS = 1e-12
@@ -72,90 +75,76 @@ class Params:
                     f"parameter {name} must be finite and positive, got {v}")
 
 
-def _admissible_denominator(params: Params, u):
-    """The delta' denominator; SingularTau unless it is at least 1e-12."""
-    den = (params.rho - params.delta) * u + params.delta
+def _maps(T_U, T_I, params: Params, u):
+    """[T_U', T_I', delta', N'] at u. With u and rho positive the delta'
+    denominator is the one divisor left; SingularTau unless it is >= 1e-12."""
+    if not u > 0:
+        raise ValueError(f"u must be positive, got {u}")
+    if not params.rho > 0:
+        raise ValueError(f"parameter rho must be positive, got {params.rho}")
+    try:
+        den, *maps = _MAPS(T_U, T_I, params.delta, params.rho, params.N, u)
+    except ZeroDivisionError:  # delta' at a zero denominator
+        den = 0.0
     if den < _DENOM_EPS:
         raise SingularTau(
             f"delta' denominator (rho-delta)*u + delta = {den} at u = {u}; "
             f"admissible tau interval: {admissible_tau_interval(params)}")
-    return den
+    return maps
 
 
 def transform_params(params: Params, *, u) -> Params:
     """Transformed constants: delta' = delta*rho / ((rho-delta)*u + delta),
     N' = N*u; lambda, rho, c unchanged. u == 1 is the identity, exactly."""
-    if not u > 0:
-        raise ValueError(f"u must be positive, got {u}")
     if u == 1:
         return params
-    return Params(
-        lam=params.lam,
-        delta=params.delta * params.rho / _admissible_denominator(params, u),
-        rho=params.rho,
-        c=params.c,
-        N=params.N * u,
-    )
+    _, _, delta, N = _maps(0, 0, params, u)  # no state enters delta', N'
+    return replace(params, delta=delta, N=N)
 
 
 def transform_state(T_U, T_I, V, params: Params, *, u):
-    """Transformed states: T_I' = a*T_I, T_U' = T_U + (1-a)*T_I, V' = V,
-    with a = (delta/u + rho - delta)/rho. The sum T_U' + T_I' equals
+    """Transformed states (T_U', T_I', V' = V). T_U' + T_I' equals
     T_U + T_I identically, so output one never changes."""
-    if not u > 0:
-        raise ValueError(f"u must be positive, got {u}")
     if u == 1:
         return T_U, T_I, V
-    _admissible_denominator(params, u)  # raises SingularTau
-    a = (params.delta / u + params.rho - params.delta) / params.rho
-    T_I_p = T_I * a
-    return T_U + T_I - T_I_p, T_I_p, V
+    T_U_p, T_I_p, _, _ = _maps(T_U, T_I, params, u)
+    return T_U_p, T_I_p, V
 
 
 def eta_prime_value(T_U, T_I, V, eta, params: Params, *, u):
-    """Transformed time-varying parameter, evaluated as printed:
-
-        eta' = [eta T_U V rho u + (T_I d^2 - T_I d rho - eta T_U V d)(u-1)]
-               / [V (T_I d + T_U rho) u - V T_I d]              (d = delta)
-
-    Raises SingularPoint when the denominator falls below 1e-12 of the
-    natural scale V rho (T_U + T_I) u.
-    """
+    """Transformed time-varying parameter, `eta_prime_expr` at this point.
+    SingularPoint when its denominator is below 1e-12 of the natural scale
+    V rho (T_U + T_I) u."""
     if not u > 0:
         raise ValueError(f"u must be positive, got {u}")
     if u == 1:
         return eta
-    num, den, scale = _eta_prime_parts(T_U, T_I, V, eta, params, u)
-    if den == 0 or abs(den) <= _DENOM_EPS * scale:
+    num, den, scale = _ETA_PRIME(T_U, T_I, V, eta, params.delta, params.rho, u)
+    if den == 0 or abs(den) <= _DENOM_EPS * abs(scale):
         raise SingularPoint(
-            f"eta' denominator {den} vanishes relative to scale {scale}")
+            f"eta' denominator {den} vanishes relative to scale {abs(scale)}")
     return num / den
 
 
-def eta_prime_values(T_U, T_I, V, eta, params: Params, *, u: np.ndarray):
-    """eta_prime_value for a stack of twins, one per entry of u: entries
-    with u == 1 give eta exactly, and any other entry at its pole raises
-    SingularPoint. The states are arrays, one entry per twin, or Python
-    floats shared by all twins; then the u-free part of the formula is
-    evaluated once and only the u-dependent operations run on arrays."""
-    num, den, scale = _eta_prime_parts(T_U, T_I, V, eta, params, u)
+def eta_prime_stack(params: Params, u: np.ndarray):
+    """eta_prime_value for a stack of twins, one per entry of u, as a
+    function of (T_U, T_I, V, eta). Entries with u == 1 give eta exactly,
+    any other at its pole raises SingularPoint; only those two masks are
+    built once per stack. The states are arrays, one entry per twin, or
+    Python floats shared by all twins, whose u-free terms are computed once."""
     same = u == 1
-    bad = ((den == 0) | (abs(den) <= _DENOM_EPS * scale)) & ~same
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise SingularPoint(f"eta' denominator {den[i]} vanishes relative "
-                            f"to scale {scale[i]} at u = {u[i]}")
-    return np.where(same, eta, num / np.where(same, 1.0, den))
+    other, delta, rho = ~same, params.delta, params.rho
 
+    def eta_prime(T_U, T_I, V, eta):
+        num, den, scale = _ETA_PRIME(T_U, T_I, V, eta, delta, rho, u)
+        bad = ((den == 0) | (abs(den) <= _DENOM_EPS * abs(scale))) & other
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SingularPoint(f"eta' denominator {den[i]} vanishes relative "
+                                f"to scale {abs(scale[i])} at u = {u[i]}")
+        return np.where(same, eta, num / np.where(same, 1.0, den))
 
-def _eta_prime_parts(T_U, T_I, V, eta, params: Params, u):
-    """Numerator, denominator and natural scale of eta' in plain
-    arithmetic, so floats and numpy arrays alike."""
-    d, rho = params.delta, params.rho
-    num = eta*T_U*V*rho*u + (T_I*d*d - T_I*d*rho - eta*T_U*V*d) * (u - 1)
-    den = V * (T_I*d + T_U*rho) * u - V*T_I*d
-    scale = abs(V * rho * (T_U + T_I) * u)
-    return num, den, scale
+    return eta_prime
 
 
 def admissible_tau_interval(params: Params) -> tuple[float | None, float | None]:
@@ -202,46 +191,60 @@ class TauFamily:
         return eta_prime_value(T_U, T_I, V, eta, self.params, u=self.u)
 
 
-# ------------------------------------------------------- symbolic closed forms
+# ------------------------------------------------------- the one formula
 
-def _symbolic_context():
-    m = hiv_model()
-    table = {s.name: sym(s) for s in m.states + m.const_params + m.tv_params}
-    table["u"] = sym(Symbol("u", AUX))
-    return m, table
+_HIV = hiv_model()
+_SYM = {s.name: sym(s) for s in
+        (*_HIV.states, *_HIV.const_params, *_HIV.tv_params, Symbol("u", AUX))}
+
+
+def _syms(names: str):
+    return (_SYM[name] for name in names.split())
 
 
 def params_prime_exprs() -> dict[str, Expression]:
     """Closed forms of the transformed constants over the base symbols and
     the auxiliary u (e^(-rho tau) is written 1/u)."""
-    _, t = _symbolic_context()
-    lam, delta, rho, c, N, u = (t[k] for k in ("lambda", "delta", "rho", "c", "N", "u"))
-    return {
-        "lambda": lam,
-        "delta": delta * rho / ((rho - delta) * u + delta),
-        "rho": rho,
-        "c": c,
-        "N": N * u,
-    }
+    lam, delta, rho, c, N, u = _syms("lambda delta rho c N u")
+    return {"lambda": lam, "delta": delta * rho / ((rho - delta) * u + delta),
+            "rho": rho, "c": c, "N": N * u}
 
 
 def state_map_exprs() -> tuple[Expression, Expression, Expression]:
     """Closed forms of (T_U', T_I', V')."""
-    _, t = _symbolic_context()
-    T_U, T_I, delta, rho, u = (t[k] for k in ("T_U", "T_I", "delta", "rho", "u"))
-    T_I_p = (T_I / rho) * (delta / u + rho - delta)
-    return (T_U + T_I - T_I_p, T_I_p, t["V"])
+    T_U, T_I, V, delta, rho, u = _syms("T_U T_I V delta rho u")
+    T_I_p = T_I * ((delta / u + rho - delta) / rho)
+    return (T_U + T_I - T_I_p, T_I_p, V)
 
 
 def eta_prime_expr() -> Expression:
-    """Closed form of eta'."""
-    _, t = _symbolic_context()
-    T_U, T_I, V, eta, delta, rho, u = (
-        t[k] for k in ("T_U", "T_I", "V", "eta", "delta", "rho", "u"))
+    """Closed form of eta', a quotient. The compiled code follows the
+    order of operations written here and above (d*d, not d^2)."""
+    T_U, T_I, V, eta, d, rho, u = _syms("T_U T_I V eta delta rho u")
     num = (eta * T_U * V * rho * u
-           + (T_I * delta**2 - T_I * delta * rho - eta * T_U * V * delta) * (u - 1))
-    den = V * (T_I * delta + T_U * rho) * u - V * T_I * delta
-    return num / den
+           + (T_I * d * d - T_I * d * rho - eta * T_U * V * d) * (u - 1))
+    return num / (V * (T_I * d + T_U * rho) * u - V * T_I * d)
+
+
+def _compiled():
+    """The forms compiled once, as two functions: eta' as numerator,
+    denominator and the natural scale V rho (T_U + T_I) u of its pole
+    guard; and the delta' denominator, T_U', T_I', delta' and N'. eta'
+    stands alone because the stacked sweep runs it on every right-hand
+    side, where the maps would be wasted work on arrays. The one constant,
+    1 in u - 1, is bound as an int, so Fraction inputs stay exact."""
+    T_U, T_I, V, rho, u = _syms("T_U T_I V rho u")
+    pp = params_prime_exprs()
+    eta_p = [*eta_prime_expr().args, V * rho * (T_U + T_I) * u]
+    maps = [pp["delta"].denominator, *state_map_exprs()[:2], pp["delta"],
+            pp["N"]]
+    return [expr.compile_program(exprs, [s.symbol for s in _syms(inputs)])
+            .plain_fn() for exprs, inputs in (
+                (eta_p, "T_U T_I V eta delta rho u"),
+                (maps, "T_U T_I delta rho N u"))]
+
+
+_ETA_PRIME, _MAPS = _compiled()
 
 
 @dataclass(frozen=True)
@@ -263,24 +266,15 @@ def verify_identities() -> list[IdentityCheck]:
     the zero rational function in the states, parameters, eta and u.
     False results are reported, not raised.
     """
-    m, t = _symbolic_context()
-    lam, c = t["lambda"], t["c"]
-    rho = t["rho"]
-    T_U_p, T_I_p, V_p = state_map_exprs()
-    pp = params_prime_exprs()
-    eta_p = eta_prime_expr()
-
-    primed_rhs = {
-        "T_U'": lam - rho * T_U_p - eta_p * T_U_p * V_p,
-        "T_I'": eta_p * T_U_p * V_p - pp["delta"] * T_I_p,
-        "V'": pp["N"] * pp["delta"] * T_I_p - c * V_p,
-    }
-    maps = {"T_U'": T_U_p, "T_I'": T_I_p, "V'": V_p}
-
+    lam, c, rho = _syms("lambda c rho")
+    T_U_p, T_I_p, V_p = maps = state_map_exprs()
+    pp, eta_p = params_prime_exprs(), eta_prime_expr()
+    primed_rhs = (lam - rho * T_U_p - eta_p * T_U_p * V_p,
+                  eta_p * T_U_p * V_p - pp["delta"] * T_I_p,
+                  pp["N"] * pp["delta"] * T_I_p - c * V_p)
     checks = []
-    for name in ("T_U'", "T_I'", "V'"):
-        lhs = total_time_derivative(m, maps[name], DYNAMICS)
-        residual = expr.normalize(expr.sub(lhs, primed_rhs[name]))
-        checks.append(IdentityCheck(name=name, holds=residual.is_zero,
-                                    residual=residual))
+    for name, mapped, rhs in zip(("T_U'", "T_I'", "V'"), maps, primed_rhs):
+        lhs = total_time_derivative(_HIV, mapped, DYNAMICS)
+        residual = expr.normalize(expr.sub(lhs, rhs))
+        checks.append(IdentityCheck(name, residual.is_zero, residual))
     return checks

@@ -282,6 +282,95 @@ def identity_residuals() -> list:
         E.normalize = normalize
     return residuals
 
+# ----------------------------------------------- reference tau-family maps
+#
+# The numeric maps of the tau family written by hand in plain arithmetic,
+# independent of the expression engine: the compiled closed forms of
+# `odeident.transform` must agree with them bit for bit on floats and
+# float64 arrays, and exactly on Fractions.
+
+def _reference_admissible_denominator(params, u):
+    """The delta' denominator; SingularTau unless it is at least 1e-12."""
+    den = (params.rho - params.delta) * u + params.delta
+    if den < T._DENOM_EPS:
+        raise T.SingularTau(
+            f"delta' denominator (rho-delta)*u + delta = {den} at u = {u}; "
+            f"admissible tau interval: {T.admissible_tau_interval(params)}")
+    return den
+
+
+def reference_transform_params(params, *, u):
+    """Transformed constants: delta' = delta*rho / ((rho-delta)*u + delta),
+    N' = N*u; lambda, rho, c unchanged. u == 1 is the identity, exactly."""
+    if not u > 0:
+        raise ValueError(f"u must be positive, got {u}")
+    if u == 1:
+        return params
+    return T.Params(
+        lam=params.lam,
+        delta=params.delta * params.rho / _reference_admissible_denominator(params, u),
+        rho=params.rho,
+        c=params.c,
+        N=params.N * u,
+    )
+
+
+def reference_transform_state(T_U, T_I, V, params, *, u):
+    """Transformed states: T_I' = a*T_I, T_U' = T_U + (1-a)*T_I, V' = V,
+    with a = (delta/u + rho - delta)/rho."""
+    if not u > 0:
+        raise ValueError(f"u must be positive, got {u}")
+    if u == 1:
+        return T_U, T_I, V
+    _reference_admissible_denominator(params, u)  # raises SingularTau
+    a = (params.delta / u + params.rho - params.delta) / params.rho
+    T_I_p = T_I * a
+    return T_U + T_I - T_I_p, T_I_p, V
+
+
+def reference_eta_prime_value(T_U, T_I, V, eta, params, *, u):
+    """Transformed time-varying parameter, evaluated as printed:
+
+        eta' = [eta T_U V rho u + (T_I d^2 - T_I d rho - eta T_U V d)(u-1)]
+               / [V (T_I d + T_U rho) u - V T_I d]              (d = delta)
+
+    Raises SingularPoint when the denominator falls below 1e-12 of the
+    natural scale V rho (T_U + T_I) u.
+    """
+    if not u > 0:
+        raise ValueError(f"u must be positive, got {u}")
+    if u == 1:
+        return eta
+    num, den, scale = _reference_eta_prime_parts(T_U, T_I, V, eta, params, u)
+    if den == 0 or abs(den) <= T._DENOM_EPS * scale:
+        raise T.SingularPoint(
+            f"eta' denominator {den} vanishes relative to scale {scale}")
+    return num / den
+
+
+def reference_eta_prime_values(T_U, T_I, V, eta, params, *, u):
+    """reference_eta_prime_value for a stack of twins, one per entry of u:
+    entries with u == 1 give eta exactly, and any other entry at its pole
+    raises SingularPoint."""
+    num, den, scale = _reference_eta_prime_parts(T_U, T_I, V, eta, params, u)
+    same = u == 1
+    bad = ((den == 0) | (abs(den) <= T._DENOM_EPS * scale)) & ~same
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise T.SingularPoint(f"eta' denominator {den[i]} vanishes relative "
+                              f"to scale {scale[i]} at u = {u[i]}")
+    return np.where(same, eta, num / np.where(same, 1.0, den))
+
+
+def _reference_eta_prime_parts(T_U, T_I, V, eta, params, u):
+    """Numerator, denominator and natural scale of eta' in plain
+    arithmetic, so floats and numpy arrays alike."""
+    d, rho = params.delta, params.rho
+    num = eta*T_U*V*rho*u + (T_I*d*d - T_I*d*rho - eta*T_U*V*d) * (u - 1)
+    den = V * (T_I*d + T_U*rho) * u - V*T_I*d
+    scale = abs(V * rho * (T_U + T_I) * u)
+    return num, den, scale
+
 # ------------------------------------------------- reference RKF45 stepper
 
 _C = (0.0, 1/4, 3/8, 12/13, 1.0, 1/2)

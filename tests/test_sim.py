@@ -11,7 +11,7 @@ from odeident import expr as E
 from odeident import model as M
 from odeident import sim as S
 from odeident.transform import (Params, SingularTau, TauFamily,
-                                eta_prime_values)
+                                eta_prime_stack)
 
 from helpers import reference_solve
 
@@ -397,7 +397,7 @@ def test_tau_sweep_matches_reference_stepper(text):
     # included, evaluated on numpy columns
     eta = S.EtaSignal.from_text(text)
     insts = [TauFamily(tau=tau, params=ONES) for tau in CRITERION_5_TAUS]
-    u = np.array([inst.u for inst in insts])
+    eta_prime = eta_prime_stack(ONES, np.array([inst.u for inst in insts]))
     rhs = S._rhs(hiv).float_fn()
     base = S._param_values(hiv, ONES_DICT)
     primed = np.array([S._param_values(hiv, inst.params_prime.as_dict())
@@ -406,7 +406,7 @@ def test_tau_sweep_matches_reference_stepper(text):
     def f(t, y):
         et = eta(t)
         orig, prim = y[:, :3].T, y[:, 3:].T
-        et_p = eta_prime_values(*orig, et, ONES, u=u)
+        et_p = eta_prime(*orig, et)
         return np.array(rhs(*orig, et, *base) + rhs(*prim, et_p, *primed)).T
 
     init = [1.0, 0.2, 1.0]

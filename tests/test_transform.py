@@ -8,7 +8,9 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import helpers as H
 from odeident import expr as E
 from odeident import transform as T
 
@@ -60,6 +62,25 @@ def test_maps_take_u_by_keyword_only():
             T.transform_state(1.0, 1.0, 1.0, ONES, u=u)
         with pytest.raises(ValueError):
             T.eta_prime_value(1.0, 1.0, 1.0, 0.5, ONES, u=u)
+
+
+@pytest.mark.parametrize("rho", [0.0, F(0), -1.0, math.nan])
+def test_state_and_parameter_maps_reject_rho_not_positive(rho):
+    # T_I' divides by rho; a zero rho must not pass for a zero delta'
+    # denominator, whose value is 0.5 here
+    params = dataclasses.replace(ONES, rho=rho)
+    with pytest.raises(ValueError, match="rho must be positive"):
+        T.transform_params(params, u=0.5)
+    with pytest.raises(ValueError, match="rho must be positive"):
+        T.transform_state(1.0, 1.0, 1.0, params, u=0.5)
+
+
+@pytest.mark.parametrize("params", [T.Params(1.0, 3.0, 1.0, 1.0, 1.0),
+                                    T.Params(F(1), F(3), F(1), F(1), F(1))])
+def test_zero_delta_denominator_reported_as_zero(params):
+    # (1 - 3) * 1.5 + 3 = 0 exactly, where delta' divides by zero
+    with pytest.raises(T.SingularTau, match=r"delta = 0\.0 at u = 1\.5"):
+        T.transform_params(params, u=1.5)
 
 
 @pytest.mark.parametrize("tau", [1000.0, -1000.0, math.inf, -math.inf,
@@ -120,7 +141,7 @@ def test_stacked_eta_matches_each_member():
     T_U, T_I, V = (np.array(c) for c in ([1.0, 0.3, 2.0, 0.7],
                                          [0.2, 0.9, 0.1, 1.1],
                                          [1.5, 0.4, 0.8, 2.5]))
-    got = T.eta_prime_values(T_U, T_I, V, 0.5, SKEW, u=u)
+    got = T.eta_prime_stack(SKEW, u)(T_U, T_I, V, 0.5)
     for i in range(len(u)):
         assert got[i] == T.eta_prime_value(T_U[i], T_I[i], V[i], 0.5, SKEW,
                                            u=u[i])
@@ -130,7 +151,7 @@ def test_stacked_eta_matches_each_member():
 def test_stacked_eta_with_shared_states_matches_each_member():
     # the states of a sweep's original system, shared by every twin
     u = np.array([0.5, 1.0, 2.0, 3.0])
-    got = T.eta_prime_values(0.7, 1.1, 2.5, 0.5, SKEW, u=u)
+    got = T.eta_prime_stack(SKEW, u)(0.7, 1.1, 2.5, 0.5)
     for i in range(len(u)):
         assert got[i] == T.eta_prime_value(0.7, 1.1, 2.5, 0.5, SKEW, u=u[i])
     assert got[1] == 0.5  # u == 1 gives eta exactly
@@ -140,20 +161,19 @@ def test_stacked_eta_with_shared_states_singular_at_one_member():
     # T_I/T_U = u/(1-u) is the pole of the member with that u alone: T_I =
     # T_U is the pole of u = 1/2 only
     u = np.array([1.0, 2.0, 0.5, 3.0])
-    others = T.eta_prime_values(1.0, 1.0, 1.0, 0.5, ONES, u=u[[0, 1, 3]])
+    others = T.eta_prime_stack(ONES, u[[0, 1, 3]])(1.0, 1.0, 1.0, 0.5)
     assert np.all(np.isfinite(others))
     with pytest.raises(T.SingularPoint, match="at u = 0.5$"):
-        T.eta_prime_values(1.0, 1.0, 1.0, 0.5, ONES, u=u)
+        T.eta_prime_stack(ONES, u)(1.0, 1.0, 1.0, 0.5)
 
 
 def test_stacked_eta_singular_at_any_member():
     u = np.array([1.0, 2.0])
-    ok = T.eta_prime_values(np.ones(2), np.ones(2), np.array([0.0, 1.0]),
-                            0.5, ONES, u=u)
+    stack = T.eta_prime_stack(ONES, u)
+    ok = stack(np.ones(2), np.ones(2), np.array([0.0, 1.0]), 0.5)
     assert ok[0] == 0.5  # V = 0 is no pole where u == 1
     with pytest.raises(T.SingularPoint, match="u = 2.0"):
-        T.eta_prime_values(np.ones(2), np.ones(2), np.array([1.0, 0.0]),
-                           0.5, ONES, u=u)
+        stack(np.ones(2), np.ones(2), np.array([1.0, 0.0]), 0.5)
 
 
 def test_eta_dual_entry_oracle():
@@ -269,6 +289,8 @@ def test_first_identity_second_member_printed_form():
 
 
 def test_symbolic_maps_agree_with_numeric_kernels():
+    # the closed forms against the hand-written reference maps: the
+    # numeric maps are compiled from the forms, so they are no witness
     point = {"T_U": F(3, 2), "T_I": F(2, 3), "V": F(5), "eta": F(1, 2),
              "lambda": F(1), "delta": F(1), "rho": F(2), "c": F(1),
              "N": F(1), "u": F(3)}
@@ -279,17 +301,88 @@ def test_symbolic_maps_agree_with_numeric_kernels():
         binding[s] = point[s.name]
     binding[E.Symbol("u", E.AUX)] = point["u"]
 
-    tu, ti, v = T.transform_state(point["T_U"], point["T_I"], point["V"],
-                                  EXACT, u=point["u"])
+    tu, ti, v = H.reference_transform_state(
+        point["T_U"], point["T_I"], point["V"], EXACT, u=point["u"])
     sym_tu, sym_ti, sym_v = (E.evaluate(e, binding)
                              for e in T.state_map_exprs())
     assert (sym_tu, sym_ti, sym_v) == (tu, ti, v)
 
-    et = T.eta_prime_value(point["T_U"], point["T_I"], point["V"],
-                           point["eta"], EXACT, u=point["u"])
+    et = H.reference_eta_prime_value(point["T_U"], point["T_I"], point["V"],
+                                     point["eta"], EXACT, u=point["u"])
     assert E.evaluate(T.eta_prime_expr(), binding) == et
 
-    pp = T.transform_params(EXACT, u=point["u"])
+    pp = H.reference_transform_params(EXACT, u=point["u"])
     exprs = T.params_prime_exprs()
     assert E.evaluate(exprs["delta"], binding) == pp.delta
     assert E.evaluate(exprs["N"], binding) == pp.N
+
+
+# ------------------------------------------- compiled forms against references
+
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+_U = st.floats(min_value=1e-2, max_value=1e2)
+_EXACT_POSITIVE = st.fractions(min_value=F(1, 20), max_value=50,
+                               max_denominator=20)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's value, or the type of the family error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (T.SingularTau, T.SingularPoint) as exc:
+        return type(exc)
+
+
+def _maps_and_references(state, eta, params, u):
+    """(compiled, reference) outcome pairs of the three maps at one point."""
+    return [(_outcome(T.transform_params, params, u=u),
+             _outcome(H.reference_transform_params, params, u=u)),
+            (_outcome(T.transform_state, *state, params, u=u),
+             _outcome(H.reference_transform_state, *state, params, u=u)),
+            (_outcome(T.eta_prime_value, *state, eta, params, u=u),
+             _outcome(H.reference_eta_prime_value, *state, eta, params, u=u))]
+
+
+@settings(max_examples=400, deadline=None)
+@example(state=(1.0, 1.0, 1.0), eta=0.5, params=ONES, u=0.5)  # eta' pole
+@example(state=(1.0, 1.0, 1.0), eta=0.5,  # delta' denominator exactly 0
+         params=T.Params(1.0, 3.0, 1.0, 1.0, 1.0), u=1.5)
+@given(state=st.tuples(_POSITIVE, _POSITIVE, _POSITIVE), eta=_POSITIVE,
+       params=st.builds(T.Params, *[_POSITIVE] * 5), u=_U)
+def test_maps_match_references_bit_for_bit_on_floats(state, eta, params, u):
+    for got, want in _maps_and_references(state, eta, params, u):
+        assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=st.tuples(*[_EXACT_POSITIVE] * 3), eta=_EXACT_POSITIVE,
+       params=st.builds(T.Params, *[_EXACT_POSITIVE] * 5),
+       u=_EXACT_POSITIVE)
+def test_maps_match_references_exactly_on_fractions(state, eta, params, u):
+    pairs = _maps_and_references(state, eta, params, u)
+    for got, want in pairs:
+        assert got == want
+    (p, _), (mapped, _), (et, _) = pairs
+    for value in (p.delta, p.N) if isinstance(p, T.Params) else ():
+        assert type(value) is F
+    for value in mapped if isinstance(mapped, tuple) else ():
+        assert type(value) is F
+    assert isinstance(et, type) or type(et) is F
+
+
+@settings(max_examples=200, deadline=None)
+@given(us=st.lists(_U, min_size=1, max_size=8), one_at=st.integers(0, 8),
+       eta=_POSITIVE, params=st.builds(T.Params, *[_POSITIVE] * 5),
+       shared=st.booleans(), data=st.data())
+def test_stacked_eta_matches_reference_bit_for_bit(us, one_at, eta, params,
+                                                   shared, data):
+    u = np.array(us[:one_at] + [1.0] + us[one_at:])  # a tau = 0 twin
+    column = st.lists(_POSITIVE, min_size=len(u), max_size=len(u))
+    state = [data.draw(_POSITIVE if shared else column.map(np.array))
+             for _ in range(3)]
+    got = _outcome(lambda: T.eta_prime_stack(params, u)(*state, eta))
+    want = _outcome(H.reference_eta_prime_values, *state, eta, params, u=u)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert np.array_equal(got, want)
