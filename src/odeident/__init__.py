@@ -22,7 +22,7 @@ from .model import (
 )
 from .ranktest import (
     CORRECTED, DEFAULT_PRIMES, MIAO_AS_PRINTED, PARAM_ORDER,
-    ExhaustedRetries, PhiRelation, PhiSystem, PrimeDisagreement, RankReport,
+    ExhaustedRetries, PrimeDisagreement, RankReport,
     build_phi, build_phi_system, generic_rank, parameter_jacobian,
     phi_vanishes_on_dynamics, run_rank_test, substitute_dynamics,
 )

@@ -28,10 +28,6 @@ __all__ = [
     "parse_model", "print_model", "total_time_derivative",
 ]
 
-DYNAMICS = "dynamics"
-OUTPUT_SYMBOLS = "output-symbols"
-
-
 class MissingOdeForState(expr.ExprError):
     """A declared state has no `ode` line."""
 
@@ -237,31 +233,23 @@ def hiv_model() -> OdeModel:
 
 # ------------------------------------------------------------------- jets
 
-def total_time_derivative(m: OdeModel, e: Expression,
-                          mode: str = DYNAMICS) -> Expression:
+def total_time_derivative(m: OdeModel, e: Expression) -> Expression:
     """Total derivative of `e` along trajectories of `m`.
 
-    Time-varying-parameter symbols advance along their chain
-    (eta^(j) -> eta^(j+1)) in both modes. In dynamics mode, state symbols
-    differentiate to their right-hand sides. In output-symbols mode,
-    output-derivative symbols advance (y^(k) -> y^(k+1)) and state symbols
-    must not occur; mixing states with output symbols is always an error
-    because output symbols already absorb the state dependence.
+    State symbols differentiate to their right-hand sides, and the
+    symbols of a derivative chain advance along it: eta^(j) -> eta^(j+1)
+    and y^(k) -> y^(k+1). An expression in states gives the next entry of
+    an output jet; one in output symbols treats the outputs and their
+    derivatives as formal symbols. Mixing states with output symbols is
+    an error, because output symbols already absorb the state dependence.
     """
-    if mode not in (DYNAMICS, OUTPUT_SYMBOLS):
-        raise ValueError(f"unknown mode {mode!r}")
     syms = free_symbols(e)
-    has_states = any(s.kind == STATE for s in syms)
-    has_outputs = any(s.kind == OUTPUT_DERIV for s in syms)
-    if has_states and has_outputs:
+    if (any(s.kind == STATE for s in syms)
+            and any(s.kind == OUTPUT_DERIV for s in syms)):
         raise MixedModeSymbols(
             "expression mixes state symbols with output-derivative symbols")
-    if mode == OUTPUT_SYMBOLS and has_states:
-        raise MixedModeSymbols(
-            "state symbols are not allowed in output-symbols mode")
 
-    # each symbol that moves with time, and its time derivative; states
-    # occur only in dynamics mode
+    # each symbol that moves with time, and its time derivative
     moving = [(s, f) for s, f in zip(m.states, m.rhs) if s in syms]
     moving += [(s, expr.sym(s.derivative()))
                for s in sorted(syms, key=Symbol.sort_key)
@@ -293,6 +281,6 @@ def output_jet(m: OdeModel, output_index: int, order: int) -> OutputJet:
     current = m.outputs[output_index - 1][1]
     entries = [current]
     for _ in range(order):
-        current = total_time_derivative(m, current, DYNAMICS)
+        current = total_time_derivative(m, current)
         entries.append(current)
     return OutputJet(output_index=output_index, entries=tuple(entries))

@@ -1,13 +1,14 @@
 """Parameter-identifiability rank test for the bundled HIV model.
 
-The pipeline: build the second-order input-output relation linking the two
-outputs, differentiate it four times along trajectories (treating output
-derivatives as formal symbols), take the Jacobian of the resulting
-5-vector with respect to (lambda, delta, rho, c, N), optionally impose the
-dynamics by substituting the order-6 output jets, and measure the generic
-rank of the 5x5 matrix by exact evaluation at random points of large prime
-fields. Differentiation happens before the dynamics substitution; the two
-orders are not interchangeable and the first is the one this test means.
+The pipeline, plain functions of expressions: build the second-order
+input-output relation linking the two outputs, differentiate it four times
+along trajectories (treating output derivatives as formal symbols), take
+the Jacobian of the resulting 5-vector with respect to (lambda, delta,
+rho, c, N), optionally impose the dynamics by substituting output jets as
+deep as the matrix needs (order 6), and measure the generic rank of the
+5x5 matrix by exact evaluation at random points of large prime fields.
+Differentiation happens before the dynamics substitution; the two orders
+are not interchangeable and the first is the one this test means.
 
 The "corrected" relation vanishes identically along trajectories. The
 "miao" variant differs in exactly two terms and does not vanish, which is
@@ -25,18 +26,15 @@ from typing import Mapping, Sequence
 
 from . import expr
 from .expr import (
-    CONST_PARAM, OUTPUT_DERIV,
+    OUTPUT_DERIV,
     DivisionByZero, Expression, RationalCanonical, Symbol,
-    compile_program, free_symbols, normalize, substitute_many, sym,
+    compile_program, normalize, substitute_many, sym,
 )
-from .model import (
-    OUTPUT_SYMBOLS, OdeModel, hiv_model, output_jet, output_symbol,
-    total_time_derivative,
-)
+from .model import hiv_model, output_jet, output_symbol, total_time_derivative
 
 __all__ = [
     "CORRECTED", "MIAO_AS_PRINTED", "DEFAULT_PRIMES", "PARAM_ORDER",
-    "ExhaustedRetries", "PrimeDisagreement", "PhiRelation", "PhiSystem",
+    "ExhaustedRetries", "PrimeDisagreement",
     "RankReport", "build_phi", "build_phi_system", "generic_rank",
     "is_prime", "parameter_jacobian", "phi_vanishes_on_dynamics",
     "run_rank_test", "substitute_dynamics",
@@ -70,40 +68,17 @@ class ExhaustedRetries(expr.ExprError):
 
 # ---------------------------------------------------------------- relation
 
-@dataclass(frozen=True)
-class PhiRelation:
-    """Input-output relation over y1, y2, their first two derivatives, and
-    the five constant parameters."""
-
-    variant: str
-    expression: Expression
-
-
-@dataclass(frozen=True)
-class PhiSystem:
-    """The relation and its first four total time derivatives in output
-    symbols; entry k uses output derivatives up to order k+2."""
-
-    variant: str
-    entries: tuple[Expression, ...]
-
-
-def _hiv_symbols(m: OdeModel):
-    params = {s.name: sym(s) for s in m.const_params}
-    y = {(i, k): sym(output_symbol(m, i, k)) for i in (1, 2) for k in range(3)}
-    return params, y
-
-
-def build_phi(variant: str = CORRECTED, m: OdeModel | None = None) -> PhiRelation:
-    """Build the input-output relation; `variant` selects the corrected form
+def build_phi(variant: str = CORRECTED) -> Expression:
+    """The input-output relation over y1, y2, their first two derivatives
+    and the five constant parameters; `variant` selects the corrected form
     or the earlier printed form it amends (two terms differ)."""
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    m = m or hiv_model()
-    par, y = _hiv_symbols(m)
-    lam, delta, rho, c, N = (par[n] for n in PARAM_ORDER)
-    y1, dy1, ddy1 = y[(1, 0)], y[(1, 1)], y[(1, 2)]
-    y2, dy2, ddy2 = y[(2, 0)], y[(2, 1)], y[(2, 2)]
+    m = hiv_model()
+    params = {s.name: sym(s) for s in m.const_params}
+    lam, delta, rho, c, N = (params[n] for n in PARAM_ORDER)
+    y1, dy1, ddy1, y2, dy2, ddy2 = (sym(output_symbol(m, i, k))
+                                    for i in (1, 2) for k in range(3))
 
     common_head = (
         ddy1*y2*dy2 - dy1*y2*ddy2 - delta*y1*y2*ddy2 + lam*y2*ddy2
@@ -122,55 +97,60 @@ def build_phi(variant: str = CORRECTED, m: OdeModel | None = None) -> PhiRelatio
         # into the y1*y2*y2' coefficient, and a dropped lambda factor
         middle = ((delta*rho + rho + delta - delta**2 - delta*c)*y1*y2*dy2
                   + c*y2*dy2)
-    return PhiRelation(variant=variant, expression=common_head + middle + common_tail)
+    return common_head + middle + common_tail
 
 
-def build_phi_system(phi: PhiRelation, m: OdeModel | None = None) -> PhiSystem:
-    """First four total time derivatives of the relation, in output symbols."""
-    m = m or hiv_model()
-    entries = [phi.expression]
+def build_phi_system(phi: Expression) -> tuple[Expression, ...]:
+    """The relation and its first four total time derivatives, in output
+    symbols; entry k uses output derivatives up to order k+2."""
+    entries = [phi]
     for _ in range(4):
-        entries.append(total_time_derivative(m, entries[-1], OUTPUT_SYMBOLS))
-    return PhiSystem(variant=phi.variant, entries=tuple(entries))
+        entries.append(total_time_derivative(hiv_model(), entries[-1]))
+    return tuple(entries)
 
 
-def parameter_jacobian(system: PhiSystem,
-                       m: OdeModel | None = None) -> tuple[tuple[Expression, ...], ...]:
+def parameter_jacobian(system: Sequence[Expression]
+                       ) -> tuple[tuple[Expression, ...], ...]:
     """5x5 Jacobian of the system w.r.t. (lambda, delta, rho, c, N).
 
     Output-derivative symbols are held fixed: differentiation happens
     before any dynamics substitution.
     """
-    m = m or hiv_model()
-    params = {s.name: s for s in m.const_params}
-    return expr.partials(system.entries, [params[n] for n in PARAM_ORDER])
+    params = {s.name: s for s in hiv_model().const_params}
+    return expr.partials(system, [params[n] for n in PARAM_ORDER])
 
 
-def substitute_dynamics(matrix: Sequence[Sequence[Expression]],
-                        m: OdeModel | None = None,
-                        max_order: int = 6) -> tuple[tuple[Expression, ...], ...]:
+def _symbols_of(exprs: Sequence[Expression]) -> set[Symbol]:
+    """Free symbols of several expressions, in one traversal of their
+    shared DAG."""
+    return {n.symbol for n in expr._topo(exprs) if isinstance(n, expr.Sym)}
+
+
+def substitute_dynamics(matrix: Sequence[Sequence[Expression]]
+                        ) -> tuple[tuple[Expression, ...], ...]:
     """Replace every output-derivative symbol y_i^(k) by the k-th jet entry
     of output i, leaving a matrix over states, constant parameters, and the
-    tv-parameter chain."""
-    m = m or hiv_model()
-    bindings: dict[Symbol, Expression] = {}
-    for i in range(1, len(m.outputs) + 1):
-        jet = output_jet(m, i, max_order)
-        for k, entry in enumerate(jet.entries):
-            bindings[output_symbol(m, i, k)] = entry
+    tv-parameter chain. Each output's jet goes as deep as the highest
+    derivative of it that the matrix holds."""
+    m = hiv_model()
     flat = [e for row in matrix for e in row]
+    orders: dict[int, int] = {}
+    for s in _symbols_of(flat):
+        if s.kind == OUTPUT_DERIV:
+            orders[s.output_index] = max(orders.get(s.output_index, 0), s.order)
+    bindings: dict[Symbol, Expression] = {}
+    for i in sorted(orders):
+        for k, entry in enumerate(output_jet(m, i, orders[i]).entries):
+            bindings[output_symbol(m, i, k)] = entry
     sub = substitute_many(flat, bindings)
     n = len(matrix[0])
     return tuple(tuple(sub[r * n:(r + 1) * n]) for r in range(len(matrix)))
 
 
-def phi_vanishes_on_dynamics(phi: PhiRelation,
-                             m: OdeModel | None = None) -> tuple[bool, RationalCanonical]:
+def phi_vanishes_on_dynamics(phi: Expression) -> tuple[bool, RationalCanonical]:
     """Exact check that the relation is zero along every trajectory:
     substitute the output jets and expand."""
-    m = m or hiv_model()
-    constrained = substitute_dynamics([[phi.expression]], m, max_order=2)[0][0]
-    canonical = normalize(constrained)
+    canonical = normalize(substitute_dynamics([[phi]])[0][0])
     return canonical.is_zero, canonical
 
 
@@ -273,7 +253,6 @@ def _draw_point(seed: int, p: int, trial, attempt: int, n: int, p_max: int) -> l
 
 
 def generic_rank(matrix: Sequence[Sequence[Expression]],
-                 symbols: Sequence[Symbol],
                  trials: int,
                  seed: int,
                  primes: Sequence[int] = DEFAULT_PRIMES,
@@ -283,8 +262,8 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
                  variant: str = "") -> RankReport:
     """Generic rank of a symbolic matrix by randomized exact evaluation.
 
-    Each trial binds the free symbols to independent uniform elements of
-    GF(p) and computes the exact rank there; points on a denominator are
+    Each trial binds the free symbols, in `Symbol.sort_key` order, to
+    independent uniform elements of GF(p) and computes the exact rank there; points on a denominator are
     discarded and redrawn. The generic rank is the maximum over at least
     `trials` valid evaluations per prime and must agree across primes.
     With `structured_point`, the listed symbols are pinned to the given
@@ -301,11 +280,12 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
             raise ValueError(f"{p} is not a prime between 2^60 and "
                              f"{_MILLER_RABIN_BOUND}")
 
+    flat = [e for row in matrix for e in row]
+    symbols = sorted(_symbols_of(flat), key=Symbol.sort_key)
     started = time.perf_counter()
-    symbols = list(symbols)
     order = {s: i for i, s in enumerate(symbols)}
     n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
-    program = compile_program([e for row in matrix for e in row], symbols)
+    program = compile_program(flat, symbols)
 
     def rank_at(p: int, trial, pinned: Mapping[Symbol, int]) -> int:
         """Rank mod p at the first point drawn for `trial` that misses
@@ -358,8 +338,7 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
     )
 
 
-def run_rank_test(m: OdeModel | None = None,
-                  mode: str = "constrained",
+def run_rank_test(mode: str = "constrained",
                   variant: str = CORRECTED,
                   trials: int = 100,
                   seed: int = 0,
@@ -373,25 +352,16 @@ def run_rank_test(m: OdeModel | None = None,
     """
     if mode not in ("naive", "constrained"):
         raise ValueError(f"unknown mode {mode!r}")
-    m = m or hiv_model()
-    phi = build_phi(variant, m)
-    system = build_phi_system(phi, m)
-    matrix = parameter_jacobian(system, m)
+    matrix = parameter_jacobian(build_phi_system(build_phi(variant)))
 
     structured = None
     if mode == "constrained":
-        matrix = substitute_dynamics(matrix, m)
+        matrix = substitute_dynamics(matrix)
         # one documented point with a locally constant tv-parameter: the
         # rank bound does not depend on eta actually varying
-        tv = m.tv_params[0]
+        tv = hiv_model().tv_params[0]
         structured = {tv.derivative(k): 0 for k in range(1, 6)}
 
-    symbols = set()
-    for row in matrix:
-        for e in row:
-            symbols |= free_symbols(e)
-    symbols = sorted(symbols, key=Symbol.sort_key)
-
-    return generic_rank(matrix, symbols, trials, seed, primes,
+    return generic_rank(matrix, trials, seed, primes,
                         structured_point=structured, mode=mode,
                         variant=variant)

@@ -66,7 +66,9 @@ class StepSizeUnderflow(expr.ExprError):
 
 class StepBudgetExceeded(StepSizeUnderflow):
     """The run took more step attempts than its budget allows (a pole
-    between grid points, or a window far longer than the dynamics)."""
+    between grid points, or a window far longer than the dynamics). The
+    budget is absolute; the message says how far through its window the
+    run got."""
 
 
 class NonFiniteState(expr.ExprError):
@@ -317,7 +319,8 @@ def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
             attempts += 1
             if attempts > _MAX_ATTEMPTS:
                 raise StepBudgetExceeded(
-                    f"no end after {_MAX_ATTEMPTS} step attempts, at t = {t}")
+                    f"no end after {_MAX_ATTEMPTS} step attempts, at t = {t} "
+                    f"of [{cfg.t0}, {tf}] ({(t - cfg.t0) / (tf - cfg.t0):.0%})")
             step = attempt(f, t, h, y, f_left, atol, rtol)
             if step is None:
                 h *= _MIN_SHRINK
@@ -547,7 +550,7 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
             return (rhs(*orig, et, *base)
                     + rhs(*y[3:], inst.eta(*orig, et), *primed))
 
-        states = _solve(f, y0[0], cfg)[:, None, :]
+        states = _solve_twins(f, y0[0], cfg, params, insts)[:, None, :]
     else:
         eta_prime = eta_prime_stack(params, np.array([i.u for i in insts]))
         primed = np.array(primed).T
@@ -562,7 +565,7 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
                 dy[:, j] = col
             return dy
 
-        states = _solve(f, y0, cfg)
+        states = _solve_twins(f, y0, cfg, params, insts)
 
     # the HIV outputs read the states only: one program for every trajectory
     outputs = compile_program([e for _, e in m.outputs], m.states)
@@ -586,6 +589,28 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
             config=cfg,
         ), orig, prim))
     return runs
+
+
+def _solve_twins(f, y0, cfg: SimConfig, params: Params,
+                 insts: Sequence[TauFamily]) -> np.ndarray:
+    """`_solve` for the twins `insts`. A failure is raised again as the same
+    type, naming the tau, or the tau range of a sweep, and for twins with
+    u < 1 the ratio T_I/T_U at which their eta' has its pole."""
+    try:
+        return _solve(f, y0, cfg)
+    except (StepSizeUnderflow, NonFiniteState, expr.DivisionByZero) as exc:
+        taus = [inst.tau for inst in insts]
+        where = (f"tau = {taus[0]:.6g}" if len(taus) == 1
+                 else f"tau in [{min(taus):.6g}, {max(taus):.6g}]")
+        # eta_prime_expr's denominator is V*(rho*u*T_U - delta*(1-u)*T_I)
+        poles = sorted(params.rho * inst.u / (params.delta * (1 - inst.u))
+                       for inst in insts if inst.u < 1)
+        if len(poles) == 1:
+            where += f" (eta' has its pole at T_I/T_U = {poles[0]:.3g})"
+        elif poles:
+            where += (f" (the twins' eta' have poles at T_I/T_U from "
+                      f"{poles[0]:.3g} to {poles[-1]:.3g})")
+        raise type(exc)(f"{exc}, for {where}") from None
 
 
 # --------------------------------------------------- relation residuals
@@ -628,7 +653,7 @@ def phi_residuals_along(trajectory: Trajectory, params: Params,
 
     residuals = {}
     for variant in variants:
-        relation = build_phi(variant, m).expression
+        relation = build_phi(variant)
         terms = compile_program(
             relation.args if isinstance(relation, expr.Sum) else [relation],
             [*jet_symbols, *m.const_params])

@@ -160,7 +160,7 @@ def test_criterion_8_engine_property_suites():
     for i in (1, 2):
         jet = M.output_jet(hiv, i, 6)
         for k in range(6):
-            derived = M.total_time_derivative(hiv, jet.entries[k], M.DYNAMICS)
+            derived = M.total_time_derivative(hiv, jet.entries[k])
             if not E.is_zero(E.sub(jet.entries[k + 1], derived)):
                 jets_pass = False
 

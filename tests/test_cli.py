@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, schema-stable JSON."""
 
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -177,17 +178,42 @@ def test_eta_pole_inside_the_window_fails_before_integrating(capsys):
     assert err == "error: eta is not finite on the window\n"
 
 
-@pytest.mark.parametrize("flags", [["--tf", "1e308"],
-                                   ["--eta", "1/(t-5)^2", "--grid", "400"]],
-                         ids=["huge window", "pole between grid points"])
-def test_endless_run_stops_at_the_step_budget(capsys, monkeypatch, flags):
+@pytest.mark.parametrize("flags, window", [
+    (["--tf", "1e308"], r"\[0\.0, 1e\+308\] \(0%\)"),
+    (["--eta", "1/(t-5)^2", "--grid", "400"], r"\[0\.0, 10\.0\] \(50%\)"),
+], ids=["huge window", "pole between grid points"])
+def test_endless_run_stops_at_the_step_budget(capsys, monkeypatch, flags,
+                                              window):
     # both used to run on without end; the real budget of 100,000 attempts
     # stops each in about 4 s, and a smaller one takes the same path sooner
     monkeypatch.setattr(sim, "_MAX_ATTEMPTS", 5000)
     code, out, err = run(capsys, "simulate", "--tau", "0.5", *flags)
     assert code == 1
     assert out == "" and err.count("\n") == 1
-    assert err.startswith("error: no end after 5000 step attempts")
+    assert re.fullmatch(r"error: no end after 5000 step attempts, at t = "
+                        rf"\S+ of {window}, for tau = 0\.5\n", err)
+
+
+@pytest.mark.parametrize("flag, budget, failure, where", [
+    ("--tau=-1", None, "step size underflow at t =",
+     "tau = -1 (eta' has its pole at T_I/T_U = 0.582)"),
+    # the sweep underflows only after about 50,000 step attempts (20 s); a
+    # smaller budget stops it sooner, and the failure names the twins alike
+    ("--sweep=-1:1.5:20", 2000, "no end after 2000 step attempts, at t =",
+     "tau in [-1, 1.5] (the twins' eta' have poles at T_I/T_U from 0.582 "
+     "to 12.2)"),
+], ids=["single", "sweep"])
+def test_negative_tau_failure_names_the_tau_and_the_pole(
+        capsys, monkeypatch, flag, budget, failure, where):
+    # at the default init T_I/T_U = 1 the original trajectory runs into the
+    # ratio rho*u/(delta*(1-u)) where a twin with u < 1 divides by zero
+    if budget is not None:
+        monkeypatch.setattr(sim, "_MAX_ATTEMPTS", budget)
+    code, out, err = run(capsys, "simulate", flag)
+    assert code == 1
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {failure} ")
+    assert err.endswith(f", for {where}\n")
 
 
 @pytest.mark.parametrize("command", [["simulate", "--tau", "0.5"],

@@ -156,7 +156,7 @@ def test_jet_consistency_symbolic_to_order_six():
     for i in (1, 2):
         jet = M.output_jet(hiv, i, 6)
         for k in range(6):
-            derived = M.total_time_derivative(hiv, jet.entries[k], M.DYNAMICS)
+            derived = M.total_time_derivative(hiv, jet.entries[k])
             assert E.is_zero(E.sub(jet.entries[k + 1], derived))
 
 
@@ -189,16 +189,16 @@ def test_jet_rejects_negative_order():
         M.output_jet(hiv, 1, -1)
 
 
-# ------------------------------------------- total time derivative modes
+# --------------------------------------------------- total time derivative
 
 def test_dynamics_mode_state():
-    got = M.total_time_derivative(hiv, E.sym(V), M.DYNAMICS)
+    got = M.total_time_derivative(hiv, E.sym(V))
     assert E.equivalent(got, _expr("N*delta*T_I - c*V"))
 
 
 def test_dynamics_mode_chains_eta():
     e = E.sym(eta) * E.sym(V)
-    got = M.total_time_derivative(hiv, e, M.DYNAMICS)
+    got = M.total_time_derivative(hiv, e)
     want = E.sym(eta.derivative()) * E.sym(V) + E.sym(eta) * hiv.rhs_of(V)
     assert E.is_zero(E.sub(got, want))
 
@@ -208,25 +208,16 @@ def test_output_mode_product_rule():
     y2 = E.sym(M.output_symbol(hiv, 2))
     dy1 = E.sym(M.output_symbol(hiv, 1, 1))
     dy2 = E.sym(M.output_symbol(hiv, 2, 1))
-    got = M.total_time_derivative(hiv, y1 * y2, M.OUTPUT_SYMBOLS)
+    got = M.total_time_derivative(hiv, y1 * y2)
     assert E.is_zero(E.sub(got, dy1 * y2 + y1 * dy2))
 
 
 def test_output_mode_constant_param_is_zero():
-    got = M.total_time_derivative(hiv, E.sym(lam), M.OUTPUT_SYMBOLS)
+    got = M.total_time_derivative(hiv, E.sym(lam))
     assert got == E.ZERO
 
 
 def test_mixed_symbols_rejected():
     y1 = E.sym(M.output_symbol(hiv, 1))
     with pytest.raises(M.MixedModeSymbols):
-        M.total_time_derivative(hiv, y1 + E.sym(TU), M.OUTPUT_SYMBOLS)
-    with pytest.raises(M.MixedModeSymbols):
-        M.total_time_derivative(hiv, y1 + E.sym(TU), M.DYNAMICS)
-    with pytest.raises(M.MixedModeSymbols):
-        M.total_time_derivative(hiv, E.sym(TU), M.OUTPUT_SYMBOLS)
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        M.total_time_derivative(hiv, E.sym(V), "bogus")
+        M.total_time_derivative(hiv, y1 + E.sym(TU))

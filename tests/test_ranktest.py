@@ -23,11 +23,17 @@ def _sy(i, k=0):
     return E.sym(_y(i, k))
 
 
+def _jet_bindings(order):
+    """Both outputs' jets to `order`, bound to their output symbols."""
+    return {_y(i, k): e for i in (1, 2)
+            for k, e in enumerate(M.output_jet(hiv, i, order).entries)}
+
+
 # ---------------------------------------------------------------- relation
 
 def test_variant_difference_is_the_two_corrections():
-    corr = R.build_phi(R.CORRECTED).expression
-    printed = R.build_phi(R.MIAO_AS_PRINTED).expression
+    corr = R.build_phi(R.CORRECTED)
+    printed = R.build_phi(R.MIAO_AS_PRINTED)
     y1, dy1 = _sy(1), _sy(1, 1)
     y2, dy2 = _sy(2), _sy(2, 1)
     lam_, delta_, rho_, c_ = (E.sym(s) for s in (lam, delta, rho, c))
@@ -38,13 +44,13 @@ def test_variant_difference_is_the_two_corrections():
 
 
 def test_corrected_has_the_feedback_term():
-    rc = E.normalize(R.build_phi(R.CORRECTED).expression)
+    rc = E.normalize(R.build_phi(R.CORRECTED))
     coeff = rc.coefficient({N: 1, delta: 1, _y(1): 1, _y(1, 2): 1, _y(2): 1})
     assert coeff == Fraction(-1)
 
 
 def test_printed_variant_matches_its_two_terms():
-    rc = E.normalize(R.build_phi(R.MIAO_AS_PRINTED).expression)
+    rc = E.normalize(R.build_phi(R.MIAO_AS_PRINTED))
     # sixth term coefficient bundle on y1*y2*y2'
     assert rc.coefficient({delta: 1, rho: 1, _y(1): 1, _y(2): 1, _y(2, 1): 1}) == 1
     assert rc.coefficient({rho: 1, _y(1): 1, _y(2): 1, _y(2, 1): 1}) == 1
@@ -54,7 +60,7 @@ def test_printed_variant_matches_its_two_terms():
 
 
 def test_relation_vanishes_at_origin():
-    phi = R.build_phi(R.CORRECTED).expression
+    phi = R.build_phi(R.CORRECTED)
     point = {s: 0 for s in E.free_symbols(phi)}
     assert E.evaluate(phi, point) == 0
 
@@ -71,16 +77,23 @@ def test_corrected_vanishes_along_dynamics_and_printed_does_not():
     assert not bad and not residual.is_zero
 
 
+@pytest.mark.parametrize("variant", [R.CORRECTED, R.MIAO_AS_PRINTED])
+def test_relation_residual_is_the_order_two_substitution(variant):
+    phi = R.build_phi(variant)
+    _, residual = R.phi_vanishes_on_dynamics(phi)
+    assert residual == E.normalize(E.substitute(phi, _jet_bindings(2)))
+
+
 # ------------------------------------------------------------------ system
 
 def test_system_has_five_entries():
     system = R.build_phi_system(R.build_phi(R.CORRECTED))
-    assert len(system.entries) == 5
+    assert len(system) == 5
 
 
 def test_system_orders_climb_to_six():
     system = R.build_phi_system(R.build_phi(R.CORRECTED))
-    for k, entry in enumerate(system.entries):
+    for k, entry in enumerate(system):
         top = max(s.order for s in E.free_symbols(entry)
                   if s.kind == E.OUTPUT_DERIV)
         assert top == k + 2
@@ -89,9 +102,8 @@ def test_system_orders_climb_to_six():
 
 def test_system_entries_are_successive_derivatives():
     system = R.build_phi_system(R.build_phi(R.CORRECTED))
-    derived = M.total_time_derivative(hiv, system.entries[0],
-                                      M.OUTPUT_SYMBOLS)
-    assert E.is_zero(E.sub(system.entries[1], derived))
+    derived = M.total_time_derivative(hiv, system[0])
+    assert E.is_zero(E.sub(system[1], derived))
 
 
 # ---------------------------------------------------------------- jacobian
@@ -106,7 +118,7 @@ def test_jacobian_first_entry_closed_form():
 
 
 def test_jacobian_first_row_vs_finite_differences():
-    phi = R.build_phi(R.CORRECTED).expression
+    phi = R.build_phi(R.CORRECTED)
     dlam = E.differentiate(phi, lam)
     rng = random.Random(5)
     syms = sorted(E.free_symbols(phi), key=E.Symbol.sort_key)
@@ -125,8 +137,7 @@ def test_jacobian_c_column_has_the_quadratic_term():
 
 
 def test_jacobian_of_zero_system_is_zero():
-    zero_system = R.PhiSystem(variant="corrected", entries=(E.ZERO,) * 5)
-    jac = R.parameter_jacobian(zero_system)
+    jac = R.parameter_jacobian((E.ZERO,) * 5)
     assert all(e == E.ZERO for row in jac for e in row)
 
 
@@ -144,6 +155,15 @@ def test_substitution_removes_output_symbols():
     assert len(syms) == 14
 
 
+def test_substitution_uses_jets_to_the_matrix_order():
+    jac = R.parameter_jacobian(R.build_phi_system(R.build_phi(R.CORRECTED)))
+    want = E.substitute_many([e for row in jac for e in row],
+                             _jet_bindings(6))
+    got = [e for row in R.substitute_dynamics(jac) for e in row]
+    assert len(got) == len(want) == 25
+    assert all(g is w for g, w in zip(got, want))
+
+
 def test_naive_matrix_has_nineteen_symbols():
     system = R.build_phi_system(R.build_phi(R.CORRECTED))
     jac = R.parameter_jacobian(system)
@@ -158,10 +178,11 @@ def test_substituting_the_virus_derivative_alone():
     got = R.substitute_dynamics([[_sy(2, 1)]])[0][0]
     want = E.parse_expression("N*delta*T_I - c*V", hiv.symbol_table())
     assert E.is_zero(E.sub(got, want))
+    assert got is M.output_jet(hiv, 2, 1).entries[1]
 
 
 def test_substitution_leaves_other_symbols_intact():
-    phi = R.build_phi(R.CORRECTED).expression
+    phi = R.build_phi(R.CORRECTED)
     target = _y(2, 1)
     image = hiv.rhs_of(hiv.states[2])
     substituted = E.substitute(phi, {target: image})
@@ -184,21 +205,21 @@ def _const_matrix(rows):
 def test_rank_of_identity_matrix():
     eye = _const_matrix([[1 if i == j else 0 for j in range(5)]
                          for i in range(5)])
-    report = R.generic_rank(eye, [], trials=1, seed=1)
+    report = R.generic_rank(eye, trials=1, seed=1)
     assert report.generic_rank == 5
 
 
 def test_rank_of_deficient_matrix():
     m = _const_matrix([[1, 2], [2, 4]])
-    report = R.generic_rank(m, [], trials=1, seed=1)
+    report = R.generic_rank(m, trials=1, seed=1)
     assert report.generic_rank == 1
 
 
 def test_rank_report_is_deterministic():
     x = E.Symbol("x")
     m = [[E.sym(x), E.ONE], [E.ONE, E.sym(x)]]
-    a = R.generic_rank(m, [x], trials=20, seed=3)
-    b = R.generic_rank(m, [x], trials=20, seed=3)
+    a = R.generic_rank(m, trials=20, seed=3)
+    b = R.generic_rank(m, trials=20, seed=3)
     da, db = a.to_dict(), b.to_dict()
     da.pop("elapsed_ms")
     db.pop("elapsed_ms")
@@ -208,30 +229,51 @@ def test_rank_report_is_deterministic():
 def test_rank_scale_invariance():
     system = R.build_phi_system(R.build_phi(R.CORRECTED))
     jac = R.parameter_jacobian(system)
-    syms = sorted({s for row in jac for e in row for s in E.free_symbols(e)},
-                  key=E.Symbol.sort_key)
-    base = R.generic_rank(jac, syms, trials=5, seed=9)
+    base = R.generic_rank(jac, trials=5, seed=9)
     scaled = [list(row) for row in jac]
     rng = random.Random(1)
     for i in range(len(scaled)):
         factor = E.const(rng.randint(2, 10**6))
         scaled[i] = [E.mul(factor, e) for e in scaled[i]]
-    again = R.generic_rank(scaled, syms, trials=5, seed=9)
+    again = R.generic_rank(scaled, trials=5, seed=9)
     assert base.observed_ranks == again.observed_ranks
+
+
+@pytest.mark.parametrize("constrained, rank", [(False, 5), (True, 4)],
+                         ids=["naive", "constrained"])
+def test_generic_rank_binds_the_sorted_free_symbols(monkeypatch, constrained,
+                                                    rank):
+    # the symbols run_rank_test used to collect and pass in
+    jac = R.parameter_jacobian(R.build_phi_system(R.build_phi(R.CORRECTED)))
+    if constrained:
+        jac = R.substitute_dynamics(jac)
+    explicit = sorted({s for row in jac for e in row for s in E.free_symbols(e)},
+                      key=E.Symbol.sort_key)
+    bound = []
+    compile_program = R.compile_program
+
+    def spy(exprs, symbols):
+        bound.append(list(symbols))
+        return compile_program(exprs, symbols)
+
+    monkeypatch.setattr(R, "compile_program", spy)
+    report = R.generic_rank(jac, trials=5, seed=7)
+    assert bound == [explicit]
+    assert report.observed_ranks == {rank: 15}
 
 
 def test_prime_disagreement_detected():
     # a 1x1 matrix holding the first prime: rank 0 mod p0, rank 1 mod p1
     m = _const_matrix([[R.DEFAULT_PRIMES[0]]])
     with pytest.raises(R.PrimeDisagreement):
-        R.generic_rank(m, [], trials=1, seed=1)
+        R.generic_rank(m, trials=1, seed=1)
 
 
 def test_exhausted_retries_on_identically_singular_entry():
     x = E.Symbol("x")
     bad = [[E.div(E.ONE, E.sub(E.sym(x), E.sym(x)))]]
     with pytest.raises(R.ExhaustedRetries):
-        R.generic_rank(bad, [x], trials=1, seed=1)
+        R.generic_rank(bad, trials=1, seed=1)
 
 
 def test_exhausted_retries_at_the_structured_point():
@@ -239,29 +281,29 @@ def test_exhausted_retries_at_the_structured_point():
     # point on the denominator
     x = E.Symbol("x")
     matrix = [[E.div(E.ONE, E.sym(x))]]
-    assert R.generic_rank(matrix, [x], trials=2, seed=1).generic_rank == 1
+    assert R.generic_rank(matrix, trials=2, seed=1).generic_rank == 1
     with pytest.raises(R.ExhaustedRetries):
-        R.generic_rank(matrix, [x], trials=2, seed=1,
+        R.generic_rank(matrix, trials=2, seed=1,
                        structured_point={x: 0})
 
 
 def test_generic_rank_validation():
     eye = _const_matrix([[1]])
     with pytest.raises(ValueError):
-        R.generic_rank(eye, [], trials=0, seed=1)
+        R.generic_rank(eye, trials=0, seed=1)
     with pytest.raises(ValueError):
-        R.generic_rank(eye, [], trials=1, seed=1,
+        R.generic_rank(eye, trials=1, seed=1,
                        primes=(R.DEFAULT_PRIMES[0],))
     with pytest.raises(ValueError):
-        R.generic_rank(eye, [], trials=1, seed=1,
+        R.generic_rank(eye, trials=1, seed=1,
                        primes=(R.DEFAULT_PRIMES[0], R.DEFAULT_PRIMES[0] + 2))
     with pytest.raises(ValueError):
-        R.generic_rank(eye, [], trials=1, seed=1, primes=(101, 103))
+        R.generic_rank(eye, trials=1, seed=1, primes=(101, 103))
     # a prime, but beyond the range where is_prime is proven
     with pytest.raises(ValueError, match="318665857834031151167461"):
-        R.generic_rank(eye, [], trials=1, seed=1,
+        R.generic_rank(eye, trials=1, seed=1,
                        primes=(2**89 - 1, R.DEFAULT_PRIMES[0]))
-    assert R.generic_rank(eye, [], trials=1, seed=1,
+    assert R.generic_rank(eye, trials=1, seed=1,
                           primes=R.DEFAULT_PRIMES).generic_rank == 1
 
 

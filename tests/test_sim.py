@@ -3,6 +3,7 @@ residuals along trajectories."""
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from odeident import expr as E
 from odeident import model as M
 from odeident import sim as S
 from odeident.transform import (Params, SingularTau, TauFamily,
-                                eta_prime_stack)
+                                eta_prime_expr, eta_prime_stack)
 
 from helpers import reference_solve
 
@@ -140,9 +141,32 @@ def test_step_budget_raises_typed_error(monkeypatch):
     # a window far longer than the dynamics runs out of step attempts
     monkeypatch.setattr(S, "_MAX_ATTEMPTS", 500)
     m = M.parse_model("model d\nstates x\node x = -x\noutput o = x\n")
-    with pytest.raises(S.StepBudgetExceeded, match="500 step attempts"):
+    with pytest.raises(S.StepBudgetExceeded, match=r"500 step attempts, at "
+                       r"t = 0\.\d+ of \[0\.0, 1000000\.0\] \(0%\)$"):
         S.integrate(m, {}, [1.0], None, S.SimConfig(tf=1e6))
     assert issubclass(S.StepBudgetExceeded, S.StepSizeUnderflow)
+
+
+def test_twin_failure_names_the_ratio_at_the_eta_pole(monkeypatch):
+    def underflow(f, y0, cfg):
+        raise S.StepSizeUnderflow("step size underflow at t = 1.0")
+
+    monkeypatch.setattr(S, "_solve", underflow)
+    params = Params(lam=1.0, delta=0.8, rho=1.7, c=1.0, N=3.0)
+    with pytest.raises(S.StepSizeUnderflow) as info:
+        S.run_indistinguishability(params, [1.0, 0.2, 1.0], HALF, -0.5)
+    found = re.search(r", for tau = -0\.5 \(eta' has its pole at "
+                      r"T_I/T_U = (\S+)\)$", str(info.value))
+    ratio = float(found.group(1))
+    # eta''s denominator changes sign across the printed ratio
+    den = eta_prime_expr().denominator
+    TU, TI, V = hiv.states
+    point = {TU: 1.0, V: 1.0, E.Symbol("u", E.AUX): math.exp(1.7 * -0.5),
+             **{s: params.as_dict()[s.name] for s in hiv.const_params}}
+    signs = {math.copysign(1.0, E.evaluate(den, {**point, TI: ratio * f},
+                                           arithmetic="float64"))
+             for f in (0.99, 1.01)}
+    assert signs == {-1.0, 1.0}
 
 
 def test_flat_right_hand_side_division_by_zero_is_typed():
@@ -498,7 +522,7 @@ def _residual_term_by_term(traj, params, eta, variant):
                 E.compile_float_fn(e, args)(*(cols[s] for s in args)),
                 grid.shape)
     terms = []
-    for term in R.build_phi(variant, hiv).expression.args:
+    for term in R.build_phi(variant).args:
         args = sorted(E.free_symbols(term), key=E.Symbol.sort_key)
         terms.append(np.broadcast_to(
             E.compile_float_fn(term, args)(*(cols[s] for s in args)),
