@@ -9,8 +9,8 @@ experiment.
 
 from .expr import (
     DenominatorIdenticallyZero, DivisionByZero, DuplicateDeclaration,
-    Expression, ExprError, ParseError, RationalCanonical, Symbol,
-    SymbolTable, UnboundSymbol, UndeclaredSymbol,
+    Expression, ExpressionTooLarge, ExprError, ParseError, RationalCanonical,
+    Symbol, SymbolTable, UnboundSymbol, UndeclaredSymbol,
     add, const, differentiate, div, equivalent, evaluate, free_symbols,
     is_zero, mul, neg, normalize, parse_expression, partials, pow_, sub,
     substitute, sym, to_text,

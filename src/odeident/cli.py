@@ -333,7 +333,11 @@ def main(argv=None) -> int:
         "phi-check": _cmd_phi_check,
         "parse": _cmd_parse,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except expr.ExpressionTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _MATH_FAIL
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ simplification heuristics or numerics.
 from __future__ import annotations
 
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -22,6 +23,7 @@ __all__ = [
     "RationalCanonical", "Program",
     "ExprError", "ParseError", "UndeclaredSymbol", "DuplicateDeclaration",
     "UnboundSymbol", "DivisionByZero", "DenominatorIdenticallyZero",
+    "ExpressionTooLarge",
     "add", "compile_float_fn", "compile_program", "const", "differentiate",
     "div", "equivalent", "evaluate", "free_symbols", "is_zero", "mul",
     "neg", "normalize", "parse_expression", "partials", "pow_", "sub",
@@ -75,6 +77,11 @@ class DivisionByZero(ExprError):
 
 class DenominatorIdenticallyZero(ExprError):
     """A denominator is the zero rational function (malformed expression)."""
+
+
+class ExpressionTooLarge(ExprError):
+    """Expanding an expression would form a polynomial product past the
+    size limit; raised before the product is allocated."""
 
 
 # ----------------------------------------------------------------- symbols
@@ -265,7 +272,23 @@ class Expression:
         return f"<{type(self).__name__} {text}>"
 
 
-_NODES = weakref.WeakValueDictionary()
+# The intern table maps a node's key to a weak reference to the node, so
+# a constructor's lookup is one dict read (`ref = _NODES.get(key)`, then
+# `ref and ref()`). A dying node's reference removes its entry only while
+# the entry holds a dead reference, so a node interned again under the
+# same key before a late callback runs keeps its entry. The check and the
+# removal are one C call, the one `WeakValueDictionary` makes.
+_NODES: dict = {}
+
+
+class _NodeRef(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref, nodes=_NODES, remove=_remove_dead_weakref):
+    # bound as defaults: module globals may be gone when the last nodes die
+    # at interpreter exit
+    remove(nodes, ref.key)
 
 
 def _new_node(cls, key, h, **fields):
@@ -275,7 +298,9 @@ def _new_node(cls, key, h, **fields):
     node._hash = h
     for name, value in fields.items():
         setattr(node, name, value)
-    _NODES[key] = node
+    ref = _NodeRef(node, _forget)
+    ref.key = key
+    _NODES[key] = ref
     return node
 
 
@@ -284,7 +309,8 @@ class Const(Expression):
 
     def __new__(cls, value: Fraction):
         key = ("const", value)
-        return _NODES.get(key) or _new_node(cls, key, hash(key), value=value)
+        ref = _NODES.get(key)
+        return ref and ref() or _new_node(cls, key, hash(key), value=value)
 
     def _new_args(self):
         return (self.value,)
@@ -295,7 +321,8 @@ class Sym(Expression):
 
     def __new__(cls, symbol: Symbol):
         key = ("sym", symbol)
-        return _NODES.get(key) or _new_node(cls, key, hash(key), symbol=symbol)
+        ref = _NODES.get(key)
+        return ref and ref() or _new_node(cls, key, hash(key), symbol=symbol)
 
     def _new_args(self):
         return (self.symbol,)
@@ -308,7 +335,8 @@ class _Composite(Expression):
     def __new__(cls, args: tuple):
         # a live node holds its children, so their ids stay unique in the key
         key = (cls._tag, *map(id, args))
-        return _NODES.get(key) or _new_node(
+        ref = _NODES.get(key)
+        return ref and ref() or _new_node(
             cls, key, hash((cls._tag,) + tuple(a._hash for a in args)), args=args)
 
     def _new_args(self):
@@ -365,7 +393,8 @@ class Power(_Composite):
 
     def __new__(cls, base: Expression, exponent: int):
         key = ("^", exponent, id(base))
-        return _NODES.get(key) or _new_node(
+        ref = _NODES.get(key)
+        return ref and ref() or _new_node(
             cls, key, hash(("^", exponent, base._hash)),
             args=(base,), exponent=exponent)
 
@@ -407,20 +436,24 @@ def _coerce(x) -> Expression:
 def add(*terms) -> Expression:
     """n-ary sum; flattens nested sums, folds constants, drops zeros."""
     flat: list[Expression] = []
-    total = Fraction(0)
+    # an int until the first Const replaces it: a sum without constants
+    # does no Fraction arithmetic
+    total = 0
     for t in terms:
-        t = _coerce(t)
-        if isinstance(t, Const):
-            total += t.value
-        elif isinstance(t, Sum):
+        if not isinstance(t, Expression):
+            t = _coerce(t)
+        kind = type(t)
+        if kind is Const:
+            total = t.value if type(total) is int else total + t.value
+        elif kind is Sum:
             for u in t.args:
-                if isinstance(u, Const):
-                    total += u.value
+                if type(u) is Const:
+                    total = u.value if type(total) is int else total + u.value
                 else:
                     flat.append(u)
         else:
             flat.append(t)
-    if total != 0:
+    if total:
         flat.append(Const(total))
     if not flat:
         return ZERO
@@ -432,23 +465,25 @@ def add(*terms) -> Expression:
 def mul(*factors) -> Expression:
     """n-ary product; flattens, folds constants, short-circuits zero."""
     flat: list[Expression] = []
-    coeff = Fraction(1)
+    coeff = 1  # an int until the first Const replaces it, as in `add`
     for f in factors:
-        f = _coerce(f)
-        if isinstance(f, Const):
-            coeff *= f.value
-        elif isinstance(f, Product):
+        if not isinstance(f, Expression):
+            f = _coerce(f)
+        kind = type(f)
+        if kind is Const:
+            coeff = f.value if type(coeff) is int else coeff * f.value
+        elif kind is Product:
             for u in f.args:
-                if isinstance(u, Const):
-                    coeff *= u.value
+                if type(u) is Const:
+                    coeff = u.value if type(coeff) is int else coeff * u.value
                 else:
                     flat.append(u)
         else:
             flat.append(f)
-    if coeff == 0:
+    if not coeff:
         return ZERO
     if not flat:
-        return Const(coeff)
+        return ONE if type(coeff) is int else Const(coeff)
     if coeff != 1:
         flat.insert(0, Const(coeff))
     if len(flat) == 1:
@@ -642,26 +677,29 @@ def substitute_many(exprs: Sequence[Expression],
 
 # ---------------------------------------------- polynomials and normalize
 #
-# `normalize` expands over indices: the free symbols of the expression,
-# sorted by `Symbol.sort_key`, are numbered 0, 1, ..., and a monomial is a
-# tuple of (index, exponent) int pairs sorted by index. A polynomial is a
+# `normalize` expands over packed monomials. The free symbols of the
+# expression, sorted by `Symbol.sort_key`, are numbered 0, 1, ..., and a
+# monomial is one int that holds symbol i's exponent in the bit field
+# [i*w, (i+1)*w), so multiplying two monomials is adding their ints. The
+# field width w is the bit length of a bound on the total degree of every
+# polynomial the expansion forms, so no exponent reaches 2**w and no field
+# carries into the next (`normalize` derives the bound). A polynomial is a
 # dict mapping monomials to nonzero coefficients, which stay Python ints
 # until a non-integral constant brings in a `Fraction`; the empty dict is
 # zero. `RationalCanonical` holds the public form of the same dicts: each
-# index replaced by its Symbol and each coefficient made a Fraction.
+# monomial unpacked into (Symbol, exponent) pairs and each coefficient made
+# a Fraction. The expansion is where sizes grow, so a product of more than
+# `_MAX_PRODUCT_TERMS` pairs of terms raises `ExpressionTooLarge` before
+# it is formed.
 
-_POLY_ONE = {(): 1}
-
-
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    merged = dict(m1)
-    for i, k in m2:
-        merged[i] = merged.get(i, 0) + k
-    return tuple(sorted(merged.items()))
+_POLY_ONE = {0: 1}
+# The bundled model's largest product is 3 x 496 = 1,488 term pairs
+# (y1's order-8 jet). The tier-1 suite's property tests draw expressions
+# at random; the largest product seen over about 50 runs was 400 x 400 =
+# 160,000 pairs. A product under the limit has at most 4 million terms;
+# one with 4 million distinct small-coefficient terms takes about 2.5 s
+# and 440 MB.
+_MAX_PRODUCT_TERMS = 4_000_000
 
 
 def _poly_add(p1, p2):
@@ -700,10 +738,15 @@ def _poly_mul(p1, p2):
         return p1
     if len(p1) > len(p2):
         p1, p2 = p2, p1
+    if len(p1) * len(p2) > _MAX_PRODUCT_TERMS:
+        raise ExpressionTooLarge(
+            f"expanding a product of {len(p1)} and {len(p2)} terms exceeds "
+            f"the limit of {_MAX_PRODUCT_TERMS:,} term pairs")
     out: dict = {}
+    terms = p2.items()
     for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
-            m = _mono_mul(m1, m2)
+        for m2, c2 in terms:
+            m = m1 + m2
             v = out.get(m)
             if v is None:
                 out[m] = c1 * c2
@@ -727,16 +770,27 @@ def _poly_pow(p, k: int):
     return result
 
 
-def _indexed(p, index):
-    """The indexed form of the public polynomial `p`; `index` numbers its
-    symbols in sort-key order."""
-    return {tuple((index[s], k) for s, k in m): c for m, c in p.items()}
+def _indexed(p, index, width):
+    """The packed form of the public polynomial `p`, with `width`-bit
+    fields; `index` numbers its symbols in sort-key order."""
+    return {sum(k << index[s] * width for s, k in m): c for m, c in p.items()}
 
 
-def _public(p, symbols):
-    """The public form of the indexed polynomial `p` over `symbols`."""
-    return {tuple((symbols[i], k) for i, k in m): Fraction(c)
-            for m, c in p.items()}
+def _public(p, symbols, width):
+    """The public form of the packed polynomial `p` over `symbols`."""
+    mask = (1 << width) - 1
+    out = {}
+    for m, c in p.items():
+        mono = []
+        i = 0
+        while m:
+            k = m & mask
+            if k:
+                mono.append((symbols[i], k))
+            m >>= width
+            i += 1
+        out[tuple(mono)] = Fraction(c)
+    return out
 
 
 def _mono_order_key(mono):
@@ -805,8 +859,12 @@ class RationalCanonical:
         symbols = sorted(self.free_symbols() | other.free_symbols(),
                          key=Symbol.sort_key)
         index = {s: i for i, s in enumerate(symbols)}
-        n1, d1, n2, d2 = (_indexed(p, index) for p in (
-            self.numerator, self.denominator, other.numerator, other.denominator))
+        polys = (self.numerator, self.denominator, other.numerator,
+                 other.denominator)
+        # a cross product's exponents reach twice the largest operand one
+        top = max((k for p in polys for m in p for _, k in m), default=0)
+        n1, d1, n2, d2 = (_indexed(p, index, (2 * top).bit_length())
+                          for p in polys)
         return not _poly_add(_poly_mul(n1, d2), _poly_scale(_poly_mul(n2, d1), -1))
 
     def __eq__(self, other):
@@ -846,23 +904,61 @@ def normalize(e: Expression) -> RationalCanonical:
 
     `normalize(e).is_zero` is an exact zero test for the rational
     function `e` denotes. Shared DAG nodes are expanded once. The
-    expansion runs over indexed monomials and int coefficients (see the
+    expansion runs over packed monomials and int coefficients (see the
     section comment), and the public form is built once, from the root's
     pair.
+
+    The field width comes from a bound (num, den) on the total degrees of
+    each node's pair, taken in the same pass that collects the symbols: a
+    constant has (0, 0) and a symbol (1, 0); a sum or difference of
+    children (n_i, d_i) has (max(n_i + D - d_i), D) with D = sum(d_i); a
+    product adds the children's bounds; a quotient of (n1, d1) by
+    (n2, d2) has (n1 + d2, d1 + n2); a power k >= 0 scales (n, d) by k,
+    and k < 0 scales the swapped (d, n) by -k. Every intermediate
+    polynomial stays within its node's bound, so the largest bound over
+    all nodes caps every exponent.
     """
     order = _topo([e])
-    symbols = sorted({node.symbol for node in order if isinstance(node, Sym)},
-                     key=Symbol.sort_key)
-    index = {s: i for i, s in enumerate(symbols)}
+    symbols = set()
+    bounds: dict[int, tuple[int, int]] = {}
+    top = 0
+    for node in order:
+        kind = type(node)
+        if kind is Const:
+            bound = (0, 0)
+        elif kind is Sym:
+            symbols.add(node.symbol)
+            bound = (1, 0)
+        elif kind is Sum or kind is Difference:
+            children = [bounds[id(c)] for c in node.args]
+            den = sum(d for _, d in children)
+            bound = (max(n + den - d for n, d in children), den)
+        elif kind is Product:
+            children = [bounds[id(c)] for c in node.args]
+            bound = (sum(n for n, _ in children), sum(d for _, d in children))
+        elif kind is Quotient:
+            n1, d1 = bounds[id(node.args[0])]
+            n2, d2 = bounds[id(node.args[1])]
+            bound = (n1 + d2, d1 + n2)
+        else:  # Power
+            n, d = bounds[id(node.args[0])]
+            k = node.exponent
+            bound = (k * n, k * d) if k >= 0 else (-k * d, -k * n)
+        bounds[id(node)] = bound
+        top = max(top, *bound)
+    width = top.bit_length()
+    symbols = sorted(symbols, key=Symbol.sort_key)
+    shift = {s: i * width for i, s in enumerate(symbols)}
     memo: dict[int, tuple[dict, dict]] = {}
     for node in order:
-        if isinstance(node, Const):
+        kind = type(node)
+        if kind is Const:
             v = node.value
-            num = {(): v.numerator if v.denominator == 1 else v} if v else {}
+            num = {0: v.numerator if v.denominator == 1 else v} if v else {}
             memo[id(node)] = (num, _POLY_ONE)
-        elif isinstance(node, Sym):
-            memo[id(node)] = ({((index[node.symbol], 1),): 1}, _POLY_ONE)
-        elif isinstance(node, Sum):
+        elif kind is Sym:
+            memo[id(node)] = ({1 << shift[node.symbol]: 1}, _POLY_ONE)
+        elif kind is Sum:
             n, d = memo[id(node.args[0])]
             for child in node.args[1:]:
                 n2, d2 = memo[id(child)]
@@ -872,7 +968,7 @@ def normalize(e: Expression) -> RationalCanonical:
                     n = _poly_add(_poly_mul(n, d2), _poly_mul(n2, d))
                     d = _poly_mul(d, d2)
             memo[id(node)] = (n, d)
-        elif isinstance(node, Difference):
+        elif kind is Difference:
             n1, d1 = memo[id(node.args[0])]
             n2, d2 = memo[id(node.args[1])]
             n2 = _poly_scale(n2, -1)
@@ -883,14 +979,14 @@ def normalize(e: Expression) -> RationalCanonical:
                     _poly_add(_poly_mul(n1, d2), _poly_mul(n2, d1)),
                     _poly_mul(d1, d2),
                 )
-        elif isinstance(node, Product):
+        elif kind is Product:
             n, d = _POLY_ONE, _POLY_ONE
             for child in node.args:
                 n2, d2 = memo[id(child)]
                 n = _poly_mul(n, n2)
                 d = _poly_mul(d, d2)
             memo[id(node)] = (n, d)
-        elif isinstance(node, Quotient):
+        elif kind is Quotient:
             n1, d1 = memo[id(node.args[0])]
             n2, d2 = memo[id(node.args[1])]
             if not n2:
@@ -908,7 +1004,8 @@ def normalize(e: Expression) -> RationalCanonical:
                         "zero raised to a negative power")
                 memo[id(node)] = (_poly_pow(d, -k), _poly_pow(n, -k))
     num, den = memo[id(e)]
-    return RationalCanonical(_public(num, symbols), _public(den, symbols))
+    return RationalCanonical(_public(num, symbols, width),
+                             _public(den, symbols, width))
 
 
 def is_zero(e: Expression) -> bool:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from odeident import cli, sim
+from odeident import cli, expr, sim
 from odeident.transform import Params
 
 ONES = Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
@@ -29,6 +29,15 @@ def test_verify_identities_pretty(capsys):
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 3
     assert all(l.endswith("PASS") for l in lines)
+
+
+def test_expansion_past_the_size_limit_prints_only_the_error_line(
+        capsys, monkeypatch):
+    monkeypatch.setattr(expr, "_MAX_PRODUCT_TERMS", 10)
+    code, out, err = run(capsys, "verify-identities")
+    assert code == 1
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: expanding a product of ")
 
 
 def test_verify_identities_json(capsys):

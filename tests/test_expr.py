@@ -139,6 +139,26 @@ def test_dropped_nodes_leave_the_table():
     assert len(E._NODES) == before
 
 
+def test_a_late_callback_leaves_a_node_interned_again_in_the_table():
+    value = Fraction(987654321, 1234577)  # a constant no other test builds
+    key = ("const", value)
+    node = E.const(value)
+    dead = E._NODES[key]
+    del node
+    gc.collect()
+    assert dead() is None and key not in E._NODES
+    # put the dead reference back, as if its callback had not run yet
+    E._NODES[key] = dead
+    again = E.const(value)
+    assert E._NODES[key]() is again
+    E._forget(dead)  # the late callback
+    assert E._NODES[key]() is again
+    assert E.const(value) is again
+    del again
+    gc.collect()
+    assert key not in E._NODES
+
+
 def test_symbol_validation():
     with pytest.raises(ValueError):
         E.Symbol("x", order=-1)
@@ -662,6 +682,50 @@ def test_rational_expressions_expand_like_reference(e, q, r):
         got = E.normalize(case)
         assert _items(got) == _items(want)
         assert got == want
+
+
+# Each packed exponent field is as wide as the bit length of the largest
+# degree bound, so these put an exponent at the top of its field (2**bits
+# - 1) or one past a smaller field's top (2**bits); a field one bit
+# narrower would carry into its neighbour or past the last symbol.
+@pytest.mark.parametrize("e", [
+    X ** 3,                           # bound 3, 2-bit fields
+    X ** 3 * Y,                       # bound 4, 3-bit fields
+    X ** 4,                           # bound 4: exponent 2**2
+    X ** 4 * Y,                       # bound 5: x's 4 next to y's field
+    X ** 7 * Y ** 8 * Z,              # bound 16, 5-bit fields
+    X ** 65535,                       # bound 2**16 - 1, 16-bit fields
+    X ** 65536,                       # bound 2**16, 17-bit fields
+    (X ** 2 * Y) ** -2,               # a negative power: denominator x^4 y^2
+    X ** -3 * Y ** 4 - Z,             # a negative power inside a difference
+    # numerator x^4 + y^2: its bound 4 comes from n + D - d = 2 + 3 - 1,
+    # above both the larger child numerator bound 2 and the D = 3
+    X ** 2 / Y + Y / X ** 2,
+    X ** 3 / (Y * Z) + Z ** 2 / X ** 2 - Y / (X + Z) ** 2,
+])
+def test_packed_exponent_fields_expand_like_reference(e):
+    _assert_expands_like_reference(e)
+
+
+# equivalence packs both operands with fields wide enough for twice their
+# largest exponent. With 2-bit fields, just wide enough for x^3, the cross
+# product x^3 * x of x^3 against y/x would carry into y's field and read
+# as y, and the two would compare equal
+@pytest.mark.parametrize("a, b, same", [
+    (X ** 3 / Y, X ** 4 / (X * Y), True),
+    (X ** 3, Y / X, False),
+    (X ** 7 / Y ** 8, X ** 8 / (X * Y ** 8), True),
+])
+def test_equivalence_packs_wide_enough_for_cross_products(a, b, same):
+    assert (E.normalize(a) == E.normalize(b)) is same
+
+
+def test_expanding_a_too_large_product_fails_before_forming_it():
+    # (x1 + ... + x10)^12 squares its way to 715- and 24,310-term powers;
+    # their 17-million-pair product is refused before any of it is built
+    total = E.add(*(E.sym(f"x{i}") for i in range(1, 11)))
+    with pytest.raises(E.ExpressionTooLarge, match="715 and 24310 terms"):
+        E.normalize(total ** 12)
 
 
 @settings(max_examples=60, deadline=None)
