@@ -28,6 +28,14 @@ _MATH_FAIL = 1
 _PHI_CORRECTED_MAX = 1e-6
 _PHI_MIAO_MIN = 1e-2
 
+# Samples one simulate or phi-check run keeps: tau values (one unless
+# sweeping) times grid points. Peak RSS grows by about 290 bytes per sample
+# for phi-check, 185 for a single tau and 70 for a sweep's twins, over
+# about 30 MB at start; at this limit phi-check peaks at 466 MB, a single
+# tau at 305 MB and a sweep of 3,740 taus at the default 401 points at
+# 131 MB (9 s).
+_MAX_SAMPLES = 1_500_000
+
 
 _PARAM_FLAGS = (("--lambda", "lam"), ("--delta", "delta"), ("--rho", "rho"),
                 ("--c", "c"), ("--N", "N"))
@@ -177,13 +185,15 @@ def _sim_inputs(args):
     init = [float(x) for x in parts]
     if not all(map(math.isfinite, init)):
         raise ValueError("--init wants finite numbers")
+    if args.grid > _MAX_SAMPLES:
+        raise ValueError(f"--grid wants at most {_MAX_SAMPLES:,} points")
     eta = sim.EtaSignal.from_text(args.eta)
     cfg = sim.SimConfig(t0=args.t0, tf=args.tf, abs_tol=args.tol,
                         rel_tol=args.tol, dense_output_points=args.grid)
     return init, eta, cfg
 
 
-def _parse_sweep(text: str):
+def _parse_sweep(text: str, grid: int):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("--sweep wants LO:HI:N")
@@ -192,6 +202,9 @@ def _parse_sweep(text: str):
         raise ValueError("--sweep wants finite LO and HI")
     if n < 1:
         raise ValueError("--sweep wants N >= 1")
+    if n * grid > _MAX_SAMPLES:
+        raise ValueError(f"--sweep N x --grid = {n:,} x {grid:,} is more "
+                         f"than {_MAX_SAMPLES:,} samples")
     if n == 1:
         return [lo]
     stepw = (hi - lo) / (n - 1)
@@ -214,7 +227,7 @@ def _cmd_simulate(args) -> int:
         if args.sweep is not None and args.output == "csv":
             raise ValueError("--output csv works with a single --tau only")
         if args.sweep is not None:
-            taus = _parse_sweep(args.sweep)
+            taus = _parse_sweep(args.sweep, args.grid)
         params = _params_from_args(args)
     except (ValueError, expr.ExprError) as exc:
         print(f"error: {exc}", file=sys.stderr)

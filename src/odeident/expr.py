@@ -347,44 +347,20 @@ class Sum(_Composite):
     __slots__ = ()
     _tag = "+"
 
-    @property
-    def terms(self):
-        return self.args
-
 
 class Product(_Composite):
     __slots__ = ()
     _tag = "*"
-
-    @property
-    def factors(self):
-        return self.args
 
 
 class Difference(_Composite):
     __slots__ = ()
     _tag = "-"
 
-    @property
-    def left(self):
-        return self.args[0]
-
-    @property
-    def right(self):
-        return self.args[1]
-
 
 class Quotient(_Composite):
     __slots__ = ()
     _tag = "/"
-
-    @property
-    def numerator(self):
-        return self.args[0]
-
-    @property
-    def denominator(self):
-        return self.args[1]
 
 
 class Power(_Composite):
@@ -397,10 +373,6 @@ class Power(_Composite):
         return ref and ref() or _new_node(
             cls, key, hash(("^", exponent, base._hash)),
             args=(base,), exponent=exponent)
-
-    @property
-    def base(self):
-        return self.args[0]
 
     def _new_args(self):
         return (self.args[0], self.exponent)
@@ -556,12 +528,10 @@ def _topo(roots: Sequence[Expression]) -> list[Expression]:
     return order
 
 
-def free_symbols(e: Expression) -> set[Symbol]:
-    out: set[Symbol] = set()
-    for node in _topo([e]):
-        if isinstance(node, Sym):
-            out.add(node.symbol)
-    return out
+def free_symbols(*exprs: Expression) -> set[Symbol]:
+    """The symbols that occur in any of `exprs`, from one traversal of
+    their shared DAG."""
+    return {node.symbol for node in _topo(exprs) if isinstance(node, Sym)}
 
 
 # ---------------------------------------------------------- differentiate
@@ -1042,9 +1012,12 @@ class Program:
     run. The instruction list is the only intermediate form: on the first
     run in an arithmetic domain it is emitted as straight-line Python
     source (`source`), compiled once and cached on the program. The plain
-    rendering (+ - * / **) serves exact rationals and float64 or numpy
-    arrays; the modular one reduces mod p after every operation and raises
-    DivisionByZero on a zero inverse.
+    rendering (+ - * / **) is bound twice, with float64 constants
+    (`float_fn`) and with exact ones (`plain_fn`, which `run_exact` runs);
+    the modular rendering reduces mod p after every operation, raises
+    DivisionByZero on a zero inverse and is bound once per prime
+    (`run_mod`). Each domain converts its inputs by one rule: `run_exact`
+    by `_as_fraction`, `run_mod` by `_as_residue`.
     """
 
     def __init__(self, instructions, n_inputs, constants, n_slots, outputs,
@@ -1056,7 +1029,7 @@ class Program:
         self.outputs = outputs
         self.input_symbols = input_symbols
         self._rendered: dict[bool, tuple] = {}  # modular -> (source, maker)
-        self._fns: dict = {}  # "exact", "float", "plain" or a prime -> code
+        self._fns: dict = {}  # "float", "plain" or a prime -> code
 
     def _render(self, modular: bool) -> tuple:
         rendered = self._rendered.get(modular)
@@ -1082,9 +1055,17 @@ class Program:
     def float_fn(self):
         """The plain rendering in float64 as a function of the input
         values. Arguments pass through unconverted, so numpy arrays
-        broadcast; scalar division by zero raises ZeroDivisionError."""
-        return self._fns.get("float") or self._bind(
-            "float", False, ([float(c) for c in self.constants],))
+        broadcast; scalar division by zero raises ZeroDivisionError. A
+        constant outside the float64 range raises ValueError."""
+        fn = self._fns.get("float")
+        if fn is None:
+            try:
+                constants = [float(c) for c in self.constants]
+            except OverflowError:
+                raise ValueError("a constant is outside the float64 "
+                                 "range") from None
+            fn = self._bind("float", False, (constants,))
+        return fn
 
     def plain_fn(self):
         """float_fn with integral constants bound as Python ints: Fraction
@@ -1093,22 +1074,26 @@ class Program:
             [int(c) if c.denominator == 1 else c for c in self.constants],))
 
     def run_exact(self, values: Sequence) -> list[Fraction]:
-        fn = self._fns.get("exact") or self._bind("exact", False, (self.constants,))
+        """The outputs as Fractions at the input `values`, which are ints,
+        Fractions or floats (taken exactly); runs `plain_fn`."""
         try:
-            return fn(*map(Fraction, values))
+            outputs = self.plain_fn()(*map(_as_fraction, values))
         except ZeroDivisionError as exc:
             raise DivisionByZero(str(exc)) from None
+        return list(map(Fraction, outputs))  # an integral constant is an int
 
-    def run_float(self, values: Sequence[float]) -> list[float]:
-        try:
-            return self.float_fn()(*map(float, values))
-        except ZeroDivisionError as exc:
-            raise DivisionByZero(str(exc)) from None
-
-    def run_mod(self, values: Sequence[int], p: int) -> list[int]:
-        fn = self._fns.get(p) or self._bind(
-            p, True, (p, [_as_residue(c, p) for c in self.constants]))
-        return fn(*[v % p for v in values])
+    def run_mod(self, values: Sequence, p: int) -> list[int]:
+        """The outputs in [0, p) at the input `values`, which are ints or
+        Fractions, reduced mod p; a Fraction whose denominator p divides
+        raises DivisionByZero. `p` must be at least 2, and prime for the
+        field inverses to exist."""
+        fn = self._fns.get(p)
+        if fn is None:
+            if p < 2:
+                raise ValueError("prime modulus must be at least 2")
+            fn = self._bind(p, True,
+                            (p, [_as_residue(c, p) for c in self.constants]))
+        return fn(*[_as_residue(v, p) for v in values])
 
 
 def _emit(program: Program, modular: bool) -> list[str]:
@@ -1308,17 +1293,14 @@ def evaluate(e: Expression, point: Mapping[Symbol, object],
     are deterministic; division by zero raises, never silently absorbs.
     """
     symbols = sorted(point.keys(), key=Symbol.sort_key)
+    values = [point[s] for s in symbols]
+    if arithmetic == "float64":
+        return compile_float_fn(e, symbols)(*map(float, values))
     program = compile_program([e], symbols)  # raises UnboundSymbol if underbound
     if arithmetic == "exact":
-        values = [_as_fraction(point[s]) for s in symbols]
         return program.run_exact(values)[0]
-    if arithmetic == "float64":
-        return program.run_float([float(point[s]) for s in symbols])[0]
     if isinstance(arithmetic, int):
-        p = arithmetic
-        if p < 2:
-            raise ValueError("prime modulus must be at least 2")
-        return program.run_mod([_as_residue(point[s], p) for s in symbols], p)[0]
+        return program.run_mod(values, arithmetic)[0]
     raise ValueError(f"unknown arithmetic mode {arithmetic!r}")
 
 

@@ -18,6 +18,7 @@ rank of at most 4.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import time
@@ -28,7 +29,7 @@ from . import expr
 from .expr import (
     OUTPUT_DERIV,
     DivisionByZero, Expression, RationalCanonical, Symbol,
-    compile_program, normalize, substitute_many, sym,
+    compile_program, free_symbols, normalize, substitute_many, sym,
 )
 from .model import hiv_model, output_jet, output_symbol, total_time_derivative
 
@@ -120,12 +121,6 @@ def parameter_jacobian(system: Sequence[Expression]
     return expr.partials(system, [params[n] for n in PARAM_ORDER])
 
 
-def _symbols_of(exprs: Sequence[Expression]) -> set[Symbol]:
-    """Free symbols of several expressions, in one traversal of their
-    shared DAG."""
-    return {n.symbol for n in expr._topo(exprs) if isinstance(n, expr.Sym)}
-
-
 def substitute_dynamics(matrix: Sequence[Sequence[Expression]]
                         ) -> tuple[tuple[Expression, ...], ...]:
     """Replace every output-derivative symbol y_i^(k) by the k-th jet entry
@@ -135,7 +130,7 @@ def substitute_dynamics(matrix: Sequence[Sequence[Expression]]
     m = hiv_model()
     flat = [e for row in matrix for e in row]
     orders: dict[int, int] = {}
-    for s in _symbols_of(flat):
+    for s in free_symbols(*flat):
         if s.kind == OUTPUT_DERIV:
             orders[s.output_index] = max(orders.get(s.output_index, 0), s.order)
     bindings: dict[Symbol, Expression] = {}
@@ -246,10 +241,10 @@ def _rank_mod(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-def _draw_point(seed: int, p: int, trial, attempt: int, n: int, p_max: int) -> list[int]:
+def _draw_point(seed: int, p: int, trial, attempt: int, n: int) -> list[int]:
     # string seeding is stable across platforms and runs
     rng = random.Random(f"{seed}:{p}:{trial}:{attempt}")
-    return [rng.randrange(p_max) for _ in range(n)]
+    return [rng.randrange(p) for _ in range(n)]
 
 
 def generic_rank(matrix: Sequence[Sequence[Expression]],
@@ -257,18 +252,18 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
                  seed: int,
                  primes: Sequence[int] = DEFAULT_PRIMES,
                  *,
-                 structured_point: Mapping[Symbol, int] | None = None,
-                 mode: str = "",
-                 variant: str = "") -> RankReport:
+                 structured_point: Mapping[Symbol, int] | None = None
+                 ) -> RankReport:
     """Generic rank of a symbolic matrix by randomized exact evaluation.
 
     Each trial binds the free symbols, in `Symbol.sort_key` order, to
-    independent uniform elements of GF(p) and computes the exact rank there; points on a denominator are
-    discarded and redrawn. The generic rank is the maximum over at least
-    `trials` valid evaluations per prime and must agree across primes.
-    With `structured_point`, the listed symbols are pinned to the given
-    values (the rest stay random) and the rank at one such point under the
-    first prime is recorded separately.
+    independent uniform elements of GF(p) and computes the exact rank
+    there; points on a denominator are discarded and redrawn. The generic
+    rank is the maximum over `trials` valid evaluations per prime and must
+    agree across primes. With `structured_point`, the listed symbols are
+    pinned to the given values (the rest stay random) and the rank at one
+    such point under the first prime is recorded separately. The report's
+    `mode` and `variant` are left empty; `run_rank_test` fills them in.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -281,7 +276,7 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
                              f"{_MILLER_RABIN_BOUND}")
 
     flat = [e for row in matrix for e in row]
-    symbols = sorted(_symbols_of(flat), key=Symbol.sort_key)
+    symbols = sorted(free_symbols(*flat), key=Symbol.sort_key)
     started = time.perf_counter()
     order = {s: i for i, s in enumerate(symbols)}
     n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
@@ -291,7 +286,7 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
         """Rank mod p at the first point drawn for `trial` that misses
         every denominator; the `pinned` symbols keep their values."""
         for attempt in range(_MAX_RETRIES_PER_TRIAL):
-            point = _draw_point(seed, p, trial, attempt, len(symbols), p)
+            point = _draw_point(seed, p, trial, attempt, len(symbols))
             for s, v in pinned.items():
                 point[order[s]] = v % p
             try:
@@ -326,8 +321,8 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return RankReport(
-        mode=mode,
-        variant=variant,
+        mode="",
+        variant="",
         trials=trials,
         primes=primes,
         observed_ranks=observed,
@@ -362,6 +357,6 @@ def run_rank_test(mode: str = "constrained",
         tv = hiv_model().tv_params[0]
         structured = {tv.derivative(k): 0 for k in range(1, 6)}
 
-    return generic_rank(matrix, trials, seed, primes,
-                        structured_point=structured, mode=mode,
-                        variant=variant)
+    report = generic_rank(matrix, trials, seed, primes,
+                          structured_point=structured)
+    return dataclasses.replace(report, mode=mode, variant=variant)

@@ -36,7 +36,6 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -92,12 +91,6 @@ class EtaSignal:
         self._fn = compile_float_fn(expression, [TIME_SYMBOL])
 
     @classmethod
-    def constant(cls, value) -> "EtaSignal":
-        if isinstance(value, float):
-            value = _exact_fraction(value)
-        return cls(expr.const(value))
-
-    @classmethod
     def from_text(cls, text: str) -> "EtaSignal":
         table = expr.SymbolTable([TIME_SYMBOL])
         return cls(expr.parse_expression(text, table))
@@ -116,14 +109,6 @@ class EtaSignal:
 
     def text(self) -> str:
         return expr.to_text(self.expression)
-
-
-def _exact_fraction(value: float) -> Fraction:
-    # prefer the short form (1/2, not 4503599627370496/9007199254740992)
-    # whenever it is exactly the same number
-    exact = Fraction(value)
-    short = exact.limit_denominator(10**12)
-    return short if short == exact else exact
 
 
 @dataclass(frozen=True)
@@ -367,33 +352,28 @@ def _hermite(t0, h, y0, y1, f0, f1, ts: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------- shared set-up
 
-def _signals(m: OdeModel, eta: "EtaSignal | Mapping[str, EtaSignal] | None",
+def _signals(m: OdeModel, eta: EtaSignal | None,
              grid: np.ndarray) -> tuple[list[EtaSignal], list[np.ndarray]]:
-    """The signal of each time-varying parameter, in model order, and its
-    values on the grid, which must be finite and nonnegative."""
+    """The signal of the model's time-varying parameter and its values on
+    the grid, as lists of one, or of none for a model without one (`eta`
+    is then ignored). The values must be finite and nonnegative. A model
+    with several time-varying parameters is refused: a run takes one
+    signal."""
     if not m.tv_params:
         return [], []
+    if len(m.tv_params) > 1:
+        raise ValueError(f"model has {len(m.tv_params)} time-varying "
+                         f"parameters; simulation takes one eta signal")
     if eta is None:
-        raise ValueError("model has time-varying parameters; pass eta")
-    if isinstance(eta, EtaSignal):
-        if len(m.tv_params) != 1:
-            raise ValueError("several tv parameters need a name -> signal map")
-        eta = {m.tv_params[0].name: eta}
-    sigs, cols = [], []
-    for s in m.tv_params:
-        if s.name not in eta:
-            raise ValueError(f"no signal for tv parameter {s.name}")
-        sig = eta[s.name]
-        with np.errstate(all="ignore"):  # a pole on the grid is reported below
-            col = np.broadcast_to(np.asarray(sig(grid), dtype=float),
-                                  grid.shape)
-        if not _finite(col):
-            raise ValueError(f"{s.name} is not finite on the window")
-        if np.any(col < 0):
-            raise ValueError(f"{s.name} goes negative on the window")
-        sigs.append(sig)
-        cols.append(col)
-    return sigs, cols
+        raise ValueError("model has a time-varying parameter; pass eta")
+    name = m.tv_params[0].name
+    with np.errstate(all="ignore"):  # a pole on the grid is reported below
+        col = np.broadcast_to(np.asarray(eta(grid), dtype=float), grid.shape)
+    if not _finite(col):
+        raise ValueError(f"{name} is not finite on the window")
+    if np.any(col < 0):
+        raise ValueError(f"{name} goes negative on the window")
+    return [eta], [col]
 
 
 def _param_values(m: OdeModel, params: Mapping[str, float]) -> list[float]:
@@ -428,13 +408,14 @@ def _trajectory(m: OdeModel, outputs: expr.Program, grid: np.ndarray,
 # ------------------------------------------------------------- integrate
 
 def integrate(m: OdeModel, params: Mapping[str, float],
-              init: Sequence[float], eta=None,
+              init: Sequence[float], eta: EtaSignal | None = None,
               cfg: SimConfig = SimConfig()) -> Trajectory:
     """Integrate the model and sample it on the dense-output grid.
 
     Outputs are recomputed from the sampled states, so the reported
     outputs satisfy the output definitions exactly by construction.
-    Time-varying signals must be nonnegative at the grid sample points.
+    `eta` is the signal of the model's one time-varying parameter (see
+    `_signals`); it must be nonnegative at the grid sample points.
     """
     if len(init) != len(m.states):
         raise ValueError(f"expected {len(m.states)} initial values")

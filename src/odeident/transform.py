@@ -236,7 +236,7 @@ def _compiled():
     T_U, T_I, V, rho, u = _syms("T_U T_I V rho u")
     pp = params_prime_exprs()
     eta_p = [*eta_prime_expr().args, V * rho * (T_U + T_I) * u]
-    maps = [pp["delta"].denominator, *state_map_exprs()[:2], pp["delta"],
+    maps = [pp["delta"].args[1], *state_map_exprs()[:2], pp["delta"],
             pp["N"]]
     return [expr.compile_program(exprs, [s.symbol for s in _syms(inputs)])
             .plain_fn() for exprs, inputs in (

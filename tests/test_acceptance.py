@@ -20,7 +20,7 @@ from pathlib import Path
 CORPUS = Path(__file__).parent / "corpus"
 
 ONES = Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
-HALF = S.EtaSignal.constant(0.5)
+HALF = S.EtaSignal.from_text("1/2")
 
 
 def _report(num: int, description: str, ok: bool, detail: str = ""):

@@ -241,7 +241,8 @@ def test_simulate_sweep_matches_tau_sweep(capsys):
     code, out, _ = run(capsys, "simulate", "--sweep=-0.5:0.5:3", "--tf", "2",
                        "--init", "1,0.2,1")
     assert code == 0
-    reports = sim.tau_sweep(ONES, [1.0, 0.2, 1.0], sim.EtaSignal.constant(0.5),
+    reports = sim.tau_sweep(ONES, [1.0, 0.2, 1.0],
+                            sim.EtaSignal.from_text("1/2"),
                             [-0.5, 0.0, 0.5], sim.SimConfig(tf=2.0))
     assert json.loads(out) == [r.to_dict() for r in reports]
 
@@ -288,6 +289,45 @@ def test_sweep_beyond_the_float_range_is_usage_error(capsys, sweep):
     code, out, err = run(capsys, "simulate", sweep)
     assert code == 2
     assert out == "" and err == "error: --sweep spans more than the float range\n"
+
+
+@pytest.mark.parametrize("command", [["simulate", "--tau", "0.5"],
+                                     ["phi-check"]])
+def test_eta_constant_beyond_the_float_range_is_usage_error(capsys, command):
+    # binding 10^400 as a float raised OverflowError, a traceback and exit 1
+    code, out, err = run(capsys, *command, "--eta", "10^400")
+    assert code == 2
+    assert out == "" and err == "error: a constant is outside the float64 range\n"
+
+
+@pytest.mark.parametrize("n, grid", [(1, cli._MAX_SAMPLES), (3750, 400)])
+def test_sweep_at_the_sample_limit_passes_and_one_more_fails(n, grid):
+    assert n * grid == cli._MAX_SAMPLES
+    assert len(cli._parse_sweep(f"0:1:{n}", grid)) == n
+    for over in (f"0:1:{n + 1}", grid), (f"0:1:{n}", grid + 1):
+        with pytest.raises(ValueError, match="samples"):
+            cli._parse_sweep(*over)
+
+
+@pytest.mark.parametrize("command, runs", [(["simulate", "--tau", "0.5"], 1),
+                                           (["simulate", "--sweep=0:1:3"], 3),
+                                           (["phi-check"], 1)])
+def test_a_run_past_the_sample_limit_is_usage_error(capsys, monkeypatch,
+                                                    command, runs):
+    monkeypatch.setattr(cli, "_MAX_SAMPLES", runs * 20)
+    code, _, _ = run(capsys, *command, "--grid", "20")
+    assert code == 0
+    code, out, err = run(capsys, *command, "--grid", "21")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_grid_past_the_sample_limit_is_usage_error(capsys):
+    code, out, err = run(capsys, "simulate", "--tau", "0.5", "--grid",
+                         str(cli._MAX_SAMPLES + 1))
+    assert code == 2
+    assert out == "" and err == (
+        f"error: --grid wants at most {cli._MAX_SAMPLES:,} points\n")
 
 
 @pytest.mark.parametrize("command", [["simulate", "--tau", "0.5"],

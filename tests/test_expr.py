@@ -93,9 +93,9 @@ def test_literal_zero_denominator_rejected():
 
 def test_nary_flattening():
     e = E.add(X, E.add(Y, Z))
-    assert isinstance(e, E.Sum) and len(e.terms) == 3
+    assert isinstance(e, E.Sum) and len(e.args) == 3
     e = E.mul(X, E.mul(Y, Z))
-    assert isinstance(e, E.Product) and len(e.factors) == 3
+    assert isinstance(e, E.Product) and len(e.args) == 3
 
 
 def test_structural_equality_and_hash():
@@ -242,7 +242,7 @@ def test_substitute_preserves_untouched_subtrees():
     e = X + shared
     got = E.substitute(e, {xs: E.const(2)})
     assert isinstance(got, E.Sum)
-    assert any(child is shared for child in got.terms)
+    assert any(child is shared for child in got.args)
 
 
 # ------------------------------------------------------------- normalize
@@ -342,6 +342,43 @@ def test_compiled_program_shares_subexpressions():
     assert got == [27, 12]
 
 
+def test_run_exact_returns_fractions_and_takes_floats_exactly():
+    # the plain binding holds integral constants as ints
+    prog = E.compile_program([E.const(3), X], [xs])
+    got = prog.run_exact([0.1])
+    assert got == [3, Fraction(3602879701896397, 36028797018963968)]
+    assert [type(v) for v in got] == [Fraction, Fraction]
+    with pytest.raises(TypeError):
+        prog.run_exact(["1/10"])
+
+
+def test_run_mod_reduces_each_input_to_its_residue():
+    p = 4611686018427388039
+    e = (X + Y) ** 3 / (X - E.const(7))
+    point = {xs: Fraction(2, 3), ys: 5}
+    exact = E.evaluate(e, point)
+    residue = exact.numerator * pow(exact.denominator, -1, p) % p
+    prog = E.compile_program([e], [xs, ys])
+    assert prog.run_mod([Fraction(2, 3), 5], p) == [residue]
+    assert E.evaluate(e, point, p) == residue
+    with pytest.raises(TypeError):
+        prog.run_mod([0.5, 5], p)
+    with pytest.raises(ValueError, match="at least 2"):
+        prog.run_mod([1, 5], 1)
+
+
+def test_free_symbols_of_several_expressions_takes_one_traversal(
+        monkeypatch):
+    a, b = X * Y + 1, Y / Z
+    union = E.free_symbols(a) | E.free_symbols(b)
+    calls = []
+    topo = E._topo
+    monkeypatch.setattr(E, "_topo", lambda roots: calls.append(roots)
+                        or topo(roots))
+    assert E.free_symbols(a, b) == union == {xs, ys, zs}
+    assert len(calls) == 1
+
+
 def _deep_or_wide(shape, x, nary):
     """`x*(x*(...) + 1) + 1` nested 1000 deep, or a 5000-operand Sum or
     Product; `nary(op, operands)` builds the wide node."""
@@ -367,7 +404,7 @@ def test_deep_and_wide_programs_evaluate_in_every_domain(shape):
     prog = E.compile_program([e], [xs])
     assert prog.run_exact([Fraction(1, 2)]) == [exact]
     assert E.compile_float_fn(e, [xs])(0.5) == looped  # bit for bit
-    assert prog.run_float([0.5]) == [looped]
+    assert prog.float_fn()(0.5) == [looped]
     half = pow(2, -1, p)
     assert prog.run_mod([half], p) == \
         [exact.numerator * pow(exact.denominator, -1, p) % p]
@@ -587,7 +624,7 @@ def test_program_matches_normalized_rational_function(e, point):
     # that scales with the largest intermediate, not with the result
     every_node = E.compile_program(E._topo([e]), XYZ).run_exact(values)
     scale = max(1.0, max(abs(float(v)) for v in every_node))
-    assert prog.run_float(values)[0] == pytest.approx(
+    assert prog.float_fn()(*map(float, values))[0] == pytest.approx(
         float(exact), rel=1e-12, abs=1e-12 * scale)
 
 

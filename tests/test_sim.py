@@ -4,6 +4,7 @@ residuals along trajectories."""
 import io
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from helpers import reference_solve
 hiv = M.hiv_model()
 ONES = Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
 ONES_DICT = ONES.as_dict()
-HALF = S.EtaSignal.constant(0.5)
+HALF = S.EtaSignal.from_text("1/2")
 
 
 # -------------------------------------------------------------- EtaSignal
@@ -41,8 +42,15 @@ def test_eta_signal_rejects_other_symbols():
         S.EtaSignal(E.sym(E.Symbol("q")) + E.sym(S.TIME_SYMBOL))
 
 
+def test_a_model_with_several_tv_parameters_is_refused():
+    m = M.parse_model(
+        (Path(__file__).parent / "corpus" / "twosignals.ode").read_text())
+    with pytest.raises(ValueError, match="2 time-varying parameters"):
+        S.integrate(m, {"a": 1.0}, [1.0], S.EtaSignal.from_text("1/2"))
+
+
 def test_eta_signal_text_round_trip():
-    sig = S.EtaSignal.constant(0.5)
+    sig = S.EtaSignal.from_text("1/2")
     assert sig.text() == "1/2"
     assert S.EtaSignal.from_text(sig.text())(0.0) == 0.5
 
@@ -87,7 +95,7 @@ def test_sim_config_validation():
 def test_equilibrium_stays_put():
     # lam = rho * T_U0 with no infection: T_U is constant
     traj = S.integrate(hiv, ONES_DICT, [1.0, 0.0, 0.0],
-                       S.EtaSignal.constant(0), S.SimConfig(tf=10.0))
+                       S.EtaSignal.from_text("0"), S.SimConfig(tf=10.0))
     assert np.abs(traj.states[:, 0] - 1.0).max() < 1e-12
     assert np.abs(traj.states[:, 1:]).max() == 0.0
 
@@ -98,7 +106,7 @@ def test_decay_closed_form_oracle():
     params = {"lambda": 1.0, "rho": 1.0, "delta": 1.0, "N": 2.0, "c": 3.0}
     cfg = S.SimConfig(tf=10.0, abs_tol=1e-13, rel_tol=1e-11)
     traj = S.integrate(hiv, params, [1.0, 1.0, 0.5],
-                       S.EtaSignal.constant(0), cfg)
+                       S.EtaSignal.from_text("0"), cfg)
     t = traj.times
     ti = np.exp(-t)
     v = 0.5 * np.exp(-3.0 * t) + 2.0 * (np.exp(-t) - np.exp(-3.0 * t)) / 2.0
@@ -159,7 +167,7 @@ def test_twin_failure_names_the_ratio_at_the_eta_pole(monkeypatch):
                       r"T_I/T_U = (\S+)\)$", str(info.value))
     ratio = float(found.group(1))
     # eta''s denominator changes sign across the printed ratio
-    den = eta_prime_expr().denominator
+    den = eta_prime_expr().args[1]
     TU, TI, V = hiv.states
     point = {TU: 1.0, V: 1.0, E.Symbol("u", E.AUX): math.exp(1.7 * -0.5),
              **{s: params.as_dict()[s.name] for s in hiv.const_params}}
@@ -194,10 +202,10 @@ ORACLE_ETAS = ["1/2", "1/2 + t/20"]
 @pytest.mark.parametrize("text", ORACLE_ETAS)
 def test_integrate_matches_reference_stepper(text):
     eta = S.EtaSignal.from_text(text)
-    rhs = S._rhs(hiv)
+    rhs = S._rhs(hiv).float_fn()
     pvals = S._param_values(hiv, ONES_DICT)
     want = reference_solve(
-        lambda t, y: rhs.run_float([*y, eta(t), *pvals]), [1.0, 1.0, 1.0],
+        lambda t, y: rhs(*y, eta(t), *pvals), [1.0, 1.0, 1.0],
         S.SimConfig())
     got = S.integrate(hiv, ONES_DICT, [1.0, 1.0, 1.0], eta).states
     assert np.array_equal(got, want)
@@ -207,14 +215,14 @@ def test_integrate_matches_reference_stepper(text):
 def test_co_integrated_run_matches_reference_stepper(text):
     eta = S.EtaSignal.from_text(text)
     inst = TauFamily(tau=0.7, params=ONES)
-    rhs = S._rhs(hiv)
+    rhs = S._rhs(hiv).float_fn()
     base = S._param_values(hiv, ONES_DICT)
     primed = S._param_values(hiv, inst.params_prime.as_dict())
 
     def f(t, y):
         et, orig = eta(t), list(y[:3])
-        return (rhs.run_float([*orig, et, *base])
-                + rhs.run_float([*y[3:], inst.eta(*orig, et), *primed]))
+        return (rhs(*orig, et, *base)
+                + rhs(*y[3:], inst.eta(*orig, et), *primed))
 
     init = [1.0, 0.2, 1.0]
     want = reference_solve(f, init + list(inst.map_state(*init)),
