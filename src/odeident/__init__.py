@@ -5,6 +5,11 @@ within-host model, a parameter-identifiability rank test (naive versus
 dynamics-constrained), a tau-indexed indistinguishability transformation
 with symbolic verification, and a numerical indistinguishability
 experiment.
+
+Importing the package loads the exact symbolic layers only. The simulator
+names (`EtaSignal`, `SimConfig`, `run_indistinguishability`, `tau_sweep`,
+...) are resolved on first access, which is when `odeident.sim`, and with
+it numpy, is imported.
 """
 
 from .expr import (
@@ -26,12 +31,6 @@ from .ranktest import (
     build_phi, build_phi_system, generic_rank, parameter_jacobian,
     phi_vanishes_on_dynamics, run_rank_test, substitute_dynamics,
 )
-from .sim import (
-    EtaSignal, IndistReport, NonFiniteState, SimConfig, StepBudgetExceeded,
-    StepSizeUnderflow, Trajectory, integrate, phi_residual_along,
-    phi_residuals_along, run_indistinguishability, tau_sweep,
-    write_trajectory_csv,
-)
 from .transform import (
     IdentityCheck, Params, SingularPoint, SingularTau, TauFamily,
     admissible_tau_interval, eta_prime_value, transform_params,
@@ -39,3 +38,18 @@ from .transform import (
 )
 
 __version__ = "0.1.0"
+
+# The names `odeident.sim` exports here; they load it on first access.
+_SIM_NAMES = frozenset({
+    "EtaSignal", "IndistReport", "NonFiniteState", "SimConfig",
+    "StepBudgetExceeded", "StepSizeUnderflow", "Trajectory", "integrate",
+    "phi_residual_along", "phi_residuals_along", "run_indistinguishability",
+    "tau_sweep", "write_trajectory_csv",
+})
+
+
+def __getattr__(name):
+    if name in _SIM_NAMES:
+        from . import sim
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

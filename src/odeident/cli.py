@@ -11,6 +11,10 @@ Exit codes: 0 success / all checks pass, 1 a mathematical check failed,
 2 usage error (bad flags, malformed input files). JSON output is
 deterministic for identical invocations; elapsed times live in their own
 field.
+
+Only `simulate` and `phi-check` import the simulator, `odeident.sim`, and
+with it numpy; `verify-identities`, `rank` and `parse` run on exact and
+modular integer arithmetic and never load either.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import json
 import math
 import sys
 
-from . import expr, model, ranktest, sim, transform
+from . import expr, model, ranktest, transform
 
 _USAGE_ERROR = 2
 _MATH_FAIL = 1
@@ -179,6 +183,8 @@ def _cmd_rank(args) -> int:
 
 def _sim_inputs(args):
     """(init, eta, cfg) from the shared simulation flags."""
+    from . import sim
+
     parts = args.init.split(",")
     if len(parts) != 3:
         raise ValueError("--init wants three comma-separated numbers")
@@ -216,6 +222,8 @@ def _parse_sweep(text: str, grid: int):
 
 
 def _cmd_simulate(args) -> int:
+    from . import sim
+
     try:
         init, eta, cfg = _sim_inputs(args)
         if (args.tau is None) == (args.sweep is None):
@@ -261,6 +269,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_phi_check(args) -> int:
+    from . import sim
+
     try:
         init, eta, cfg = _sim_inputs(args)
         params = _params_from_args(args)

@@ -664,11 +664,11 @@ def substitute_many(exprs: Sequence[Expression],
 
 _POLY_ONE = {0: 1}
 # The bundled model's largest product is 3 x 496 = 1,488 term pairs
-# (y1's order-8 jet). The tier-1 suite's property tests draw expressions
-# at random; the largest product seen over about 50 runs was 400 x 400 =
-# 160,000 pairs. A product under the limit has at most 4 million terms;
-# one with 4 million distinct small-coefficient terms takes about 2.5 s
-# and 440 MB.
+# (y1's order-8 jet). The tier-1 property tests expand only random draws
+# whose degree bounds keep every product under the limit; the largest
+# they formed over 50 runs was 9,216 pairs. A product under the limit has
+# at most 4 million terms; one with 4 million distinct small-coefficient
+# terms takes about 2.5 s and 440 MB.
 _MAX_PRODUCT_TERMS = 4_000_000
 
 

@@ -247,6 +247,22 @@ def _draw_point(seed: int, p: int, trial, attempt: int, n: int) -> list[int]:
     return [rng.randrange(p) for _ in range(n)]
 
 
+def _checked_rank_args(trials: int, primes: Sequence[int]) -> tuple[int, ...]:
+    """The primes as a tuple, once `trials` and `primes` pass the rules both
+    public rank entry points check before any algebra: at least one trial,
+    at least two distinct primes, each a proven prime in (2^60, psi_12)."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    primes = tuple(primes)
+    if len(set(primes)) < 2:
+        raise ValueError("need at least two distinct primes")
+    for p in primes:
+        if not 2**60 < p < _MILLER_RABIN_BOUND or not is_prime(p):
+            raise ValueError(f"{p} is not a prime between 2^60 and "
+                             f"{_MILLER_RABIN_BOUND}")
+    return primes
+
+
 def generic_rank(matrix: Sequence[Sequence[Expression]],
                  trials: int,
                  seed: int,
@@ -265,15 +281,7 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
     such point under the first prime is recorded separately. The report's
     `mode` and `variant` are left empty; `run_rank_test` fills them in.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    primes = tuple(primes)
-    if len(set(primes)) < 2:
-        raise ValueError("need at least two distinct primes")
-    for p in primes:
-        if not 2**60 < p < _MILLER_RABIN_BOUND or not is_prime(p):
-            raise ValueError(f"{p} is not a prime between 2^60 and "
-                             f"{_MILLER_RABIN_BOUND}")
+    primes = _checked_rank_args(trials, primes)
 
     flat = [e for row in matrix for e in row]
     symbols = sorted(free_symbols(*flat), key=Symbol.sort_key)
@@ -345,6 +353,7 @@ def run_rank_test(mode: str = "constrained",
     symbols; constrained mode imposes the dynamics, leaving the 14 symbols
     (5 parameters, 3 states, eta and its first five derivatives).
     """
+    primes = _checked_rank_args(trials, primes)
     if mode not in ("naive", "constrained"):
         raise ValueError(f"unknown mode {mode!r}")
     matrix = parameter_jacobian(build_phi_system(build_phi(variant)))

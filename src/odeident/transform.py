@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import expr
 from .expr import AUX, Expression, RationalCanonical, Symbol, sym
 from .model import hiv_model, total_time_derivative
@@ -126,12 +124,16 @@ def eta_prime_value(T_U, T_I, V, eta, params: Params, *, u):
     return num / den
 
 
-def eta_prime_stack(params: Params, u: np.ndarray):
-    """eta_prime_value for a stack of twins, one per entry of u, as a
-    function of (T_U, T_I, V, eta). Entries with u == 1 give eta exactly,
-    any other at its pole raises SingularPoint; only those two masks are
-    built once per stack. The states are arrays, one entry per twin, or
-    Python floats shared by all twins, whose u-free terms are computed once."""
+def eta_prime_stack(params: Params, u):
+    """eta_prime_value for a stack of twins, one per entry of the numpy
+    float array u, as a function of (T_U, T_I, V, eta). Entries with u == 1
+    give eta exactly, any other at its pole raises SingularPoint; only those
+    two masks are built once per stack. The states are numpy arrays, one
+    entry per twin, or Python floats shared by all twins, whose u-free terms
+    are computed once. This is the one function in the module that needs
+    numpy, so it imports it itself and the symbolic paths never load it."""
+    import numpy as np
+
     same = u == 1
     other, delta, rho = ~same, params.delta, params.rho
 

@@ -9,12 +9,22 @@ criterion-5 tau sweep are pinned exactly, so a change to the step
 controller that alters a single step fails here too; so is the number of
 the sweep's vector-field evaluations that run on numpy columns. The
 programs a simulation compiles are bounded per run, not per output or
-per twin.
+per twin. Cold start is counted in modules: a fresh `import odeident`
+loads a pinned set of package modules and not numpy, and the symbolic
+subcommands run with numpy blocked.
 """
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import odeident
 from odeident import cli
 from odeident import expr as E
 from odeident import model as M
@@ -202,3 +212,70 @@ def _compile_calls(monkeypatch, run) -> int:
 ], ids=["single tau", "tau sweep", "phi-check"])
 def test_programs_compiled_per_run(monkeypatch, capsys, run, bound):
     assert _compile_calls(monkeypatch, run) <= bound
+
+
+# ------------------------------------------------------------ cold start
+
+_SRC = Path(odeident.__file__).resolve().parents[1]
+_HIV_FILE = str(_SRC.parent / "models" / "hiv.ode")
+
+
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter that imports the package from
+    this source tree."""
+    env = {**os.environ, "PYTHONPATH": str(_SRC)}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_the_symbolic_modules_only():
+    done = _fresh("import sys, json, odeident; print(json.dumps(sorted("
+                  "m for m in sys.modules "
+                  "if m == 'numpy' or m.startswith(('numpy.', 'odeident')))))")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        "odeident", "odeident.expr", "odeident.model", "odeident.ranktest",
+        "odeident.transform"]
+
+
+_BLOCKED_MAIN = """
+import json, sys
+sys.modules["numpy"] = None
+from odeident.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code,
+                  "sim_loaded": "odeident.sim" in sys.modules}))
+"""
+
+_ELAPSED = re.compile(r'"elapsed_ms": \d+')
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-identities"],
+    ["rank", "--seed", "7", "--trials", "3", "--mode", "naive"],
+    ["rank", "--seed", "7", "--trials", "3", "--mode", "constrained"],
+    ["parse", _HIV_FILE],
+], ids=["verify-identities", "rank naive", "rank constrained", "parse"])
+def test_symbolic_subcommands_run_without_numpy(capsys, argv):
+    done = _fresh(_BLOCKED_MAIN, *argv)
+    assert done.returncode == 0, done.stderr
+    *output, status = done.stdout.splitlines(keepends=True)
+    assert json.loads(status) == {"code": 0, "sim_loaded": False}
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    assert _ELAPSED.sub("", "".join(output)) == _ELAPSED.sub("", expected)
+
+
+def test_simulator_names_load_the_simulator_on_first_access():
+    from odeident import (EtaSignal, SimConfig, run_indistinguishability,
+                          tau_sweep)
+    assert EtaSignal is S.EtaSignal and SimConfig is S.SimConfig
+    assert run_indistinguishability is S.run_indistinguishability
+    assert tau_sweep is S.tau_sweep
+    for name in ("IndistReport", "NonFiniteState", "StepBudgetExceeded",
+                 "StepSizeUnderflow", "Trajectory", "integrate",
+                 "phi_residual_along", "phi_residuals_along",
+                 "write_trajectory_csv"):
+        assert getattr(odeident, name) is getattr(S, name)
+    with pytest.raises(AttributeError):
+        odeident.no_such_name

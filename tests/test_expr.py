@@ -4,6 +4,7 @@ and the text syntax."""
 import copy
 import functools
 import gc
+import math
 import operator
 import pickle
 import random
@@ -55,6 +56,53 @@ _expressions = _expression_strategy(8)
 # derivatives of quotients square the denominators, so the calculus
 # properties use smaller trees to keep cross-multiplication cheap
 _small_expressions = _expression_strategy(4)
+
+# Every product `normalize` forms at a node multiplies two polynomials whose
+# degrees sum to at most max(n, d), the node's bound in the recurrence its
+# docstring gives, and `RationalCanonical` equality multiplies the root's
+# numerator by a denominator of the same bound, degree at most n + d. In
+# the three symbols x, y, z a polynomial of degree k has at most
+# C(k + 3, 3) terms, and a product of degrees summing to k has the most
+# term pairs when they split evenly. So a draw in which no node has
+# n + d above _SAFE_DEGREE (41) never reaches the expansion limit, and
+# the property tests that expand draws reject the rest before expanding.
+# About 3% of the congruence test's draws are rejected and about 1% of the
+# others': nested quotients and powers of them, whose bounds double with
+# each squared divisor, `_safe_div`'s and the tests' own b*b + 1.
+_SAFE_DEGREE = max(k for k in range(200)
+                   if math.comb(k // 2 + 3, 3) * math.comb(k - k // 2 + 3, 3)
+                   <= E._MAX_PRODUCT_TERMS)
+
+
+def _degree_bound(e) -> int:
+    """The largest n + d over the nodes of `e`, where (n, d) bounds the
+    degrees of the node's numerator and denominator as `normalize` does."""
+    bounds = {}
+    for node in E._topo([e]):
+        kids = [bounds[id(c)] for c in node.args]
+        if isinstance(node, E.Sym):
+            bound = (1, 0)
+        elif not kids:
+            bound = (0, 0)
+        elif isinstance(node, (E.Sum, E.Difference)):
+            den = sum(d for _, d in kids)
+            bound = (max(n + den - d for n, d in kids), den)
+        elif isinstance(node, E.Product):
+            bound = (sum(n for n, _ in kids), sum(d for _, d in kids))
+        elif isinstance(node, E.Quotient):
+            (n1, d1), (n2, d2) = kids
+            bound = (n1 + d2, d1 + n2)
+        else:  # Power
+            (n, d), k = kids[0], node.exponent
+            bound = (k * n, k * d) if k >= 0 else (-k * d, -k * n)
+        bounds[id(node)] = bound
+    return max(n + d for n, d in bounds.values())
+
+
+def _expandable(*exprs):
+    """Reject the draw unless expanding `exprs` stays below the limit."""
+    assume(max(map(_degree_bound, exprs)) <= _SAFE_DEGREE)
+
 
 _rational_points = st.fixed_dictionaries({
     s: st.fractions(min_value=Fraction(-3), max_value=Fraction(3),
@@ -495,7 +543,9 @@ def test_parse_undeclared_symbol_with_table():
 def test_differentiate_is_linear(a, b):
     d_sum = E.differentiate(E.add(a, b), xs)
     d_parts = E.add(E.differentiate(a, xs), E.differentiate(b, xs))
-    assert E.is_zero(E.sub(d_sum, d_parts))
+    residual = E.sub(d_sum, d_parts)
+    _expandable(residual)
+    assert E.is_zero(residual)
 
 
 @settings(max_examples=60, deadline=None)
@@ -504,7 +554,9 @@ def test_differentiate_product_rule(a, b):
     d_prod = E.differentiate(E.mul(a, b), xs)
     want = E.add(E.mul(a, E.differentiate(b, xs)),
                  E.mul(b, E.differentiate(a, xs)))
-    assert E.is_zero(E.sub(d_prod, want))
+    residual = E.sub(d_prod, want)
+    _expandable(residual)
+    assert E.is_zero(residual)
 
 
 @settings(max_examples=60, deadline=None)
@@ -522,12 +574,14 @@ def test_substitute_evaluate_commute_exactly(e, g, point):
 @settings(max_examples=60, deadline=None)
 @given(a=_small_expressions, b=_small_expressions, c=_small_expressions)
 def test_normalize_is_a_congruence(a, b, c):
-    assert E.is_zero(E.sub(E.mul(a, E.add(b, c)),
-                           E.add(E.mul(a, b), E.mul(a, c))))
+    distributed = E.sub(E.mul(a, E.add(b, c)), E.add(E.mul(a, b), E.mul(a, c)))
     # a second syntactic route through nested quotients
     bb = E.add(E.mul(b, b), E.ONE)
     cc = E.add(E.mul(c, c), E.ONE)
-    assert E.is_zero(E.sub(E.div(E.div(a, bb), cc), E.div(a, E.mul(bb, cc))))
+    nested = E.sub(E.div(E.div(a, bb), cc), E.div(a, E.mul(bb, cc)))
+    _expandable(distributed, nested)
+    assert E.is_zero(distributed)
+    assert E.is_zero(nested)
 
 
 @settings(max_examples=60, deadline=None)
@@ -535,7 +589,9 @@ def test_normalize_is_a_congruence(a, b, c):
 def test_parser_round_trip(e):
     printed = E.to_text(e)
     reparsed = E.parse_expression(printed)
-    assert E.is_zero(E.sub(e, reparsed))
+    residual = E.sub(e, reparsed)
+    _expandable(residual)
+    assert E.is_zero(residual)
 
 
 @settings(max_examples=40, deadline=None)
@@ -613,6 +669,7 @@ def test_program_matches_normalized_rational_function(e, point):
         [exact] = prog.run_exact(values)
     except E.DivisionByZero:
         assume(False)
+    _expandable(e)
     canon = E.normalize(e)
     num = _poly_at(canon.numerator, point)
     den = _poly_at(canon.denominator, point)
@@ -708,8 +765,10 @@ _fractional = st.fractions(min_value=Fraction(-7, 2), max_value=Fraction(7, 2),
 def test_rational_expressions_expand_like_reference(e, q, r):
     # q and r bring non-integral coefficients into the numerator and
     # into the denominator
-    for case in (e, E.add(E.mul(E.const(q), e), X),
-                 E.div(E.add(e, E.const(q)), E.add(E.mul(E.const(r), Y), Z))):
+    cases = (e, E.add(E.mul(E.const(q), e), X),
+             E.div(E.add(e, E.const(q)), E.add(E.mul(E.const(r), Y), Z)))
+    _expandable(*cases)
+    for case in cases:
         try:
             want = reference_normalize(case)
         except E.DenominatorIdenticallyZero:

@@ -307,6 +307,28 @@ def test_generic_rank_validation():
                           primes=R.DEFAULT_PRIMES).generic_rank == 1
 
 
+_P = R.DEFAULT_PRIMES[0]
+
+
+@pytest.mark.parametrize("mode", ["naive", "constrained"])
+@pytest.mark.parametrize("trials, primes, message", [
+    (0, R.DEFAULT_PRIMES, "trials must be at least 1"),
+    (1, (_P, _P), "need at least two distinct primes"),
+    (1, (_P, _P + 2), f"{_P + 2} is not a prime between 2^60 and "),
+], ids=["no trials", "a repeated prime", "a composite"])
+def test_pipeline_checks_its_arguments_before_any_algebra(
+        monkeypatch, mode, trials, primes, message):
+    def no_algebra(*args, **kwargs):
+        raise AssertionError("the relation system was built")
+    monkeypatch.setattr(R, "build_phi_system", no_algebra)
+    with pytest.raises(ValueError) as piped:
+        R.run_rank_test(mode=mode, trials=trials, seed=1, primes=primes)
+    with pytest.raises(ValueError) as direct:
+        R.generic_rank(_const_matrix([[1]]), trials, seed=1, primes=primes)
+    assert str(piped.value) == str(direct.value)
+    assert str(piped.value).startswith(message)
+
+
 def test_is_prime():
     assert R.is_prime(2) and R.is_prime(2**61 - 1)
     assert all(R.is_prime(p) for p in R.DEFAULT_PRIMES)
