@@ -16,9 +16,8 @@ from .expr import (
     DenominatorIdenticallyZero, DivisionByZero, DuplicateDeclaration,
     Expression, ExpressionTooLarge, ExprError, ParseError, RationalCanonical,
     Symbol, SymbolTable, UnboundSymbol, UndeclaredSymbol,
-    add, const, differentiate, div, equivalent, evaluate, free_symbols,
-    is_zero, mul, neg, normalize, parse_expression, partials, pow_, sub,
-    substitute, sym, to_text,
+    add, const, differentiate, div, evaluate, free_symbols, mul, neg,
+    normalize, parse_expression, partials, pow_, sub, sym, to_text,
 )
 from .model import (
     HIV_MODEL_TEXT, MissingOdeForState, MixedModeSymbols, OdeModel,

@@ -3,9 +3,10 @@
 Expressions are immutable DAGs built from sums, differences, products,
 quotients and integer powers. Every coefficient is an exact rational
 (`fractions.Fraction`); floating point exists only as an evaluation mode.
-Equality of rational functions is decided exactly by expanding numerator
-and denominator and cross-multiplying, so zero-testing never relies on
-simplification heuristics or numerics.
+Two expressions are equal as rational functions exactly when
+`normalize(a - b).is_zero`: the difference is expanded into numerator and
+denominator, so the test never relies on simplification heuristics or
+numerics.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ __all__ = [
     "UnboundSymbol", "DivisionByZero", "DenominatorIdenticallyZero",
     "ExpressionTooLarge",
     "add", "compile_float_fn", "compile_program", "const", "differentiate",
-    "div", "equivalent", "evaluate", "free_symbols", "is_zero", "mul",
-    "neg", "normalize", "parse_expression", "partials", "pow_", "sub",
-    "substitute", "substitute_many", "sym", "to_text", "ZERO", "ONE",
+    "div", "evaluate", "free_symbols", "mul", "neg", "normalize",
+    "parse_expression", "partials", "pow_", "sub", "substitute_many", "sym",
+    "to_text", "ZERO", "ONE",
 ]
 
 
@@ -177,15 +178,6 @@ class SymbolTable:
             return base
         return base.derivative(order)
 
-    def get(self, name: str) -> Symbol | None:
-        return self._by_name.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def symbols(self) -> tuple[Symbol, ...]:
-        return tuple(self._by_name.values())
-
 
 # ------------------------------------------------------------- expressions
 
@@ -201,8 +193,8 @@ class Expression:
     structurally equal expressions are the same object and equality is
     identity. A node's table entry dies with the node. Because equal
     subexpressions share one object, every pass that memoizes by `id()`
-    (differentiate, substitute, normalize, compile) also eliminates
-    common subexpressions.
+    (partials, substitute_many, normalize, compile_program) also
+    eliminates common subexpressions.
     """
 
     __slots__ = ("_hash", "__weakref__")
@@ -605,19 +597,15 @@ def differentiate(e: Expression, s: Symbol) -> Expression:
 
 # -------------------------------------------------------------- substitute
 
-def substitute(e: Expression, bindings: Mapping[Symbol, Expression]) -> Expression:
-    """Simultaneous one-pass substitution of symbols by expressions.
+def substitute_many(exprs: Sequence[Expression],
+                    bindings: Mapping[Symbol, Expression]) -> list[Expression]:
+    """Simultaneous one-pass substitution of symbols by expressions, over
+    several expressions with one shared rebuild cache, which preserves
+    cross-expression sharing (important for later evaluation).
 
     Images are not re-scanned, so {x -> y, y -> x} swaps rather than
     cascades. Untouched subtrees are returned as the same objects.
     """
-    return substitute_many([e], bindings)[0]
-
-
-def substitute_many(exprs: Sequence[Expression],
-                    bindings: Mapping[Symbol, Expression]) -> list[Expression]:
-    """`substitute` over several expressions with one shared rebuild cache,
-    preserving cross-expression sharing (important for later evaluation)."""
     if not bindings:
         return list(exprs)
     images = {s: _coerce(v) for s, v in bindings.items()}
@@ -740,12 +728,6 @@ def _poly_pow(p, k: int):
     return result
 
 
-def _indexed(p, index, width):
-    """The packed form of the public polynomial `p`, with `width`-bit
-    fields; `index` numbers its symbols in sort-key order."""
-    return {sum(k << index[s] * width for s, k in m): c for m, c in p.items()}
-
-
 def _public(p, symbols, width):
     """The public form of the packed polynomial `p` over `symbols`."""
     mask = (1 << width) - 1
@@ -801,8 +783,8 @@ class RationalCanonical:
     Each polynomial is a dict from monomials, tuples of (Symbol, exponent)
     pairs in sort-key order, to nonzero Fractions. The denominator is
     scaled so its leading coefficient (graded-lex order) is 1; numerator
-    and denominator are not GCD-reduced. Equality is decided exactly by
-    cross-multiplication, which is sound without cancellation.
+    and denominator are not GCD-reduced. The numerator is empty exactly
+    when the function is zero, so `is_zero` is exact without cancellation.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -825,39 +807,11 @@ class RationalCanonical:
     def is_zero(self) -> bool:
         return not self.numerator
 
-    def equivalent(self, other: "RationalCanonical") -> bool:
-        symbols = sorted(self.free_symbols() | other.free_symbols(),
-                         key=Symbol.sort_key)
-        index = {s: i for i, s in enumerate(symbols)}
-        polys = (self.numerator, self.denominator, other.numerator,
-                 other.denominator)
-        # a cross product's exponents reach twice the largest operand one
-        top = max((k for p in polys for m in p for _, k in m), default=0)
-        n1, d1, n2, d2 = (_indexed(p, index, (2 * top).bit_length())
-                          for p in polys)
-        return not _poly_add(_poly_mul(n1, d2), _poly_scale(_poly_mul(n2, d1), -1))
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalCanonical):
-            return NotImplemented
-        return self.equivalent(other)
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("RationalCanonical is not hashable")
-
     def coefficient(self, monomial: Mapping[Symbol, int]) -> Fraction:
         """Numerator coefficient of the given monomial (use with denominator 1)."""
         key = tuple(sorted(((s, k) for s, k in monomial.items() if k),
                            key=lambda it: it[0].sort_key()))
         return self.numerator.get(key, Fraction(0))
-
-    def free_symbols(self) -> set[Symbol]:
-        out: set[Symbol] = set()
-        for poly in (self.numerator, self.denominator):
-            for mono in poly:
-                for s, _ in mono:
-                    out.add(s)
-        return out
 
     def __str__(self):
         num = _poly_str(self.numerator)
@@ -976,15 +930,6 @@ def normalize(e: Expression) -> RationalCanonical:
     num, den = memo[id(e)]
     return RationalCanonical(_public(num, symbols, width),
                              _public(den, symbols, width))
-
-
-def is_zero(e: Expression) -> bool:
-    return normalize(e).is_zero
-
-
-def equivalent(a: Expression, b: Expression) -> bool:
-    """Exact equality of `a` and `b` as rational functions."""
-    return is_zero(sub(a, b))
 
 
 # -------------------------------------------------------------- evaluation
@@ -1480,10 +1425,16 @@ def _tokenize(text: str, base_line: int, base_col: int):
     return tokens
 
 
+# Each level of parentheses is one level of recursion in the parser. The
+# deepest printed order-8 jet or Jacobian entry nests 7 levels.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, table: SymbolTable | None):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parentheses open around the current position
         self.table = table
         self._auto: dict[str, Symbol] = {}
 
@@ -1507,40 +1458,42 @@ class _Parser:
         return e
 
     def expr(self) -> Expression:
-        e = self.term()
-        while True:
-            tok = self.peek()
-            if tok[0] == _T_OP and tok[1] in "+-":
-                self.advance()
-                rhs = self.term()
-                e = add(e, rhs) if tok[1] == "+" else sub(e, rhs)
-            else:
-                return e
+        return self._chain(self.term, "+-", add, sub)
 
     def term(self) -> Expression:
-        e = self.factor()
+        return self._chain(self.factor, "*/", mul, div)
+
+    def _chain(self, operand, ops, nary, binary) -> Expression:
+        """Operands joined by the two operators `ops`, grouped from the
+        left. A run joined by the first is folded by one `nary` call,
+        which builds the node the pairwise fold would without copying the
+        growing run at every step; the second applies `binary`."""
+        run = [operand()]
         while True:
             tok = self.peek()
-            if tok[0] == _T_OP and tok[1] in "*/":
-                self.advance()
-                rhs = self.factor()
-                e = mul(e, rhs) if tok[1] == "*" else div(e, rhs)
+            if tok[0] != _T_OP or tok[1] not in ops:
+                return nary(*run)
+            self.advance()
+            rhs = operand()
+            if tok[1] == ops[0]:
+                run.append(rhs)
             else:
-                return e
+                run = [binary(nary(*run), rhs)]
 
     def factor(self) -> Expression:
+        negations = 0
         tok = self.peek()
-        if tok[0] == _T_OP and tok[1] == "-":
+        while tok[0] == _T_OP and tok[1] in "+-":
+            negations += tok[1] == "-"
             self.advance()
-            return neg(self.factor())
-        if tok[0] == _T_OP and tok[1] == "+":
-            self.advance()
-            return self.factor()
+            tok = self.peek()
         e = self.atom()
         tok = self.peek()
         if tok[0] == _T_OP and tok[1] == "^":
             self.advance()
             e = pow_(e, self.exponent())
+        for _ in range(negations):
+            e = neg(e)
         return e
 
     def exponent(self) -> int:
@@ -1565,7 +1518,12 @@ class _Parser:
             name, order = tok[1]
             return sym(self.resolve(name, order, tok))
         if tok[0] == _T_LP:
+            if self.depth == _MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {_MAX_NESTING} "
+                          "levels", tok)
+            self.depth += 1
             e = self.expr()
+            self.depth -= 1
             closing = self.advance()
             if closing[0] != _T_RP:
                 self.fail("expected ')'", closing)

@@ -53,18 +53,6 @@ class OdeModel:
     rhs: tuple[Expression, ...]  # aligned with states
     outputs: tuple[tuple[str, Expression], ...]
 
-    def rhs_of(self, state: Symbol) -> Expression:
-        return self.rhs[self.states.index(state)]
-
-    def output_named(self, name: str) -> Expression:
-        for n, e in self.outputs:
-            if n == name:
-                return e
-        raise KeyError(name)
-
-    def symbol_table(self) -> SymbolTable:
-        return SymbolTable(self.states + self.const_params + self.tv_params)
-
     @property
     def output_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.outputs)

@@ -425,3 +425,38 @@ def test_parse_missing_file(capsys):
 def test_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+# ------------------------------------------------------ deep and long input
+
+def _hiv_with_virus_rhs(tmp_path, rhs):
+    path = tmp_path / "deep.ode"
+    path.write_text(REPO_MODEL.read_text().replace(
+        "ode V = N*delta*T_I - c*V", f"ode V = {rhs}"))
+    return path
+
+
+@pytest.mark.parametrize("command", ["simulate", "parse"])
+def test_parentheses_past_the_nesting_limit_are_usage_errors(
+        tmp_path, capsys, command):
+    nested = "(" * 260 + "{}" + ")" * 260
+    if command == "simulate":
+        argv = ["simulate", "--tau", "0.5", "--eta", nested.format("1/2")]
+        where = "error: 1:101: "
+    else:
+        path = _hiv_with_virus_rhs(tmp_path, nested.format("c*V"))
+        argv = ["parse", str(path)]
+        where = f"{path}: 9:109: "  # the 101st opening parenthesis
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(where) and "deeper than 100 levels" in err
+
+
+def test_a_hundred_levels_of_parentheses_and_long_sign_runs_parse(
+        tmp_path, capsys):
+    for rhs in ("(" * 100 + "c*V" + ")" * 100, "-" * 2000 + "c*V"):
+        code, out, err = run(capsys, "parse",
+                             str(_hiv_with_virus_rhs(tmp_path, rhs)))
+        assert code == 0 and err == ""
+        assert out.startswith("model hiv: 3 states")
