@@ -244,10 +244,6 @@ class Expression:
     def __hash__(self):
         return self._hash
 
-    def __reduce__(self):
-        # rebuild through the constructor, which interns the copy again
-        return type(self), self._new_args()
-
     def __copy__(self):
         return self
 
@@ -304,8 +300,8 @@ class Const(Expression):
         ref = _NODES.get(key)
         return ref and ref() or _new_node(cls, key, hash(key), value=value)
 
-    def _new_args(self):
-        return (self.value,)
+    def __reduce__(self):  # through the constructor, which interns again
+        return Const, (self.value,)
 
 
 class Sym(Expression):
@@ -316,8 +312,8 @@ class Sym(Expression):
         ref = _NODES.get(key)
         return ref and ref() or _new_node(cls, key, hash(key), symbol=symbol)
 
-    def _new_args(self):
-        return (self.symbol,)
+    def __reduce__(self):
+        return Sym, (self.symbol,)
 
 
 class _Composite(Expression):
@@ -331,8 +327,15 @@ class _Composite(Expression):
         return ref and ref() or _new_node(
             cls, key, hash((cls._tag,) + tuple(a._hash for a in args)), args=args)
 
-    def _new_args(self):
-        return (self.args,)
+    def __reduce__(self):
+        # the DAG as a flat post-order list, rebuilt in a loop through the
+        # constructors, which intern the copy again; nothing recurses, so a
+        # chain of any depth pickles
+        order = _topo([self])
+        index = {id(node): i for i, node in enumerate(order)}
+        return _rebuild, ([(type(node), tuple(index[id(c)] for c in node.args),
+                            getattr(node, "exponent", None)) if node.args
+                           else node for node in order],)
 
 
 class Sum(_Composite):
@@ -366,8 +369,19 @@ class Power(_Composite):
             cls, key, hash(("^", exponent, base._hash)),
             args=(base,), exponent=exponent)
 
-    def _new_args(self):
-        return (self.args[0], self.exponent)
+
+def _rebuild(entries) -> Expression:
+    """The last node of `_Composite.__reduce__`'s list, children first:
+    leaves as themselves, composites as (class, child indices, exponent)."""
+    nodes: list[Expression] = []
+    for entry in entries:
+        if isinstance(entry, Expression):
+            nodes.append(entry)
+            continue
+        cls, kids, exponent = entry
+        args = tuple(nodes[k] for k in kids)
+        nodes.append(cls(args) if exponent is None else cls(args[0], exponent))
+    return nodes[-1]
 
 
 # ------------------------------------------------------------ constructors
@@ -946,6 +960,15 @@ _CHUNK = 32
 # (CPython 3.11); a long program is compiled in pieces of about this many
 # characters, which bounds that memory
 _PIECE_CHARS = 8192
+# The modular rendering reduces lazily. Every value it computes is below
+# 2^(a*W + b) in magnitude, W the bit length of the modulus, and each
+# operand carries its (a, b): residues (inputs, constants, temporaries and
+# the results of pow and _inv) are (1, 0), n summands add ceil(log2 n) to b,
+# and factors add both. `% p` is emitted only where a bound would pass
+# _LAZY_BITS, and at every temporary and output, so one source serves every
+# modulus and no intermediate exceeds 2^(4*W + 16).
+_LAZY_BITS = (4, 16)
+_REDUCED = (1, 0)
 
 
 class Program:
@@ -958,11 +981,14 @@ class Program:
     run in an arithmetic domain it is emitted as straight-line Python
     source (`source`), compiled once and cached on the program. The plain
     rendering (+ - * / **) is bound twice, with float64 constants
-    (`float_fn`) and with exact ones (`plain_fn`, which `run_exact` runs);
-    the modular rendering reduces mod p after every operation, raises
-    DivisionByZero on a zero inverse and is bound once per prime
-    (`run_mod`). Each domain converts its inputs by one rule: `run_exact`
-    by `_as_fraction`, `run_mod` by `_as_residue`.
+    (`float_fn`) and with exact ones (`plain_fn`, which `run_exact` runs).
+    The modular rendering reduces lazily: it emits `% p` only where a
+    value's bound would pass 2^(4*W + 16), W the bit length of the modulus,
+    and at every temporary and output (see `_LAZY_BITS`). It raises
+    DivisionByZero on a value with no inverse and is bound once per
+    modulus (`run_mod`), which may be a prime or a product of distinct
+    primes. Each domain converts its inputs by one rule: `run_exact` by
+    `_as_fraction`, `run_mod` by `_as_residue`.
     """
 
     def __init__(self, instructions, n_inputs, constants, n_slots, outputs,
@@ -974,7 +1000,7 @@ class Program:
         self.outputs = outputs
         self.input_symbols = input_symbols
         self._rendered: dict[bool, tuple] = {}  # modular -> (source, maker)
-        self._fns: dict = {}  # "float", "plain" or a prime -> code
+        self._fns: dict = {}  # "float", "plain" or a modulus -> code
 
     def _render(self, modular: bool) -> tuple:
         rendered = self._rendered.get(modular)
@@ -1029,13 +1055,16 @@ class Program:
 
     def run_mod(self, values: Sequence, p: int) -> list[int]:
         """The outputs in [0, p) at the input `values`, which are ints or
-        Fractions, reduced mod p; a Fraction whose denominator p divides
-        raises DivisionByZero. `p` must be at least 2, and prime for the
-        field inverses to exist."""
+        Fractions, reduced mod p. `p` is a prime or a product of distinct
+        primes, so by the Chinese remainder theorem the outputs mod each
+        prime factor are those of a run mod that factor. A division by a
+        value with no inverse mod p, or a Fraction whose denominator has
+        none, raises DivisionByZero; mod a product that is a value zero
+        mod some factor. `p` must be at least 2."""
         fn = self._fns.get(p)
         if fn is None:
             if p < 2:
-                raise ValueError("prime modulus must be at least 2")
+                raise ValueError("modulus must be at least 2")
             fn = self._bind(p, True,
                             (p, [_as_residue(c, p) for c in self.constants]))
         return fn(*[_as_residue(v, p) for v in values])
@@ -1065,62 +1094,66 @@ def _emit(program: Program, modular: bool) -> list[str]:
     def name(j):
         return f"v{j}" if j < n_in else f"c{j - n_in}" if j < n_leaves else f"t{j}"
 
-    # slot -> (text, depth, slots read); depth bounds the syntactic nesting
-    text = {j: (name(j), 0, (j,)) for j in range(n_leaves)}
+    # slot -> (text, depth, slots read, bound): depth bounds the syntactic
+    # nesting; bound is the modular rendering's magnitude bound (a, b), and
+    # plain values, which need no reduction, carry _REDUCED throughout
+    text = {j: (name(j), 0, (j,), _REDUCED) for j in range(n_leaves)}
     lines = []  # (temporary assigned, expression, slots read)
 
     def read(j):  # a slot read once leaves the table when read
         return text.pop(j) if uses[j] == 1 else text[j]
 
+    def settled(expression, bound):  # temporaries and outputs are residues
+        return expression if bound == _REDUCED else f"{expression} % p"
+
     for ins in program.instructions:
         op, dst = ins[0], ins[1]
+        bound = _REDUCED
         if op == _OP_POW:
-            base, depth, reads = read(ins[2])
+            base, depth, reads, _ = read(ins[2])
             k = ins[3]
             if not modular:
-                body = f"{base}**{k}" if k >= 0 else f"{base}**({k})"
+                expression = f"({base}**{k})" if k >= 0 else f"({base}**({k}))"
             elif k >= 0:
-                body = f"pow({base}, {k}, p)"
+                expression = f"pow({base}, {k}, p)"
             else:
-                body = f"_inv(pow({base}, {-k}, p))"
-            expression, depth = f"({body})", depth + 2
+                expression = f"_inv(pow({base}, {-k}, p))"
+            depth += 2
         elif op in (_OP_SUB, _OP_DIV):
-            (a, da, ra), (b, db, rb) = read(ins[2]), read(ins[3])
+            (a, da, ra, ba), (b, db, rb, bb) = read(ins[2]), read(ins[3])
             if not modular:
                 body = f"{a} - {b}" if op == _OP_SUB else f"{a} / {b}"
             elif op == _OP_SUB:
-                body = f"({a} - {b}) % p"
-            else:
-                body = f"{a} * _inv({b}) % p"
+                body, bound = _mod_sum([(a, ba), (b, bb)], " - ")
+            else:  # pow in _inv takes any int and returns a residue
+                body, bound = _mod_product([(a, ba), (f"_inv({b})", _REDUCED)])
             expression, depth, reads = f"({body})", max(da, db) + 3, ra + rb
         else:
             operands = [read(j) for j in ins[2]]
             for start in range(0, len(operands), _CHUNK):
                 chunk = operands[start:start + _CHUNK]
                 if start:
-                    chunk.insert(0, (name(dst), 0, (dst,)))
-                terms = [t for t, _, _ in chunk]
-                if op == _OP_ADD:
-                    body = " + ".join(terms)
-                    if modular:
-                        body = f"({body}) % p"
-                elif not modular:
-                    body = "*".join(terms)
-                else:  # reduce after every multiplication
-                    body = f"{terms[0]} * {' % p * '.join(terms[1:])} % p"
+                    chunk.insert(0, (name(dst), 0, (dst,), _REDUCED))
+                if not modular:
+                    body = (" + " if op == _OP_ADD else "*").join(
+                        [t for t, _, _, _ in chunk])
+                elif op == _OP_ADD:
+                    body, bound = _mod_sum([(t, b) for t, _, _, b in chunk], " + ")
+                else:
+                    body, bound = _mod_product([(t, b) for t, _, _, b in chunk])
                 expression = f"({body})"
-                depth = max(d for _, d, _ in chunk) + len(chunk) + 1
-                reads = tuple(r for _, _, rs in chunk for r in rs)
+                depth = max(d for _, d, _, _ in chunk) + len(chunk) + 1
+                reads = tuple(r for _, _, rs, _ in chunk for r in rs)
                 if start + _CHUNK < len(operands):
-                    lines.append((dst, expression, reads))
+                    lines.append((dst, settled(expression, bound), reads))
         if uses[dst] == 1 and depth < _MAX_INLINE_DEPTH:
-            text[dst] = (expression, depth, reads)
+            text[dst] = (expression, depth, reads, bound)
         else:
-            lines.append((dst, expression, reads))
-            text[dst] = (name(dst), 0, (dst,))
+            lines.append((dst, settled(expression, bound), reads))
+            text[dst] = (name(dst), 0, (dst,), _REDUCED)
 
     returned = [read(o) for o in program.outputs]
-    result = f"[{', '.join(t for t, _, _ in returned)}]"
+    result = f"[{', '.join(settled(t, bound) for t, _, _, bound in returned)}]"
     pieces = [[]]
     size = 0
     for line in lines:
@@ -1132,11 +1165,13 @@ def _emit(program: Program, modular: bool) -> list[str]:
 
     make = "p, c" if modular else "c"
     inv = ["def _inv(b):",
-           "    if b == 0:",
-           "        raise DivisionByZero(\"denominator is zero at this point\")",
-           "    return pow(b, -1, p)"] if modular else []
+           "    try:",
+           "        return pow(b, -1, p)",
+           "    except ValueError:",
+           "        raise DivisionByZero(\"denominator is zero at this point\") "
+           "from None"] if modular else []
     inputs = [name(i) for i in range(n_in)]
-    later = {r for _, _, reads in returned for r in reads}  # read after a piece
+    later = {r for _, _, reads, _ in returned for r in reads}  # read after a piece
     units, calls = [], []
     for k in reversed(range(len(pieces))):
         last = k == len(pieces) - 1
@@ -1163,6 +1198,37 @@ def _emit(program: Program, modular: bool) -> list[str]:
     calls.reverse()
     made = [f"_p{k} = _piece{k}({make})" for k in range(len(pieces))]
     return units + [_unit("_make", make, made, inputs, calls[:-1], calls[-1])]
+
+
+def _mod_sum(operands, sign: str) -> tuple[str, tuple[int, int]]:
+    """The (text, bound) operands joined by `sign` (" + " or " - ") and the
+    bound of the result: n operands add ceil(log2 n) to b, and an operand
+    that would push the result past _LAZY_BITS is reduced first."""
+    extra = (len(operands) - 1).bit_length()
+    operands = [(f"({t} % p)", _REDUCED) if b[1] + extra > _LAZY_BITS[1]
+                else (t, b) for t, b in operands]
+    return sign.join(t for t, _ in operands), (
+        max(b[0] for _, b in operands), max(b[1] for _, b in operands) + extra)
+
+
+def _mod_product(operands) -> tuple[str, tuple[int, int]]:
+    """The (text, bound) operands multiplied left to right and the bound of
+    the result: bounds add, and where a factor would push the running
+    product past _LAZY_BITS, the product so far is reduced, then the factor
+    if needed."""
+    a_max, b_max = _LAZY_BITS
+    text, (a, b) = operands[0]
+    parts = [text]
+    for text, (fa, fb) in operands[1:]:
+        if a + fa > a_max or b + fb > b_max:
+            if (a, b) != _REDUCED:
+                parts.append(" % p")
+                a, b = _REDUCED
+            if a + fa > a_max or b + fb > b_max:
+                text, fa, fb = f"({text} % p)", 1, 0
+        parts.append(f" * {text}")
+        a, b = a + fa, b + fb
+    return "".join(parts), (a, b)
 
 
 def _unit(name, make, prelude, args, body, result) -> str:
@@ -1234,8 +1300,9 @@ def evaluate(e: Expression, point: Mapping[Symbol, object],
     """Evaluate `e` at `point`.
 
     `arithmetic` is "exact" (Fraction result), "float64", or an integer
-    prime modulus p (int result in [0, p)). Exact and prime-field modes
-    are deterministic; division by zero raises, never silently absorbs.
+    modulus p, a prime or a product of distinct primes (int result in
+    [0, p)). Exact and modular modes are deterministic; division by zero
+    raises, never silently absorbs.
     """
     symbols = sorted(point.keys(), key=Symbol.sort_key)
     values = [point[s] for s in symbols]
@@ -1263,10 +1330,10 @@ def _as_residue(v, p: int) -> int:
     if isinstance(v, int):
         return v % p
     if isinstance(v, Fraction):
-        den = v.denominator % p
-        if den == 0:
-            raise DivisionByZero(f"value {v} has no residue mod {p}")
-        return v.numerator * pow(den, -1, p) % p
+        try:
+            return v.numerator * pow(v.denominator, -1, p) % p
+        except ValueError:  # the denominator shares a factor with p
+            raise DivisionByZero(f"value {v} has no residue mod {p}") from None
     raise TypeError("prime-field evaluation takes ints or Fractions")
 
 
@@ -1297,13 +1364,42 @@ _LVL_SUM, _LVL_PROD, _LVL_POWBASE, _LVL_ATOM = 1, 2, 3, 4
 
 
 def _render(e: Expression) -> tuple[str, int]:
-    memo: dict[int, tuple[str, int]] = {}
+    """The text of `e` and its precedence level.
+
+    A node's text is kept as a list of parts until a reader needs it as one
+    string. A node whose text begins with that of its first child, read by
+    nothing else, extends the child's list in place, so a left-nested chain
+    such as `x - x - ... - x` or `x/x/.../x` renders in linear time.
+    """
+    order = _topo([e])
+    uses: dict[int, int] = {}
+    for node in order:
+        for child in node.args:
+            uses[id(child)] = uses.get(id(child), 0) + 1
+    memo: dict[int, tuple[list | str, int]] = {}
+
+    def text(child) -> tuple[str, int]:
+        parts, level = memo[id(child)]
+        if parts.__class__ is list:
+            parts = "".join(parts)
+            memo[id(child)] = (parts, level)
+        return parts, level
 
     def wrap(child, min_level):
-        text, level = memo[id(child)]
-        return f"({text})" if level < min_level else text
+        text_, level = text(child)
+        return f"({text_})" if level < min_level else text_
 
-    for node in _topo([e]):
+    def lead(child, min_level) -> list:
+        """A new list of parts that begins with the child's text, wrapped
+        below `min_level`; a list read only here is taken over."""
+        parts, level = memo[id(child)]
+        if level >= min_level and parts.__class__ is list \
+                and uses[id(child)] == 1:
+            del memo[id(child)]
+            return parts
+        return [wrap(child, min_level)]
+
+    for node in order:
         if isinstance(node, Const):
             v = node.value
             if v < 0:
@@ -1319,36 +1415,37 @@ def _render(e: Expression) -> tuple[str, int]:
             memo[id(node)] = (f"{base}^{node.exponent}", _LVL_POWBASE)
         elif isinstance(node, Product):
             factors = list(node.args)
-            sign = ""
-            texts = []
             if isinstance(factors[0], Const) and factors[0].value < 0:
-                sign = "-"
-                lead = -factors[0].value
+                coeff = -factors[0].value
                 factors = factors[1:]
-                if lead != 1:
-                    texts.append(str(lead))
-            texts.extend(wrap(f, _LVL_PROD) for f in factors)
-            memo[id(node)] = (sign + "*".join(texts),
-                              _LVL_SUM if sign else _LVL_PROD)
+                parts = ["-"] if coeff == 1 else ["-", str(coeff), "*"]
+                parts.append(wrap(factors[0], _LVL_PROD))
+                level = _LVL_SUM
+            else:
+                parts = lead(factors[0], _LVL_PROD)
+                level = _LVL_PROD
+            for f in factors[1:]:
+                parts += ("*", wrap(f, _LVL_PROD))
+            memo[id(node)] = (parts, level)
         elif isinstance(node, Quotient):
-            num = wrap(node.args[0], _LVL_PROD)
-            den = wrap(node.args[1], _LVL_POWBASE)
-            memo[id(node)] = (f"{num}/{den}", _LVL_PROD)
+            parts = lead(node.args[0], _LVL_PROD)
+            parts += ("/", wrap(node.args[1], _LVL_POWBASE))
+            memo[id(node)] = (parts, _LVL_PROD)
         elif isinstance(node, Difference):
-            left = wrap(node.args[0], _LVL_SUM)
-            rtext, rlevel = memo[id(node.args[1])]
-            right = f"({rtext})" if rlevel <= _LVL_SUM else rtext
-            memo[id(node)] = (f"{left} - {right}", _LVL_SUM)
+            parts = lead(node.args[0], _LVL_SUM)
+            rtext, rlevel = text(node.args[1])
+            parts += (" - ", f"({rtext})" if rlevel <= _LVL_SUM else rtext)
+            memo[id(node)] = (parts, _LVL_SUM)
         else:  # Sum
-            parts = [memo[id(node.args[0])][0]]
+            parts = lead(node.args[0], _LVL_SUM)
             for child in node.args[1:]:
-                text, _ = memo[id(child)]
-                if text.startswith("-"):
-                    parts.append(f" - {text[1:]}")
+                text_, _ = text(child)
+                if text_.startswith("-"):
+                    parts += (" - ", text_[1:])
                 else:
-                    parts.append(f" + {text}")
-            memo[id(node)] = ("".join(parts), _LVL_SUM)
-    return memo[id(e)]
+                    parts += (" + ", text_)
+            memo[id(node)] = (parts, _LVL_SUM)
+    return text(e)
 
 
 def to_text(e: Expression) -> str:

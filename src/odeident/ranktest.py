@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -280,6 +281,15 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
     pinned to the given values (the rest stay random) and the rank at one
     such point under the first prime is recorded separately. The report's
     `mode` and `variant` are left empty; `run_rank_test` fills them in.
+
+    A trial's first points, one per prime, are lifted by the Chinese
+    remainder theorem to one point mod the product of the primes and
+    evaluated once there (`Program.run_mod` reduces lazily and takes a
+    product of primes); the outputs are split mod each prime and
+    eliminated per prime. Only a trial whose lifted point hits a
+    denominator under some prime is redrawn and evaluated prime by prime,
+    so the draws, retries, errors and report are those of evaluating
+    every prime separately.
     """
     primes = _checked_rank_args(trials, primes)
 
@@ -289,6 +299,10 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
     order = {s: i for i, s in enumerate(symbols)}
     n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
     program = compile_program(flat, symbols)
+
+    def rank_of(values: list[int], p: int) -> int:
+        return _rank_mod([[v % p for v in values[r * n_cols:(r + 1) * n_cols]]
+                          for r in range(n_rows)], p)
 
     def rank_at(p: int, trial, pinned: Mapping[Symbol, int]) -> int:
         """Rank mod p at the first point drawn for `trial` that misses
@@ -301,18 +315,33 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
                 values = program.run_mod(point, p)
             except DivisionByZero:
                 continue
-            return _rank_mod([values[r * n_cols:(r + 1) * n_cols]
-                              for r in range(n_rows)], p)
+            return rank_of(values, p)
         raise ExhaustedRetries(
             f"{_MAX_RETRIES_PER_TRIAL} random points in a row hit a "
             f"denominator (prime {p}, trial {trial})")
 
+    # attempt 0 of every trial under all primes at once; None marks a trial
+    # left to rank_at, which the loop below calls in its prime-major order
+    modulus = math.prod(primes)
+    lift = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    first_ranks: list[list[int] | None] = []
+    for trial in range(trials):
+        points = [_draw_point(seed, p, trial, 0, len(symbols)) for p in primes]
+        try:
+            values = program.run_mod(
+                [sum(c * x for c, x in zip(lift, xs)) for xs in zip(*points)],
+                modulus)
+        except DivisionByZero:
+            first_ranks.append(None)
+        else:
+            first_ranks.append([rank_of(values, p) for p in primes])
+
     observed: dict[int, int] = {}
     per_prime_max: list[int] = []
-    for p in primes:
+    for i, p in enumerate(primes):
         best = 0
-        for trial in range(trials):
-            r = rank_at(p, trial, {})
+        for trial, ranks in enumerate(first_ranks):
+            r = rank_at(p, trial, {}) if ranks is None else ranks[i]
             observed[r] = observed.get(r, 0) + 1
             if r > best:
                 best = r

@@ -1,6 +1,6 @@
 """Shared test utilities: random expressions, a finite-difference oracle,
-reference implementations of expansion and differentiation, and a
-reference RKF45 stepper."""
+reference implementations of expansion and differentiation, a reference
+RKF45 stepper, and the rank test's serial loop over primes."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from odeident import expr as E
+from odeident import ranktest as R
 from odeident import transform as T
 
 XYZ = tuple(E.Symbol(n) for n in ("x", "y", "z"))
@@ -448,3 +449,62 @@ def reference_solve(f, y0, cfg) -> np.ndarray:
             h *= max(0.2, 0.9 * err ** -0.2)
     states[filled:] = y
     return states
+
+
+# --------------------------------------------- reference generic rank
+#
+# The rank test's earlier loop, primes outer and trials inner, evaluating
+# every point under one prime at a time. `ranktest.generic_rank` evaluates
+# each trial's first points under all primes at once and must report
+# exactly what this loop reports, raise what it raises, with the same
+# message.
+
+def reference_generic_rank(matrix, trials, seed, primes=R.DEFAULT_PRIMES, *,
+                           structured_point=None) -> R.RankReport:
+    primes = R._checked_rank_args(trials, primes)
+
+    flat = [e for row in matrix for e in row]
+    symbols = sorted(E.free_symbols(*flat), key=E.Symbol.sort_key)
+    order = {s: i for i, s in enumerate(symbols)}
+    n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
+    program = E.compile_program(flat, symbols)
+
+    def rank_at(p, trial, pinned):
+        for attempt in range(R._MAX_RETRIES_PER_TRIAL):
+            point = R._draw_point(seed, p, trial, attempt, len(symbols))
+            for s, v in pinned.items():
+                point[order[s]] = v % p
+            try:
+                values = program.run_mod(point, p)
+            except E.DivisionByZero:
+                continue
+            return R._rank_mod([values[r * n_cols:(r + 1) * n_cols]
+                                for r in range(n_rows)], p)
+        raise R.ExhaustedRetries(
+            f"{R._MAX_RETRIES_PER_TRIAL} random points in a row hit a "
+            f"denominator (prime {p}, trial {trial})")
+
+    observed = {}
+    per_prime_max = []
+    for p in primes:
+        best = 0
+        for trial in range(trials):
+            r = rank_at(p, trial, {})
+            observed[r] = observed.get(r, 0) + 1
+            if r > best:
+                best = r
+        per_prime_max.append(best)
+
+    if len(set(per_prime_max)) != 1:
+        raise R.PrimeDisagreement(
+            f"per-prime generic ranks differ: "
+            + ", ".join(f"{p}->{r}" for p, r in zip(primes, per_prime_max)))
+
+    structured_rank = None
+    if structured_point is not None:
+        structured_rank = rank_at(primes[0], "structured", structured_point)
+
+    return R.RankReport(mode="", variant="", trials=trials, primes=primes,
+                        observed_ranks=observed,
+                        generic_rank=per_prime_max[0], seed=seed,
+                        elapsed_ms=0, structured_point_rank=structured_rank)

@@ -103,8 +103,11 @@ def test_dag_traversals(monkeypatch, run, bound):
     assert _traversals(monkeypatch, run) <= bound
 
 
-@pytest.mark.parametrize("mode, chars", [("naive", 39368),
-                                         ("constrained", 75395)])
+# the modular rendering reduces lazily, where a bound requires it and at
+# temporaries and outputs; reducing after every operation made these 39368
+# and 75395
+@pytest.mark.parametrize("mode, chars", [("naive", 35550),
+                                         ("constrained", 64365)])
 def test_jacobian_mod_p_source_size(mode, chars):
     assert len(_program(_jacobian(mode)).source(modular=True)) <= chars
 

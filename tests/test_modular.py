@@ -1,0 +1,274 @@
+"""Evaluation modulo a product of primes and lazy modular reduction.
+
+`Program.run_mod` takes a product of distinct primes, and its rendering
+reduces only where a value's bound requires it. `ranktest.generic_rank`
+evaluates each trial once modulo the product of its primes, and must
+report, raise and count exactly what evaluating under one prime at a time
+does (`helpers.reference_generic_rank`)."""
+
+import functools
+import json
+import math
+import random
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from odeident import cli
+from odeident import expr as E
+from odeident import ranktest as R
+from helpers import XYZ, random_expression, reference_generic_rank
+
+PRIMES = R.DEFAULT_PRIMES
+PRODUCT = math.prod(PRIMES)
+x = E.Symbol("x")
+X = E.sym(x)
+
+
+@functools.lru_cache(maxsize=None)
+def _constrained_program():
+    jac = R.substitute_dynamics(
+        R.parameter_jacobian(R.build_phi_system(R.build_phi())))
+    flat = [e for row in jac for e in row]
+    symbols = sorted(E.free_symbols(*flat), key=E.Symbol.sort_key)
+    return E.compile_program(flat, symbols), symbols
+
+
+def _crt(residues, primes):
+    m = math.prod(primes)
+    return sum(r * (m // p) * pow(m // p, -1, p)
+               for r, p in zip(residues, primes)) % m
+
+
+# ------------------------------------------------- composite moduli
+
+def test_run_mod_modulo_a_product_of_primes_is_the_crt_lift():
+    program, symbols = _constrained_program()
+    rng = random.Random(17)
+    for _ in range(20):
+        point = [rng.randrange(PRODUCT) for _ in symbols]
+        per_prime = [program.run_mod(point, p) for p in PRIMES]
+        assert program.run_mod(point, PRODUCT) == [
+            _crt(residues, PRIMES) for residues in zip(*per_prime)]
+
+
+def test_random_programs_modulo_the_product_agree_with_every_prime():
+    """Mod the product a run raises DivisionByZero exactly when a run mod
+    some prime does, and otherwise returns the CRT lift of the runs."""
+    rng = random.Random(11)
+    raised = 0
+    for _ in range(200):
+        c = rng.randrange(1, 1000)
+        e = E.div(random_expression(rng, depth=3), E.sym(XYZ[0]) - c)
+        program = E.compile_program([e], XYZ)
+        # x - c vanishes under no prime, one, or all of them
+        hit = rng.choice([(), (0,), (2,), (0, 1, 2)])
+        x = _crt([c if i in hit else rng.randrange(p)
+                  for i, p in enumerate(PRIMES)], PRIMES)
+        point = [x, rng.randrange(PRODUCT), rng.randrange(PRODUCT)]
+        per_prime = []
+        for p in PRIMES:
+            try:
+                per_prime.append(program.run_mod(point, p))
+            except E.DivisionByZero:
+                per_prime.append(None)
+        if None in per_prime:
+            raised += 1
+            with pytest.raises(E.DivisionByZero):
+                program.run_mod(point, PRODUCT)
+        else:
+            assert program.run_mod(point, PRODUCT) == [
+                _crt(residues, PRIMES) for residues in zip(*per_prime)]
+    assert 100 < raised < 200
+
+
+def test_shared_factor_denominators_raise_division_by_zero():
+    p0, p1 = PRIMES[:2]
+    m = p0 * p1
+    assert not issubclass(E.DivisionByZero, ValueError)
+    inverse = E.compile_program([E.div(E.ONE, X)], [x])
+    # p0 is zero mod p0 alone, so it has no inverse mod p0*p1
+    assert inverse.run_mod([p0], p1) == [pow(p0, -1, p1)]
+    with pytest.raises(E.DivisionByZero):
+        inverse.run_mod([p0], m)
+    with pytest.raises(E.DivisionByZero):
+        E.compile_program([X ** -2], [x]).run_mod([p1], m)
+    with pytest.raises(E.DivisionByZero):
+        E.evaluate(E.div(E.ONE, X), {x: p0}, m)
+    # a Fraction input or constant whose denominator shares a factor
+    with pytest.raises(E.DivisionByZero, match="no residue"):
+        inverse.run_mod([Fraction(1, 3 * p1)], m)
+    with pytest.raises(E.DivisionByZero, match="no residue"):
+        E.compile_program([E.const(Fraction(1, p0)) * X], [x]).run_mod([1], m)
+
+
+# -------------------------------------------------- lazy reduction
+
+class _TooWide(Exception):
+    pass
+
+
+class _Bounded(int):
+    """An int whose arithmetic raises _TooWide when a result is wider than
+    `limit` bits, and records the widest result in `widest`."""
+
+    limit = widest = 0
+
+    @classmethod
+    def of(cls, v):
+        bits = v.bit_length()
+        if bits > cls.limit:
+            raise _TooWide(bits)
+        cls.widest = max(cls.widest, bits)
+        return cls(v)
+
+    def __add__(self, other):
+        return _Bounded.of(int(self) + int(other))
+
+    def __radd__(self, other):
+        return _Bounded.of(int(other) + int(self))
+
+    def __sub__(self, other):
+        return _Bounded.of(int(self) - int(other))
+
+    def __rsub__(self, other):
+        return _Bounded.of(int(other) - int(self))
+
+    def __mul__(self, other):
+        return _Bounded.of(int(self) * int(other))
+
+    def __rmul__(self, other):
+        return _Bounded.of(int(other) * int(self))
+
+    def __mod__(self, other):
+        return _Bounded.of(int(self) % int(other))
+
+    def __neg__(self):
+        return _Bounded.of(-int(self))
+
+    def __pow__(self, k, modulus=None):
+        return _Bounded.of(pow(int(self), k, modulus))
+
+
+def _run_bounded(source, program, modulus, point, limit):
+    """`source`, a modular rendering of `program`, run at `point` on
+    _Bounded ints; returns the outputs and the widest value computed."""
+    namespace = {"DivisionByZero": E.DivisionByZero}
+    exec(source, namespace)
+    _Bounded.limit, _Bounded.widest = limit, 0
+    fn = namespace["_make"](modulus, [_Bounded(E._as_residue(c, modulus))
+                                      for c in program.constants])
+    outputs = fn(*[_Bounded(v % modulus) for v in point])
+    return [int(v) for v in outputs], _Bounded.widest
+
+
+def _lazy_limit(modulus):
+    a, b = E._LAZY_BITS
+    return a * modulus.bit_length() + b
+
+
+@pytest.mark.parametrize("modulus", [PRIMES[0], PRODUCT],
+                         ids=["63-bit prime", "189-bit product"])
+def test_lazy_reduction_keeps_every_value_within_its_bound(modulus):
+    program, symbols = _constrained_program()
+    source = program.source(modular=True)
+    width = modulus.bit_length()
+    rng = random.Random(3)
+    for _ in range(5):
+        point = [rng.randrange(modulus) for _ in symbols]
+        outputs, widest = _run_bounded(source, program, modulus, point,
+                                       _lazy_limit(modulus))
+        assert outputs == program.run_mod(point, modulus)
+        assert all(0 <= v < modulus for v in outputs)
+        # reduction is lazy: some value outgrows a product of two residues
+        assert widest > 2 * width
+
+
+def test_a_rendering_without_reduction_at_temporaries_breaks_the_bound():
+    program, symbols = _constrained_program()
+    source = program.source(modular=True)
+    mutant = re.sub(r"^(\s+t\d+ = .*) % p$", r"\1", source, flags=re.M)
+    assert mutant != source
+    point = [random.Random(3).randrange(PRIMES[0]) for _ in symbols]
+    with pytest.raises(_TooWide):
+        _run_bounded(mutant, program, PRIMES[0], point,
+                     _lazy_limit(PRIMES[0]))
+
+
+# ------------------------------------ generic rank against serial loop
+
+def _report(rank, *args, **kwargs):
+    d = rank(*args, **kwargs).to_dict()
+    d.pop("elapsed_ms")
+    return d
+
+
+def test_a_denominator_vanishing_under_one_prime_is_redrawn_per_prime(
+        monkeypatch):
+    seed, trials = 5, 6
+    p0, p1, p2 = PRIMES
+    d = R._draw_point(seed, p1, 0, 0, 1)[0]
+    matrix = [[E.div(E.ONE, X - E.const(d)), X], [E.ONE, X + 1]]
+    moduli = []
+    run_mod = E.Program.run_mod
+
+    def spy(self, values, p):
+        moduli.append(p)
+        return run_mod(self, values, p)
+
+    monkeypatch.setattr(E.Program, "run_mod", spy)
+    got = _report(R.generic_rank, matrix, trials, seed)
+    # one evaluation per trial mod the product; trial 0 hit x = d under p1,
+    # so it went prime by prime, and p1 drew a second point
+    assert moduli == [PRODUCT] * trials + [p0, p1, p1, p2]
+    monkeypatch.undo()
+    assert got == _report(reference_generic_rank, matrix, trials, seed)
+    assert got["observed_ranks"] == {"2": 3 * trials}
+
+
+def test_a_rank_drop_at_one_prime_and_trial_is_counted_once():
+    seed, trials = 5, 6
+    d = R._draw_point(seed, PRIMES[2], 3, 0, 1)[0]
+    matrix = [[X - E.const(d), E.ZERO], [E.ZERO, E.ONE]]
+    got = _report(R.generic_rank, matrix, trials, seed)
+    assert got == _report(reference_generic_rank, matrix, trials, seed)
+    assert got["observed_ranks"] == {"1": 1, "2": 3 * trials - 1}
+
+
+@pytest.mark.parametrize("matrix, structured, error", [
+    ([[E.const(PRIMES[0])]], None, R.PrimeDisagreement),
+    ([[E.div(E.ONE, X - X)]], None, R.ExhaustedRetries),
+    # every point is on the denominator under the second prime only
+    ([[E.div(E.ONE, E.const(PRIMES[1]) * X)]], None, R.ExhaustedRetries),
+    ([[E.div(E.ONE, X)]], {x: 0}, R.ExhaustedRetries),
+], ids=["disagreement", "everywhere singular", "singular under one prime",
+        "structured point"])
+def test_errors_are_those_of_the_serial_loop(matrix, structured, error):
+    with pytest.raises(error) as want:
+        reference_generic_rank(matrix, 3, 1, structured_point=structured)
+    with pytest.raises(error) as got:
+        R.generic_rank(matrix, 3, 1, structured_point=structured)
+    assert str(got.value) == str(want.value)
+
+
+# ------------------------------------------------------ golden reports
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("mode, variant", [
+    ("naive", R.CORRECTED), ("constrained", R.CORRECTED),
+    ("constrained", R.MIAO_AS_PRINTED)])
+def test_rank_reports_match_the_stored_seed_7_reports(capsys, mode, variant):
+    """The stored reports are `rank --trials 100 --seed 7` of the serial
+    loop over primes."""
+    assert cli.main(["rank", "--mode", mode, "--variant", variant,
+                     "--trials", "100", "--seed", "7"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((GOLDEN / f"rank_{mode}_{variant}_seed7.json")
+                      .read_text())
+    got.pop("elapsed_ms")
+    want.pop("elapsed_ms")
+    assert got == want
