@@ -991,14 +991,14 @@ class Program:
     `_as_fraction`, `run_mod` by `_as_residue`.
     """
 
-    def __init__(self, instructions, n_inputs, constants, n_slots, outputs,
-                 input_symbols):
+    def __init__(self, instructions, constants, outputs, input_symbols):
         self.instructions = instructions
-        self.n_inputs = n_inputs
         self.constants = constants
-        self.n_slots = n_slots
         self.outputs = outputs
         self.input_symbols = input_symbols
+        self.n_inputs = len(input_symbols)
+        # every instruction fills one temporary slot of its own
+        self.n_slots = self.n_inputs + len(constants) + len(instructions)
         self._rendered: dict[bool, tuple] = {}  # modular -> (source, maker)
         self._fns: dict = {}  # "float", "plain" or a modulus -> code
 
@@ -1291,8 +1291,7 @@ def compile_program(exprs: Sequence[Expression],
             memo[id(node)] = dst
 
     outputs = [memo[id(e)] for e in exprs]
-    return Program(instructions, len(inputs), constants, next_slot, outputs,
-                   tuple(inputs))
+    return Program(instructions, constants, outputs, tuple(inputs))
 
 
 def evaluate(e: Expression, point: Mapping[Symbol, object],

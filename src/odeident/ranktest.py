@@ -282,14 +282,13 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
     such point under the first prime is recorded separately. The report's
     `mode` and `variant` are left empty; `run_rank_test` fills them in.
 
-    A trial's first points, one per prime, are lifted by the Chinese
-    remainder theorem to one point mod the product of the primes and
-    evaluated once there (`Program.run_mod` reduces lazily and takes a
-    product of primes); the outputs are split mod each prime and
-    eliminated per prime. Only a trial whose lifted point hits a
-    denominator under some prime is redrawn and evaluated prime by prime,
-    so the draws, retries, errors and report are those of evaluating
-    every prime separately.
+    Each evaluation serves one or more primes: every prime draws its own
+    point, the points are lifted by the Chinese remainder theorem to one
+    point mod the product of the primes and evaluated once there
+    (`Program.run_mod` reduces lazily), and the outputs are split mod each
+    prime for elimination. If the lifted point hits a denominator, each
+    prime is evaluated alone and redraws only its own points, so the
+    draws, retries, errors and report are those of one prime at a time.
     """
     primes = _checked_rank_args(trials, primes)
 
@@ -300,52 +299,41 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
     n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
     program = compile_program(flat, symbols)
 
-    def rank_of(values: list[int], p: int) -> int:
-        return _rank_mod([[v % p for v in values[r * n_cols:(r + 1) * n_cols]]
-                          for r in range(n_rows)], p)
-
-    def rank_at(p: int, trial, pinned: Mapping[Symbol, int]) -> int:
-        """Rank mod p at the first point drawn for `trial` that misses
-        every denominator; the `pinned` symbols keep their values."""
-        for attempt in range(_MAX_RETRIES_PER_TRIAL):
-            point = _draw_point(seed, p, trial, attempt, len(symbols))
-            for s, v in pinned.items():
-                point[order[s]] = v % p
+    def ranks_at(trial, primes: tuple[int, ...],
+                 pinned: Mapping[Symbol, int]) -> list[int]:
+        """Rank mod each of `primes` at the first point drawn for `trial`
+        under that prime that misses every denominator; the `pinned`
+        symbols keep their values."""
+        modulus = math.prod(primes)
+        lift = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+        for attempt in range(_MAX_RETRIES_PER_TRIAL if len(primes) == 1
+                             else 1):
+            points = [_draw_point(seed, p, trial, attempt, len(symbols))
+                      for p in primes]
+            for point, p in zip(points, primes):
+                for s, v in pinned.items():
+                    point[order[s]] = v % p
             try:
-                values = program.run_mod(point, p)
+                values = program.run_mod(
+                    [sum(c * x for c, x in zip(lift, xs))
+                     for xs in zip(*points)], modulus)
             except DivisionByZero:
-                continue
-            return rank_of(values, p)
+                if len(primes) == 1:
+                    continue
+                return [ranks_at(trial, (p,), pinned)[0] for p in primes]
+            rows = [values[r * n_cols:(r + 1) * n_cols] for r in range(n_rows)]
+            return [_rank_mod([[v % p for v in row] for row in rows], p)
+                    for p in primes]
         raise ExhaustedRetries(
             f"{_MAX_RETRIES_PER_TRIAL} random points in a row hit a "
-            f"denominator (prime {p}, trial {trial})")
-
-    # attempt 0 of every trial under all primes at once; None marks a trial
-    # left to rank_at, which the loop below calls in its prime-major order
-    modulus = math.prod(primes)
-    lift = [modulus // p * pow(modulus // p, -1, p) for p in primes]
-    first_ranks: list[list[int] | None] = []
-    for trial in range(trials):
-        points = [_draw_point(seed, p, trial, 0, len(symbols)) for p in primes]
-        try:
-            values = program.run_mod(
-                [sum(c * x for c, x in zip(lift, xs)) for xs in zip(*points)],
-                modulus)
-        except DivisionByZero:
-            first_ranks.append(None)
-        else:
-            first_ranks.append([rank_of(values, p) for p in primes])
+            f"denominator (prime {primes[0]}, trial {trial})")
 
     observed: dict[int, int] = {}
-    per_prime_max: list[int] = []
-    for i, p in enumerate(primes):
-        best = 0
-        for trial, ranks in enumerate(first_ranks):
-            r = rank_at(p, trial, {}) if ranks is None else ranks[i]
+    per_prime_max = [0] * len(primes)
+    for trial in range(trials):
+        for i, r in enumerate(ranks_at(trial, primes, {})):
             observed[r] = observed.get(r, 0) + 1
-            if r > best:
-                best = r
-        per_prime_max.append(best)
+            per_prime_max[i] = max(per_prime_max[i], r)
 
     if len(set(per_prime_max)) != 1:
         raise PrimeDisagreement(
@@ -354,7 +342,11 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
 
     structured_rank = None
     if structured_point is not None:
-        structured_rank = rank_at(primes[0], "structured", structured_point)
+        structured_rank = ranks_at("structured", primes[:1],
+                                   structured_point)[0]
+    # ranks_at refers to itself; breaking that cycle frees the program
+    # on return instead of at the next garbage collection
+    del ranks_at
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return RankReport(

@@ -454,10 +454,10 @@ def reference_solve(f, y0, cfg) -> np.ndarray:
 # --------------------------------------------- reference generic rank
 #
 # The rank test's earlier loop, primes outer and trials inner, evaluating
-# every point under one prime at a time. `ranktest.generic_rank` evaluates
-# each trial's first points under all primes at once and must report
-# exactly what this loop reports, raise what it raises, with the same
-# message.
+# every point under one prime at a time. `ranktest.generic_rank` goes
+# trial by trial, evaluating all primes at once and each prime alone only
+# where the lifted point hits a denominator. It must report exactly what
+# this loop reports and raise what it raises, with the same message.
 
 def reference_generic_rank(matrix, trials, seed, primes=R.DEFAULT_PRIMES, *,
                            structured_point=None) -> R.RankReport:

@@ -2,15 +2,20 @@
 
 `Program.run_mod` takes a product of distinct primes, and its rendering
 reduces only where a value's bound requires it. `ranktest.generic_rank`
-evaluates each trial once modulo the product of its primes, and must
-report, raise and count exactly what evaluating under one prime at a time
-does (`helpers.reference_generic_rank`)."""
+has one evaluation route: a trial is one run modulo the product of its
+primes, and a run that hits a denominator is redone under each prime
+alone, where only that prime redraws. It must report, raise and count
+exactly what evaluating under one prime at a time does
+(`helpers.reference_generic_rank`), and keep nothing per trial."""
 
 import functools
+import gc
 import json
 import math
 import random
 import re
+import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -205,12 +210,9 @@ def _report(rank, *args, **kwargs):
     return d
 
 
-def test_a_denominator_vanishing_under_one_prime_is_redrawn_per_prime(
-        monkeypatch):
-    seed, trials = 5, 6
-    p0, p1, p2 = PRIMES
-    d = R._draw_point(seed, p1, 0, 0, 1)[0]
-    matrix = [[E.div(E.ONE, X - E.const(d)), X], [E.ONE, X + 1]]
+@pytest.fixture
+def run_mod_moduli(monkeypatch):
+    """The moduli `Program.run_mod` is called with, in call order."""
     moduli = []
     run_mod = E.Program.run_mod
 
@@ -219,11 +221,44 @@ def test_a_denominator_vanishing_under_one_prime_is_redrawn_per_prime(
         return run_mod(self, values, p)
 
     monkeypatch.setattr(E.Program, "run_mod", spy)
+    return moduli
+
+
+@pytest.mark.parametrize("hit", [0, 3])
+def test_a_denominator_vanishing_under_one_prime_is_redrawn_per_prime(
+        run_mod_moduli, hit):
+    seed, trials = 5, 6
+    p0, p1, p2 = PRIMES
+    d = R._draw_point(seed, p1, hit, 0, 1)[0]
+    matrix = [[E.div(E.ONE, X - E.const(d)), X], [E.ONE, X + 1]]
     got = _report(R.generic_rank, matrix, trials, seed)
-    # one evaluation per trial mod the product; trial 0 hit x = d under p1,
-    # so it went prime by prime, and p1 drew a second point
-    assert moduli == [PRODUCT] * trials + [p0, p1, p1, p2]
-    monkeypatch.undo()
+    # one evaluation per trial mod the product; trial `hit` met x = d under
+    # p1, so it went prime by prime there, and p1 alone drew a second point
+    assert run_mod_moduli == ([PRODUCT] * hit + [PRODUCT, p0, p1, p1, p2]
+                              + [PRODUCT] * (trials - hit - 1))
+    assert got == _report(reference_generic_rank, matrix, trials, seed)
+    assert got["observed_ranks"] == {"2": 3 * trials}
+
+
+@pytest.mark.parametrize("mode, moduli", [
+    ("constrained", [PRODUCT, PRODUCT, PRIMES[0]]),
+    ("naive", [PRODUCT, PRODUCT])])
+def test_a_rank_run_evaluates_once_per_trial_and_structured_point(
+        run_mod_moduli, mode, moduli):
+    R.run_rank_test(mode, trials=2, seed=7)
+    assert run_mod_moduli == moduli
+
+
+def test_a_lifted_failure_under_one_prime_leaves_other_primes_draws_alone():
+    seed, trials = 5, 6
+    p0, p1 = PRIMES[:2]
+    # trial 3 hits a denominator under p1 only; p0's point for a second
+    # attempt at trial 3, which p0 must never draw, is a rank drop
+    d = R._draw_point(seed, p1, 3, 0, 1)[0]
+    e = R._draw_point(seed, p0, 3, 1, 1)[0]
+    matrix = [[E.div(E.ONE, X - E.const(d)), E.ZERO],
+              [E.ZERO, X - E.const(e)]]
+    got = _report(R.generic_rank, matrix, trials, seed)
     assert got == _report(reference_generic_rank, matrix, trials, seed)
     assert got["observed_ranks"] == {"2": 3 * trials}
 
@@ -235,6 +270,42 @@ def test_a_rank_drop_at_one_prime_and_trial_is_counted_once():
     got = _report(R.generic_rank, matrix, trials, seed)
     assert got == _report(reference_generic_rank, matrix, trials, seed)
     assert got["observed_ranks"] == {"1": 1, "2": 3 * trials - 1}
+
+
+def test_rank_memory_does_not_grow_with_trials():
+    matrix = [[X + 1]]
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            R.generic_rank(matrix, trials, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # fill caches that outlive a run
+    # a list kept per trial would add about 60 KiB between the two
+    assert abs(peak(800) - peak(100)) < 4096
+
+
+def test_a_rank_run_frees_its_program_on_return(monkeypatch):
+    """No reference cycle keeps a run's program alive until the next
+    garbage collection."""
+    programs = []
+    compile_program = R.compile_program
+
+    def keep_ref(*args):
+        program = compile_program(*args)
+        programs.append(weakref.ref(program))
+        return program
+
+    monkeypatch.setattr(R, "compile_program", keep_ref)
+    gc.disable()
+    try:
+        R.generic_rank([[X + 1]], 3, 1, structured_point={x: 2})
+        assert programs[0]() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("matrix, structured, error", [
