@@ -1006,11 +1006,18 @@ class Program:
         rendered = self._rendered.get(modular)
         if rendered is None:
             units = _emit(self, modular)
-            namespace = {"DivisionByZero": DivisionByZero}
+            # each unit defines one function, in a namespace of its own
+            # that holds the functions defined before it but not itself,
+            # so no function and namespace form a reference cycle: the
+            # compiled code goes with the program, not with the cyclic GC
+            made = {}
             for unit in units:  # generated purely from the program
+                namespace = {"DivisionByZero": DivisionByZero, **made}
                 exec(unit, namespace)
+                name = unit[len("def "):unit.index("(")]
+                made[name] = namespace.pop(name)
             rendered = self._rendered[modular] = ("\n".join(units),
-                                                  namespace["_make"])
+                                                  made["_make"])
         return rendered
 
     def source(self, modular: bool = False) -> str:

@@ -12,16 +12,18 @@ renderings: a 1-D state is one Python float per component, and a stacked
 generic `y + h * sum(a * k for ...)` does. A run that needs more than
 `_MAX_ATTEMPTS` step attempts stops with StepBudgetExceeded.
 
-A run compiles one program per evaluation site: one for the right-hand
-side and one for the outputs of all its trajectories (every twin of a
-sweep included). Relation residuals compile the output jets once and the
-terms of each relation variant.
+A run compiles one program per evaluation site: one for the vector field
+and one for the outputs of all its trajectories (every twin of a sweep
+included). Relation residuals compile the output jets once and the terms
+of each relation variant.
 
 The indistinguishability experiment co-integrates the original system and
 the transformed one as a single 6-state ODE. The transformed eta is
 evaluated pointwise from the co-integrated ORIGINAL states (its closed
 form is a function of the original trajectory), so no interpolation error
-enters the coupling. A tau sweep stacks one such row per twin; the
+enters the coupling. With one twin the whole 6-state field, eta' and its
+pole guard included, is one program on Python floats, run once per
+right-hand side call. A tau sweep stacks one such row per twin; the
 original system, which every row shares bit for bit, is evaluated once
 per right-hand side call on Python floats, and only the twins run on
 numpy columns. Reported are the worst relative deviation between
@@ -45,8 +47,9 @@ from .expr import (AUX, Expression, Symbol, compile_float_fn,
                    compile_program, free_symbols)
 from .model import OdeModel, hiv_model, output_jet, output_symbol
 from .ranktest import CORRECTED, build_phi
-from .transform import (Params, TauFamily, admissible_tau_interval,
-                        eta_prime_stack)
+from .transform import (_DENOM_EPS, Params, TauFamily,
+                        admissible_tau_interval, eta_prime_expr,
+                        eta_prime_scale_expr, eta_prime_stack)
 
 __all__ = [
     "EtaSignal", "IndistReport", "NonFiniteState", "SimConfig",
@@ -265,8 +268,10 @@ def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
     `cfg.grid()`, shaped (grid points, *y0.shape).
 
     A 1-D `y0` is one system, stepped on Python floats: f takes and
-    returns a list. A 2-D `y0` stacks one system per row, stepped as one
-    numpy array, and all rows take the same steps. The step error is the
+    returns a list, and an accepted step checks f and looks up the grid
+    without converting to numpy; only the Hermite fill of the grid points
+    a step covers does. A 2-D `y0` stacks one system per row, stepped as
+    one numpy array, and all rows take the same steps. The step error is the
     largest of the rows' RMS errors, so no row is held to a looser
     tolerance than it would be in a run of its own. A run gives up with
     StepBudgetExceeded after `_MAX_ATTEMPTS` step attempts, and a scalar
@@ -284,15 +289,17 @@ def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     max_step = cfg.max_step if cfg.max_step is not None else tf - t
     y0 = np.asarray(y0, dtype=float)
-    if not _finite(y0):
-        raise NonFiniteState("initial state is not finite")
     flat = y0.ndim == 1
+    y = y0.tolist() if flat else y0
+    # a list of Python floats is checked without a trip through numpy
+    finite = (lambda v: all(map(math.isfinite, v))) if flat else _finite
+    if not finite(y):
+        raise NonFiniteState("initial state is not finite")
     width = y0.shape[-1]
     attempt = _attempt_fn(width if flat else None)
     states = np.empty((len(grid), *y0.shape))
     filled = 0
     at_end = 1e-13 * max(abs(tf), 1.0)  # this close to tf counts as there
-    y = y0.tolist() if flat else y0
     h = min(max_step, (tf - t) / 100.0)
     attempts = 0
     try:
@@ -315,13 +322,13 @@ def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
             if err <= 1.0:
                 t_right = t + h
                 f_right = f(t_right, y4)
-                if not _finite(f_right):
+                if not finite(f_right):
                     raise NonFiniteState(
                         f"derivative not finite at t = {t_right}")
                 if tf - t_right > at_end:
-                    stop = np.searchsorted(grid, t_right, "left")
+                    stop = grid.searchsorted(t_right, "left")
                 else:  # the last step
-                    stop = np.searchsorted(grid, t_right + 1e-12, "right")
+                    stop = grid.searchsorted(t_right + 1e-12, "right")
                 if stop > filled:
                     states[filled:stop] = _hermite(
                         t, h, *map(np.asarray, (y, y4, f_left, f_right)),
@@ -507,7 +514,7 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
     vector field on numpy columns; the original trajectory is built once
     and shared by every twin's result. A single twin keeps the state flat
     and runs on Python floats, about ten times faster than numpy on one
-    row.
+    row: each evaluation reads eta and runs one program, `_twin_field`.
     """
     # every SingularTau before any integration
     insts = [TauFamily(tau=tau, params=params) for tau in taus]
@@ -516,25 +523,18 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
     m = hiv_model()
     grid = cfg.grid()
     _signals(m, eta, grid)  # rejects an eta that is not finite and >= 0
-    base = _param_values(m, params.as_dict())
-    primed = [_param_values(m, inst.params_prime.as_dict()) for inst in insts]
-    rhs = _rhs(m).float_fn()
     init = [float(v) for v in init]
     y0 = [init + list(inst.map_state(*init)) for inst in insts]
 
     if len(insts) == 1:
-        inst, primed = insts[0], primed[0]
-
-        def f(t, y):
-            et = eta(t)
-            orig = y[:3]
-            return (rhs(*orig, et, *base)
-                    + rhs(*y[3:], inst.eta(*orig, et), *primed))
-
+        f = _twin_field(m, eta, insts[0])
         states = _solve_twins(f, y0[0], cfg, params, insts)[:, None, :]
     else:
+        rhs = _rhs(m).float_fn()
         eta_prime = eta_prime_stack(params, np.array([i.u for i in insts]))
-        primed = np.array(primed).T
+        base = _param_values(m, params.as_dict())
+        primed = np.array([_param_values(m, inst.params_prime.as_dict())
+                           for inst in insts]).T
 
         def f(t, y):
             et = eta(t)
@@ -570,6 +570,56 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
             config=cfg,
         ), orig, prim))
     return runs
+
+
+def _twin_field(m: OdeModel, eta: EtaSignal, inst: TauFamily):
+    """The vector field f(t, y) of the original system co-integrated with
+    the one twin `inst`; y holds the original states, then the twin's.
+
+    Each call reads eta once and runs one program, built from the closed
+    forms that `verify_identities` proves: the model right-hand side on
+    the original states, the same on the twin's states and parameters
+    with eta' = `eta_prime_expr()` in place of eta (eta itself when
+    u == 1) and, for u != 1, eta''s denominator and guard scale. The
+    parameters and u are inputs, not folded constants, so every value
+    rounds as the model's own program and `eta_prime_value` round it.
+    At eta''s pole (a denominator within 1e-12 of the scale, or exactly
+    zero, which the program meets as a division by zero) f calls
+    `inst.eta` there, which raises its SingularPoint; any other division
+    by zero propagates.
+    """
+    def prime(symbols):
+        return [Symbol(s.name + "'", AUX) for s in symbols]
+
+    states_p, consts_p = prime(m.states), prime(m.const_params)
+    images = dict(zip((*m.states, *m.const_params),
+                      map(expr.sym, (*states_p, *consts_p))))
+    guarded = inst.u != 1
+    guard = []
+    if guarded:
+        eta_p = images[m.tv_params[0]] = eta_prime_expr()
+        guard = [eta_p.args[1], eta_prime_scale_expr()]
+    field = compile_program(
+        [*m.rhs, *expr.substitute_many(m.rhs, images), *guard],
+        [*m.states, *states_p, *m.tv_params, *m.const_params, *consts_p,
+         Symbol("u", AUX)]).float_fn()
+    rest = [*_param_values(m, inst.params.as_dict()),
+            *_param_values(m, inst.params_prime.as_dict()), inst.u]
+
+    def f(t, y):
+        et = eta(t)
+        try:
+            dy = field(*y, et, *rest)
+        except ZeroDivisionError:
+            inst.eta(*y[:3], et)  # raises SingularPoint if den is 0
+            raise
+        if guarded:
+            scale = dy.pop()
+            if abs(dy.pop()) <= _DENOM_EPS * abs(scale):
+                inst.eta(*y[:3], et)  # raises SingularPoint
+        return dy
+
+    return f
 
 
 def _solve_twins(f, y0, cfg: SimConfig, params: Params,

@@ -19,7 +19,8 @@ exact expansion.
 The family is written once, as the closed forms that `verify_identities`
 proves. They are compiled when this module is imported, and the numeric
 maps run that code on floats, Fractions and numpy arrays alike; beyond it
-they only check u and compare the guards.
+they only check u and compare the guards. A one-twin simulation compiles
+the same forms into its vector field.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from .model import hiv_model, total_time_derivative
 
 __all__ = [
     "IdentityCheck", "Params", "SingularPoint", "SingularTau", "TauFamily",
-    "admissible_tau_interval", "eta_prime_expr", "eta_prime_stack",
-    "eta_prime_value", "params_prime_exprs", "state_map_exprs",
-    "transform_params", "transform_state", "verify_identities",
+    "admissible_tau_interval", "eta_prime_expr", "eta_prime_scale_expr",
+    "eta_prime_stack", "eta_prime_value", "params_prime_exprs",
+    "state_map_exprs", "transform_params", "transform_state",
+    "verify_identities",
 ]
 
 _DENOM_EPS = 1e-12
@@ -228,6 +230,13 @@ def eta_prime_expr() -> Expression:
     return num / (V * (T_I * d + T_U * rho) * u - V * T_I * d)
 
 
+def eta_prime_scale_expr() -> Expression:
+    """The natural scale V rho (T_U + T_I) u of eta''s pole guard: a
+    denominator within 1e-12 of it counts as a pole."""
+    T_U, T_I, V, rho, u = _syms("T_U T_I V rho u")
+    return V * rho * (T_U + T_I) * u
+
+
 def _compiled():
     """The forms compiled once, as two functions: eta' as numerator,
     denominator and the natural scale V rho (T_U + T_I) u of its pole
@@ -235,9 +244,8 @@ def _compiled():
     stands alone because the stacked sweep runs it on every right-hand
     side, where the maps would be wasted work on arrays. The one constant,
     1 in u - 1, is bound as an int, so Fraction inputs stay exact."""
-    T_U, T_I, V, rho, u = _syms("T_U T_I V rho u")
     pp = params_prime_exprs()
-    eta_p = [*eta_prime_expr().args, V * rho * (T_U + T_I) * u]
+    eta_p = [*eta_prime_expr().args, eta_prime_scale_expr()]
     maps = [pp["delta"].args[1], *state_map_exprs()[:2], pp["delta"],
             pp["N"]]
     return [expr.compile_program(exprs, [s.symbol for s in _syms(inputs)])

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, schema-stable JSON."""
 
+import hashlib
 import json
 import re
 import warnings
@@ -383,6 +384,35 @@ def test_phi_check_printed_variant_alone_fails(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["residuals"]["miao"] > 1e-2
+
+
+# ---------------------------------------------------------- golden outputs
+# stored from `simulate --tau T --eta E --output json`, the sha256 of the
+# same run with `--output csv`, and `phi-check --output json`; every float
+# is printed by repr, so equal reports mean bit-identical trajectories
+
+GOLDEN = Path(__file__).parent / "golden"
+SIMULATE_GOLDEN = json.loads((GOLDEN / "simulate_tau_runs.json").read_text())
+
+
+@pytest.mark.parametrize("tau", ["0.7", "0", "-0.5"])
+@pytest.mark.parametrize("eta", ["1/2", "1/2 + t/20"])
+def test_simulate_reports_and_csv_match_the_stored_ones(tmp_path, capsys,
+                                                         tau, eta):
+    want = SIMULATE_GOLDEN[f"--tau={tau} --eta={eta}"]
+    path = tmp_path / "run.csv"
+    # --csv writes the bytes --output csv prints, from the same run
+    code, out, _ = run(capsys, "simulate", f"--tau={tau}", "--eta", eta,
+                       "--output", "json", "--csv", str(path))
+    assert code == 0
+    assert json.loads(out) == want["report"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want["csv_sha256"]
+
+
+def test_phi_check_output_matches_the_stored_one(capsys):
+    code, out, _ = run(capsys, "phi-check", "--output", "json")
+    assert code == 0
+    assert out == (GOLDEN / "phi_check.json").read_text()
 
 
 # ------------------------------------------------------------------ parse

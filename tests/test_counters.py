@@ -7,18 +7,23 @@ one that traverses the DAG more often to build the jets or the Jacobian. The RHS
 evaluation counts of two default-config runs and of the stacked
 criterion-5 tau sweep are pinned exactly, so a change to the step
 controller that alters a single step fails here too; so is the number of
-the sweep's vector-field evaluations that run on numpy columns. The
-programs a simulation compiles are bounded per run, not per output or
-per twin. Cold start is counted in modules: a fresh `import odeident`
+the sweep's vector-field evaluations that run on numpy columns. A
+passing tau run never calls `eta_prime_value`, and a plain run checks
+finiteness through numpy at most twice. The programs a simulation
+compiles are bounded per run, not per output or per twin, and a run's
+compiled code leaves nothing for the cyclic garbage collector. Cold
+start is counted in modules: a fresh `import odeident`
 loads a pinned set of package modules and not numpy, and the symbolic
 subcommands run with numpy blocked.
 """
 
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -77,16 +82,23 @@ def test_order_eight_jet_sizes(output_index, nodes):
     assert _nodes([M.output_jet(hiv, output_index, 8).entries[8]]) <= nodes
 
 
+def _spy(monkeypatch, module, name) -> list:
+    """Replace `module.name` by a wrapper that records each call; returns
+    the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def _traversals(monkeypatch, run) -> int:
     """Calls of the engine's one DAG traversal, `expr._topo`, by `run`."""
-    calls = []
-    topo = E._topo
-
-    def counting(roots):
-        calls.append(1)
-        return topo(roots)
-
-    monkeypatch.setattr(E, "_topo", counting)
+    calls = _spy(monkeypatch, E, "_topo")
     run()
     return len(calls)
 
@@ -158,6 +170,26 @@ def test_tau_sweep_rhs_calls():
         ONES, (1.0, 0.2, 1.0), eta, SWEEP_TAUS)) == 15708
 
 
+def test_a_passing_tau_run_never_calls_eta_prime_value(monkeypatch):
+    # the run's one program computes eta' in line; eta_prime_value only
+    # words the error at a pole
+    calls = _spy(monkeypatch, T, "eta_prime_value")
+    S.run_indistinguishability(ONES, (1.0, 0.2, 1.0),
+                               S.EtaSignal.from_text("1/2"), 0.7)
+    assert calls == []
+    T.TauFamily(0.7, ONES).eta(1.0, 0.2, 1.0, 0.5)
+    assert calls == [1]
+
+
+def test_a_plain_run_checks_numpy_finiteness_at_most_twice(monkeypatch):
+    # the eta samples and the finished trajectory; the initial state and
+    # each accepted step's derivative are Python floats, checked as such
+    calls = _spy(monkeypatch, S, "_finite")
+    S.integrate(hiv, ONES.as_dict(), [1.0, 1.0, 1.0],
+                S.EtaSignal.from_text("1/2"))
+    assert 1 <= len(calls) <= 2
+
+
 def _array_rhs_calls(monkeypatch, run) -> int:
     """Calls of the compiled right-hand side that receive numpy arrays."""
     calls = []
@@ -190,15 +222,8 @@ def test_tau_sweep_array_rhs_calls(monkeypatch):
 
 def _compile_calls(monkeypatch, run) -> int:
     """compile_program calls made by `run`, compile_float_fn's included."""
-    calls = []
-    original = E.compile_program
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(E, "compile_program", counting)
-    monkeypatch.setattr(S, "compile_program", counting)
+    calls = _spy(monkeypatch, E, "compile_program")
+    monkeypatch.setattr(S, "compile_program", E.compile_program)
     run()
     return len(calls)
 
@@ -215,6 +240,32 @@ def _compile_calls(monkeypatch, run) -> int:
 ], ids=["single tau", "tau sweep", "phi-check"])
 def test_programs_compiled_per_run(monkeypatch, capsys, run, bound):
     assert _compile_calls(monkeypatch, run) <= bound
+
+
+def _left_to_the_cyclic_gc(run) -> list[str]:
+    """Type names of the functions and dicts that only the cyclic garbage
+    collector frees after `run`."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run()
+        gc.collect()
+        return [type(o).__name__ for o in gc.garbage
+                if isinstance(o, (dict, types.FunctionType))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_a_run_leaves_no_compiled_code_to_the_cyclic_gc():
+    assert _left_to_the_cyclic_gc(lambda: S.run_indistinguishability(
+        ONES, (1.0, 0.2, 1.0), S.EtaSignal.from_text("1/2"), 0.7)) == []
+    # the constrained Jacobian's rendering is cut into piece functions,
+    # which its `_make` looks up by name
+    matrix = R.substitute_dynamics(
+        R.parameter_jacobian(R.build_phi_system(R.build_phi())))
+    assert _left_to_the_cyclic_gc(
+        lambda: R.generic_rank(matrix, 2, 1)) == []
 
 
 # ------------------------------------------------------------ cold start

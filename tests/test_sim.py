@@ -12,14 +12,15 @@ import pytest
 from odeident import expr as E
 from odeident import model as M
 from odeident import sim as S
-from odeident.transform import (Params, SingularTau, TauFamily,
-                                eta_prime_expr, eta_prime_stack)
+from odeident.transform import (Params, SingularPoint, SingularTau,
+                                TauFamily, eta_prime_expr, eta_prime_stack)
 
 from helpers import reference_solve
 
 hiv = M.hiv_model()
 ONES = Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
 ONES_DICT = ONES.as_dict()
+SKEWED = Params(lam=1.3, delta=0.8, rho=1.7, c=0.9, N=3.0)
 HALF = S.EtaSignal.from_text("1/2")
 
 
@@ -183,6 +184,38 @@ def test_flat_right_hand_side_division_by_zero_is_typed():
         S.integrate(m, {}, [1.0], None, S.SimConfig(tf=1.0))
 
 
+@pytest.mark.parametrize("T_I", [1.0, math.nextafter(1.0, 2.0)],
+                         ids=["denominator zero", "denominator tiny"])
+def test_twin_field_raises_eta_prime_values_error_at_the_pole(T_I):
+    inst = TauFamily(tau=math.log(0.5), params=ONES)
+    assert inst.u == 0.5
+    # eta''s denominator is V*((T_I + T_U)*u - T_I): 0.0 at T_I = 1, and
+    # nonzero but within 1e-12 of the scale 1.0 one ulp above
+    den = eta_prime_expr().args[1]
+    TU, TI, V = hiv.states
+    point = {TU: 1.0, TI: T_I, V: 1.0, E.Symbol("u", E.AUX): 0.5,
+             **{s: 1.0 for s in hiv.const_params}}
+    value = E.evaluate(den, point, arithmetic="float64")
+    assert (value == 0) == (T_I == 1.0) and abs(value) <= 1e-12
+    with pytest.raises(SingularPoint) as want:
+        inst.eta(1.0, T_I, 1.0, 0.5)
+    f = S._twin_field(hiv, HALF, inst)
+    with pytest.raises(SingularPoint) as got:
+        f(0.0, [1.0, T_I, 1.0, *inst.map_state(1.0, T_I, 1.0)])
+    assert str(got.value) == str(want.value)
+    if T_I == 1.0:
+        assert str(got.value) == ("eta' denominator 0.0 vanishes relative to "
+                                  "scale 1.0")
+
+
+def test_co_integrated_run_stops_at_the_eta_prime_pole():
+    eta = S.EtaSignal.from_text("1/2 + t/20")
+    with pytest.raises(SingularPoint) as info:
+        S.run_indistinguishability(SKEWED, [1.0, 0.2, 1.0], eta, -0.5)
+    assert str(info.value) == ("eta' denominator 1.234123914173324e-12 "
+                               "vanishes relative to scale 1.2890235121507765")
+
+
 def test_co_integrated_division_by_zero_is_typed(monkeypatch):
     # the same vector field with a term that divides by T_U - 1: the
     # original system starts on its pole
@@ -211,12 +244,21 @@ def test_integrate_matches_reference_stepper(text):
     assert np.array_equal(got, want)
 
 
+# tau 0 is the identity twin (u == 1); under SKEWED the others move both
+# delta and N
+CO_INTEGRATED_CASES = {"ones": (ONES, (0.7, 0.0, -0.5, 1.3)),
+                       "skewed": (SKEWED, (0.7, 0.0, -0.2, 1.3))}
+
+
+@pytest.mark.parametrize("params, tau", [
+    pytest.param(params, tau, id=f"{name}-tau={tau}")
+    for name, (params, taus) in CO_INTEGRATED_CASES.items() for tau in taus])
 @pytest.mark.parametrize("text", ORACLE_ETAS)
-def test_co_integrated_run_matches_reference_stepper(text):
+def test_co_integrated_run_matches_reference_stepper(text, params, tau):
     eta = S.EtaSignal.from_text(text)
-    inst = TauFamily(tau=0.7, params=ONES)
+    inst = TauFamily(tau=tau, params=params)
     rhs = S._rhs(hiv).float_fn()
-    base = S._param_values(hiv, ONES_DICT)
+    base = S._param_values(hiv, params.as_dict())
     primed = S._param_values(hiv, inst.params_prime.as_dict())
 
     def f(t, y):
@@ -227,7 +269,7 @@ def test_co_integrated_run_matches_reference_stepper(text):
     init = [1.0, 0.2, 1.0]
     want = reference_solve(f, init + list(inst.map_state(*init)),
                            S.SimConfig())
-    _, orig, prim = S.run_indistinguishability(ONES, init, eta, 0.7)
+    _, orig, prim = S.run_indistinguishability(params, init, eta, tau)
     assert np.array_equal(np.hstack([orig.states, prim.states]), want)
 
 
