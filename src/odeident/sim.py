@@ -14,22 +14,26 @@ generic `y + h * sum(a * k for ...)` does. A run that needs more than
 
 A run compiles one program per evaluation site: one for the vector field
 and one for the outputs of all its trajectories (every twin of a sweep
-included). Relation residuals compile the output jets once and the terms
-of each relation variant.
+included). In a plain or single-twin run the vector field includes eta:
+the signal's expression in t stands in for the model's time-varying
+parameter, and the program takes t in its place, so each right-hand side
+call is one call of one program. The signal's own program still samples
+eta on the grid. Relation residuals compile the output jets once and the
+terms of each relation variant.
 
 The indistinguishability experiment co-integrates the original system and
 the transformed one as a single 6-state ODE. The transformed eta is
 evaluated pointwise from the co-integrated ORIGINAL states (its closed
 form is a function of the original trajectory), so no interpolation error
-enters the coupling. With one twin the whole 6-state field, eta' and its
-pole guard included, is one program on Python floats, run once per
-right-hand side call. A tau sweep stacks one such row per twin; the
-original system, which every row shares bit for bit, is evaluated once
-per right-hand side call on Python floats, and only the twins run on
-numpy columns. Reported are the worst relative deviation between
-the two output pairs, and the stronger check: the worst deviation between
-the integrated transformed states and the algebraic image of the original
-states.
+enters the coupling. With one twin the whole 6-state field, eta, eta' and
+its pole guard included, is one program on Python floats, run once per
+right-hand side call. A tau sweep stacks one such row per twin; it reads
+eta once per right-hand side call, the original system, which every row
+shares bit for bit, is evaluated once on Python floats, and only the
+twins run on numpy columns. Reported are the worst relative deviation
+between the two output pairs, and the stronger check: the worst deviation
+between the integrated transformed states and the algebraic image of the
+original states.
 """
 
 from __future__ import annotations
@@ -213,10 +217,14 @@ def _emit_attempt(width: int | None) -> str:
     errors, or None as soon as a stage, y4 or the error is not finite.
 
     Each stage sum is rendered as the generic `y + h * sum(a*k for ...)`
-    evaluates it, `y + h * (0 + a0*k0 + a1*k1 ...)` with zero coefficients
-    kept, so it rounds the same way. With `width` None the state is one
-    numpy array whose rows are stacked systems; with an int it is `width`
-    Python floats, one variable each, and f takes and returns lists.
+    evaluates it, `y + h * (0 + a0*k0 + a1*k1 ...)`, so it rounds the same
+    way. Terms with a zero coefficient (k1 and k5 in y4, k1 in the error)
+    are left out: a sum that starts at 0 is never -0.0, so adding 0.0*k
+    for a finite k changes nothing, and a k1 or k5 that is not finite
+    still makes s2 or the error not finite. With `width` None the state is
+    one numpy array whose rows are stacked systems; with an int it is
+    `width` Python floats, one variable each, and f takes and returns
+    lists.
     """
     flat = width is not None
     parts = [f"_{j}" for j in range(width)] if flat else [""]
@@ -225,7 +233,8 @@ def _emit_attempt(width: int | None) -> str:
         return ", ".join(name + c for c in parts) + ("," if flat else "")
 
     def stage_sum(coefs, c):
-        terms = " + ".join(f"{a!r}*k{i}{c}" for i, a in enumerate(coefs))
+        terms = " + ".join(f"{a!r}*k{i}{c}" for i, a in enumerate(coefs)
+                           if a)
         return f"(0 + {terms})"
 
     def finite(*names):
@@ -422,22 +431,31 @@ def integrate(m: OdeModel, params: Mapping[str, float],
     Outputs are recomputed from the sampled states, so the reported
     outputs satisfy the output definitions exactly by construction.
     `eta` is the signal of the model's one time-varying parameter (see
-    `_signals`); it must be nonnegative at the grid sample points.
+    `_signals`); it must be nonnegative at the grid sample points. Its
+    expression is compiled into the vector field, which takes t in the
+    parameter's place and runs eta's operations in the order the signal
+    runs them. So the states are bit for bit those of the model's own
+    program fed with `eta(t)`: only an eta of 0, whose terms fold away,
+    can flip the sign of a zero derivative, which no stage sum or state
+    keeps. A division by zero in the field, eta's own at its pole
+    included, raises DivisionByZero.
     """
     if len(init) != len(m.states):
         raise ValueError(f"expected {len(m.states)} initial values")
     grid = cfg.grid()
     sigs, cols = _signals(m, eta, grid)
     pvals = _param_values(m, params)
-    program = _rhs(m)
-    rhs = program.float_fn()
+    field = compile_program(
+        expr.substitute_many(m.rhs, {tv: sig.expression for tv, sig
+                                     in zip(m.tv_params, sigs)}),
+        [*m.states, TIME_SYMBOL, *m.const_params]).float_fn()
 
     def f(t, y):
-        return rhs(*y, *[sig(t) for sig in sigs], *pvals)
+        return field(*y, t, *pvals)
 
     states = _solve(f, init, cfg)
     outputs = compile_program([e for _, e in m.outputs],
-                              program.input_symbols)
+                              [*m.states, *m.tv_params, *m.const_params])
     return _trajectory(m, outputs, grid, states, *cols, *pvals)
 
 
@@ -514,7 +532,7 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
     vector field on numpy columns; the original trajectory is built once
     and shared by every twin's result. A single twin keeps the state flat
     and runs on Python floats, about ten times faster than numpy on one
-    row: each evaluation reads eta and runs one program, `_twin_field`.
+    row: each evaluation runs one program, eta included, `_twin_field`.
     """
     # every SingularTau before any integration
     insts = [TauFamily(tau=tau, params=params) for tau in taus]
@@ -533,8 +551,8 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
         rhs = _rhs(m).float_fn()
         eta_prime = eta_prime_stack(params, np.array([i.u for i in insts]))
         base = _param_values(m, params.as_dict())
-        primed = np.array([_param_values(m, inst.params_prime.as_dict())
-                           for inst in insts]).T
+        primed = list(np.array([_param_values(m, inst.params_prime.as_dict())
+                                for inst in insts]).T)
 
         def f(t, y):
             et = eta(t)
@@ -542,7 +560,8 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
             et_p = eta_prime(*orig, et)
             dy = np.empty(y.shape)
             dy[:, :3] = rhs(*orig, et, *base)
-            for j, col in enumerate(rhs(*y[:, 3:].T, et_p, *primed), 3):
+            for j, col in enumerate(
+                    rhs(y[:, 3], y[:, 4], y[:, 5], et_p, *primed), 3):
                 dy[:, j] = col
             return dy
 
@@ -576,17 +595,19 @@ def _twin_field(m: OdeModel, eta: EtaSignal, inst: TauFamily):
     """The vector field f(t, y) of the original system co-integrated with
     the one twin `inst`; y holds the original states, then the twin's.
 
-    Each call reads eta once and runs one program, built from the closed
-    forms that `verify_identities` proves: the model right-hand side on
-    the original states, the same on the twin's states and parameters
-    with eta' = `eta_prime_expr()` in place of eta (eta itself when
-    u == 1) and, for u != 1, eta''s denominator and guard scale. The
-    parameters and u are inputs, not folded constants, so every value
-    rounds as the model's own program and `eta_prime_value` round it.
-    At eta''s pole (a denominator within 1e-12 of the scale, or exactly
-    zero, which the program meets as a division by zero) f calls
-    `inst.eta` there, which raises its SingularPoint; any other division
-    by zero propagates.
+    Each call runs one program, built from the closed forms that
+    `verify_identities` proves: the model right-hand side on the original
+    states, the same on the twin's states and parameters with eta' =
+    `eta_prime_expr()` in place of eta (eta itself when u == 1) and, for
+    u != 1, eta''s denominator and guard scale. Then eta's expression in
+    t stands in for eta throughout, so the program takes t, and computes
+    eta once, in line. The parameters and u are inputs, not folded
+    constants, so every value rounds as eta's, the model's own program
+    and `eta_prime_value` round it. On a division by zero, and at eta''s
+    pole (a denominator within 1e-12 of the scale), f calls
+    `inst.eta(..., eta(t))`: at a pole of eta the signal raises its
+    DivisionByZero first; at eta''s pole `inst.eta` raises its
+    SingularPoint; any other division by zero propagates.
     """
     def prime(symbols):
         return [Symbol(s.name + "'", AUX) for s in symbols]
@@ -599,24 +620,26 @@ def _twin_field(m: OdeModel, eta: EtaSignal, inst: TauFamily):
     if guarded:
         eta_p = images[m.tv_params[0]] = eta_prime_expr()
         guard = [eta_p.args[1], eta_prime_scale_expr()]
+    exprs = [*m.rhs, *expr.substitute_many(m.rhs, images), *guard]
     field = compile_program(
-        [*m.rhs, *expr.substitute_many(m.rhs, images), *guard],
-        [*m.states, *states_p, *m.tv_params, *m.const_params, *consts_p,
+        expr.substitute_many(exprs, {m.tv_params[0]: eta.expression}),
+        [*m.states, *states_p, TIME_SYMBOL, *m.const_params, *consts_p,
          Symbol("u", AUX)]).float_fn()
     rest = [*_param_values(m, inst.params.as_dict()),
             *_param_values(m, inst.params_prime.as_dict()), inst.u]
 
     def f(t, y):
-        et = eta(t)
         try:
-            dy = field(*y, et, *rest)
+            dy = field(*y, t, *rest)
         except ZeroDivisionError:
-            inst.eta(*y[:3], et)  # raises SingularPoint if den is 0
+            # eta(t) raises first at a pole of eta, then SingularPoint
+            # if eta''s denominator is 0
+            inst.eta(*y[:3], eta(t))
             raise
         if guarded:
             scale = dy.pop()
             if abs(dy.pop()) <= _DENOM_EPS * abs(scale):
-                inst.eta(*y[:3], et)  # raises SingularPoint
+                inst.eta(*y[:3], eta(t))  # raises SingularPoint
         return dy
 
     return f

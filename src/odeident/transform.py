@@ -129,15 +129,16 @@ def eta_prime_value(T_U, T_I, V, eta, params: Params, *, u):
 def eta_prime_stack(params: Params, u):
     """eta_prime_value for a stack of twins, one per entry of the numpy
     float array u, as a function of (T_U, T_I, V, eta). Entries with u == 1
-    give eta exactly, any other at its pole raises SingularPoint; only those
-    two masks are built once per stack. The states are numpy arrays, one
+    give eta exactly (eta / 1.0), any other at its pole raises
+    SingularPoint; the mask of the others and the index of the u == 1
+    entries are built once per stack. The states are numpy arrays, one
     entry per twin, or Python floats shared by all twins, whose u-free terms
     are computed once. This is the one function in the module that needs
     numpy, so it imports it itself and the symbolic paths never load it."""
     import numpy as np
 
-    same = u == 1
-    other, delta, rho = ~same, params.delta, params.rho
+    other, delta, rho = u != 1, params.delta, params.rho
+    ones = np.flatnonzero(~other)
 
     def eta_prime(T_U, T_I, V, eta):
         num, den, scale = _ETA_PRIME(T_U, T_I, V, eta, delta, rho, u)
@@ -146,7 +147,9 @@ def eta_prime_stack(params: Params, u):
             i = int(np.argmax(bad))
             raise SingularPoint(f"eta' denominator {den[i]} vanishes relative "
                                 f"to scale {abs(scale[i])} at u = {u[i]}")
-        return np.where(same, eta, num / np.where(same, 1.0, den))
+        den[ones] = 1.0  # a u == 1 entry's den may be 0, at V = 0
+        num[ones] = eta
+        return num / den
 
     return eta_prime
 

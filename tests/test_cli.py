@@ -238,6 +238,20 @@ def test_eta_pole_prints_only_the_error_line(capsys, command):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command, where", [
+    (["simulate", "--tau", "0.5"], ", for tau = 0.5"),
+    (["phi-check"], ""),
+], ids=["simulate", "phi-check"])
+def test_eta_pole_at_a_stage_time_prints_only_the_error_line(capsys, command,
+                                                             where):
+    # the 400-point grid misses t = 1/40, where the first step's first
+    # stage lands; the pole is met inside the compiled vector field
+    code, out, err = run(capsys, *command, "--eta", "1/(t - 1/40)^2",
+                         "--grid", "400")
+    assert code == 1
+    assert out == "" and err == f"error: float division by zero{where}\n"
+
+
 def test_simulate_sweep_matches_tau_sweep(capsys):
     code, out, _ = run(capsys, "simulate", "--sweep=-0.5:0.5:3", "--tf", "2",
                        "--init", "1,0.2,1")

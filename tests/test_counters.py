@@ -7,7 +7,9 @@ one that traverses the DAG more often to build the jets or the Jacobian. The RHS
 evaluation counts of two default-config runs and of the stacked
 criterion-5 tau sweep are pinned exactly, so a change to the step
 controller that alters a single step fails here too; so is the number of
-the sweep's vector-field evaluations that run on numpy columns. A
+the sweep's vector-field evaluations that run on numpy columns, and the
+products of its emitted step attempt. A plain or single-twin run reads
+eta inside its compiled vector field, never through the signal; a
 passing tau run never calls `eta_prime_value`, and a plain run checks
 finiteness through numpy at most twice. The programs a simulation
 compiles are bounded per run, not per output or per twin, and a run's
@@ -132,8 +134,8 @@ def test_order_eight_jet_float_source_size(output_index, chars):
 
 
 class _CountingEta(S.EtaSignal):
-    """Counts scalar calls: the right-hand side evaluates eta once per
-    call, so this is the number of RHS evaluations."""
+    """Counts scalar calls: the stacked sweep's right-hand side evaluates
+    eta once per call, so there this is the number of RHS evaluations."""
 
     calls = 0
 
@@ -143,20 +145,61 @@ class _CountingEta(S.EtaSignal):
         return super().__call__(t)
 
 
-def _rhs_calls(run) -> int:
+def _scalar_eta_calls(run) -> int:
     _CountingEta.calls = 0
     run(_CountingEta.from_text("1/2"))
     return _CountingEta.calls
 
 
-def test_co_integrated_run_rhs_calls():
-    assert _rhs_calls(lambda eta: S.run_indistinguishability(
-        ONES, (1.0, 0.2, 1.0), eta, 0.7)) == 13069
+def _counted(program, calls: list, arrays: bool):
+    """`program`, its float function replaced by one that records in
+    `calls` each call that does (`arrays`) or does not receive a numpy
+    array."""
+    fn = program.float_fn()
+
+    def counting(*args):
+        if any(isinstance(a, np.ndarray) for a in args) == arrays:
+            calls.append(1)
+        return fn(*args)
+
+    program.float_fn = lambda: counting
+    return program
 
 
-def test_plain_run_rhs_calls():
-    assert _rhs_calls(lambda eta: S.integrate(
-        hiv, ONES.as_dict(), [1.0, 1.0, 1.0], eta)) == 14575
+def _scalar_program_calls(monkeypatch, run) -> int:
+    """Calls on Python floats of the programs `sim` compiles: in a plain or
+    single-twin run only the vector field, which includes eta, runs so,
+    once per RHS evaluation; the outputs program reads numpy columns."""
+    calls = []
+    compile_program = S.compile_program
+    monkeypatch.setattr(S, "compile_program", lambda exprs, inputs: _counted(
+        compile_program(exprs, inputs), calls, arrays=False))
+    run(S.EtaSignal.from_text("1/2"))
+    return len(calls)
+
+
+def _co_integrated_run(eta):
+    return S.run_indistinguishability(ONES, (1.0, 0.2, 1.0), eta, 0.7)
+
+
+def _plain_run(eta):
+    return S.integrate(hiv, ONES.as_dict(), [1.0, 1.0, 1.0], eta)
+
+
+def test_co_integrated_run_rhs_calls(monkeypatch):
+    assert _scalar_program_calls(monkeypatch, _co_integrated_run) == 13069
+
+
+def test_plain_run_rhs_calls(monkeypatch):
+    assert _scalar_program_calls(monkeypatch, _plain_run) == 14575
+
+
+@pytest.mark.parametrize("run", [_co_integrated_run, _plain_run],
+                         ids=["single tau", "plain"])
+def test_plain_and_single_tau_runs_never_call_eta_on_a_scalar(run):
+    # eta's expression is part of the compiled vector field; the signal is
+    # called on the grid only, and on a scalar only to word an error
+    assert _scalar_eta_calls(run) == 0
 
 
 # the criterion-5 taus
@@ -166,8 +209,16 @@ SWEEP_TAUS = [float(t) for t in np.linspace(-1.0, 1.5, 16)] + [
 
 def test_tau_sweep_rhs_calls():
     # one stacked evaluation covers all 20 twins of the criterion-5 sweep
-    assert _rhs_calls(lambda eta: S.tau_sweep(
+    assert _scalar_eta_calls(lambda eta: S.tau_sweep(
         ONES, (1.0, 0.2, 1.0), eta, SWEEP_TAUS)) == 15708
+
+
+# terms with a zero coefficient (k1 and k5 in y4, k1 in the error) are
+# left out of the emitted step attempt; with them these were 27 and 162
+@pytest.mark.parametrize("width, products", [(None, 24), (6, 144)],
+                         ids=["stacked", "flat 6"])
+def test_step_attempt_products(width, products):
+    assert S._emit_attempt(width).count("*k") == products
 
 
 def test_a_passing_tau_run_never_calls_eta_prime_value(monkeypatch):
@@ -194,20 +245,8 @@ def _array_rhs_calls(monkeypatch, run) -> int:
     """Calls of the compiled right-hand side that receive numpy arrays."""
     calls = []
     compile_rhs = S._rhs
-
-    def counting_rhs(m):
-        program = compile_rhs(m)
-        fn = program.float_fn()
-
-        def counted(*args):
-            if any(isinstance(a, np.ndarray) for a in args):
-                calls.append(1)
-            return fn(*args)
-
-        program.float_fn = lambda: counted
-        return program
-
-    monkeypatch.setattr(S, "_rhs", counting_rhs)
+    monkeypatch.setattr(S, "_rhs", lambda m: _counted(compile_rhs(m), calls,
+                                                      arrays=True))
     run()
     return len(calls)
 

@@ -226,22 +226,74 @@ def test_co_integrated_division_by_zero_is_typed(monkeypatch):
         S.run_indistinguishability(ONES, [1.0, 1.0, 1.0], HALF, 0.5)
 
 
+# eta's pole at t = 1/40 lies between the points of a 400-point grid, and
+# the first step's first stage, at 0.25 * (10/100), lands on it exactly
+STAGE_POLE = S.EtaSignal.from_text("1/(t - 1/40)^2")
+STAGE_POLE_CFG = S.SimConfig(dense_output_points=400)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: S.integrate(hiv, ONES_DICT, [1.0, 1.0, 1.0], STAGE_POLE,
+                         STAGE_POLE_CFG), ""),
+    (lambda: S.run_indistinguishability(ONES, [1.0, 0.2, 1.0], STAGE_POLE,
+                                        0.5, STAGE_POLE_CFG),
+     ", for tau = 0.5"),
+    (lambda: S.run_indistinguishability(ONES, [1.0, 0.2, 1.0], STAGE_POLE,
+                                        0.0, STAGE_POLE_CFG),
+     ", for tau = 0"),
+    (lambda: S.tau_sweep(ONES, [1.0, 0.2, 1.0], STAGE_POLE, [0.0, 0.5],
+                         STAGE_POLE_CFG), ", for tau in [0, 0.5]"),
+], ids=["plain", "tau 0.5", "tau 0", "sweep"])
+def test_eta_pole_at_a_stage_time_is_a_typed_error(run, message):
+    grid = STAGE_POLE_CFG.grid()
+    assert 0.25 * (grid[-1] / 100) == 1 / 40 and 1 / 40 not in grid
+    with pytest.raises(E.DivisionByZero) as info:
+        run()
+    assert str(info.value) == "float division by zero" + message
+
+
 # -------------------------------------------- reference stepper oracle
-# the emitted step attempt must round exactly like the generic stepper
+# the emitted step attempt must round exactly like the generic stepper,
+# down to the sign of a zero
 
 ORACLE_ETAS = ["1/2", "1/2 + t/20"]
+
+
+def _bit_equal(got, want) -> bool:
+    return (np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _plain_reference_f(eta, params: Params):
+    """The plain vector field as the generic stepper sees it: the model's
+    own program, with eta from the signal."""
+    rhs = S._rhs(hiv).float_fn()
+    pvals = S._param_values(hiv, params.as_dict())
+    return lambda t, y: rhs(*y, eta(t), *pvals)
+
+
+def _twin_reference_f(eta, inst: TauFamily):
+    """The co-integrated field as the generic stepper sees it: the model's
+    own program on both halves, with eta' from `inst.eta`."""
+    rhs = S._rhs(hiv).float_fn()
+    base = S._param_values(hiv, inst.params.as_dict())
+    primed = S._param_values(hiv, inst.params_prime.as_dict())
+
+    def f(t, y):
+        et, orig = eta(t), list(y[:3])
+        return (rhs(*orig, et, *base)
+                + rhs(*y[3:], inst.eta(*orig, et), *primed))
+
+    return f
 
 
 @pytest.mark.parametrize("text", ORACLE_ETAS)
 def test_integrate_matches_reference_stepper(text):
     eta = S.EtaSignal.from_text(text)
-    rhs = S._rhs(hiv).float_fn()
-    pvals = S._param_values(hiv, ONES_DICT)
-    want = reference_solve(
-        lambda t, y: rhs(*y, eta(t), *pvals), [1.0, 1.0, 1.0],
-        S.SimConfig())
+    want = reference_solve(_plain_reference_f(eta, ONES), [1.0, 1.0, 1.0],
+                           S.SimConfig())
     got = S.integrate(hiv, ONES_DICT, [1.0, 1.0, 1.0], eta).states
-    assert np.array_equal(got, want)
+    assert _bit_equal(got, want)
 
 
 # tau 0 is the identity twin (u == 1); under SKEWED the others move both
@@ -257,20 +309,31 @@ CO_INTEGRATED_CASES = {"ones": (ONES, (0.7, 0.0, -0.5, 1.3)),
 def test_co_integrated_run_matches_reference_stepper(text, params, tau):
     eta = S.EtaSignal.from_text(text)
     inst = TauFamily(tau=tau, params=params)
-    rhs = S._rhs(hiv).float_fn()
-    base = S._param_values(hiv, params.as_dict())
-    primed = S._param_values(hiv, inst.params_prime.as_dict())
-
-    def f(t, y):
-        et, orig = eta(t), list(y[:3])
-        return (rhs(*orig, et, *base)
-                + rhs(*y[3:], inst.eta(*orig, et), *primed))
-
     init = [1.0, 0.2, 1.0]
-    want = reference_solve(f, init + list(inst.map_state(*init)),
-                           S.SimConfig())
+    want = reference_solve(_twin_reference_f(eta, inst),
+                           init + list(inst.map_state(*init)), S.SimConfig())
     _, orig, prim = S.run_indistinguishability(params, init, eta, tau)
-    assert np.array_equal(np.hstack([orig.states, prim.states]), want)
+    assert _bit_equal(np.hstack([orig.states, prim.states]), want)
+
+
+@pytest.mark.parametrize("tau", [None, 0.5, 0.0],
+                         ids=["plain", "tau=0.5", "tau=0"])
+def test_zero_eta_from_zero_states_matches_reference_stepper(tau):
+    # eta = 0 folds the infection terms out of the compiled field, whose
+    # derivatives then differ from the reference's in the sign of a zero
+    # (T_I' is -0.0 against 0.0 at T_I = 0); the states must not
+    eta, init = S.EtaSignal.from_text("0"), [1.0, 0.0, 1.0]
+    cfg = S.SimConfig(tf=2.0)
+    if tau is None:
+        want = reference_solve(_plain_reference_f(eta, ONES), init, cfg)
+        got = S.integrate(hiv, ONES_DICT, init, eta, cfg).states
+    else:
+        inst = TauFamily(tau=tau, params=ONES)
+        want = reference_solve(_twin_reference_f(eta, inst),
+                               init + list(inst.map_state(*init)), cfg)
+        _, orig, prim = S.run_indistinguishability(ONES, init, eta, tau, cfg)
+        got = np.hstack([orig.states, prim.states])
+    assert _bit_equal(got, want)
 
 
 def test_stacked_rows_match_reference_stepper():
@@ -281,8 +344,8 @@ def test_stacked_rows_match_reference_stepper():
         return np.array(rhs(*y.T, 0.5 + t / 20, *pvals)).T
 
     y0 = [[1.0, 0.2, 1.0], [2.0, 1.0, 0.5]]
-    assert np.array_equal(S._solve(f, y0, S.SimConfig()),
-                          reference_solve(f, y0, S.SimConfig()))
+    assert _bit_equal(S._solve(f, y0, S.SimConfig()),
+                      reference_solve(f, y0, S.SimConfig()))
 
 
 @pytest.mark.parametrize("width", [9, 130])
@@ -293,7 +356,7 @@ def test_wide_flat_state_matches_reference_stepper(width):
     a = rng.normal(size=(width, width)) / width - np.eye(width)
     y0 = rng.uniform(0.5, 1.5, width)
     cfg = S.SimConfig(tf=1.0, dense_output_points=5)
-    assert np.array_equal(
+    assert _bit_equal(
         S._solve(lambda t, y: (a @ y).tolist(), y0, cfg),
         reference_solve(lambda t, y: a @ y, y0, cfg))
 
@@ -493,7 +556,7 @@ def test_tau_sweep_matches_reference_stepper(text):
     swept = S._twin_runs(ONES, init, eta, CRITERION_5_TAUS, S.SimConfig())
     got = np.stack([np.hstack([orig.states, prim.states])
                     for _, orig, prim in swept], axis=1)
-    assert np.array_equal(got, want)
+    assert _bit_equal(got, want)
 
 
 @pytest.mark.parametrize("text", ORACLE_ETAS)
