@@ -19,6 +19,7 @@ rank of at most 4.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -264,6 +265,41 @@ def _checked_rank_args(trials: int, primes: Sequence[int]) -> tuple[int, ...]:
     return primes
 
 
+def _ranks_at(program: expr.Program, seed: int,
+              order: Mapping[Symbol, int], shape: tuple[int, int], trial,
+              primes: tuple[int, ...],
+              pinned: Mapping[Symbol, int]) -> list[int]:
+    """Rank mod each of `primes` of the `shape` matrix that `program`
+    computes from the symbols in `order`, at the first point drawn for
+    `trial` under that prime that misses every denominator; the `pinned`
+    symbols keep their values. A module function, so that its retry per
+    prime refers to no closure and a run's program dies with the run."""
+    (n_rows, n_cols), modulus = shape, math.prod(primes)
+    lift = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    for attempt in range(_MAX_RETRIES_PER_TRIAL if len(primes) == 1
+                         else 1):
+        points = [_draw_point(seed, p, trial, attempt, len(order))
+                  for p in primes]
+        for point, p in zip(points, primes):
+            for s, v in pinned.items():
+                point[order[s]] = v % p
+        try:
+            values = program.run_mod(
+                [sum(c * x for c, x in zip(lift, xs)) for xs in zip(*points)],
+                modulus)
+        except DivisionByZero:
+            if len(primes) == 1:
+                continue
+            return [_ranks_at(program, seed, order, shape, trial, (p,),
+                              pinned)[0] for p in primes]
+        rows = [values[r * n_cols:(r + 1) * n_cols] for r in range(n_rows)]
+        return [_rank_mod([[v % p for v in row] for row in rows], p)
+                for p in primes]
+    raise ExhaustedRetries(
+        f"{_MAX_RETRIES_PER_TRIAL} random points in a row hit a "
+        f"denominator (prime {primes[0]}, trial {trial})")
+
+
 def generic_rank(matrix: Sequence[Sequence[Expression]],
                  trials: int,
                  seed: int,
@@ -299,34 +335,8 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
     n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
     program = compile_program(flat, symbols)
 
-    def ranks_at(trial, primes: tuple[int, ...],
-                 pinned: Mapping[Symbol, int]) -> list[int]:
-        """Rank mod each of `primes` at the first point drawn for `trial`
-        under that prime that misses every denominator; the `pinned`
-        symbols keep their values."""
-        modulus = math.prod(primes)
-        lift = [modulus // p * pow(modulus // p, -1, p) for p in primes]
-        for attempt in range(_MAX_RETRIES_PER_TRIAL if len(primes) == 1
-                             else 1):
-            points = [_draw_point(seed, p, trial, attempt, len(symbols))
-                      for p in primes]
-            for point, p in zip(points, primes):
-                for s, v in pinned.items():
-                    point[order[s]] = v % p
-            try:
-                values = program.run_mod(
-                    [sum(c * x for c, x in zip(lift, xs))
-                     for xs in zip(*points)], modulus)
-            except DivisionByZero:
-                if len(primes) == 1:
-                    continue
-                return [ranks_at(trial, (p,), pinned)[0] for p in primes]
-            rows = [values[r * n_cols:(r + 1) * n_cols] for r in range(n_rows)]
-            return [_rank_mod([[v % p for v in row] for row in rows], p)
-                    for p in primes]
-        raise ExhaustedRetries(
-            f"{_MAX_RETRIES_PER_TRIAL} random points in a row hit a "
-            f"denominator (prime {primes[0]}, trial {trial})")
+    ranks_at = functools.partial(_ranks_at, program, seed, order,
+                                 (n_rows, n_cols))
 
     observed: dict[int, int] = {}
     per_prime_max = [0] * len(primes)
@@ -344,9 +354,6 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
     if structured_point is not None:
         structured_rank = ranks_at("structured", primes[:1],
                                    structured_point)[0]
-    # ranks_at refers to itself; breaking that cycle frees the program
-    # on return instead of at the next garbage collection
-    del ranks_at
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return RankReport(

@@ -14,26 +14,25 @@ generic `y + h * sum(a * k for ...)` does. A run that needs more than
 
 A run compiles one program per evaluation site: one for the vector field
 and one for the outputs of all its trajectories (every twin of a sweep
-included). In a plain or single-twin run the vector field includes eta:
-the signal's expression in t stands in for the model's time-varying
-parameter, and the program takes t in its place, so each right-hand side
-call is one call of one program. The signal's own program still samples
-eta on the grid. Relation residuals compile the output jets once and the
-terms of each relation variant.
+included). The vector field includes eta: the signal's expression in t
+stands in for the model's time-varying parameter, and the program takes
+t in its place, so each right-hand side call is one call of one program.
+The signal's own program still samples eta on the grid. Relation
+residuals compile the output jets once and the terms of each relation
+variant.
 
 The indistinguishability experiment co-integrates the original system and
 the transformed one as a single 6-state ODE. The transformed eta is
 evaluated pointwise from the co-integrated ORIGINAL states (its closed
 form is a function of the original trajectory), so no interpolation error
-enters the coupling. With one twin the whole 6-state field, eta, eta' and
-its pole guard included, is one program on Python floats, run once per
-right-hand side call. A tau sweep stacks one such row per twin; it reads
-eta once per right-hand side call, the original system, which every row
-shares bit for bit, is evaluated once on Python floats, and only the
-twins run on numpy columns. Reported are the worst relative deviation
-between the two output pairs, and the stronger check: the worst deviation
-between the integrated transformed states and the algebraic image of the
-original states.
+enters the coupling. One program, built by `_twin_field` from the closed
+forms, holds the whole 6-state field, eta, eta' and its pole guard
+included. A single twin runs it on Python floats; a tau sweep stacks one
+row per twin and runs it once per right-hand side call, on the shared
+original states as Python floats and the twins' states as numpy columns.
+Reported are the worst relative deviation between the two output pairs,
+and the stronger check: the worst deviation between the integrated
+transformed states and the algebraic image of the original states.
 """
 
 from __future__ import annotations
@@ -51,9 +50,9 @@ from .expr import (AUX, Expression, Symbol, compile_float_fn,
                    compile_program, free_symbols)
 from .model import OdeModel, hiv_model, output_jet, output_symbol
 from .ranktest import CORRECTED, build_phi
-from .transform import (_DENOM_EPS, Params, TauFamily,
+from .transform import (_DENOM_EPS, Params, SingularPoint, TauFamily,
                         admissible_tau_interval, eta_prime_expr,
-                        eta_prime_scale_expr, eta_prime_stack)
+                        eta_prime_scale_expr)
 
 __all__ = [
     "EtaSignal", "IndistReport", "NonFiniteState", "SimConfig",
@@ -399,13 +398,6 @@ def _param_values(m: OdeModel, params: Mapping[str, float]) -> list[float]:
     return [float(params[s.name]) for s in m.const_params]
 
 
-def _rhs(m: OdeModel) -> expr.Program:
-    """The whole vector field as one compiled program, taking the state
-    values, then time-varying parameters, then constants, in model
-    order."""
-    return compile_program(m.rhs, [*m.states, *m.tv_params, *m.const_params])
-
-
 def _trajectory(m: OdeModel, outputs: expr.Program, grid: np.ndarray,
                 states: np.ndarray, *rest) -> Trajectory:
     """Samples of `m` on the grid; `outputs` reads the sampled state
@@ -526,13 +518,10 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
     The twins are stacked as rows of one (len(taus), 6) state: original
     states first, transformed second. Every row starts from the same
     original state and is advanced elementwise, so the original columns
-    are bit-identical in all rows. Each right-hand side evaluation reads
-    eta once, evaluates the original system once on Python floats (row
-    0), eta' for all twins from those shared states, and only the twins'
-    vector field on numpy columns; the original trajectory is built once
-    and shared by every twin's result. A single twin keeps the state flat
-    and runs on Python floats, about ten times faster than numpy on one
-    row: each evaluation runs one program, eta included, `_twin_field`.
+    are bit-identical in all rows, and the original trajectory is built
+    once and shared by every twin's result. `_twin_field` gives the one
+    vector field for one twin and for many; a single twin keeps the state
+    flat on Python floats, about ten times faster than numpy on one row.
     """
     # every SingularTau before any integration
     insts = [TauFamily(tau=tau, params=params) for tau in taus]
@@ -544,28 +533,17 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
     init = [float(v) for v in init]
     y0 = [init + list(inst.map_state(*init)) for inst in insts]
 
-    if len(insts) == 1:
-        f = _twin_field(m, eta, insts[0])
-        states = _solve_twins(f, y0[0], cfg, params, insts)[:, None, :]
-    else:
-        rhs = _rhs(m).float_fn()
-        eta_prime = eta_prime_stack(params, np.array([i.u for i in insts]))
-        base = _param_values(m, params.as_dict())
-        primed = list(np.array([_param_values(m, inst.params_prime.as_dict())
-                                for inst in insts]).T)
-
-        def f(t, y):
-            et = eta(t)
-            orig = y[0, :3].tolist()  # every row holds this original state
-            et_p = eta_prime(*orig, et)
-            dy = np.empty(y.shape)
-            dy[:, :3] = rhs(*orig, et, *base)
-            for j, col in enumerate(
-                    rhs(y[:, 3], y[:, 4], y[:, 5], et_p, *primed), 3):
-                dy[:, j] = col
-            return dy
-
-        states = _solve_twins(f, y0, cfg, params, insts)
+    f = _twin_field(m, eta, insts)
+    try:
+        # the stacked eta' divides by zero at a twin's pole, which f
+        # raises, and for a u == 1 twin at V = 0, whose row f replaces; a
+        # flat run divides no numpy values
+        with np.errstate(divide="ignore", invalid="ignore"):
+            states = _solve(f, y0[0] if len(insts) == 1 else y0, cfg)
+    except (StepSizeUnderflow, NonFiniteState, expr.DivisionByZero) as exc:
+        # f's SingularPoint names the twin at its pole itself
+        raise type(exc)(f"{exc}, for {_where(insts)}") from None
+    states = states.reshape(len(grid), len(insts), 6)
 
     # the HIV outputs read the states only: one program for every trajectory
     outputs = compile_program([e for _, e in m.outputs], m.states)
@@ -591,31 +569,45 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
     return runs
 
 
-def _twin_field(m: OdeModel, eta: EtaSignal, inst: TauFamily):
+def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
     """The vector field f(t, y) of the original system co-integrated with
-    the one twin `inst`; y holds the original states, then the twin's.
+    the twins `insts`: for one twin y is flat, the original states then
+    the twin's, on Python floats; for several, it stacks one row per twin.
 
-    Each call runs one program, built from the closed forms that
+    f calls one program, built from the closed forms that
     `verify_identities` proves: the model right-hand side on the original
-    states, the same on the twin's states and parameters with eta' =
-    `eta_prime_expr()` in place of eta (eta itself when u == 1) and, for
-    u != 1, eta''s denominator and guard scale. Then eta's expression in
-    t stands in for eta throughout, so the program takes t, and computes
-    eta once, in line. The parameters and u are inputs, not folded
-    constants, so every value rounds as eta's, the model's own program
-    and `eta_prime_value` round it. On a division by zero, and at eta''s
-    pole (a denominator within 1e-12 of the scale), f calls
-    `inst.eta(..., eta(t))`: at a pole of eta the signal raises its
-    DivisionByZero first; at eta''s pole `inst.eta` raises its
-    SingularPoint; any other division by zero propagates.
-    """
-    def prime(symbols):
-        return [Symbol(s.name + "'", AUX) for s in symbols]
+    states, the same on the twins' states and parameters with eta' =
+    `eta_prime_expr()` in place of eta (eta itself for one twin with
+    u == 1), and eta''s denominator and guard scale. eta's expression in
+    t stands in for eta throughout, so the program takes t. The
+    parameters and u are inputs, not folded constants, so every value
+    rounds as eta's, the model's own program and `eta_prime_value` round
+    it. The stacked f passes the original states (row 0, which every row
+    holds) as Python floats and the twins' states, primed constants and u
+    as numpy columns, so each row rounds as its twin's flat f; numpy's
+    division warnings are left to the caller. A u == 1 row takes the
+    original row's derivative, exactly: at u == 1 the state map,
+    `transform_params` and eta' are identities.
 
-    states_p, consts_p = prime(m.states), prime(m.const_params)
+    At eta''s pole (a denominator within 1e-12 of the scale) f raises the
+    twin's SingularPoint through `inst.eta`, naming its tau. On a division
+    by zero f calls eta(t), so a pole of eta raises the signal's
+    DivisionByZero first; any other division by zero propagates.
+    """
+    def check_pole(inst, orig, t):
+        """Raise what eta(t) or `inst.eta` raises at this point, the
+        latter's SingularPoint naming the twin; return if neither does."""
+        try:
+            inst.eta(*orig, eta(t))
+        except SingularPoint as exc:
+            raise SingularPoint(f"{exc}, for {_where([inst])}") from None
+
+    states_p, consts_p = ([Symbol(s.name + "'", AUX) for s in symbols]
+                          for symbols in (m.states, m.const_params))
     images = dict(zip((*m.states, *m.const_params),
                       map(expr.sym, (*states_p, *consts_p))))
-    guarded = inst.u != 1
+    flat = len(insts) == 1
+    guarded = not flat or insts[0].u != 1
     guard = []
     if guarded:
         eta_p = images[m.tv_params[0]] = eta_prime_expr()
@@ -625,46 +617,69 @@ def _twin_field(m: OdeModel, eta: EtaSignal, inst: TauFamily):
         expr.substitute_many(exprs, {m.tv_params[0]: eta.expression}),
         [*m.states, *states_p, TIME_SYMBOL, *m.const_params, *consts_p,
          Symbol("u", AUX)]).float_fn()
-    rest = [*_param_values(m, inst.params.as_dict()),
-            *_param_values(m, inst.params_prime.as_dict()), inst.u]
+    base = _param_values(m, insts[0].params.as_dict())
+    primed = [_param_values(m, inst.params_prime.as_dict()) for inst in insts]
+
+    if flat:
+        inst, rest = insts[0], [*base, *primed[0], insts[0].u]
+
+        def f(t, y):
+            try:
+                dy = field(*y, t, *rest)
+            except ZeroDivisionError:
+                check_pole(inst, y[:3], t)
+                raise
+            if guarded:
+                scale = dy.pop()
+                if abs(dy.pop()) <= _DENOM_EPS * abs(scale):
+                    check_pole(inst, y[:3], t)
+            return dy
+
+        return f
+
+    u = np.array([inst.u for inst in insts])
+    rest = [*base, *np.array(primed).T, u]
+    other, ones = u != 1, np.flatnonzero(u == 1)
 
     def f(t, y):
+        orig = y[0, :3].tolist()
         try:
-            dy = field(*y, t, *rest)
+            *cols, den, scale = field(*orig, y[:, 3], y[:, 4], y[:, 5], t,
+                                      *rest)
         except ZeroDivisionError:
-            # eta(t) raises first at a pole of eta, then SingularPoint
-            # if eta''s denominator is 0
-            inst.eta(*y[:3], eta(t))
+            eta(t)  # raises at a pole of eta
             raise
-        if guarded:
-            scale = dy.pop()
-            if abs(dy.pop()) <= _DENOM_EPS * abs(scale):
-                inst.eta(*y[:3], eta(t))  # raises SingularPoint
+        off_pole = abs(den) > _DENOM_EPS * abs(scale)  # False where NaN
+        if not off_pole.all():
+            for i in np.flatnonzero(~off_pole & other):
+                check_pole(insts[i], orig, t)
+        dy = np.empty(y.shape)
+        dy[:, :3] = cols[:3]
+        dy[:, 3], dy[:, 4], dy[:, 5] = cols[3:]
+        if ones.size:
+            dy[ones, 3:] = cols[:3]
         return dy
 
     return f
 
 
-def _solve_twins(f, y0, cfg: SimConfig, params: Params,
-                 insts: Sequence[TauFamily]) -> np.ndarray:
-    """`_solve` for the twins `insts`. A failure is raised again as the same
-    type, naming the tau, or the tau range of a sweep, and for twins with
-    u < 1 the ratio T_I/T_U at which their eta' has its pole."""
-    try:
-        return _solve(f, y0, cfg)
-    except (StepSizeUnderflow, NonFiniteState, expr.DivisionByZero) as exc:
-        taus = [inst.tau for inst in insts]
-        where = (f"tau = {taus[0]:.6g}" if len(taus) == 1
-                 else f"tau in [{min(taus):.6g}, {max(taus):.6g}]")
-        # eta_prime_expr's denominator is V*(rho*u*T_U - delta*(1-u)*T_I)
-        poles = sorted(params.rho * inst.u / (params.delta * (1 - inst.u))
-                       for inst in insts if inst.u < 1)
-        if len(poles) == 1:
-            where += f" (eta' has its pole at T_I/T_U = {poles[0]:.3g})"
-        elif poles:
-            where += (f" (the twins' eta' have poles at T_I/T_U from "
-                      f"{poles[0]:.3g} to {poles[-1]:.3g})")
-        raise type(exc)(f"{exc}, for {where}") from None
+def _where(insts: Sequence[TauFamily]) -> str:
+    """The twins `insts` as an error names them: the tau, or the tau range
+    of a sweep, and for twins with u < 1 the ratio T_I/T_U at which their
+    eta' has its pole."""
+    taus = [inst.tau for inst in insts]
+    where = (f"tau = {taus[0]:.6g}" if len(taus) == 1
+             else f"tau in [{min(taus):.6g}, {max(taus):.6g}]")
+    # eta_prime_expr's denominator is V*(rho*u*T_U - delta*(1-u)*T_I)
+    poles = sorted(inst.params.rho * inst.u
+                   / (inst.params.delta * (1 - inst.u))
+                   for inst in insts if inst.u < 1)
+    if len(poles) == 1:
+        where += f" (eta' has its pole at T_I/T_U = {poles[0]:.3g})"
+    elif poles:
+        where += (f" (the twins' eta' have poles at T_I/T_U from "
+                  f"{poles[0]:.3g} to {poles[-1]:.3g})")
+    return where
 
 
 # --------------------------------------------------- relation residuals

@@ -19,8 +19,9 @@ exact expansion.
 The family is written once, as the closed forms that `verify_identities`
 proves. They are compiled when this module is imported, and the numeric
 maps run that code on floats, Fractions and numpy arrays alike; beyond it
-they only check u and compare the guards. A one-twin simulation compiles
-the same forms into its vector field.
+they only check u and compare the guards. A simulation, of one twin or
+of a sweep, compiles the same forms into its vector field. The module
+imports no numpy.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from .model import hiv_model, total_time_derivative
 __all__ = [
     "IdentityCheck", "Params", "SingularPoint", "SingularTau", "TauFamily",
     "admissible_tau_interval", "eta_prime_expr", "eta_prime_scale_expr",
-    "eta_prime_stack", "eta_prime_value", "params_prime_exprs",
-    "state_map_exprs", "transform_params", "transform_state",
-    "verify_identities",
+    "eta_prime_value", "params_prime_exprs", "state_map_exprs",
+    "transform_params", "transform_state", "verify_identities",
 ]
 
 _DENOM_EPS = 1e-12
@@ -124,34 +124,6 @@ def eta_prime_value(T_U, T_I, V, eta, params: Params, *, u):
         raise SingularPoint(
             f"eta' denominator {den} vanishes relative to scale {abs(scale)}")
     return num / den
-
-
-def eta_prime_stack(params: Params, u):
-    """eta_prime_value for a stack of twins, one per entry of the numpy
-    float array u, as a function of (T_U, T_I, V, eta). Entries with u == 1
-    give eta exactly (eta / 1.0), any other at its pole raises
-    SingularPoint; the mask of the others and the index of the u == 1
-    entries are built once per stack. The states are numpy arrays, one
-    entry per twin, or Python floats shared by all twins, whose u-free terms
-    are computed once. This is the one function in the module that needs
-    numpy, so it imports it itself and the symbolic paths never load it."""
-    import numpy as np
-
-    other, delta, rho = u != 1, params.delta, params.rho
-    ones = np.flatnonzero(~other)
-
-    def eta_prime(T_U, T_I, V, eta):
-        num, den, scale = _ETA_PRIME(T_U, T_I, V, eta, delta, rho, u)
-        bad = ((den == 0) | (abs(den) <= _DENOM_EPS * abs(scale))) & other
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise SingularPoint(f"eta' denominator {den[i]} vanishes relative "
-                                f"to scale {abs(scale[i])} at u = {u[i]}")
-        den[ones] = 1.0  # a u == 1 entry's den may be 0, at V = 0
-        num[ones] = eta
-        return num / den
-
-    return eta_prime
 
 
 def admissible_tau_interval(params: Params) -> tuple[float | None, float | None]:
@@ -243,9 +215,9 @@ def eta_prime_scale_expr() -> Expression:
 def _compiled():
     """The forms compiled once, as two functions: eta' as numerator,
     denominator and the natural scale V rho (T_U + T_I) u of its pole
-    guard; and the delta' denominator, T_U', T_I', delta' and N'. eta'
-    stands alone because the stacked sweep runs it on every right-hand
-    side, where the maps would be wasted work on arrays. The one constant,
+    guard; and the delta' denominator, T_U', T_I', delta' and N'. Each
+    caller needs one of the two: `eta_prime_value` the first,
+    `transform_params` and `transform_state` the second. The one constant,
     1 in u - 1, is bound as an int, so Fraction inputs stay exact."""
     pp = params_prime_exprs()
     eta_p = [*eta_prime_expr().args, eta_prime_scale_expr()]

@@ -226,6 +226,19 @@ def test_negative_tau_failure_names_the_tau_and_the_pole(
     assert err.endswith(f", for {where}\n")
 
 
+@pytest.mark.parametrize("flag", ["--tau=-0.6931471805599453",
+                                  "--sweep=-0.6931471805599453:0.5:2"],
+                         ids=["single", "sweep"])
+def test_a_twin_on_its_eta_prime_pole_is_named(capsys, flag):
+    # from the default start, T_I/T_U = 1, the twin with u = 1/2 starts on
+    # its pole; a sweep names that twin as its single run does
+    code, out, err = run(capsys, "simulate", flag)
+    assert code == 1 and out == ""
+    assert err == ("error: eta' denominator 0.0 vanishes relative to scale "
+                   "1.0, for tau = -0.693147 (eta' has its pole at "
+                   "T_I/T_U = 1)\n")
+
+
 @pytest.mark.parametrize("command", [["simulate", "--tau", "0.5"],
                                      ["simulate", "--sweep=0:1:3"],
                                      ["phi-check"]])

@@ -8,10 +8,10 @@ evaluation counts of two default-config runs and of the stacked
 criterion-5 tau sweep are pinned exactly, so a change to the step
 controller that alters a single step fails here too; so is the number of
 the sweep's vector-field evaluations that run on numpy columns, and the
-products of its emitted step attempt. A plain or single-twin run reads
-eta inside its compiled vector field, never through the signal; a
-passing tau run never calls `eta_prime_value`, and a plain run checks
-finiteness through numpy at most twice. The programs a simulation
+products of its emitted step attempt. Every run, plain, single-twin or
+sweep, reads eta inside its compiled vector field, never through the
+signal; a passing tau run never calls `eta_prime_value`, and a plain run
+checks finiteness through numpy at most twice. The programs a simulation
 compiles are bounded per run, not per output or per twin, and a run's
 compiled code leaves nothing for the cyclic garbage collector. Cold
 start is counted in modules: a fresh `import odeident`
@@ -134,8 +134,8 @@ def test_order_eight_jet_float_source_size(output_index, chars):
 
 
 class _CountingEta(S.EtaSignal):
-    """Counts scalar calls: the stacked sweep's right-hand side evaluates
-    eta once per call, so there this is the number of RHS evaluations."""
+    """Counts calls on a scalar t. A run's vector field computes eta in
+    line, so only an error path calls the signal on a scalar."""
 
     calls = 0
 
@@ -151,31 +151,28 @@ def _scalar_eta_calls(run) -> int:
     return _CountingEta.calls
 
 
-def _counted(program, calls: list, arrays: bool):
-    """`program`, its float function replaced by one that records in
-    `calls` each call that does (`arrays`) or does not receive a numpy
-    array."""
-    fn = program.float_fn()
-
-    def counting(*args):
-        if any(isinstance(a, np.ndarray) for a in args) == arrays:
-            calls.append(1)
-        return fn(*args)
-
-    program.float_fn = lambda: counting
-    return program
-
-
-def _scalar_program_calls(monkeypatch, run) -> int:
-    """Calls on Python floats of the programs `sim` compiles: in a plain or
-    single-twin run only the vector field, which includes eta, runs so,
-    once per RHS evaluation; the outputs program reads numpy columns."""
+def _field_calls(monkeypatch, run) -> list[bool]:
+    """One entry per call of a compiled vector field, the program `sim`
+    compiles that takes t, once per RHS evaluation: True where the call
+    receives a numpy array."""
     calls = []
     compile_program = S.compile_program
-    monkeypatch.setattr(S, "compile_program", lambda exprs, inputs: _counted(
-        compile_program(exprs, inputs), calls, arrays=False))
+
+    def spy(exprs, inputs):
+        program = compile_program(exprs, inputs)
+        if S.TIME_SYMBOL in inputs:
+            fn = program.float_fn()
+
+            def counting(*args):
+                calls.append(any(isinstance(a, np.ndarray) for a in args))
+                return fn(*args)
+
+            program.float_fn = lambda: counting
+        return program
+
+    monkeypatch.setattr(S, "compile_program", spy)
     run(S.EtaSignal.from_text("1/2"))
-    return len(calls)
+    return calls
 
 
 def _co_integrated_run(eta):
@@ -186,31 +183,34 @@ def _plain_run(eta):
     return S.integrate(hiv, ONES.as_dict(), [1.0, 1.0, 1.0], eta)
 
 
+# the criterion-5 taus
+SWEEP_TAUS = [float(t) for t in np.linspace(-1.0, 1.5, 16)] + [
+    -1e-3, -1e-4, 1e-4, 1e-3]
+
+
+def _tau_sweep(eta):
+    return S.tau_sweep(ONES, (1.0, 0.2, 1.0), eta, SWEEP_TAUS)
+
+
 def test_co_integrated_run_rhs_calls(monkeypatch):
-    assert _scalar_program_calls(monkeypatch, _co_integrated_run) == 13069
+    assert _field_calls(monkeypatch, _co_integrated_run).count(False) == 13069
 
 
 def test_plain_run_rhs_calls(monkeypatch):
-    assert _scalar_program_calls(monkeypatch, _plain_run) == 14575
+    assert _field_calls(monkeypatch, _plain_run).count(False) == 14575
 
 
-@pytest.mark.parametrize("run", [_co_integrated_run, _plain_run],
-                         ids=["single tau", "plain"])
+@pytest.mark.parametrize("run", [_co_integrated_run, _plain_run, _tau_sweep],
+                         ids=["single tau", "plain", "tau sweep"])
 def test_plain_and_single_tau_runs_never_call_eta_on_a_scalar(run):
     # eta's expression is part of the compiled vector field; the signal is
     # called on the grid only, and on a scalar only to word an error
     assert _scalar_eta_calls(run) == 0
 
 
-# the criterion-5 taus
-SWEEP_TAUS = [float(t) for t in np.linspace(-1.0, 1.5, 16)] + [
-    -1e-3, -1e-4, 1e-4, 1e-3]
-
-
-def test_tau_sweep_rhs_calls():
+def test_tau_sweep_rhs_calls(monkeypatch):
     # one stacked evaluation covers all 20 twins of the criterion-5 sweep
-    assert _scalar_eta_calls(lambda eta: S.tau_sweep(
-        ONES, (1.0, 0.2, 1.0), eta, SWEEP_TAUS)) == 15708
+    assert len(_field_calls(monkeypatch, _tau_sweep)) == 15708
 
 
 # terms with a zero coefficient (k1 and k5 in y4, k1 in the error) are
@@ -241,22 +241,10 @@ def test_a_plain_run_checks_numpy_finiteness_at_most_twice(monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
-def _array_rhs_calls(monkeypatch, run) -> int:
-    """Calls of the compiled right-hand side that receive numpy arrays."""
-    calls = []
-    compile_rhs = S._rhs
-    monkeypatch.setattr(S, "_rhs", lambda m: _counted(compile_rhs(m), calls,
-                                                      arrays=True))
-    run()
-    return len(calls)
-
-
 def test_tau_sweep_array_rhs_calls(monkeypatch):
-    # the original system, shared by all rows, runs on Python floats: only
-    # the twins' half of each stacked evaluation takes numpy columns
-    assert _array_rhs_calls(monkeypatch, lambda: S.tau_sweep(
-        ONES, (1.0, 0.2, 1.0), S.EtaSignal.from_text("1/2"),
-        SWEEP_TAUS)) == 15708
+    # each stacked evaluation is one call of the twin field, which takes
+    # the twins' states, primed constants and u as numpy columns
+    assert _field_calls(monkeypatch, _tau_sweep).count(True) == 15708
 
 
 def _compile_calls(monkeypatch, run) -> int:
@@ -267,7 +255,7 @@ def _compile_calls(monkeypatch, run) -> int:
     return len(calls)
 
 
-# the eta signal (1), the right-hand side (1) and the outputs of every
+# the eta signal (1), the vector field (1) and the outputs of every
 # trajectory (1); phi-check adds eta' (1) and the output jets (1) once,
 # and the relation's terms (1) per variant
 @pytest.mark.parametrize("run, bound", [
@@ -299,6 +287,8 @@ def _left_to_the_cyclic_gc(run) -> list[str]:
 def test_a_run_leaves_no_compiled_code_to_the_cyclic_gc():
     assert _left_to_the_cyclic_gc(lambda: S.run_indistinguishability(
         ONES, (1.0, 0.2, 1.0), S.EtaSignal.from_text("1/2"), 0.7)) == []
+    assert _left_to_the_cyclic_gc(lambda: S.tau_sweep(
+        ONES, (1.0, 0.2, 1.0), S.EtaSignal.from_text("1/2"), [0.0, 0.7])) == []
     # the constrained Jacobian's rendering is cut into piece functions,
     # which its `_make` looks up by name
     matrix = R.substitute_dynamics(

@@ -288,9 +288,20 @@ def test_rank_memory_does_not_grow_with_trials():
     assert abs(peak(800) - peak(100)) < 4096
 
 
+ERROR_CASES = [
+    ([[E.const(PRIMES[0])]], None, R.PrimeDisagreement),
+    ([[E.div(E.ONE, X - X)]], None, R.ExhaustedRetries),
+    # every point is on the denominator under the second prime only
+    ([[E.div(E.ONE, E.const(PRIMES[1]) * X)]], None, R.ExhaustedRetries),
+    ([[E.div(E.ONE, X)]], {x: 0}, R.ExhaustedRetries),
+]
+ERROR_IDS = ["disagreement", "everywhere singular", "singular under one prime",
+             "structured point"]
+
+
 def test_a_rank_run_frees_its_program_on_return(monkeypatch):
     """No reference cycle keeps a run's program alive until the next
-    garbage collection."""
+    garbage collection, whether the run returns or raises."""
     programs = []
     compile_program = R.compile_program
 
@@ -303,19 +314,17 @@ def test_a_rank_run_frees_its_program_on_return(monkeypatch):
     gc.disable()
     try:
         R.generic_rank([[X + 1]], 3, 1, structured_point={x: 2})
-        assert programs[0]() is None
+        assert programs[-1]() is None
+        for matrix, structured, error in ERROR_CASES:
+            with pytest.raises(error):
+                R.generic_rank(matrix, 3, 1, structured_point=structured)
+            assert programs[-1]() is None, error.__name__
     finally:
         gc.enable()
 
 
-@pytest.mark.parametrize("matrix, structured, error", [
-    ([[E.const(PRIMES[0])]], None, R.PrimeDisagreement),
-    ([[E.div(E.ONE, X - X)]], None, R.ExhaustedRetries),
-    # every point is on the denominator under the second prime only
-    ([[E.div(E.ONE, E.const(PRIMES[1]) * X)]], None, R.ExhaustedRetries),
-    ([[E.div(E.ONE, X)]], {x: 0}, R.ExhaustedRetries),
-], ids=["disagreement", "everywhere singular", "singular under one prime",
-        "structured point"])
+@pytest.mark.parametrize("matrix, structured, error", ERROR_CASES,
+                         ids=ERROR_IDS)
 def test_errors_are_those_of_the_serial_loop(matrix, structured, error):
     with pytest.raises(error) as want:
         reference_generic_rank(matrix, 3, 1, structured_point=structured)

@@ -8,16 +8,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from odeident import expr as E
 from odeident import model as M
 from odeident import sim as S
 from odeident.transform import (Params, SingularPoint, SingularTau,
-                                TauFamily, eta_prime_expr, eta_prime_stack)
+                                TauFamily, eta_prime_expr)
 
-from helpers import reference_solve
+from helpers import reference_eta_prime_values, reference_solve
 
 hiv = M.hiv_model()
+# the model's own vector field, eta an input, as a reference for the runs'
+MODEL_RHS = E.compile_program(
+    hiv.rhs, [*hiv.states, *hiv.tv_params, *hiv.const_params]).float_fn()
 ONES = Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
 ONES_DICT = ONES.as_dict()
 SKEWED = Params(lam=1.3, delta=0.8, rho=1.7, c=0.9, N=3.0)
@@ -199,13 +203,15 @@ def test_twin_field_raises_eta_prime_values_error_at_the_pole(T_I):
     assert (value == 0) == (T_I == 1.0) and abs(value) <= 1e-12
     with pytest.raises(SingularPoint) as want:
         inst.eta(1.0, T_I, 1.0, 0.5)
-    f = S._twin_field(hiv, HALF, inst)
+    f = S._twin_field(hiv, HALF, [inst])
     with pytest.raises(SingularPoint) as got:
         f(0.0, [1.0, T_I, 1.0, *inst.map_state(1.0, T_I, 1.0)])
-    assert str(got.value) == str(want.value)
+    # the twin is named, as by a sweep
+    assert str(got.value) == (f"{want.value}, for tau = -0.693147 (eta' has "
+                              f"its pole at T_I/T_U = 1)")
     if T_I == 1.0:
-        assert str(got.value) == ("eta' denominator 0.0 vanishes relative to "
-                                  "scale 1.0")
+        assert str(want.value) == ("eta' denominator 0.0 vanishes relative "
+                                   "to scale 1.0")
 
 
 def test_co_integrated_run_stops_at_the_eta_prime_pole():
@@ -213,7 +219,77 @@ def test_co_integrated_run_stops_at_the_eta_prime_pole():
     with pytest.raises(SingularPoint) as info:
         S.run_indistinguishability(SKEWED, [1.0, 0.2, 1.0], eta, -0.5)
     assert str(info.value) == ("eta' denominator 1.234123914173324e-12 "
-                               "vanishes relative to scale 1.2890235121507765")
+                               "vanishes relative to scale 1.2890235121507765"
+                               ", for tau = -0.5 (eta' has its pole at "
+                               "T_I/T_U = 1.59)")
+
+
+def test_a_sweep_names_the_twin_at_its_eta_prime_pole():
+    # from T_I/T_U = 1 the twin with u = 1/2 starts on its pole
+    with pytest.raises(SingularPoint) as single:
+        S.run_indistinguishability(ONES, [1.0, 1.0, 1.0], HALF, math.log(0.5))
+    with pytest.raises(SingularPoint) as swept:
+        S.tau_sweep(ONES, [1.0, 1.0, 1.0], HALF, [0.5, math.log(0.5)])
+    assert str(swept.value) == str(single.value) == (
+        "eta' denominator 0.0 vanishes relative to scale 1.0, for tau = "
+        "-0.693147 (eta' has its pole at T_I/T_U = 1)")
+
+
+# a stacked field of up to 6 twins, one of them with u == 1, whose row then
+# holds the original state
+_STATE = st.floats(min_value=1e-3, max_value=1e3)
+_TWIN_ETAS = [S.EtaSignal.from_text(text) for text in ["1/2", "1/2 + t/20"]]
+_POLE = {"params": ONES, "taus": [math.log(0.5)], "one_at": 0,
+         "twins": [(1.0, 1.0, 1.0)] * 6, "eta": _TWIN_ETAS[0], "t": 0.0}
+
+
+def _pole_outcome(f, *args):
+    """f's value, or the message of the SingularPoint it raised."""
+    try:
+        return f(*args)
+    except SingularPoint as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@example(orig=(1.0, 1.0, 1.0), **_POLE)  # eta''s denominator 0
+@example(orig=(1.0, math.nextafter(1.0, 2.0), 1.0), **_POLE)  # tiny
+@example(orig=(1.0, 1.0, 0.0), **{**_POLE, "taus": [0.0]})  # u == 1, V = 0
+@given(params=st.builds(Params, *[st.floats(0.1, 10.0)] * 5),
+       taus=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+       one_at=st.integers(0, 5),
+       orig=st.tuples(_STATE, _STATE, st.one_of(st.just(0.0), _STATE)),
+       twins=st.lists(st.tuples(_STATE, _STATE, _STATE), min_size=6,
+                      max_size=6),
+       eta=st.sampled_from(_TWIN_ETAS), t=st.floats(0.0, 10.0))
+def test_stacked_twin_field_rows_match_single_twin_fields(
+        params, taus, one_at, orig, twins, eta, t):
+    taus = taus[:one_at] + [0.0] + taus[one_at:]
+    try:
+        insts = [TauFamily(tau=tau, params=params) for tau in taus]
+    except SingularTau:
+        return
+    rows = [[*orig, *(orig if inst.u == 1 else twin)]
+            for inst, twin in zip(insts, twins)]
+    singles = [_pole_outcome(S._twin_field(hiv, eta, [inst]), t, row)
+               for inst, row in zip(insts, rows)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stacked = _pole_outcome(S._twin_field(hiv, eta, insts), t,
+                                np.array(rows))
+    try:
+        eta_p = reference_eta_prime_values(
+            *orig, eta(t), params, u=np.array([inst.u for inst in insts]))
+    except SingularPoint:
+        # the first twin at its pole raises, naming itself
+        assert stacked == next(s for s in singles if isinstance(s, str))
+        return
+    base = S._param_values(hiv, params.as_dict())
+    for i, inst in enumerate(insts):
+        want = (MODEL_RHS(*orig, eta(t), *base)
+                + MODEL_RHS(*rows[i][3:], eta_p[i], *S._param_values(
+                    hiv, inst.params_prime.as_dict())))
+        assert _bit_equal(np.array(singles[i]), want)
+        assert _bit_equal(stacked[i], want)
 
 
 def test_co_integrated_division_by_zero_is_typed(monkeypatch):
@@ -267,22 +343,20 @@ def _bit_equal(got, want) -> bool:
 def _plain_reference_f(eta, params: Params):
     """The plain vector field as the generic stepper sees it: the model's
     own program, with eta from the signal."""
-    rhs = S._rhs(hiv).float_fn()
     pvals = S._param_values(hiv, params.as_dict())
-    return lambda t, y: rhs(*y, eta(t), *pvals)
+    return lambda t, y: MODEL_RHS(*y, eta(t), *pvals)
 
 
 def _twin_reference_f(eta, inst: TauFamily):
     """The co-integrated field as the generic stepper sees it: the model's
     own program on both halves, with eta' from `inst.eta`."""
-    rhs = S._rhs(hiv).float_fn()
     base = S._param_values(hiv, inst.params.as_dict())
     primed = S._param_values(hiv, inst.params_prime.as_dict())
 
     def f(t, y):
         et, orig = eta(t), list(y[:3])
-        return (rhs(*orig, et, *base)
-                + rhs(*y[3:], inst.eta(*orig, et), *primed))
+        return (MODEL_RHS(*orig, et, *base)
+                + MODEL_RHS(*y[3:], inst.eta(*orig, et), *primed))
 
     return f
 
@@ -337,11 +411,10 @@ def test_zero_eta_from_zero_states_matches_reference_stepper(tau):
 
 
 def test_stacked_rows_match_reference_stepper():
-    rhs = S._rhs(hiv).float_fn()
     pvals = S._param_values(hiv, ONES_DICT)
 
     def f(t, y):
-        return np.array(rhs(*y.T, 0.5 + t / 20, *pvals)).T
+        return np.array(MODEL_RHS(*y.T, 0.5 + t / 20, *pvals)).T
 
     y0 = [[1.0, 0.2, 1.0], [2.0, 1.0, 0.5]]
     assert _bit_equal(S._solve(f, y0, S.SimConfig()),
@@ -531,11 +604,11 @@ CRITERION_5_TAUS = [float(t) for t in np.linspace(-1.0, 1.5, 16)] + [
 @pytest.mark.parametrize("text", ORACLE_ETAS)
 def test_tau_sweep_matches_reference_stepper(text):
     # the generic stacked right-hand side: every row, its original states
-    # included, evaluated on numpy columns
+    # included, evaluated on numpy columns by the model's own program, with
+    # eta' from the reference
     eta = S.EtaSignal.from_text(text)
     insts = [TauFamily(tau=tau, params=ONES) for tau in CRITERION_5_TAUS]
-    eta_prime = eta_prime_stack(ONES, np.array([inst.u for inst in insts]))
-    rhs = S._rhs(hiv).float_fn()
+    u = np.array([inst.u for inst in insts])
     base = S._param_values(hiv, ONES_DICT)
     primed = np.array([S._param_values(hiv, inst.params_prime.as_dict())
                        for inst in insts]).T
@@ -543,8 +616,9 @@ def test_tau_sweep_matches_reference_stepper(text):
     def f(t, y):
         et = eta(t)
         orig, prim = y[:, :3].T, y[:, 3:].T
-        et_p = eta_prime(*orig, et)
-        return np.array(rhs(*orig, et, *base) + rhs(*prim, et_p, *primed)).T
+        et_p = reference_eta_prime_values(*orig, et, ONES, u=u)
+        return np.array(MODEL_RHS(*orig, et, *base)
+                        + MODEL_RHS(*prim, et_p, *primed)).T
 
     init = [1.0, 0.2, 1.0]
     want = reference_solve(

@@ -6,7 +6,6 @@ import math
 import random
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -16,7 +15,6 @@ from odeident import transform as T
 
 EXACT = T.Params(lam=F(1), delta=F(1), rho=F(2), c=F(1), N=F(1))
 ONES = T.Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
-SKEW = T.Params(lam=1.0, delta=0.8, rho=1.7, c=1.2, N=3.0)
 
 
 # ----------------------------------------------------------- parameter map
@@ -134,46 +132,6 @@ def test_eta_identity_at_tau_zero():
 def test_eta_singular_when_no_virus():
     with pytest.raises(T.SingularPoint):
         T.eta_prime_value(F(1), F(1), F(0), F(1, 2), EXACT, u=F(2))
-
-
-def test_stacked_eta_matches_each_member():
-    u = np.array([0.5, 1.0, 2.0, 3.0])
-    T_U, T_I, V = (np.array(c) for c in ([1.0, 0.3, 2.0, 0.7],
-                                         [0.2, 0.9, 0.1, 1.1],
-                                         [1.5, 0.4, 0.8, 2.5]))
-    got = T.eta_prime_stack(SKEW, u)(T_U, T_I, V, 0.5)
-    for i in range(len(u)):
-        assert got[i] == T.eta_prime_value(T_U[i], T_I[i], V[i], 0.5, SKEW,
-                                           u=u[i])
-    assert got[1] == 0.5  # u == 1 gives eta exactly
-
-
-def test_stacked_eta_with_shared_states_matches_each_member():
-    # the states of a sweep's original system, shared by every twin
-    u = np.array([0.5, 1.0, 2.0, 3.0])
-    got = T.eta_prime_stack(SKEW, u)(0.7, 1.1, 2.5, 0.5)
-    for i in range(len(u)):
-        assert got[i] == T.eta_prime_value(0.7, 1.1, 2.5, 0.5, SKEW, u=u[i])
-    assert got[1] == 0.5  # u == 1 gives eta exactly
-
-
-def test_stacked_eta_with_shared_states_singular_at_one_member():
-    # T_I/T_U = u/(1-u) is the pole of the member with that u alone: T_I =
-    # T_U is the pole of u = 1/2 only
-    u = np.array([1.0, 2.0, 0.5, 3.0])
-    others = T.eta_prime_stack(ONES, u[[0, 1, 3]])(1.0, 1.0, 1.0, 0.5)
-    assert np.all(np.isfinite(others))
-    with pytest.raises(T.SingularPoint, match="at u = 0.5$"):
-        T.eta_prime_stack(ONES, u)(1.0, 1.0, 1.0, 0.5)
-
-
-def test_stacked_eta_singular_at_any_member():
-    u = np.array([1.0, 2.0])
-    stack = T.eta_prime_stack(ONES, u)
-    ok = stack(np.ones(2), np.ones(2), np.array([0.0, 1.0]), 0.5)
-    assert ok[0] == 0.5  # V = 0 is no pole where u == 1
-    with pytest.raises(T.SingularPoint, match="u = 2.0"):
-        stack(np.ones(2), np.ones(2), np.array([1.0, 0.0]), 0.5)
 
 
 def test_eta_dual_entry_oracle():
@@ -368,21 +326,3 @@ def test_maps_match_references_exactly_on_fractions(state, eta, params, u):
     for value in mapped if isinstance(mapped, tuple) else ():
         assert type(value) is F
     assert isinstance(et, type) or type(et) is F
-
-
-@settings(max_examples=200, deadline=None)
-@given(us=st.lists(_U, min_size=1, max_size=8), one_at=st.integers(0, 8),
-       eta=_POSITIVE, params=st.builds(T.Params, *[_POSITIVE] * 5),
-       shared=st.booleans(), data=st.data())
-def test_stacked_eta_matches_reference_bit_for_bit(us, one_at, eta, params,
-                                                   shared, data):
-    u = np.array(us[:one_at] + [1.0] + us[one_at:])  # a tau = 0 twin
-    column = st.lists(_POSITIVE, min_size=len(u), max_size=len(u))
-    state = [data.draw(_POSITIVE if shared else column.map(np.array))
-             for _ in range(3)]
-    got = _outcome(lambda: T.eta_prime_stack(params, u)(*state, eta))
-    want = _outcome(H.reference_eta_prime_values, *state, eta, params, u=u)
-    if isinstance(want, type):
-        assert got is want
-    else:
-        assert np.array_equal(got, want)
