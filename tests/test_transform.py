@@ -6,15 +6,19 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import helpers as H
 from odeident import expr as E
+from odeident import model as M
+from odeident import sim as S
 from odeident import transform as T
 
 EXACT = T.Params(lam=F(1), delta=F(1), rho=F(2), c=F(1), N=F(1))
 ONES = T.Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
+SKEW = T.Params(lam=1.0, delta=0.8, rho=1.7, c=1.2, N=3.0)
 
 
 # ----------------------------------------------------------- parameter map
@@ -132,6 +136,75 @@ def test_eta_identity_at_tau_zero():
 def test_eta_singular_when_no_virus():
     with pytest.raises(T.SingularPoint):
         T.eta_prime_value(F(1), F(1), F(0), F(1, 2), EXACT, u=F(2))
+
+
+# a sweep's stacked eta' is evaluated inside its stacked twin field, on the
+# shared original state, one entry per twin
+
+HIV = M.hiv_model()
+HIV_RHS = E.compile_program(
+    HIV.rhs, [*HIV.states, *HIV.tv_params, *HIV.const_params]).float_fn()
+# at this twin state the twin's dT_I/dt = eta' * 1 * 1 - delta' * 0 is
+# eta' exactly
+ETA_READOUT = (1.0, 0.0, 1.0)
+
+
+def _sweep(params, us):
+    """One twin per u, at tau = ln(u)/rho. A twin's own u may round off
+    the given one; checks compare against the twin's."""
+    return [T.TauFamily(tau=math.log(u) / params.rho, params=params)
+            for u in us]
+
+
+def _stacked_field(insts, orig, twins, eta):
+    """The stacked twin field of a sweep at t = 0: one row per twin, the
+    original state then the twin's (the original state where u == 1)."""
+    rows = [[*orig, *(orig if inst.u == 1 else twin)]
+            for inst, twin in zip(insts, twins)]
+    field = S._twin_field(HIV, S.EtaSignal(E.const(F(eta))), insts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return field(0.0, np.array(rows))
+
+
+def test_stacked_eta_matches_each_member():
+    # each twin's row is the model's field at the twin's own state and
+    # constants and at eta' = eta_prime_value of the original state
+    orig = (0.7, 1.1, 2.5)
+    twins = list(zip([1.0, 0.3, 2.0, 0.7], [0.2, 0.9, 0.1, 1.1],
+                     [1.5, 0.4, 0.8, 2.5]))
+    insts = _sweep(SKEW, [0.5, 1.0, 2.0, 3.0])
+    got = _stacked_field(insts, orig, twins, 0.5)
+    base = S._param_values(HIV, SKEW.as_dict())
+    for inst, row, twin in zip(insts, got, twins):
+        eta_p = T.eta_prime_value(*orig, 0.5, SKEW, u=inst.u)
+        primed = S._param_values(HIV, inst.params_prime.as_dict())
+        assert row[:3].tolist() == HIV_RHS(*orig, 0.5, *base)
+        assert row[3:].tolist() == HIV_RHS(
+            *(orig if inst.u == 1 else twin), eta_p, *primed)
+    # u == 1 gives eta exactly: the twin moves as the original
+    assert insts[1].u == 1 and got[1, 3:].tolist() == got[1, :3].tolist()
+
+
+def test_stacked_eta_with_shared_states_matches_each_member():
+    orig = (0.7, 1.1, 2.5)
+    insts = _sweep(SKEW, [0.5, 1.0, 2.0, 3.0])
+    got = _stacked_field(insts, orig, [ETA_READOUT] * 4, 0.5)
+    for i in (0, 2, 3):
+        assert got[i, 4] == T.eta_prime_value(*orig, 0.5, SKEW, u=insts[i].u)
+    # u == 1 gives eta exactly: the twin moves as the original
+    assert insts[1].u == 1 and got[1, 3:].tolist() == got[1, :3].tolist()
+
+
+def test_stacked_eta_singular_at_any_member():
+    # V = 0 is eta''s pole for every twin but those with u == 1
+    ones = _sweep(ONES, [1.0, 1.0])
+    ok = _stacked_field(ones, (1.0, 1.0, 0.0), [ETA_READOUT] * 2, 0.5)
+    assert ok[:, 3:].tolist() == ok[:, :3].tolist()
+    insts = _sweep(ONES, [1.0, 2.0])
+    away = _stacked_field(insts, (1.0, 1.0, 1.0), [ETA_READOUT] * 2, 0.5)
+    assert np.all(np.isfinite(away))
+    with pytest.raises(T.SingularPoint, match=r", for tau = 0\.693147$"):
+        _stacked_field(insts, (1.0, 1.0, 0.0), [ETA_READOUT] * 2, 0.5)
 
 
 def test_eta_dual_entry_oracle():
@@ -326,3 +399,27 @@ def test_maps_match_references_exactly_on_fractions(state, eta, params, u):
     for value in mapped if isinstance(mapped, tuple) else ():
         assert type(value) is F
     assert isinstance(et, type) or type(et) is F
+
+
+@settings(max_examples=200, deadline=None)
+@example(us=[0.5], one_at=0, eta=0.5, params=ONES,
+         orig=(1.0, 1.0, 1.0))  # T_I/T_U = 1 is the pole of u = 1/2
+@given(us=st.lists(_U, min_size=1, max_size=8), one_at=st.integers(0, 8),
+       eta=_POSITIVE, params=st.builds(T.Params, *[_POSITIVE] * 5),
+       orig=st.tuples(_POSITIVE, _POSITIVE, _POSITIVE))
+def test_stacked_eta_matches_reference_bit_for_bit(us, one_at, eta, params,
+                                                   orig):
+    us = us[:one_at] + [1.0] + us[one_at:]  # a tau = 0 twin
+    sweeps = [_outcome(_sweep, params, [u]) for u in us]
+    insts = [sweep[0] for sweep in sweeps if sweep is not T.SingularTau]
+    assume(len(insts) > 1)  # one twin alone is no stack
+    u = np.array([inst.u for inst in insts])
+    got = _outcome(_stacked_field, insts, orig, [ETA_READOUT] * len(insts),
+                   eta)
+    want = _outcome(H.reference_eta_prime_values, *orig, eta, params, u=u)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert np.array_equal(got[u != 1, 4], want[u != 1])
+        # u == 1 gives eta exactly: the twin moves as the original
+        assert np.array_equal(got[u == 1, 3:], got[u == 1, :3])
