@@ -3,14 +3,19 @@
 The integrator is the classic Fehlberg 4(5) embedded pair: the 4th-order
 solution is propagated and the difference to the 5th-order solution
 drives the step controller. Dense output uses cubic Hermite interpolation
-on each accepted step, consistent with 4th-order accuracy, and is filled
-in as the step is accepted. Plain, co-integrated and stacked runs share
-this one solver loop and one trajectory builder. The loop calls one step
-attempt emitted as straight-line Python per state width, in two
-renderings: a 1-D state is one Python float per component, and a stacked
-2-D state is one numpy array. Both round their stage sums exactly as the
-generic `y + h * sum(a * k for ...)` does. A run that needs more than
-`_MAX_ATTEMPTS` step attempts stops with StepBudgetExceeded.
+on each accepted step, consistent with 4th-order accuracy (Hairer,
+Norsett & Wanner, Solving ODEs I, II.6), and is filled in as the step
+is accepted: a step that covers no grid point costs one float
+comparison, one that covers a single point evaluates the interpolant at
+one scalar theta, and only one that covers several looks them up in the
+grid and fills them as one numpy column. Plain, co-integrated and stacked
+runs share this one solver loop and one trajectory builder. The loop
+calls one step attempt emitted as straight-line Python per state width,
+in two renderings: a 1-D state is one Python float per component, and a
+stacked 2-D state is one numpy array. Both round their stage sums
+exactly as the generic `y + h * sum(a * k for ...)` does. A run that
+needs more than `_MAX_ATTEMPTS` step attempts stops with
+StepBudgetExceeded.
 
 A run compiles one program per evaluation site: one for the vector field
 and one for the outputs of all its trajectories (every twin of a sweep
@@ -276,21 +281,25 @@ def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
     `cfg.grid()`, shaped (grid points, *y0.shape).
 
     A 1-D `y0` is one system, stepped on Python floats: f takes and
-    returns a list, and an accepted step checks f and looks up the grid
-    without converting to numpy; only the Hermite fill of the grid points
-    a step covers does. A 2-D `y0` stacks one system per row, stepped as
-    one numpy array, and all rows take the same steps. The step error is the
-    largest of the rows' RMS errors, so no row is held to a looser
-    tolerance than it would be in a run of its own. A run gives up with
-    StepBudgetExceeded after `_MAX_ATTEMPTS` step attempts, and a scalar
-    division by zero in f raises DivisionByZero.
+    returns a list, and an accepted step checks f, compares its end with
+    the next grid time and fills a single grid point without converting
+    to numpy; only a step that covers several points does. A 2-D `y0`
+    stacks one system per row, stepped as one numpy array, and all rows
+    take the same steps. The step error is the largest of the rows' RMS
+    errors, so no row is held to a looser tolerance than it would be in
+    a run of its own. A run gives up with StepBudgetExceeded after
+    `_MAX_ATTEMPTS` step attempts, and a scalar division by zero in f
+    raises DivisionByZero.
 
     Each accepted step fills the grid points it covers by cubic Hermite
     interpolation and is then dropped, so only the current step is held.
     A point belongs to the first step whose right end lies above it; the
     last step also takes points up to 1e-12 past its end. Points still
     left get the final state, which is the initial state when the window
-    is too short for a single step.
+    is too short for a single step. The next grid time is kept as a
+    Python float, so a step that covers none makes no numpy call. The
+    first step is a hundredth of the window, but no less than the
+    smallest step resolvable at t0.
     """
     grid = cfg.grid()
     t, tf = cfg.t0, cfg.tf
@@ -307,8 +316,9 @@ def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
     attempt = _attempt_fn(width if flat else None)
     states = np.empty((len(grid), *y0.shape))
     filled = 0
+    t_next = grid.item(0)  # the first grid point not yet filled
     at_end = 1e-13 * max(abs(tf), 1.0)  # this close to tf counts as there
-    h = min(max_step, (tf - t) / 100.0)
+    h = min(max_step, max((tf - t) / 100.0, 1e-14 * max(abs(t), 1.0)))
     attempts = 0
     try:
         f_left = f(t, y)
@@ -333,15 +343,31 @@ def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
                 if not finite(f_right):
                     raise NonFiniteState(
                         f"derivative not finite at t = {t_right}")
+                # the step covers the grid points below `end`
                 if tf - t_right > at_end:
-                    stop = grid.searchsorted(t_right, "left")
-                else:  # the last step
-                    stop = grid.searchsorted(t_right + 1e-12, "right")
-                if stop > filled:
-                    states[filled:stop] = _hermite(
-                        t, h, *map(np.asarray, (y, y4, f_left, f_right)),
-                        grid[filled:stop])
-                    filled = stop
+                    end = t_right
+                else:  # the last step: up to t_right + 1e-12 inclusive
+                    end = math.nextafter(t_right + 1e-12, math.inf)
+                if t_next < end:
+                    if filled + 1 < len(grid) and grid.item(filled + 1) < end:
+                        # several points: one search, one column fill (on
+                        # a dense grid, point by point is several times
+                        # slower)
+                        stop = grid.searchsorted(end, "left")
+                        theta = (grid[filled:stop] - t) / h
+                        states[filled:stop] = _hermite(
+                            theta.reshape(-1, *(1,) * y0.ndim), h,
+                            *np.array((y, y4, f_left, f_right)))
+                        filled = stop
+                    else:  # one point, at a scalar theta
+                        theta = (t_next - t) / h
+                        states[filled] = (
+                            [_hermite(theta, h, *c)
+                             for c in zip(y, y4, f_left, f_right)] if flat
+                            else _hermite(theta, h, y, y4, f_left, f_right))
+                        filled += 1
+                    t_next = (grid.item(filled) if filled < len(grid)
+                              else math.inf)
                 t, y, f_left = t_right, y4, f_right
                 if err == 0:
                     h *= _MAX_GROW
@@ -357,8 +383,12 @@ def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
     return states
 
 
-def _hermite(t0, h, y0, y1, f0, f1, ts: np.ndarray) -> np.ndarray:
-    theta = ((ts - t0) / h).reshape((-1,) + (1,) * y0.ndim)
+def _hermite(theta, h, y0, y1, f0, f1):
+    """The cubic Hermite interpolant of a step of size h from (y0, f0) to
+    (y1, f1), at the fraction theta of the step. theta is a Python float
+    or an array shaped to broadcast against the states; one formula
+    serves a component on Python floats, a stacked state and a column of
+    grid points, so each rounds alike."""
     d = y1 - y0
     return ((1 - theta) * y0 + theta * y1
             + theta * (theta - 1)

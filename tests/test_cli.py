@@ -387,6 +387,21 @@ def test_simulate_window_too_short_for_a_step(capsys):
     assert json.loads(out)["max_rel_state_map_dev"] == 0.0
 
 
+# a window of 1e-12 at t = 5: a hundredth of it lies below the resolvable
+# step, 1e-14 * 5, so the first step starts at that floor instead
+@pytest.mark.parametrize("command", [["simulate", "--tau", "0.5"],
+                                     ["phi-check", "--variant", "corrected"]],
+                         ids=["simulate", "phi-check"])
+def test_a_short_window_away_from_zero_integrates(capsys, command):
+    code, out, err = run(capsys, *command, "--t0", "5",
+                         "--tf", "5.000000000001")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["config"]["tf"] == 5.000000000001
+    if "max_rel_state_map_dev" in payload:
+        assert payload["max_rel_state_map_dev"] < 1e-15
+
+
 # --------------------------------------------------------------- phi-check
 
 def test_phi_check_both_variants(capsys):

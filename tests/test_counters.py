@@ -8,19 +8,22 @@ evaluation counts of two default-config runs and of the stacked
 criterion-5 tau sweep are pinned exactly, so a change to the step
 controller that alters a single step fails here too; so is the number of
 the sweep's vector-field evaluations that run on numpy columns, and the
-products of its emitted step attempt. Every run, plain, single-twin or
-sweep, reads eta inside its compiled vector field, never through the
-signal; a passing tau run never calls `eta_prime_value`, and a plain run
-checks finiteness through numpy at most twice. The programs a simulation
-compiles are bounded per run, not per output or per twin, and a run's
-compiled code leaves nothing for the cyclic garbage collector. Cold
-start is counted in modules: a fresh `import odeident`
+products of its emitted step attempt. Each default-grid run fills its
+401 grid points one per step, from a scalar theta, and a run on the
+largest grid fills at most once per accepted step. Every run, plain,
+single-twin or sweep, reads eta inside its compiled vector field, never
+through the signal; a passing tau run never calls `eta_prime_value`, and
+a plain run checks finiteness through numpy at most twice. The programs
+a simulation compiles are bounded per run, not per output or per twin,
+and a run's compiled code leaves nothing for the cyclic garbage
+collector. Cold start is counted in modules: a fresh `import odeident`
 loads a pinned set of package modules and not numpy, and the symbolic
 subcommands run with numpy blocked.
 """
 
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -211,6 +214,63 @@ def test_plain_and_single_tau_runs_never_call_eta_on_a_scalar(run):
 def test_tau_sweep_rhs_calls(monkeypatch):
     # one stacked evaluation covers all 20 twins of the criterion-5 sweep
     assert len(_field_calls(monkeypatch, _tau_sweep)) == 15708
+
+
+def _dense_output(monkeypatch, run, width) -> dict[str, int]:
+    """Accepted steps and dense-output fills of `run`, whose state has
+    `width` components per row: "one" counts the fills of a single grid
+    point (a scalar theta, per component where the state is flat) and
+    "many" the fills of several (a column of thetas)."""
+    counts = {"accepted": 0, "one": 0, "many": 0, "components": 0}
+    attempt_fn, hermite = S._attempt_fn, S._hermite
+
+    def attempt_spy(w):
+        attempt = attempt_fn(w)
+
+        def counting(*args):
+            step = attempt(*args)
+            if step is not None and math.sqrt(step[1] / width) <= 1.0:
+                counts["accepted"] += 1
+            return step
+
+        return counting
+
+    def hermite_spy(theta, h, y0, *rest):
+        if isinstance(theta, np.ndarray):
+            counts["many"] += 1
+        elif isinstance(y0, np.ndarray):
+            counts["one"] += 1
+        else:
+            counts["components"] += 1
+        return hermite(theta, h, y0, *rest)
+
+    monkeypatch.setattr(S, "_attempt_fn", attempt_spy)
+    monkeypatch.setattr(S, "_hermite", hermite_spy)
+    run(S.EtaSignal.from_text("1/2"))
+    assert counts["components"] % width == 0
+    counts["one"] += counts.pop("components") // width
+    return counts
+
+
+# every default-grid run fills each of its 401 points on a step of its
+# own, from a scalar theta; about 2,200 accepted steps cover none
+@pytest.mark.parametrize("run, width", [
+    (_co_integrated_run, 6), (_plain_run, 3), (_tau_sweep, 6)],
+    ids=["single tau", "plain", "tau sweep"])
+def test_default_grid_runs_fill_one_point_per_step(monkeypatch, run, width):
+    counts = _dense_output(monkeypatch, run, width)
+    assert (counts["one"], counts["many"]) == (401, 0)
+    assert counts["accepted"] > 401
+
+
+def test_a_dense_grid_fills_at_most_once_per_step(monkeypatch):
+    # 1,500,000 points over the same steps: each step that covers more
+    # than one point looks them up and fills them as one column
+    cfg = S.SimConfig(dense_output_points=1_500_000)
+    counts = _dense_output(monkeypatch, lambda eta: S.run_indistinguishability(
+        ONES, (1.0, 0.2, 1.0), eta, 0.7, cfg), 6)
+    assert 0 < counts["many"] <= counts["accepted"]
+    assert counts["one"] + counts["many"] <= counts["accepted"]
 
 
 # terms with a zero coefficient (k1 and k5 in y4, k1 in the error) are

@@ -439,6 +439,86 @@ TOO_SHORT = [S.SimConfig(t0=0.0, tf=1e-14),
              S.SimConfig(t0=1e15, tf=1e15 + 0.125)]
 
 
+def _fill_paths(monkeypatch) -> set[str]:
+    """The dense-output paths `_solve` takes from here on: "one" where a
+    step fills one grid point (a scalar theta), "many" where it fills
+    several (a column of thetas)."""
+    paths = set()
+    hermite = S._hermite
+
+    def spy(theta, *args):
+        paths.add("many" if isinstance(theta, np.ndarray) else "one")
+        return hermite(theta, *args)
+
+    monkeypatch.setattr(S, "_hermite", spy)
+    return paths
+
+
+def _recording_model_field(stacked: bool, times: list):
+    """The model's field with eta = 1/2 + t/20 for a flat or a stacked
+    state; each call appends its t to `times`."""
+    pvals = S._param_values(hiv, ONES_DICT)
+
+    def f(t, y):
+        times.append(t)
+        if stacked:
+            return np.array(MODEL_RHS(*y.T, 0.5 + t / 20, *pvals)).T
+        return MODEL_RHS(*y, 0.5 + t / 20, *pvals)
+
+    return f
+
+
+# steps are max_step long at loose tolerances: every step of 1/128 ends on
+# a point of the 129-point grid, which the next step takes at theta 0, and
+# a step of 1/32 covers four points of a grid 1/128 apart and ends on the
+# fifth; a hundred steps of 0.1 sum to
+# 9.99999999999998, so the last step ends short of the grid point at tf.
+# Each case checks the times f was called at
+LOOSE = dict(abs_tol=1e-2, rel_tol=1e-2)
+FILL_CASES = {
+    "default grid": (S.SimConfig(), {"one"}, lambda grid, times: True),
+    "dense grid": (S.SimConfig(dense_output_points=2001, **LOOSE), {"many"},
+                   lambda grid, times: True),
+    "point at each step end": (
+        S.SimConfig(tf=1.0, max_step=1 / 128, dense_output_points=129,
+                    **LOOSE), {"one", "many"},
+        lambda grid, times: set(grid[1:].tolist()) <= set(times)),
+    "points up to each step end": (
+        S.SimConfig(tf=4.0, max_step=1 / 32, dense_output_points=513,
+                    **LOOSE), {"many"},
+        lambda grid, times: set(grid[4::4].tolist()) <= set(times)),
+    "point past the last step": (
+        S.SimConfig(tf=10.0, max_step=0.1, dense_output_points=11, **LOOSE),
+        {"one"},
+        lambda grid, times: times[-1] < grid[-1] <= times[-1] + 1e-12),
+}
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["flat", "stacked"])
+@pytest.mark.parametrize("cfg, paths, check", FILL_CASES.values(),
+                         ids=FILL_CASES.keys())
+def test_fill_paths_match_reference_stepper(monkeypatch, cfg, paths, check,
+                                            stacked):
+    y0 = [[1.0, 0.2, 1.0], [2.0, 1.0, 0.5]] if stacked else [1.0, 0.2, 1.0]
+    want = reference_solve(_recording_model_field(stacked, []), y0, cfg)
+    taken, times = _fill_paths(monkeypatch), []
+    got = S._solve(_recording_model_field(stacked, times), y0, cfg)
+    assert _bit_equal(got, want)
+    assert taken == paths
+    assert check(cfg.grid(), times)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["flat", "stacked"])
+@pytest.mark.parametrize("cfg", TOO_SHORT, ids=["tiny", "far"])
+def test_window_without_steps_matches_reference_stepper(monkeypatch, cfg,
+                                                        stacked):
+    y0 = [[1.0, -0.0, 1.0], [2.0, 1.0, 0.5]] if stacked else [1.0, -0.0, 1.0]
+    f = _recording_model_field(stacked, [])
+    taken = _fill_paths(monkeypatch)
+    assert _bit_equal(S._solve(f, y0, cfg), reference_solve(f, y0, cfg))
+    assert taken == set()
+
+
 @pytest.mark.parametrize("cfg", TOO_SHORT, ids=["tiny", "far"])
 def test_window_without_steps_keeps_initial_state(cfg):
     traj = S.integrate(hiv, ONES_DICT, [1.0, 0.5, 2.0], HALF, cfg)
