@@ -157,7 +157,8 @@ def _cmd_rank(args) -> int:
         try:
             primes = tuple(int(x) for x in args.primes.split(","))
         except ValueError:
-            print("--primes wants comma-separated integers", file=sys.stderr)
+            print("error: --primes wants comma-separated integers",
+                  file=sys.stderr)
             return _USAGE_ERROR
     try:
         report = ranktest.run_rank_test(mode=args.mode, variant=args.variant,

@@ -553,7 +553,12 @@ def partials(roots: Sequence[Expression],
     every subtree that does not is pruned to zero without being rebuilt,
     which keeps the results sharing structure with the input.
     """
-    order = _topo(list(roots))
+    return _partials(_topo(list(roots)), roots, symbols)
+
+
+def _partials(order: list[Expression], roots: Sequence[Expression],
+              symbols: Sequence[Symbol]) -> tuple[tuple[Expression, ...], ...]:
+    """`partials`, given `order`, the roots' `_topo`."""
     bit = {s: 1 << j for j, s in enumerate(symbols)}
     masks: dict[int, int] = {}
     for node in order:

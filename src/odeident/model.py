@@ -17,9 +17,8 @@ from typing import Iterable
 
 from . import expr
 from .expr import (
-    CONST_PARAM, OUTPUT_DERIV, STATE, TV_DERIV,
-    DuplicateDeclaration, Expression, ParseError, Symbol, SymbolTable,
-    UndeclaredSymbol, free_symbols,
+    CONST_PARAM, OUTPUT_DERIV, STATE, TV_DERIV, DuplicateDeclaration,
+    Expression, ParseError, Symbol, SymbolTable, UndeclaredSymbol,
 )
 
 __all__ = [
@@ -231,7 +230,8 @@ def total_time_derivative(m: OdeModel, e: Expression) -> Expression:
     derivatives as formal symbols. Mixing states with output symbols is
     an error, because output symbols already absorb the state dependence.
     """
-    syms = free_symbols(e)
+    order = expr._topo([e])  # one traversal for the symbols and partials
+    syms = {node.symbol for node in order if isinstance(node, expr.Sym)}
     if (any(s.kind == STATE for s in syms)
             and any(s.kind == OUTPUT_DERIV for s in syms)):
         raise MixedModeSymbols(
@@ -242,7 +242,7 @@ def total_time_derivative(m: OdeModel, e: Expression) -> Expression:
     moving += [(s, expr.sym(s.derivative()))
                for s in sorted(syms, key=Symbol.sort_key)
                if s.kind in (TV_DERIV, OUTPUT_DERIV)]
-    grads = expr.partials([e], [s for s, _ in moving])[0]
+    grads = expr._partials(order, [e], [s for s, _ in moving])[0]
     return expr.add(*(expr.mul(g, f) for g, (_, f) in zip(grads, moving)))
 
 

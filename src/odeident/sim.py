@@ -23,8 +23,8 @@ included). The vector field includes eta: the signal's expression in t
 stands in for the model's time-varying parameter, and the program takes
 t in its place, so each right-hand side call is one call of one program.
 The signal's own program still samples eta on the grid. Relation
-residuals compile the output jets once and the terms of each relation
-variant.
+residuals compile one program each for eta with eta', the output jets
+and the terms of every relation variant.
 
 The indistinguishability experiment co-integrates the original system and
 the transformed one as a single 6-state ODE. The transformed eta is
@@ -46,7 +46,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -86,12 +86,7 @@ class NonFiniteState(expr.ExprError):
 
 
 class EtaSignal:
-    """A time-varying parameter signal: a constant or an expression in t.
-
-    The expression form supports exact repeated differentiation in t, so
-    the derivative chain eta', eta'', ... needed by trajectory residual
-    checks is available without numerics.
-    """
+    """A time-varying parameter signal: a constant or an expression in t."""
 
     def __init__(self, expression: Expression):
         extra = free_symbols(expression) - {TIME_SYMBOL}
@@ -108,15 +103,6 @@ class EtaSignal:
 
     def __call__(self, t):
         return self._fn(t)
-
-    def derivative_chain(self, order: int) -> list[Callable]:
-        """Compiled [eta, eta', ..., eta^(order)] as functions of t; eta
-        itself is the signal's own compiled function."""
-        chain = [self.expression]
-        for _ in range(order):
-            chain.append(expr.differentiate(chain[-1], TIME_SYMBOL))
-        return [self._fn] + [compile_float_fn(e, [TIME_SYMBOL])
-                             for e in chain[1:]]
 
     def text(self) -> str:
         return expr.to_text(self.expression)
@@ -138,6 +124,8 @@ class SimConfig:
             raise ValueError("t0 and tf must be finite")
         if not self.tf > self.t0:
             raise ValueError("tf must exceed t0")
+        if not math.isfinite(self.tf - self.t0):
+            raise ValueError("tf - t0 must be finite")
         for tol in (self.abs_tol, self.rel_tol):
             if not (0 < tol <= 1e-2):
                 raise ValueError("tolerances must lie in (0, 1e-2]")
@@ -717,10 +705,10 @@ def _where(insts: Sequence[TauFamily]) -> str:
 def phi_residual_along(trajectory: Trajectory, params: Params,
                        eta: EtaSignal, variant: str = CORRECTED) -> float:
     """Worst scaled residual of the input-output relation along a
-    trajectory.
+    trajectory: `phi_residuals_along` for one variant.
 
     Output derivatives come from the exact jets evaluated on the sampled
-    states with the eta chain differentiated symbolically in t. The
+    states, with eta' the exact t-derivative of eta's expression. The
     residual at each grid point is |sum of terms| / max |term|, so it is
     dimensionless; an identically satisfied relation stays at rounding
     level while a wrong one is order one. An empty grid returns 0.
@@ -731,9 +719,11 @@ def phi_residual_along(trajectory: Trajectory, params: Params,
 def phi_residuals_along(trajectory: Trajectory, params: Params,
                         eta: EtaSignal, variants: Sequence[str]
                         ) -> dict[str, float]:
-    """`phi_residual_along` for each variant of the relation. The eta
-    chain and the output jets are compiled and evaluated once for all
-    variants; only each variant's terms are compiled on their own."""
+    """`phi_residual_along` for each variant of the relation, from one
+    program per site, each run once on the grid: eta with eta', the output
+    jets, and the terms of every variant. eta and eta' enter the jets as
+    columns: substituted into them, an eta of 0 folds the infection terms
+    away and changes the residual's last bits."""
     if len(trajectory.times) == 0:
         return {variant: 0.0 for variant in variants}
     m = hiv_model()
@@ -742,23 +732,25 @@ def phi_residuals_along(trajectory: Trajectory, params: Params,
 
     # the relation is second order: jets to order 2, which read eta and eta'
     tv = m.tv_params[0]
-    etas = [np.broadcast_to(np.asarray(fn(grid), dtype=float), grid.shape)
-            for fn in eta.derivative_chain(1)]
+    (eta_dt,), = expr.partials([eta.expression], [TIME_SYMBOL])
+    signal = compile_program([eta.expression, eta_dt], [TIME_SYMBOL])
+    etas = [np.broadcast_to(np.asarray(v, dtype=float), grid.shape)
+            for v in signal.float_fn()(grid)]
     jets = compile_program(
         [e for i in (1, 2) for e in output_jet(m, i, 2).entries],
         [*m.states, *m.const_params, tv, tv.derivative(1)])
     jet_vals = jets.float_fn()(*trajectory.states.T, *consts, *etas)
     jet_symbols = [output_symbol(m, i, k) for i in (1, 2) for k in range(3)]
 
+    terms = [r.args if isinstance(r, expr.Sum) else (r,)
+             for r in map(build_phi, variants)]
+    program = compile_program([term for ts in terms for term in ts],
+                              [*jet_symbols, *m.const_params])
+    values = iter(program.float_fn()(*jet_vals, *consts))
     residuals = {}
-    for variant in variants:
-        relation = build_phi(variant)
-        terms = compile_program(
-            relation.args if isinstance(relation, expr.Sum) else [relation],
-            [*jet_symbols, *m.const_params])
+    for variant, ts in zip(variants, terms):
         term_vals = np.column_stack(
-            [np.broadcast_to(v, grid.shape)
-             for v in terms.float_fn()(*jet_vals, *consts)])
+            [np.broadcast_to(next(values), grid.shape) for _ in ts])
         total = np.abs(term_vals.sum(axis=1))
         scale = np.abs(term_vals).max(axis=1)
         residual = np.where(scale > 0,

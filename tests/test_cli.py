@@ -93,6 +93,23 @@ def test_rank_bad_primes_flag(capsys):
     assert err.startswith("error:") and "318665857834031151167461" in err
 
 
+def test_rank_primes_that_are_not_integers_print_one_error_line(capsys):
+    code, out, err = run(capsys, "rank", "--seed", "7", "--primes", "abc")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --primes wants comma-separated integers\n"
+
+
+def test_rank_pretty_output(capsys):
+    code, out, _ = run(capsys, "rank", "--seed", "7", "--trials", "3",
+                       "--output", "pretty")
+    assert code == 0
+    assert re.fullmatch(
+        r"mode constrained variant corrected: generic rank 4 over 3 trials "
+        r"x 3 primes \(observed \{'4': 9\}, structured point 4, \d+ ms\)\n",
+        out)
+
+
 def test_rank_unknown_flag(capsys):
     code, _, _ = run(capsys, "rank", "--seed", "1", "--bogus")
     assert code == 2
@@ -115,6 +132,29 @@ def test_simulate_needs_exactly_one_of_tau_or_sweep(capsys):
     assert code == 2
     code, _, err = run(capsys, "simulate", "--tau", "0", "--sweep", "0:1:2")
     assert code == 2
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--tau", "0.5", "--init", "1,1"],
+     "--init wants three comma-separated numbers"),
+    (["--sweep", "0:1"], "--sweep wants LO:HI:N"),
+    (["--sweep", "0:1:0"], "--sweep wants N >= 1"),
+])
+def test_malformed_simulate_flags_are_usage_errors(capsys, flags, line):
+    code, out, err = run(capsys, "simulate", *flags)
+    assert code == 2
+    assert out == "" and err == f"error: {line}\n"
+
+
+def test_simulate_sweep_pretty_output(capsys):
+    code, out, _ = run(capsys, "simulate", "--sweep=0:1:3", "--output",
+                       "pretty")
+    assert code == 0
+    lines = out.splitlines()
+    assert [l.split(":")[0] for l in lines] == ["tau +0", "tau +0.5", "tau +1"]
+    for l in lines:
+        assert re.fullmatch(r"tau [+-][\d.]+: output dev \d\.\d{3}e[+-]\d+, "
+                            r"state-map dev \d\.\d{3}e[+-]\d+", l)
 
 
 def test_simulate_sweep(capsys):
@@ -163,6 +203,18 @@ def test_simulate_bad_eta_expression(capsys):
     code, _, err = run(capsys, "simulate", "--tau", "0", "--eta", "0.5")
     assert code == 2
     assert "rational" in err
+
+
+@pytest.mark.parametrize("command", [["simulate", "--tau", "0.5"],
+                                     ["phi-check"]])
+@pytest.mark.parametrize("eta, line", [
+    ("t^x", "1:3: integer exponent expected"),
+    ("t + )", "1:5: unexpected token ')'"),
+])
+def test_malformed_eta_is_usage_error(capsys, command, eta, line):
+    code, out, err = run(capsys, *command, "--eta", eta)
+    assert code == 2
+    assert out == "" and err == f"error: {line}\n"
 
 
 def test_simulate_undeclared_eta_symbol_is_usage_error(capsys):
@@ -278,9 +330,11 @@ def test_simulate_sweep_matches_tau_sweep(capsys):
 @pytest.mark.parametrize("command", [["simulate", "--tau", "0.5"],
                                      ["simulate", "--sweep=0:1:3"],
                                      ["phi-check"]])
-@pytest.mark.parametrize("window", [["--tf", "inf"], ["--tf", "nan"]])
+@pytest.mark.parametrize("window", [["--tf", "inf"], ["--tf", "nan"],
+                                    ["--t0=-1e308", "--tf", "1e308"]])
 def test_non_finite_window_is_usage_error(capsys, command, window):
-    # an infinite window made a NaN grid, integrated nothing and passed
+    # an infinite window made a NaN grid, integrated nothing and passed; a
+    # window whose width overflows warned twice and spent the step budget
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, *command, *window)
@@ -479,6 +533,26 @@ def test_parse_reports_position(tmp_path, capsys):
     code, _, err = run(capsys, "parse", str(bad))
     assert code == 2
     assert "3:13" in err and "ghost" in err
+
+
+@pytest.mark.parametrize("text, where", [
+    ("model m\nstates x 2y\n", "2:1: invalid identifier '2y'"),
+    ("model 1x\nstates x\node x = -x\n",
+     "1:1: model directive needs one identifier"),
+    ("states x\node x = -x\n", "1:1: missing 'model <name>' line"),
+    ("model m\nparams k\noutput y = k\n", "1:1: model declares no states"),
+    ("model m\nstates x\node x -x\n",
+     "3:1: 'ode' line needs '<name> = <expression>'"),
+    ("model m\nstates x\node x = -x\noutput 9y = x\n",
+     "4:8: invalid output name '9y'"),
+])
+def test_parse_malformed_model_names_the_position(tmp_path, capsys, text,
+                                                  where):
+    bad = tmp_path / "bad.ode"
+    bad.write_text(text)
+    code, out, err = run(capsys, "parse", str(bad))
+    assert code == 2
+    assert out == "" and err == f"{bad}: {where}\n"
 
 
 def test_parse_rejects_non_utf8_file(tmp_path, capsys):

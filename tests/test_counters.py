@@ -108,13 +108,13 @@ def _traversals(monkeypatch, run) -> int:
     return len(calls)
 
 
-# one traversal for the free symbols and one for all partials, per total
-# derivative (8 per jet); the relation system takes 4 total derivatives
-# and the Jacobian one traversal for all 25 entries. One traversal per
-# symbol made these 109 and 65
+# one traversal per total derivative, shared by its free symbols and all
+# its partials (8 per jet); the relation system takes 4 total derivatives
+# and the Jacobian one traversal for all 25 entries. A second traversal
+# for the free symbols made these 32 and 9, one per symbol 109 and 65
 @pytest.mark.parametrize("run, bound", [
-    (lambda: [M.output_jet(hiv, i, 8) for i in (1, 2)], 32),
-    (lambda: R.parameter_jacobian(R.build_phi_system(R.build_phi())), 9),
+    (lambda: [M.output_jet(hiv, i, 8) for i in (1, 2)], 16),
+    (lambda: R.parameter_jacobian(R.build_phi_system(R.build_phi())), 5),
 ], ids=["order-8 jets", "relation system and Jacobian"])
 def test_dag_traversals(monkeypatch, run, bound):
     assert _traversals(monkeypatch, run) <= bound
@@ -316,14 +316,14 @@ def _compile_calls(monkeypatch, run) -> int:
 
 
 # the eta signal (1), the vector field (1) and the outputs of every
-# trajectory (1); phi-check adds eta' (1) and the output jets (1) once,
-# and the relation's terms (1) per variant
+# trajectory (1); phi-check adds one program each for eta with eta', the
+# output jets and the terms of every relation variant (3)
 @pytest.mark.parametrize("run, bound", [
     (lambda: S.run_indistinguishability(
         ONES, (1.0, 0.2, 1.0), S.EtaSignal.from_text("1/2"), 0.7), 3),
     (lambda: S.tau_sweep(
         ONES, (1.0, 0.2, 1.0), S.EtaSignal.from_text("1/2"), SWEEP_TAUS), 3),
-    (lambda: cli.main(["phi-check"]), 7),
+    (lambda: cli.main(["phi-check"]), 6),
 ], ids=["single tau", "tau sweep", "phi-check"])
 def test_programs_compiled_per_run(monkeypatch, capsys, run, bound):
     assert _compile_calls(monkeypatch, run) <= bound

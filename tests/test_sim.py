@@ -34,9 +34,6 @@ def test_eta_signal_forms():
     assert HALF(3.7) == 0.5
     ramp = S.EtaSignal.from_text("1/2 + t/20")
     assert ramp(10.0) == pytest.approx(1.0)
-    chain = ramp.derivative_chain(2)
-    assert chain[1](0.3) == pytest.approx(0.05)
-    assert chain[2](0.3) == 0.0
 
 
 def test_eta_signal_rejects_other_symbols():
@@ -95,6 +92,14 @@ def test_sim_config_validation():
             S.SimConfig(**window)
 
 
+def test_sim_config_rejects_a_window_whose_width_overflows():
+    # the grid of [-1e308, 1e308] held NaN and inf, and the run spent its
+    # whole step budget
+    with pytest.raises(ValueError, match=r"^tf - t0 must be finite$"):
+        S.SimConfig(t0=-1e308, tf=1e308)
+    assert np.isfinite(S.SimConfig(t0=-8e307, tf=8e307).grid()).all()
+
+
 # -------------------------------------------------------------- integrate
 
 def test_equilibrium_stays_put():
@@ -148,6 +153,12 @@ def test_blowup_raises():
     m = M.parse_model("model blow\nstates x\node x = x^2\noutput o = x\n")
     with pytest.raises((S.StepSizeUnderflow, S.NonFiniteState)):
         S.integrate(m, {}, [3.0], None, S.SimConfig(tf=2.0))
+
+
+@pytest.mark.parametrize("init", [[math.nan, 1.0, 1.0], [1.0, math.inf, 1.0]])
+def test_non_finite_initial_state_raises_typed_error(init):
+    with pytest.raises(S.NonFiniteState, match="^initial state is not finite$"):
+        S.integrate(hiv, ONES_DICT, init, HALF, S.SimConfig(tf=1.0))
 
 
 def test_step_budget_raises_typed_error(monkeypatch):
@@ -770,8 +781,9 @@ def test_relation_residual_with_time_varying_eta():
 
 
 def _residual_term_by_term(traj, params, eta, variant):
-    """The relation residual with one compile_float_fn per jet entry and
-    per relation term, every constant a full column."""
+    """The relation residual with one compile_float_fn for eta, for eta'
+    (differentiated here) and per jet entry and relation term, every
+    constant a full column."""
     from odeident import expr as E
     from odeident import ranktest as R
     grid = traj.times
@@ -779,9 +791,12 @@ def _residual_term_by_term(traj, params, eta, variant):
     consts = {s: np.full_like(grid, float(params.as_dict()[s.name]))
               for s in hiv.const_params}
     cols = {**dict(zip(hiv.states, traj.states.T)), **consts}
-    for k, fn in enumerate(eta.derivative_chain(1)):
+    t = S.TIME_SYMBOL
+    for k, e in enumerate([eta.expression,
+                           E.differentiate(eta.expression, t)]):
         cols[tv.derivative(k) if k else tv] = np.broadcast_to(
-            np.asarray(fn(grid), dtype=float), grid.shape)
+            np.asarray(E.compile_float_fn(e, [t])(grid), dtype=float),
+            grid.shape)
     for i in (1, 2):
         for k, e in enumerate(M.output_jet(hiv, i, 2).entries):
             args = sorted(E.free_symbols(e), key=E.Symbol.sort_key)
@@ -801,17 +816,23 @@ def _residual_term_by_term(traj, params, eta, variant):
 
 
 @pytest.mark.parametrize("variant", ["corrected", "miao"])
-@pytest.mark.parametrize("eta_text", ["1/2", "1/2 + t/20"])
+@pytest.mark.parametrize("eta_text", ["1/2", "1/2 + t/20", "0", "t*t/3",
+                                      "(t-5)^2/50 + 1/10"])
 def test_relation_residual_matches_term_by_term_evaluation(variant, eta_text):
-    # the two compiled programs round exactly like one function per entry;
-    # delta^2 of this delta rounds differently as a Python float than in
-    # numpy, so the constants must stay columns
+    # the compiled programs round exactly like one function per entry;
+    # delta^2 of the first delta rounds differently as a Python float than
+    # in numpy, so the constants must stay columns. At SKEWED from this
+    # start, eta = 0 substituted into the jets (instead of fed as columns)
+    # folds the infection terms away and changes the last bits
     eta = S.EtaSignal.from_text(eta_text)
-    params = Params(lam=2.0, delta=1.700026977, rho=0.3, c=2.5, N=5.0)
-    traj = S.integrate(hiv, params.as_dict(), [1.0, 0.2, 1.0], eta,
-                       S.SimConfig(tf=4.0, dense_output_points=41))
-    assert (S.phi_residual_along(traj, params, eta, variant)
-            == _residual_term_by_term(traj, params, eta, variant))
+    for params, init in [
+            (Params(lam=2.0, delta=1.700026977, rho=0.3, c=2.5, N=5.0),
+             [1.0, 0.2, 1.0]),
+            (SKEWED, [0.3, 2.0, 0.0])]:
+        traj = S.integrate(hiv, params.as_dict(), init, eta,
+                           S.SimConfig(tf=4.0, dense_output_points=41))
+        assert (S.phi_residual_along(traj, params, eta, variant)
+                == _residual_term_by_term(traj, params, eta, variant))
 
 
 def test_relation_residual_empty_grid_is_zero():
