@@ -153,7 +153,7 @@ def _cmd_verify_identities(args) -> int:
 
 def _cmd_rank(args) -> int:
     primes = ranktest.DEFAULT_PRIMES
-    if args.primes:
+    if args.primes is not None:
         try:
             primes = tuple(int(x) for x in args.primes.split(","))
         except ValueError:

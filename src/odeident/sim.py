@@ -31,10 +31,13 @@ the transformed one as a single 6-state ODE. The transformed eta is
 evaluated pointwise from the co-integrated ORIGINAL states (its closed
 form is a function of the original trajectory), so no interpolation error
 enters the coupling. One program, built by `_twin_field` from the closed
-forms, holds the whole 6-state field, eta, eta' and its pole guard
-included. A single twin runs it on Python floats; a tau sweep stacks one
-row per twin and runs it once per right-hand side call, on the shared
-original states as Python floats and the twins' states as numpy columns.
+forms, holds the whole 6-state field, eta and eta' included. A single
+twin runs it on Python floats, and its program also computes eta''s pole
+guard on every right-hand side call. A tau sweep stacks one row per twin
+and runs the program once per right-hand side call, on the shared
+original states as Python floats and the twins' states as numpy columns;
+its pole guard runs at t0 and once per accepted step, not per call, with
+the program that `eta_prime_value` runs.
 Reported are the worst relative deviation between the two output pairs,
 and the stronger check: the worst deviation between the integrated
 transformed states and the algebraic image of the original states.
@@ -55,8 +58,8 @@ from .expr import (AUX, Expression, Symbol, compile_float_fn,
                    compile_program, free_symbols)
 from .model import OdeModel, hiv_model, output_jet, output_symbol
 from .ranktest import CORRECTED, build_phi
-from .transform import (_DENOM_EPS, Params, SingularPoint, TauFamily,
-                        admissible_tau_interval, eta_prime_expr,
+from .transform import (_DENOM_EPS, _ETA_PRIME, Params, SingularPoint,
+                        TauFamily, admissible_tau_interval, eta_prime_expr,
                         eta_prime_scale_expr)
 
 __all__ = [
@@ -264,9 +267,14 @@ def _attempt_fn(width: int | None):
     return namespace["_attempt"]
 
 
-def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
+def _solve(f, y0, cfg: SimConfig, check=None) -> np.ndarray:
     """Adaptive RKF45 over the window of `cfg`; returns the states on
     `cfg.grid()`, shaped (grid points, *y0.shape).
+
+    `check(t, y)`, if given, tests the states the run keeps: the start
+    state before the first call of f, and each accepted step's end before
+    f is called there. It raises to stop the run; stage states are not
+    checked.
 
     A 1-D `y0` is one system, stepped on Python floats: f takes and
     returns a list, and an accepted step checks f, compares its end with
@@ -309,6 +317,8 @@ def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
     h = min(max_step, max((tf - t) / 100.0, 1e-14 * max(abs(t), 1.0)))
     attempts = 0
     try:
+        if check is not None:
+            check(t, y)
         f_left = f(t, y)
         while tf - t > at_end:
             h = min(h, max_step, tf - t)
@@ -327,6 +337,8 @@ def _solve(f, y0, cfg: SimConfig) -> np.ndarray:
             err = math.sqrt(sq / width)
             if err <= 1.0:
                 t_right = t + h
+                if check is not None:
+                    check(t_right, y4)
                 f_right = f(t_right, y4)
                 if not finite(f_right):
                     raise NonFiniteState(
@@ -551,15 +563,17 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
     init = [float(v) for v in init]
     y0 = [init + list(inst.map_state(*init)) for inst in insts]
 
-    f = _twin_field(m, eta, insts)
+    f, check = _twin_field(m, eta, insts)
     try:
-        # the stacked eta' divides by zero at a twin's pole, which f
-        # raises, and for a u == 1 twin at V = 0, whose row f replaces; a
+        # the stacked eta' divides by zero, or overflows, at or near a
+        # twin's pole, and for a u == 1 twin at V = 0, whose row f
+        # replaces. check raises at a pole the run keeps, at t0 or at an
+        # accepted step; a stage there is not finite and is rejected. A
         # flat run divides no numpy values
-        with np.errstate(divide="ignore", invalid="ignore"):
-            states = _solve(f, y0[0] if len(insts) == 1 else y0, cfg)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            states = _solve(f, y0[0] if len(insts) == 1 else y0, cfg, check)
     except (StepSizeUnderflow, NonFiniteState, expr.DivisionByZero) as exc:
-        # f's SingularPoint names the twin at its pole itself
+        # the SingularPoint of check, or of a flat f, names the twin itself
         raise type(exc)(f"{exc}, for {_where(insts)}") from None
     states = states.reshape(len(grid), len(insts), 6)
 
@@ -589,28 +603,34 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
 
 def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
     """The vector field f(t, y) of the original system co-integrated with
-    the twins `insts`: for one twin y is flat, the original states then
-    the twin's, on Python floats; for several, it stacks one row per twin.
+    the twins `insts`, and the pole check `check(t, y)` that `_solve`
+    takes (None for one twin): for one twin y is flat, the original
+    states then the twin's, on Python floats; for several, it stacks one
+    row per twin.
 
     f calls one program, built from the closed forms that
     `verify_identities` proves: the model right-hand side on the original
     states, the same on the twins' states and parameters with eta' =
     `eta_prime_expr()` in place of eta (eta itself for one twin with
-    u == 1), and eta''s denominator and guard scale. eta's expression in
-    t stands in for eta throughout, so the program takes t. The
-    parameters and u are inputs, not folded constants, so every value
+    u == 1), and for one twin eta''s denominator and guard scale. eta's
+    expression in t stands in for eta throughout, so the program takes t.
+    The parameters and u are inputs, not folded constants, so every value
     rounds as eta's, the model's own program and `eta_prime_value` round
     it. The stacked f passes the original states (row 0, which every row
     holds) as Python floats and the twins' states, primed constants and u
     as numpy columns, so each row rounds as its twin's flat f; numpy's
-    division warnings are left to the caller. A u == 1 row takes the
-    original row's derivative, exactly: at u == 1 the state map,
-    `transform_params` and eta' are identities.
+    division and overflow warnings are left to the caller. A u == 1 row
+    takes the original row's derivative, exactly: at u == 1 the state
+    map, `transform_params` and eta' are identities.
 
-    At eta''s pole (a denominator within 1e-12 of the scale) f raises the
-    twin's SingularPoint through `inst.eta`, naming its tau. On a division
-    by zero f calls eta(t), so a pole of eta raises the signal's
-    DivisionByZero first; any other division by zero propagates.
+    At eta''s pole (a denominator within 1e-12 of the scale) the twin's
+    SingularPoint is raised through `inst.eta`, naming its tau. The flat
+    f tests every call. The stacked f tests none: `check` evaluates the
+    denominator and scale of every twin with `eta_prime_value`'s own
+    program, and `_solve` calls it on the start state and on each
+    accepted step's end, so a stage on a pole is only a rejected step. On
+    a division by zero f calls eta(t), so a pole of eta raises the
+    signal's DivisionByZero first; any other division by zero propagates.
     """
     def check_pole(inst, orig, t):
         """Raise what eta(t) or `inst.eta` raises at this point, the
@@ -625,11 +645,12 @@ def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
     images = dict(zip((*m.states, *m.const_params),
                       map(expr.sym, (*states_p, *consts_p))))
     flat = len(insts) == 1
-    guarded = not flat or insts[0].u != 1
     guard = []
-    if guarded:
+    if not flat or insts[0].u != 1:
         eta_p = images[m.tv_params[0]] = eta_prime_expr()
-        guard = [eta_p.args[1], eta_prime_scale_expr()]
+        if flat:  # a sweep guards in `check`
+            guard = [eta_p.args[1], eta_prime_scale_expr()]
+    guarded = bool(guard)
     exprs = [*m.rhs, *expr.substitute_many(m.rhs, images), *guard]
     field = compile_program(
         expr.substitute_many(exprs, {m.tv_params[0]: eta.expression}),
@@ -653,24 +674,20 @@ def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
                     check_pole(inst, y[:3], t)
             return dy
 
-        return f
+        return f, None
 
     u = np.array([inst.u for inst in insts])
     rest = [*base, *np.array(primed).T, u]
     other, ones = u != 1, np.flatnonzero(u == 1)
+    delta, rho = insts[0].params.delta, insts[0].params.rho
 
     def f(t, y):
-        orig = y[0, :3].tolist()
         try:
-            *cols, den, scale = field(*orig, y[:, 3], y[:, 4], y[:, 5], t,
-                                      *rest)
+            cols = field(*y[0, :3].tolist(), y[:, 3], y[:, 4], y[:, 5], t,
+                         *rest)
         except ZeroDivisionError:
             eta(t)  # raises at a pole of eta
             raise
-        off_pole = abs(den) > _DENOM_EPS * abs(scale)  # False where NaN
-        if not off_pole.all():
-            for i in np.flatnonzero(~off_pole & other):
-                check_pole(insts[i], orig, t)
         dy = np.empty(y.shape)
         dy[:, :3] = cols[:3]
         dy[:, 3], dy[:, 4], dy[:, 5] = cols[3:]
@@ -678,7 +695,17 @@ def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
             dy[ones, 3:] = cols[:3]
         return dy
 
-    return f
+    def check(t, y):
+        orig = y[0, :3].tolist()
+        # eta''s numerator is not needed: the denominator and scale read
+        # no eta
+        _, den, scale = _ETA_PRIME(*orig, 0.0, delta, rho, u)
+        off_pole = abs(den) > _DENOM_EPS * abs(scale)  # False where NaN
+        if not off_pole.all():
+            for i in np.flatnonzero(~off_pole & other):
+                check_pole(insts[i], orig, t)
+
+    return f, check
 
 
 def _where(insts: Sequence[TauFamily]) -> str:

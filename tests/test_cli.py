@@ -100,6 +100,14 @@ def test_rank_primes_that_are_not_integers_print_one_error_line(capsys):
     assert err == "error: --primes wants comma-separated integers\n"
 
 
+def test_rank_empty_primes_is_usage_error(capsys):
+    # an empty list used to run silently with the default primes
+    code, out, err = run(capsys, "rank", "--seed", "7", "--primes", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --primes wants comma-separated integers\n"
+
+
 def test_rank_pretty_output(capsys):
     code, out, _ = run(capsys, "rank", "--seed", "7", "--trials", "3",
                        "--output", "pretty")

@@ -307,6 +307,27 @@ def test_tau_sweep_array_rhs_calls(monkeypatch):
     assert _field_calls(monkeypatch, _tau_sweep).count(True) == 15708
 
 
+def test_tau_sweep_checks_the_eta_prime_pole_once_per_kept_state(
+        monkeypatch):
+    # the stacked field guards no call: the pole check runs on the start
+    # state and on each accepted step's end, where a guard in every call
+    # of the field ran 15,708 times
+    times = []
+    solve = S._solve
+
+    def spy(f, y0, cfg, check):
+        def counting(t, y):
+            times.append(t)
+            return check(t, y)
+
+        return solve(f, y0, cfg, counting)
+
+    monkeypatch.setattr(S, "_solve", spy)
+    counts = _dense_output(monkeypatch, _tau_sweep, 6)
+    assert len(times) == counts["accepted"] + 1 == 2613
+    assert times[0] == 0.0 and times == sorted(set(times))
+
+
 def _compile_calls(monkeypatch, run) -> int:
     """compile_program calls made by `run`, compile_float_fn's included."""
     calls = _spy(monkeypatch, E, "compile_program")

@@ -172,7 +172,7 @@ def test_step_budget_raises_typed_error(monkeypatch):
 
 
 def test_twin_failure_names_the_ratio_at_the_eta_pole(monkeypatch):
-    def underflow(f, y0, cfg):
+    def underflow(f, y0, cfg, check):
         raise S.StepSizeUnderflow("step size underflow at t = 1.0")
 
     monkeypatch.setattr(S, "_solve", underflow)
@@ -214,7 +214,9 @@ def test_twin_field_raises_eta_prime_values_error_at_the_pole(T_I):
     assert (value == 0) == (T_I == 1.0) and abs(value) <= 1e-12
     with pytest.raises(SingularPoint) as want:
         inst.eta(1.0, T_I, 1.0, 0.5)
-    f = S._twin_field(hiv, HALF, [inst])
+    # one twin's f guards every call itself
+    f, check = S._twin_field(hiv, HALF, [inst])
+    assert check is None
     with pytest.raises(SingularPoint) as got:
         f(0.0, [1.0, T_I, 1.0, *inst.map_state(1.0, T_I, 1.0)])
     # the twin is named, as by a sweep
@@ -244,6 +246,19 @@ def test_a_sweep_names_the_twin_at_its_eta_prime_pole():
     assert str(swept.value) == str(single.value) == (
         "eta' denominator 0.0 vanishes relative to scale 1.0, for tau = "
         "-0.693147 (eta' has its pole at T_I/T_U = 1)")
+
+
+def test_a_sweep_names_the_twin_that_meets_its_eta_prime_pole_mid_run():
+    # from T_I/T_U = 0.2 the original trajectory reaches 1.59, the pole of
+    # the tau = -0.5 twin, inside the window; the sweep's check finds it at
+    # an accepted step, not at the start
+    eta = S.EtaSignal.from_text("1/2 + t/20")
+    with pytest.raises(SingularPoint) as info:
+        S.tau_sweep(SKEWED, [1.0, 0.2, 1.0], eta, [-0.5, 0.5])
+    assert str(info.value) == ("eta' denominator 1.2652101588628284e-12 "
+                               "vanishes relative to scale 1.2890235121507128"
+                               ", for tau = -0.5 (eta' has its pole at "
+                               "T_I/T_U = 1.59)")
 
 
 # a stacked field of up to 6 twins, one of them with u == 1, whose row then
@@ -282,18 +297,22 @@ def test_stacked_twin_field_rows_match_single_twin_fields(
         return
     rows = [[*orig, *(orig if inst.u == 1 else twin)]
             for inst, twin in zip(insts, twins)]
-    singles = [_pole_outcome(S._twin_field(hiv, eta, [inst]), t, row)
+    singles = [_pole_outcome(S._twin_field(hiv, eta, [inst])[0], t, row)
                for inst, row in zip(insts, rows)]
+    # the stacked f guards no call; its check, which `_solve` runs on the
+    # states it keeps, raises what the single twins' fields raise
+    f, check = S._twin_field(hiv, eta, insts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        stacked = _pole_outcome(S._twin_field(hiv, eta, insts), t,
-                                np.array(rows))
+        stacked = f(t, np.array(rows))
+    checked = _pole_outcome(check, t, np.array(rows))
     try:
         eta_p = reference_eta_prime_values(
             *orig, eta(t), params, u=np.array([inst.u for inst in insts]))
     except SingularPoint:
         # the first twin at its pole raises, naming itself
-        assert stacked == next(s for s in singles if isinstance(s, str))
+        assert checked == next(s for s in singles if isinstance(s, str))
         return
+    assert checked is None
     base = S._param_values(hiv, params.as_dict())
     for i, inst in enumerate(insts):
         want = (MODEL_RHS(*orig, eta(t), *base)

@@ -158,12 +158,15 @@ def _sweep(params, us):
 
 def _stacked_field(insts, orig, twins, eta):
     """The stacked twin field of a sweep at t = 0: one row per twin, the
-    original state then the twin's (the original state where u == 1)."""
-    rows = [[*orig, *(orig if inst.u == 1 else twin)]
-            for inst, twin in zip(insts, twins)]
-    field = S._twin_field(HIV, S.EtaSignal(E.const(F(eta))), insts)
+    original state then the twin's (the original state where u == 1).
+    The sweep's pole check runs first, as a run starts, and raises the
+    SingularPoint of a twin at its pole."""
+    rows = np.array([[*orig, *(orig if inst.u == 1 else twin)]
+                     for inst, twin in zip(insts, twins)])
+    field, check = S._twin_field(HIV, S.EtaSignal(E.const(F(eta))), insts)
+    check(0.0, rows)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return field(0.0, np.array(rows))
+        return field(0.0, rows)
 
 
 def test_stacked_eta_matches_each_member():
