@@ -7,6 +7,9 @@ the Jacobian of the resulting 5-vector with respect to (lambda, delta,
 rho, c, N), optionally impose the dynamics by substituting output jets as
 deep as the matrix needs (order 6), and measure the generic rank of the
 5x5 matrix by exact evaluation at random points of large prime fields.
+Each trial evaluates the matrix once modulo the product of the primes and
+ranks it there by one fraction-free elimination, which takes no modular
+inverse and gives the rank modulo every prime at once.
 Differentiation happens before the dynamics substitution; the two orders
 are not interchangeable and the first is the one this test means.
 
@@ -22,6 +25,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -215,32 +219,34 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _rank_mod(rows: list[list[int]], p: int) -> int:
-    """Rank over GF(p) by exact Gaussian elimination (field division is by
-    modular inverse, so nothing is ever truncated)."""
-    a = [row[:] for row in rows]
-    n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
+def _rank_mod(rows: list[list[int]], primes: tuple[int, ...]) -> list[int]:
+    """The rank of the integer matrix `rows` mod each of `primes`, by one
+    fraction-free elimination mod their product m.
+
+    A pivot pv must be a unit mod m, so a unit mod every prime: the row
+    update pv*v - f*w then scales a row by a unit and subtracts a multiple
+    of the pivot row, which keeps every rank mod p, and no inverse is
+    taken. A column whose entries left are all non-units but not all zero
+    mod m may hold a pivot under some primes and none under others; from
+    there the rest of the matrix is ranked mod each prime alone. Under one
+    prime every nonzero entry is a unit, so that never recurses."""
+    m = math.prod(primes)
     rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if a[r][col] % p:
-                pivot = r
-                break
+    while rows and rows[0]:
+        pivot = next((r for r, row in enumerate(rows)
+                      if math.gcd(row[0], m) == 1), None)
         if pivot is None:
+            if any(row[0] % m for row in rows):
+                return [rank + _rank_mod([[v % p for v in row]
+                                          for row in rows], (p,))[0]
+                        for p in primes]
+            rows = [row[1:] for row in rows]
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [v * inv % p for v in a[rank]]
-        for r in range(rank + 1, n_rows):
-            f = a[r][col] % p
-            if f:
-                a[r] = [(v - f * w) % p for v, w in zip(a[r], a[rank])]
+        pv, *head = rows[pivot]
+        rows = [[(pv * v - f * w) % m for v, w in zip(tail, head)] if f
+                else tail for f, *tail in rows[:pivot] + rows[pivot + 1:]]
         rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return [rank] * len(primes)
 
 
 def _draw_point(seed: int, p: int, trial, attempt: int, n: int) -> list[int]:
@@ -285,7 +291,7 @@ def _ranks_at(program: expr.Program, seed: int,
                 point[order[s]] = v % p
         try:
             values = program.run_mod(
-                [sum(c * x for c, x in zip(lift, xs)) for xs in zip(*points)],
+                [sum(map(operator.mul, lift, xs)) for xs in zip(*points)],
                 modulus)
         except DivisionByZero:
             if len(primes) == 1:
@@ -293,8 +299,7 @@ def _ranks_at(program: expr.Program, seed: int,
             return [_ranks_at(program, seed, order, shape, trial, (p,),
                               pinned)[0] for p in primes]
         rows = [values[r * n_cols:(r + 1) * n_cols] for r in range(n_rows)]
-        return [_rank_mod([[v % p for v in row] for row in rows], p)
-                for p in primes]
+        return _rank_mod(rows, primes)
     raise ExhaustedRetries(
         f"{_MAX_RETRIES_PER_TRIAL} random points in a row hit a "
         f"denominator (prime {primes[0]}, trial {trial})")
@@ -321,10 +326,13 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
     Each evaluation serves one or more primes: every prime draws its own
     point, the points are lifted by the Chinese remainder theorem to one
     point mod the product of the primes and evaluated once there
-    (`Program.run_mod` reduces lazily), and the outputs are split mod each
-    prime for elimination. If the lifted point hits a denominator, each
-    prime is evaluated alone and redraws only its own points, so the
-    draws, retries, errors and report are those of one prime at a time.
+    (`Program.run_mod` reduces lazily), and the matrix is ranked there by
+    one elimination whose pivots are units mod every prime (`_rank_mod`).
+    It goes on prime by prime only from a column whose entries left are
+    each zero under some prime but not all zero mod the product. If the
+    lifted point hits a denominator, each prime is evaluated alone and
+    redraws only its own points, so the draws, retries, errors and report
+    are those of one prime at a time.
     """
     primes = _checked_rank_args(trials, primes)
 

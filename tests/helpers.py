@@ -452,12 +452,43 @@ def reference_solve(f, y0, cfg) -> np.ndarray:
 
 
 # --------------------------------------------- reference generic rank
-#
+
+def reference_rank_mod(rows, p) -> int:
+    """Rank over GF(p) by exact Gaussian elimination under one prime,
+    dividing by modular inverses. `ranktest._rank_mod` eliminates modulo a
+    product of primes and takes no inverse; it must agree with this."""
+    a = [row[:] for row in rows]
+    n_rows = len(a)
+    n_cols = len(a[0]) if a else 0
+    rank = 0
+    for col in range(n_cols):
+        pivot = None
+        for r in range(rank, n_rows):
+            if a[r][col] % p:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = [v * inv % p for v in a[rank]]
+        for r in range(rank + 1, n_rows):
+            f = a[r][col] % p
+            if f:
+                a[r] = [(v - f * w) % p for v, w in zip(a[r], a[rank])]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
 # The rank test's earlier loop, primes outer and trials inner, evaluating
-# every point under one prime at a time. `ranktest.generic_rank` goes
-# trial by trial, evaluating all primes at once and each prime alone only
-# where the lifted point hits a denominator. It must report exactly what
-# this loop reports and raise what it raises, with the same message.
+# every point under one prime at a time and ranking it with
+# `reference_rank_mod`. `ranktest.generic_rank` goes trial by trial,
+# evaluating all primes at once and each prime alone only where the lifted
+# point hits a denominator, and ranks modulo the product. It must report
+# exactly what this loop reports and raise what it raises, with the same
+# message.
 
 def reference_generic_rank(matrix, trials, seed, primes=R.DEFAULT_PRIMES, *,
                            structured_point=None) -> R.RankReport:
@@ -478,8 +509,8 @@ def reference_generic_rank(matrix, trials, seed, primes=R.DEFAULT_PRIMES, *,
                 values = program.run_mod(point, p)
             except E.DivisionByZero:
                 continue
-            return R._rank_mod([values[r * n_cols:(r + 1) * n_cols]
-                                for r in range(n_rows)], p)
+            return reference_rank_mod([values[r * n_cols:(r + 1) * n_cols]
+                                       for r in range(n_rows)], p)
         raise R.ExhaustedRetries(
             f"{R._MAX_RETRIES_PER_TRIAL} random points in a row hit a "
             f"denominator (prime {p}, trial {trial})")

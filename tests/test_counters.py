@@ -3,12 +3,13 @@
 The bounds are the sizes the hash-consed engine and the straight-line
 emitter produce; a change that grows the DAG, the compiled program or its
 generated source fails here before it shows up as wall time, and so does
-one that traverses the DAG more often to build the jets or the Jacobian. The RHS
-evaluation counts of two default-config runs and of the stacked
-criterion-5 tau sweep are pinned exactly, so a change to the step
-controller that alters a single step fails here too; so is the number of
-the sweep's vector-field evaluations that run on numpy columns, and the
-products of its emitted step attempt. Each default-grid run fills its
+one that traverses the DAG more often to build the jets or the Jacobian,
+or eliminates more than once per rank trial. The RHS evaluation counts
+of two default-config runs and of the stacked criterion-5 tau sweep are
+pinned exactly, so a change to the step controller that alters a single
+step fails here too; so is the number of the sweep's vector-field
+evaluations that run on numpy columns, and the products of its emitted
+step attempt. Each default-grid run fills its
 401 grid points one per step, from a scalar theta, and a run on the
 largest grid fills at most once per accepted step. Every run, plain,
 single-twin or sweep, reads eta inside its compiled vector field, never
@@ -134,6 +135,18 @@ def test_order_eight_jet_float_source_size(output_index, chars):
     fn = E.compile_float_fn(M.output_jet(hiv, output_index, 8).entries[8],
                             _jet_args(8))
     assert len(fn.__doc__) <= chars
+
+
+# one elimination per trial modulo the product of the three primes, and
+# one for the structured point under the first; splitting every trial
+# into an elimination per prime made these 300 and 301
+@pytest.mark.parametrize("mode, eliminations", [("naive", 100),
+                                                ("constrained", 101)])
+def test_rank_eliminations_per_run(monkeypatch, capsys, mode, eliminations):
+    calls = _spy(monkeypatch, R, "_rank_mod")
+    assert cli.main(["rank", "--mode", mode, "--trials", "100",
+                     "--seed", "7"]) == 0
+    assert len(calls) == eliminations
 
 
 class _CountingEta(S.EtaSignal):

@@ -6,7 +6,10 @@ has one evaluation route: a trial is one run modulo the product of its
 primes, and a run that hits a denominator is redone under each prime
 alone, where only that prime redraws. It must report, raise and count
 exactly what evaluating under one prime at a time does
-(`helpers.reference_generic_rank`), and keep nothing per trial."""
+(`helpers.reference_generic_rank`), and keep nothing per trial. Its one
+elimination per trial, modulo the product, must give each prime the rank
+that eliminating under that prime alone gives
+(`helpers.reference_rank_mod`)."""
 
 import functools
 import gc
@@ -24,7 +27,8 @@ import pytest
 from odeident import cli
 from odeident import expr as E
 from odeident import ranktest as R
-from helpers import XYZ, random_expression, reference_generic_rank
+from helpers import (XYZ, random_expression, reference_generic_rank,
+                     reference_rank_mod)
 
 PRIMES = R.DEFAULT_PRIMES
 PRODUCT = math.prod(PRIMES)
@@ -200,6 +204,82 @@ def test_a_rendering_without_reduction_at_temporaries_breaks_the_bound():
     with pytest.raises(_TooWide):
         _run_bounded(mutant, program, PRIMES[0], point,
                      _lazy_limit(PRIMES[0]))
+
+
+# ------------------------------------- elimination modulo a product
+
+# small primes, so that entries which are nonzero modulo their product but
+# not units, the case that splits the elimination per prime, are common
+SMALL = (101, 103, 107)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The primes of each `ranktest._rank_mod` call, in call order."""
+    calls = []
+    rank_mod = R._rank_mod
+
+    def spy(rows, primes):
+        calls.append(primes)
+        return rank_mod(rows, primes)
+
+    monkeypatch.setattr(R, "_rank_mod", spy)
+    return calls
+
+
+def _lifted_matrix(rng):
+    """A matrix of up to 5x5 CRT lifts of residues under `SMALL`, mostly
+    0, 1 and 2, with one row that vanishes or copies another row's
+    multiple under one prime only."""
+    n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+    residues = {p: [[rng.choice((0, 1, 2, rng.randrange(p)))
+                     for _ in range(n_cols)] for _ in range(n_rows)]
+                for p in SMALL}
+    p, r, s = rng.choice(SMALL), rng.randrange(n_rows), rng.randrange(n_rows)
+    if r == s:
+        residues[p][r] = [0] * n_cols
+    else:
+        k = rng.randrange(p)
+        residues[p][r] = [k * v % p for v in residues[p][s]]
+    return [[_crt([residues[p][i][j] for p in SMALL], SMALL)
+             for j in range(n_cols)] for i in range(n_rows)]
+
+
+def test_elimination_modulo_a_product_gives_every_prime_its_own_rank(
+        eliminations):
+    rng = random.Random(11)
+    split = differ = 0
+    for _ in range(400):
+        rows = _lifted_matrix(rng)
+        want = [reference_rank_mod(rows, p) for p in SMALL]
+        eliminations.clear()
+        assert R._rank_mod(rows, SMALL) == want, rows
+        split += len(eliminations) > 1
+        differ += len(set(want)) > 1
+        # under a single prime every nonzero entry is a unit: no split
+        for p, rank in zip(SMALL, want):
+            eliminations.clear()
+            assert R._rank_mod(rows, (p,)) == [rank]
+            assert eliminations == [(p,)]
+    # both routes ran, and the ranks often differ between the primes
+    assert 40 < split < 360 and differ > 40, (split, differ)
+
+
+def test_a_later_unit_pivots_before_an_earlier_non_unit(eliminations):
+    # column 0 reads 0, then 101 (zero mod 101 only), then the unit 1
+    rows = [[0, 5], [101, 1], [1, 0]]
+    assert R._rank_mod(rows, SMALL) == [2, 2, 2]
+    assert eliminations == [SMALL]
+
+
+def test_a_non_unit_made_by_a_row_update_splits_the_elimination(
+        eliminations):
+    # every entry is a unit, but after the first pivot column 1 holds
+    # 105 - 2 = 103: the rest is ranked under each prime alone
+    rows = [[1, 2], [1, 105]]
+    assert R._rank_mod(rows, SMALL) == [2, 1, 2]
+    assert eliminations == [SMALL] + [(p,) for p in SMALL]
+    assert rows == [[1, 2], [1, 105]]
 
 
 # ------------------------------------ generic rank against serial loop
