@@ -333,14 +333,29 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
     lifted point hits a denominator, each prime is evaluated alone and
     redraws only its own points, so the draws, retries, errors and report
     are those of one prime at a time.
+
+    A ragged matrix, and a structured point that pins a symbol the matrix
+    does not hold or to a value that is not an int, raise ValueError
+    before any evaluation.
     """
     primes = _checked_rank_args(trials, primes)
+    n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
+    if any(len(row) != n_cols for row in matrix):
+        raise ValueError(f"matrix rows differ in length: "
+                         f"{sorted({len(row) for row in matrix})}")
 
     flat = [e for row in matrix for e in row]
     symbols = sorted(free_symbols(*flat), key=Symbol.sort_key)
     started = time.perf_counter()
     order = {s: i for i, s in enumerate(symbols)}
-    n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
+    for s, v in (structured_point or {}).items():
+        name = getattr(s, "display", repr(s))
+        if s not in order:
+            raise ValueError(f"structured point pins {name}, which the "
+                             f"matrix does not hold")
+        if not isinstance(v, int):
+            raise ValueError(f"structured point value of {name} must be an "
+                             f"int, got {v!r}")
     program = compile_program(flat, symbols)
 
     ranks_at = functools.partial(_ranks_at, program, seed, order,

@@ -32,12 +32,12 @@ evaluated pointwise from the co-integrated ORIGINAL states (its closed
 form is a function of the original trajectory), so no interpolation error
 enters the coupling. One program, built by `_twin_field` from the closed
 forms, holds the whole 6-state field, eta and eta' included. A single
-twin runs it on Python floats, and its program also computes eta''s pole
-guard on every right-hand side call. A tau sweep stacks one row per twin
-and runs the program once per right-hand side call, on the shared
-original states as Python floats and the twins' states as numpy columns;
-its pole guard runs at t0 and once per accepted step, not per call, with
-the program that `eta_prime_value` runs.
+twin runs it on Python floats. A tau sweep stacks one row per twin and
+runs the program once per right-hand side call, on the shared original
+states as Python floats and the twins' states as numpy columns. For one
+twin and a sweep alike, eta''s pole guard runs at t0 and once per
+accepted step, not per call, with the program that `eta_prime_value`
+runs.
 Reported are the worst relative deviation between the two output pairs,
 and the stronger check: the worst deviation between the integrated
 transformed states and the algebraic image of the original states.
@@ -59,8 +59,7 @@ from .expr import (AUX, Expression, Symbol, compile_float_fn,
 from .model import OdeModel, hiv_model, output_jet, output_symbol
 from .ranktest import CORRECTED, build_phi
 from .transform import (_DENOM_EPS, _ETA_PRIME, Params, SingularPoint,
-                        TauFamily, admissible_tau_interval, eta_prime_expr,
-                        eta_prime_scale_expr)
+                        TauFamily, admissible_tau_interval, eta_prime_expr)
 
 __all__ = [
     "EtaSignal", "IndistReport", "NonFiniteState", "SimConfig",
@@ -568,12 +567,13 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
         # the stacked eta' divides by zero, or overflows, at or near a
         # twin's pole, and for a u == 1 twin at V = 0, whose row f
         # replaces. check raises at a pole the run keeps, at t0 or at an
-        # accepted step; a stage there is not finite and is rejected. A
-        # flat run divides no numpy values
+        # accepted step, for one twin as for a sweep; a stage there is
+        # not finite and is rejected. A flat run divides no numpy values
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             states = _solve(f, y0[0] if len(insts) == 1 else y0, cfg, check)
     except (StepSizeUnderflow, NonFiniteState, expr.DivisionByZero) as exc:
-        # the SingularPoint of check, or of a flat f, names the twin itself
+        # the SingularPoint of check, or of a flat f on a stage exactly at
+        # the pole, names the twin itself
         raise type(exc)(f"{exc}, for {_where(insts)}") from None
     states = states.reshape(len(grid), len(insts), 6)
 
@@ -604,16 +604,16 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
 def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
     """The vector field f(t, y) of the original system co-integrated with
     the twins `insts`, and the pole check `check(t, y)` that `_solve`
-    takes (None for one twin): for one twin y is flat, the original
-    states then the twin's, on Python floats; for several, it stacks one
-    row per twin.
+    takes (None for one twin with u == 1, which has no pole): for one
+    twin y is flat, the original states then the twin's, on Python
+    floats; for several, it stacks one row per twin.
 
     f calls one program, built from the closed forms that
     `verify_identities` proves: the model right-hand side on the original
     states, the same on the twins' states and parameters with eta' =
     `eta_prime_expr()` in place of eta (eta itself for one twin with
-    u == 1), and for one twin eta''s denominator and guard scale. eta's
-    expression in t stands in for eta throughout, so the program takes t.
+    u == 1). eta's expression in t stands in for eta throughout, so the
+    program takes t.
     The parameters and u are inputs, not folded constants, so every value
     rounds as eta's, the model's own program and `eta_prime_value` round
     it. The stacked f passes the original states (row 0, which every row
@@ -624,13 +624,15 @@ def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
     map, `transform_params` and eta' are identities.
 
     At eta''s pole (a denominator within 1e-12 of the scale) the twin's
-    SingularPoint is raised through `inst.eta`, naming its tau. The flat
-    f tests every call. The stacked f tests none: `check` evaluates the
-    denominator and scale of every twin with `eta_prime_value`'s own
-    program, and `_solve` calls it on the start state and on each
-    accepted step's end, so a stage on a pole is only a rejected step. On
-    a division by zero f calls eta(t), so a pole of eta raises the
-    signal's DivisionByZero first; any other division by zero propagates.
+    SingularPoint is raised through `inst.eta`, naming its tau. No f
+    tests a call: `check` evaluates the denominator and scale of every
+    twin with `eta_prime_value`'s own program, on Python floats for one
+    twin and on the u column for a sweep, and `_solve` calls it on the
+    start state and on each accepted step's end, so a stage near a pole
+    is only a rejected step. On a division by zero f calls eta(t), so a
+    pole of eta raises the signal's DivisionByZero first; the flat f then
+    raises the twin's SingularPoint for a stage exactly on its pole, and
+    any other division by zero propagates.
     """
     def check_pole(inst, orig, t):
         """Raise what eta(t) or `inst.eta` raises at this point, the
@@ -645,41 +647,38 @@ def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
     images = dict(zip((*m.states, *m.const_params),
                       map(expr.sym, (*states_p, *consts_p))))
     flat = len(insts) == 1
-    guard = []
     if not flat or insts[0].u != 1:
-        eta_p = images[m.tv_params[0]] = eta_prime_expr()
-        if flat:  # a sweep guards in `check`
-            guard = [eta_p.args[1], eta_prime_scale_expr()]
-    guarded = bool(guard)
-    exprs = [*m.rhs, *expr.substitute_many(m.rhs, images), *guard]
+        images[m.tv_params[0]] = eta_prime_expr()
     field = compile_program(
-        expr.substitute_many(exprs, {m.tv_params[0]: eta.expression}),
+        expr.substitute_many([*m.rhs, *expr.substitute_many(m.rhs, images)],
+                             {m.tv_params[0]: eta.expression}),
         [*m.states, *states_p, TIME_SYMBOL, *m.const_params, *consts_p,
          Symbol("u", AUX)]).float_fn()
     base = _param_values(m, insts[0].params.as_dict())
     primed = [_param_values(m, inst.params_prime.as_dict()) for inst in insts]
+    delta, rho = insts[0].params.delta, insts[0].params.rho
 
     if flat:
-        inst, rest = insts[0], [*base, *primed[0], insts[0].u]
+        inst, u = insts[0], insts[0].u
+        rest = [*base, *primed[0], u]
 
         def f(t, y):
             try:
-                dy = field(*y, t, *rest)
+                return field(*y, t, *rest)
             except ZeroDivisionError:
                 check_pole(inst, y[:3], t)
                 raise
-            if guarded:
-                scale = dy.pop()
-                if abs(dy.pop()) <= _DENOM_EPS * abs(scale):
-                    check_pole(inst, y[:3], t)
-            return dy
 
-        return f, None
+        def check(t, y):
+            _, den, scale = _ETA_PRIME(*y[:3], 0.0, delta, rho, u)
+            if not abs(den) > _DENOM_EPS * abs(scale):  # True where NaN
+                check_pole(inst, y[:3], t)
+
+        return f, (check if u != 1 else None)
 
     u = np.array([inst.u for inst in insts])
     rest = [*base, *np.array(primed).T, u]
     other, ones = u != 1, np.flatnonzero(u == 1)
-    delta, rho = insts[0].params.delta, insts[0].params.rho
 
     def f(t, y):
         try:

@@ -13,8 +13,9 @@ step attempt. Each default-grid run fills its
 401 grid points one per step, from a scalar theta, and a run on the
 largest grid fills at most once per accepted step. Every run, plain,
 single-twin or sweep, reads eta inside its compiled vector field, never
-through the signal; a passing tau run never calls `eta_prime_value`, and
-a plain run checks finiteness through numpy at most twice. The programs
+through the signal; a passing tau run never calls `eta_prime_value`, a
+tau run, single or swept, checks eta''s pole once per kept state, and a
+plain run checks finiteness through numpy at most twice. The programs
 a simulation compiles are bounded per run, not per output or per twin,
 and a run's compiled code leaves nothing for the cyclic garbage
 collector. Cold start is counted in modules: a fresh `import odeident`
@@ -320,11 +321,9 @@ def test_tau_sweep_array_rhs_calls(monkeypatch):
     assert _field_calls(monkeypatch, _tau_sweep).count(True) == 15708
 
 
-def test_tau_sweep_checks_the_eta_prime_pole_once_per_kept_state(
-        monkeypatch):
-    # the stacked field guards no call: the pole check runs on the start
-    # state and on each accepted step's end, where a guard in every call
-    # of the field ran 15,708 times
+def _pole_check_times(monkeypatch, run) -> tuple[list[float], int]:
+    """The times at which `run` checks for eta''s pole, and its accepted
+    steps."""
     times = []
     solve = S._solve
 
@@ -336,8 +335,23 @@ def test_tau_sweep_checks_the_eta_prime_pole_once_per_kept_state(
         return solve(f, y0, cfg, counting)
 
     monkeypatch.setattr(S, "_solve", spy)
-    counts = _dense_output(monkeypatch, _tau_sweep, 6)
-    assert len(times) == counts["accepted"] + 1 == 2613
+    return times, _dense_output(monkeypatch, run, 6)["accepted"]
+
+
+# no twin field guards a call: the pole check runs on the start state and
+# on each accepted step's end, where a guard in every call of the field
+# ran 15,708 times for the sweep and 13,069 for the single tau
+def test_tau_sweep_checks_the_eta_prime_pole_once_per_kept_state(
+        monkeypatch):
+    times, accepted = _pole_check_times(monkeypatch, _tau_sweep)
+    assert len(times) == accepted + 1 == 2613
+    assert times[0] == 0.0 and times == sorted(set(times))
+
+
+def test_single_tau_run_checks_the_eta_prime_pole_once_per_kept_state(
+        monkeypatch):
+    times, accepted = _pole_check_times(monkeypatch, _co_integrated_run)
+    assert len(times) == accepted + 1 == 2174
     assert times[0] == 0.0 and times == sorted(set(times))
 
 

@@ -312,6 +312,23 @@ def test_generic_rank_validation():
                           primes=R.DEFAULT_PRIMES).generic_rank == 1
 
 
+@pytest.mark.parametrize("matrix, structured, message", [
+    ([[E.sym(E.Symbol("x"))], [E.sym(E.Symbol("x"))] * 2], None,
+     r"^matrix rows differ in length: \[1, 2\]$"),
+    ([[E.sym(E.Symbol("x"))]], {E.Symbol("y"): 1},
+     r"^structured point pins y, which the matrix does not hold$"),
+    ([[E.sym(E.Symbol("x"))]], {E.Symbol("x"): "1"},
+     r"^structured point value of x must be an int, got '1'$"),
+], ids=["ragged", "symbol not in the matrix", "value not an int"])
+def test_generic_rank_checks_its_matrix_and_point_before_any_evaluation(
+        monkeypatch, matrix, structured, message):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("the matrix was compiled")
+    monkeypatch.setattr(R, "compile_program", no_evaluation)
+    with pytest.raises(ValueError, match=message):
+        R.generic_rank(matrix, trials=3, seed=1, structured_point=structured)
+
+
 _P = R.DEFAULT_PRIMES[0]
 
 

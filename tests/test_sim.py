@@ -214,25 +214,33 @@ def test_twin_field_raises_eta_prime_values_error_at_the_pole(T_I):
     assert (value == 0) == (T_I == 1.0) and abs(value) <= 1e-12
     with pytest.raises(SingularPoint) as want:
         inst.eta(1.0, T_I, 1.0, 0.5)
-    # one twin's f guards every call itself
+    # one twin's check, which `_solve` runs on the states it keeps, raises
+    # at the pole, as a sweep's does; its f guards no call
     f, check = S._twin_field(hiv, HALF, [inst])
-    assert check is None
+    y = [1.0, T_I, 1.0, *inst.map_state(1.0, T_I, 1.0)]
     with pytest.raises(SingularPoint) as got:
-        f(0.0, [1.0, T_I, 1.0, *inst.map_state(1.0, T_I, 1.0)])
+        check(0.0, y)
     # the twin is named, as by a sweep
     assert str(got.value) == (f"{want.value}, for tau = -0.693147 (eta' has "
                               f"its pole at T_I/T_U = 1)")
     if T_I == 1.0:
         assert str(want.value) == ("eta' denominator 0.0 vanishes relative "
                                    "to scale 1.0")
+        # a stage exactly on the pole divides by zero: f raises the same
+        with pytest.raises(SingularPoint) as stage:
+            f(0.0, y)
+        assert str(stage.value) == str(got.value)
+    else:
+        assert len(f(0.0, y)) == 6
 
 
 def test_co_integrated_run_stops_at_the_eta_prime_pole():
     eta = S.EtaSignal.from_text("1/2 + t/20")
     with pytest.raises(SingularPoint) as info:
         S.run_indistinguishability(SKEWED, [1.0, 0.2, 1.0], eta, -0.5)
-    assert str(info.value) == ("eta' denominator 1.234123914173324e-12 "
-                               "vanishes relative to scale 1.2890235121507765"
+    # found at an accepted step, as the sweep finds it
+    assert str(info.value) == ("eta' denominator 1.2652101588628284e-12 "
+                               "vanishes relative to scale 1.2890235121507128"
                                ", for tau = -0.5 (eta' has its pole at "
                                "T_I/T_U = 1.59)")
 
@@ -261,6 +269,52 @@ def test_a_sweep_names_the_twin_that_meets_its_eta_prime_pole_mid_run():
                                "T_I/T_U = 1.59)")
 
 
+
+def test_one_twin_and_a_sweep_stop_alike_at_the_eta_prime_pole():
+    # one pole route: alone, as a sweep of one and beside a twin that
+    # passes, the tau = -0.5 twin stops at the same accepted step
+    eta = S.EtaSignal.from_text("1/2 + t/20")
+    messages = set()
+    for run in (lambda: S.run_indistinguishability(SKEWED, [1.0, 0.2, 1.0],
+                                                   eta, -0.5),
+                lambda: S.tau_sweep(SKEWED, [1.0, 0.2, 1.0], eta, [-0.5]),
+                lambda: S.tau_sweep(SKEWED, [1.0, 0.2, 1.0], eta,
+                                    [-0.5, 0.5])):
+        with pytest.raises(SingularPoint) as info:
+            run()
+        messages.add(str(info.value))
+    assert messages == {"eta' denominator 1.2652101588628284e-12 vanishes "
+                        "relative to scale 1.2890235121507128, for tau = "
+                        "-0.5 (eta' has its pole at T_I/T_U = 1.59)"}
+
+
+def test_a_twin_that_passes_close_to_its_eta_prime_pole_runs_through():
+    # from 1,0.2,1 the original T_I/T_U peaks at about 0.3274 near
+    # t = 0.776; the twin whose pole rho*u/(delta*(1-u)) lies 0.1% above
+    # the peak comes within 1e-3 of it and turns away, so a pole check
+    # that fires early stops it
+    fine = S.integrate(hiv, ONES_DICT, [1.0, 0.2, 1.0], HALF,
+                       S.SimConfig(tf=2.0, dense_output_points=20001))
+    ratio = fine.states[:, 1] / fine.states[:, 0]
+    assert ratio.max() == pytest.approx(0.3274, abs=1e-4)
+    assert fine.times[ratio.argmax()] == pytest.approx(0.776, abs=1e-3)
+    pole = 1.001 * ratio.max()
+    u = pole / (1 + pole)  # rho = delta = 1, and u = exp(rho*tau)
+    tau = math.log(u)
+    assert tau == pytest.approx(-1.3991, abs=1e-4)
+    alone, orig, _ = S.run_indistinguishability(ONES, [1.0, 0.2, 1.0], HALF,
+                                                tau)
+    swept, _ = S.tau_sweep(ONES, [1.0, 0.2, 1.0], HALF, [tau, 0.5])
+    for report in (alone, swept):
+        assert report.max_rel_output_dev < 1e-12
+        assert report.max_rel_state_map_dev < 1e-12
+    # eta''s denominator over its scale, V*(u*T_U - (1-u)*T_I) over
+    # V*(T_U + T_I)*u, on the kept grid
+    T_U, T_I = orig.states[:, 0], orig.states[:, 1]
+    closest = np.min(np.abs(u * T_U - (1 - u) * T_I) / ((T_U + T_I) * u))
+    assert 1e-12 < closest < 1e-3
+
+
 # a stacked field of up to 6 twins, one of them with u == 1, whose row then
 # holds the original state
 _STATE = st.floats(min_value=1e-3, max_value=1e3)
@@ -275,6 +329,19 @@ def _pole_outcome(f, *args):
         return f(*args)
     except SingularPoint as exc:
         return str(exc)
+
+
+def _single_twin_outcome(eta, inst, t, y):
+    """One twin's derivative at (t, y), or the message of the SingularPoint
+    that its check, which `_solve` runs on y before f, or its f raises."""
+    f, check = S._twin_field(hiv, eta, [inst])
+
+    def run():
+        if check is not None:
+            check(t, y)
+        return f(t, y)
+
+    return _pole_outcome(run)
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,10 +364,10 @@ def test_stacked_twin_field_rows_match_single_twin_fields(
         return
     rows = [[*orig, *(orig if inst.u == 1 else twin)]
             for inst, twin in zip(insts, twins)]
-    singles = [_pole_outcome(S._twin_field(hiv, eta, [inst])[0], t, row)
+    singles = [_single_twin_outcome(eta, inst, t, row)
                for inst, row in zip(insts, rows)]
-    # the stacked f guards no call; its check, which `_solve` runs on the
-    # states it keeps, raises what the single twins' fields raise
+    # neither field guards a call; the stacked check, which `_solve` runs
+    # on the states it keeps, raises what the single twins' checks raise
     f, check = S._twin_field(hiv, eta, insts)
     with np.errstate(divide="ignore", invalid="ignore"):
         stacked = f(t, np.array(rows))
