@@ -33,11 +33,11 @@ _PHI_CORRECTED_MAX = 1e-6
 _PHI_MIAO_MIN = 1e-2
 
 # Samples one simulate or phi-check run keeps: tau values (one unless
-# sweeping) times grid points. Peak RSS grows by about 290 bytes per sample
-# for phi-check, 185 for a single tau and 70 for a sweep's twins, over
-# about 30 MB at start; at this limit phi-check peaks at 466 MB, a single
-# tau at 305 MB and a sweep of 3,740 taus at the default 401 points at
-# 131 MB (9 s).
+# sweeping) times grid points. Peak RSS grows by about 185 bytes per sample
+# for a single tau, 70 for a sweep's twins and 55 for phi-check (whose
+# residual runs on blocks of the grid), over about 30 MB at start; at this
+# limit a single tau peaks at 305 MB, phi-check at 110 MB and a sweep of
+# 3,740 taus at the default 401 points at 131 MB (9 s).
 _MAX_SAMPLES = 1_500_000
 
 

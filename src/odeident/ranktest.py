@@ -9,7 +9,11 @@ deep as the matrix needs (order 6), and measure the generic rank of the
 5x5 matrix by exact evaluation at random points of large prime fields.
 Each trial evaluates the matrix once modulo the product of the primes and
 ranks it there by one fraction-free elimination, which takes no modular
-inverse and gives the rank modulo every prime at once.
+inverse and gives the rank modulo every prime at once. None of the
+algebra depends on the seed, the trials or the primes, so `run_rank_test`
+builds and compiles the matrix of each (mode, variant) once per process
+and keeps only its program; every verdict still draws, evaluates and
+eliminates all its points.
 Differentiation happens before the dynamics substitution; the two orders
 are not interchangeable and the first is the one this test means.
 
@@ -279,7 +283,9 @@ def _ranks_at(program: expr.Program, seed: int,
     computes from the symbols in `order`, at the first point drawn for
     `trial` under that prime that misses every denominator; the `pinned`
     symbols keep their values. A module function, so that its retry per
-    prime refers to no closure and a run's program dies with the run."""
+    prime refers to no closure and a `generic_rank` run's program dies
+    with the run; `run_rank_test`'s programs live in the process's cache
+    of them."""
     (n_rows, n_cols), modulus = shape, math.prod(primes)
     lift = [modulus // p * pow(modulus // p, -1, p) for p in primes]
     for attempt in range(_MAX_RETRIES_PER_TRIAL if len(primes) == 1
@@ -303,6 +309,65 @@ def _ranks_at(program: expr.Program, seed: int,
     raise ExhaustedRetries(
         f"{_MAX_RETRIES_PER_TRIAL} random points in a row hit a "
         f"denominator (prime {primes[0]}, trial {trial})")
+
+
+def _flat(matrix: Sequence[Sequence[Expression]]
+          ) -> tuple[list[Expression], tuple[Symbol, ...], tuple[int, int]]:
+    """The entries of `matrix` row by row, its free symbols in
+    `Symbol.sort_key` order and its shape; a ragged matrix raises
+    ValueError."""
+    n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
+    if any(len(row) != n_cols for row in matrix):
+        raise ValueError(f"matrix rows differ in length: "
+                         f"{sorted({len(row) for row in matrix})}")
+    flat = [e for row in matrix for e in row]
+    symbols = tuple(sorted(free_symbols(*flat), key=Symbol.sort_key))
+    return flat, symbols, (n_rows, n_cols)
+
+
+def _rank_report(program: expr.Program, symbols: Sequence[Symbol],
+                 shape: tuple[int, int], trials: int, seed: int,
+                 primes: tuple[int, ...],
+                 structured_point: Mapping[Symbol, int] | None
+                 ) -> RankReport:
+    """The report of `generic_rank` for the `shape` matrix that `program`
+    computes from `symbols`, once the arguments are checked: every trial's
+    points drawn, evaluated and eliminated. `elapsed_ms` times this alone,
+    so it includes emitting and exec'ing the modular source only on the
+    program's first run."""
+    started = time.perf_counter()
+    ranks_at = functools.partial(_ranks_at, program, seed,
+                                 {s: i for i, s in enumerate(symbols)}, shape)
+
+    observed: dict[int, int] = {}
+    per_prime_max = [0] * len(primes)
+    for trial in range(trials):
+        for i, r in enumerate(ranks_at(trial, primes, {})):
+            observed[r] = observed.get(r, 0) + 1
+            per_prime_max[i] = max(per_prime_max[i], r)
+
+    if len(set(per_prime_max)) != 1:
+        raise PrimeDisagreement(
+            f"per-prime generic ranks differ: "
+            + ", ".join(f"{p}->{r}" for p, r in zip(primes, per_prime_max)))
+
+    structured_rank = None
+    if structured_point is not None:
+        structured_rank = ranks_at("structured", primes[:1],
+                                   structured_point)[0]
+
+    elapsed_ms = int((time.perf_counter() - started) * 1000)
+    return RankReport(
+        mode="",
+        variant="",
+        trials=trials,
+        primes=primes,
+        observed_ranks=observed,
+        generic_rank=per_prime_max[0],
+        seed=seed,
+        elapsed_ms=elapsed_ms,
+        structured_point_rank=structured_rank,
+    )
 
 
 def generic_rank(matrix: Sequence[Sequence[Expression]],
@@ -336,60 +401,35 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
 
     A ragged matrix, and a structured point that pins a symbol the matrix
     does not hold or to a value that is not an int, raise ValueError
-    before any evaluation.
+    before any evaluation. The matrix is compiled on every call, and its
+    program dies with the run.
     """
     primes = _checked_rank_args(trials, primes)
-    n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
-    if any(len(row) != n_cols for row in matrix):
-        raise ValueError(f"matrix rows differ in length: "
-                         f"{sorted({len(row) for row in matrix})}")
-
-    flat = [e for row in matrix for e in row]
-    symbols = sorted(free_symbols(*flat), key=Symbol.sort_key)
-    started = time.perf_counter()
-    order = {s: i for i, s in enumerate(symbols)}
+    flat, symbols, shape = _flat(matrix)
     for s, v in (structured_point or {}).items():
         name = getattr(s, "display", repr(s))
-        if s not in order:
+        if s not in symbols:
             raise ValueError(f"structured point pins {name}, which the "
                              f"matrix does not hold")
         if not isinstance(v, int):
             raise ValueError(f"structured point value of {name} must be an "
                              f"int, got {v!r}")
-    program = compile_program(flat, symbols)
+    return _rank_report(compile_program(flat, symbols), symbols, shape,
+                        trials, seed, primes, structured_point)
 
-    ranks_at = functools.partial(_ranks_at, program, seed, order,
-                                 (n_rows, n_cols))
 
-    observed: dict[int, int] = {}
-    per_prime_max = [0] * len(primes)
-    for trial in range(trials):
-        for i, r in enumerate(ranks_at(trial, primes, {})):
-            observed[r] = observed.get(r, 0) + 1
-            per_prime_max[i] = max(per_prime_max[i], r)
-
-    if len(set(per_prime_max)) != 1:
-        raise PrimeDisagreement(
-            f"per-prime generic ranks differ: "
-            + ", ".join(f"{p}->{r}" for p, r in zip(primes, per_prime_max)))
-
-    structured_rank = None
-    if structured_point is not None:
-        structured_rank = ranks_at("structured", primes[:1],
-                                   structured_point)[0]
-
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    return RankReport(
-        mode="",
-        variant="",
-        trials=trials,
-        primes=primes,
-        observed_ranks=observed,
-        generic_rank=per_prime_max[0],
-        seed=seed,
-        elapsed_ms=elapsed_ms,
-        structured_point_rank=structured_rank,
-    )
+@functools.cache
+def _hiv_rank_program(mode: str, variant: str
+                      ) -> tuple[expr.Program, tuple[Symbol, ...],
+                                 tuple[int, int]]:
+    """The HIV parameter Jacobian of `mode` and `variant`, compiled, with
+    the symbols it binds and its shape. Built once per process per key; it
+    holds no expression, so the DAG it was built from is freed."""
+    matrix = parameter_jacobian(build_phi_system(build_phi(variant)))
+    if mode == "constrained":
+        matrix = substitute_dynamics(matrix)
+    flat, symbols, shape = _flat(matrix)
+    return compile_program(flat, symbols), symbols, shape
 
 
 def run_rank_test(mode: str = "constrained",
@@ -403,20 +443,25 @@ def run_rank_test(mode: str = "constrained",
     Naive mode treats the outputs and their derivatives as 19 independent
     symbols; constrained mode imposes the dynamics, leaving the 14 symbols
     (5 parameters, 3 states, eta and its first five derivatives).
+
+    The matrix of each (mode, variant) is built and compiled on its first
+    verdict in the process and kept, as a program only; every verdict
+    still draws, evaluates and eliminates all its points.
     """
     primes = _checked_rank_args(trials, primes)
     if mode not in ("naive", "constrained"):
         raise ValueError(f"unknown mode {mode!r}")
-    matrix = parameter_jacobian(build_phi_system(build_phi(variant)))
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    program, symbols, shape = _hiv_rank_program(mode, variant)
 
     structured = None
     if mode == "constrained":
-        matrix = substitute_dynamics(matrix)
         # one documented point with a locally constant tv-parameter: the
         # rank bound does not depend on eta actually varying
         tv = hiv_model().tv_params[0]
         structured = {tv.derivative(k): 0 for k in range(1, 6)}
 
-    report = generic_rank(matrix, trials, seed, primes,
-                          structured_point=structured)
+    report = _rank_report(program, symbols, shape, trials, seed, primes,
+                          structured)
     return dataclasses.replace(report, mode=mode, variant=variant)

@@ -742,47 +742,60 @@ def phi_residual_along(trajectory: Trajectory, params: Params,
     return phi_residuals_along(trajectory, params, eta, [variant])[variant]
 
 
+# grid points per block of phi_residuals_along: its programs' temporaries
+# are block-length arrays, about 290 bytes per point, so a block peaks near
+# 1 MB whatever the grid, and at the default 401 points one block is the grid
+_PHI_BLOCK = 4096
+
+
 def phi_residuals_along(trajectory: Trajectory, params: Params,
                         eta: EtaSignal, variants: Sequence[str]
                         ) -> dict[str, float]:
     """`phi_residual_along` for each variant of the relation, from one
-    program per site, each run once on the grid: eta with eta', the output
-    jets, and the terms of every variant. eta and eta' enter the jets as
-    columns: substituted into them, an eta of 0 folds the infection terms
-    away and changes the residual's last bits."""
+    program per site: eta with eta', the output jets, and the terms of
+    every variant. Each runs once per block of `_PHI_BLOCK` grid points,
+    and the residual is the largest of the blocks'. eta and eta' enter the
+    jets as columns: substituted into them, an eta of 0 folds the
+    infection terms away and changes the residual's last bits."""
     if len(trajectory.times) == 0:
         return {variant: 0.0 for variant in variants}
     m = hiv_model()
-    grid = trajectory.times
-    consts = [np.full_like(grid, v) for v in _param_values(m, params.as_dict())]
+    values = _param_values(m, params.as_dict())
 
     # the relation is second order: jets to order 2, which read eta and eta'
     tv = m.tv_params[0]
     (eta_dt,), = expr.partials([eta.expression], [TIME_SYMBOL])
-    signal = compile_program([eta.expression, eta_dt], [TIME_SYMBOL])
-    etas = [np.broadcast_to(np.asarray(v, dtype=float), grid.shape)
-            for v in signal.float_fn()(grid)]
+    signal = compile_program([eta.expression, eta_dt],
+                             [TIME_SYMBOL]).float_fn()
     jets = compile_program(
         [e for i in (1, 2) for e in output_jet(m, i, 2).entries],
-        [*m.states, *m.const_params, tv, tv.derivative(1)])
-    jet_vals = jets.float_fn()(*trajectory.states.T, *consts, *etas)
+        [*m.states, *m.const_params, tv, tv.derivative(1)]).float_fn()
     jet_symbols = [output_symbol(m, i, k) for i in (1, 2) for k in range(3)]
 
     terms = [r.args if isinstance(r, expr.Sum) else (r,)
              for r in map(build_phi, variants)]
     program = compile_program([term for ts in terms for term in ts],
-                              [*jet_symbols, *m.const_params])
-    values = iter(program.float_fn()(*jet_vals, *consts))
-    residuals = {}
-    for variant, ts in zip(variants, terms):
-        term_vals = np.column_stack(
-            [np.broadcast_to(next(values), grid.shape) for _ in ts])
-        total = np.abs(term_vals.sum(axis=1))
-        scale = np.abs(term_vals).max(axis=1)
-        residual = np.where(scale > 0,
-                            total / np.where(scale > 0, scale, 1.0), 0.0)
-        residuals[variant] = float(residual.max())
-    return residuals
+                              [*jet_symbols, *m.const_params]).float_fn()
+    block_max: dict[str, list[float]] = {variant: [] for variant in variants}
+    for lo in range(0, len(trajectory.times), _PHI_BLOCK):
+        grid = trajectory.times[lo:lo + _PHI_BLOCK]
+        consts = [np.full_like(grid, v) for v in values]
+        etas = [np.broadcast_to(np.asarray(v, dtype=float), grid.shape)
+                for v in signal(grid)]
+        jet_vals = jets(*trajectory.states[lo:lo + _PHI_BLOCK].T, *consts,
+                        *etas)
+        outputs = iter(program(*jet_vals, *consts))
+        for variant, ts in zip(variants, terms):
+            term_vals = np.column_stack(
+                [np.broadcast_to(next(outputs), grid.shape) for _ in ts])
+            total = np.abs(term_vals.sum(axis=1))
+            scale = np.abs(term_vals).max(axis=1)
+            residual = np.where(scale > 0,
+                                total / np.where(scale > 0, scale, 1.0), 0.0)
+            block_max[variant].append(residual.max())
+    # np.max, not max: a NaN in any block stays NaN, as over the whole grid
+    return {variant: float(np.max(maxima))
+            for variant, maxima in block_max.items()}
 
 
 # ----------------------------------------------------------- CSV export

@@ -4,7 +4,10 @@ The bounds are the sizes the hash-consed engine and the straight-line
 emitter produce; a change that grows the DAG, the compiled program or its
 generated source fails here before it shows up as wall time, and so does
 one that traverses the DAG more often to build the jets or the Jacobian,
-or eliminates more than once per rank trial. The RHS evaluation counts
+or eliminates more than once per rank trial, and so does a second rank
+verdict in a process that builds, compiles or emits its matrix again
+rather than reusing the first verdict's program, or whose cache of
+programs keeps an expression alive. The RHS evaluation counts
 of two default-config runs and of the stacked criterion-5 tau sweep are
 pinned exactly, so a change to the step controller that alters a single
 step fails here too; so is the number of the sweep's vector-field
@@ -148,6 +151,33 @@ def test_rank_eliminations_per_run(monkeypatch, capsys, mode, eliminations):
     assert cli.main(["rank", "--mode", mode, "--trials", "100",
                      "--seed", "7"]) == 0
     assert len(calls) == eliminations
+
+
+# a process builds and compiles each (mode, variant) matrix on its first
+# verdict only: (DAG traversals, compiles, emits of the source,
+# eliminations) of a cold verdict, then of the same verdict again, which
+# still evaluates and eliminates every trial
+@pytest.mark.parametrize("mode, variant, traversals, eliminations", [
+    ("naive", R.CORRECTED, 7, 100),
+    ("constrained", R.CORRECTED, 21, 101),
+    ("constrained", R.MIAO_AS_PRINTED, 21, 101),
+])
+def test_a_warm_rank_verdict_builds_and_compiles_nothing(
+        monkeypatch, capsys, mode, variant, traversals, eliminations):
+    spies = [_spy(monkeypatch, E, "_topo"),
+             _spy(monkeypatch, R, "compile_program"),
+             _spy(monkeypatch, E, "_emit"),
+             _spy(monkeypatch, R, "_rank_mod")]
+    R._hiv_rank_program.cache_clear()
+    counts = []
+    for _ in range(2):
+        assert cli.main(["rank", "--mode", mode, "--variant", variant,
+                         "--trials", "100", "--seed", "7"]) == 0
+        counts.append([len(calls) for calls in spies])
+        for calls in spies:
+            calls.clear()
+    assert counts == [[traversals, 1, 1, eliminations],
+                      [0, 0, 0, eliminations]]
 
 
 class _CountingEta(S.EtaSignal):
@@ -403,6 +433,23 @@ def test_a_run_leaves_no_compiled_code_to_the_cyclic_gc():
         R.parameter_jacobian(R.build_phi_system(R.build_phi())))
     assert _left_to_the_cyclic_gc(
         lambda: R.generic_rank(matrix, 2, 1)) == []
+
+
+def _cold_and_warm_verdicts():
+    R._hiv_rank_program.cache_clear()
+    for _ in range(2):
+        for mode in ("naive", "constrained"):
+            R.run_rank_test(mode, trials=2, seed=1)
+
+
+def test_the_rank_program_cache_keeps_no_expression_alive():
+    M.hiv_model()
+    gc.collect()
+    before = len(E._NODES)
+    _cold_and_warm_verdicts()
+    gc.collect()
+    assert len(E._NODES) == before
+    assert _left_to_the_cyclic_gc(_cold_and_warm_verdicts) == []
 
 
 # ------------------------------------------------------------ cold start

@@ -9,14 +9,19 @@ exactly what evaluating under one prime at a time does
 (`helpers.reference_generic_rank`), and keep nothing per trial. Its one
 elimination per trial, modulo the product, must give each prime the rank
 that eliminating under that prime alone gives
-(`helpers.reference_rank_mod`)."""
+(`helpers.reference_rank_mod`). `run_rank_test` keeps each HIV matrix
+compiled across verdicts; its reports must be those of a cold build, for
+every mode, variant, seed and prime set, in any order."""
 
 import functools
 import gc
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -432,3 +437,98 @@ def test_rank_reports_match_the_stored_seed_7_reports(capsys, mode, variant):
     got.pop("elapsed_ms")
     want.pop("elapsed_ms")
     assert got == want
+
+
+# ------------------------------------------- verdicts on a warm program
+
+# two primes between 2^60 and 2^61, so one binding of a warm program per
+# modulus serves both prime sets
+OTHER_PRIMES = "1152921504606847009,1152921504606847067"
+PAIRS = [("naive", R.CORRECTED), ("naive", R.MIAO_AS_PRINTED),
+         ("constrained", R.CORRECTED), ("constrained", R.MIAO_AS_PRINTED)]
+# each prime set and seed in turn over the four (mode, variant) pairs, so
+# every verdict after the first four runs on a program another seed or
+# prime set compiled and bound
+INTERLEAVED = [(mode, variant, seed, primes)
+               for seed in (7, 1, 42) for primes in (None, OTHER_PRIMES)
+               for mode, variant in PAIRS]
+
+_COLD_REPORTS = """
+import contextlib, io, json, sys
+from odeident import cli, ranktest
+reports = []
+for argv in json.loads(sys.argv[1]):
+    ranktest._hiv_rank_program.cache_clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    reports.append([code, out.getvalue()])
+print(json.dumps(reports))
+"""
+
+
+def _rank_argv(mode, variant, seed, primes):
+    # seed 7 under the default primes is the stored reports' run
+    trials = 100 if (seed, primes) == (7, None) else 10
+    argv = ["rank", "--mode", mode, "--variant", variant,
+            "--trials", str(trials), "--seed", str(seed)]
+    return argv + (["--primes", primes] if primes else [])
+
+
+def _masked(out):
+    report = json.loads(out)
+    report.pop("elapsed_ms")
+    return report
+
+
+def test_interleaved_warm_verdicts_match_cold_ones(capsys):
+    """Reports of one process that interleaves the (mode, variant) pairs,
+    seeds and prime sets equal the stored seed-7 reports, and otherwise
+    those of a fresh interpreter that builds every verdict's matrix cold:
+    a cache key without the variant, or a binding of one prime set's
+    modulus used under another, fails here."""
+    want = {(mode, variant, 7, None): (0, _masked(
+        (GOLDEN / f"rank_{mode}_{variant}_seed7.json").read_text()))
+        for mode, variant in PAIRS if mode == "constrained"
+        or variant == R.CORRECTED}
+    fresh = [run for run in INTERLEAVED if run not in want]
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_REPORTS,
+         json.dumps([_rank_argv(*run) for run in fresh])],
+        env={**os.environ, "PYTHONPATH": str(Path(R.__file__).parents[1])},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    want.update((run, (code, _masked(out)))
+                for run, (code, out) in zip(fresh, json.loads(done.stdout)))
+
+    R._hiv_rank_program.cache_clear()
+    for run in INTERLEAVED:
+        code = cli.main(_rank_argv(*run))
+        assert (code, _masked(capsys.readouterr().out)) == want[run], run
+    assert R._hiv_rank_program.cache_info().misses == len(PAIRS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--primes", "101,103"], ["--primes", "abc"], ["--trials", "0"],
+    ["--variant", "bogus"], ["--mode", "bogus"],
+], ids=["small primes", "primes not integers", "no trials",
+        "unknown variant", "unknown mode"])
+def test_usage_errors_after_a_warm_verdict_exit_2(capsys, argv):
+    base = ["rank", "--seed", "7", "--trials", "2"]
+    assert cli.main(base) == 0
+    capsys.readouterr()
+    assert cli.main(base + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") >= 1
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"variant": "bogus"}, "unknown variant 'bogus'"),
+    ({"variant": ["miao"]}, r"unknown variant \['miao'\]"),
+    ({"mode": "bogus"}, "unknown mode 'bogus'"),
+])
+def test_the_pipeline_checks_mode_and_variant_before_the_cache(kwargs,
+                                                               message):
+    R.run_rank_test(trials=1, seed=7)
+    with pytest.raises(ValueError, match=message):
+        R.run_rank_test(trials=1, seed=7, **kwargs)

@@ -2,8 +2,12 @@
 residuals along trajectories."""
 
 import io
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -919,6 +923,51 @@ def test_relation_residual_matches_term_by_term_evaluation(variant, eta_text):
                            S.SimConfig(tf=4.0, dense_output_points=41))
         assert (S.phi_residual_along(traj, params, eta, variant)
                 == _residual_term_by_term(traj, params, eta, variant))
+
+
+@pytest.mark.parametrize("eta_text", ["1/2", "1/2 + t/20"])
+def test_blocked_relation_residual_matches_the_whole_grid(eta_text):
+    # two full blocks and one point: each block's programs see a slice of
+    # the grid, and the largest block residual is the whole grid's
+    eta = S.EtaSignal.from_text(eta_text)
+    traj = S.integrate(hiv, SKEWED.as_dict(), [1.0, 0.2, 1.0], eta,
+                       S.SimConfig(tf=4.0,
+                                   dense_output_points=2 * S._PHI_BLOCK + 1))
+    for variant in ("corrected", "miao"):
+        assert (S.phi_residual_along(traj, SKEWED, eta, variant)
+                == _residual_term_by_term(traj, SKEWED, eta, variant))
+
+
+_PEAKS = """
+import contextlib, io, json, resource, sys
+from odeident import cli, sim
+peaks = []
+integrate = sim.integrate
+def measured(*args, **kwargs):
+    trajectory = integrate(*args, **kwargs)
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    return trajectory
+sim.integrate = measured
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["phi-check", "--grid", "400000"])
+peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(json.dumps([code, *peaks]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def test_phi_check_peaks_at_the_simulator_level():
+    # the residual's programs run on blocks of the grid, so past the
+    # trajectory they add about 0.3 MB at 400,000 points; over the whole
+    # grid at once they added 110 MB, about 290 bytes per point
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAKS],
+        env={**os.environ, "PYTHONPATH": str(Path(S.__file__).parents[1])},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, after_integrate, after_residual = json.loads(done.stdout)
+    assert code == 0
+    assert after_residual - after_integrate < 8 * 1024
 
 
 def test_relation_residual_empty_grid_is_zero():
