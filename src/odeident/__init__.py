@@ -21,8 +21,8 @@ from .expr import (
 )
 from .model import (
     HIV_MODEL_TEXT, MissingOdeForState, MixedModeSymbols, OdeModel,
-    OutputJet, hiv_model, output_jet, output_symbol, parse_model,
-    print_model, total_time_derivative,
+    OutputJet, derivative_chain, hiv_model, output_jet, output_symbol,
+    parse_model, print_model, total_time_derivative,
 )
 from .ranktest import (
     CORRECTED, DEFAULT_PRIMES, MIAO_AS_PRINTED, PARAM_ORDER,

@@ -515,10 +515,12 @@ def neg(a) -> Expression:
 
 # -------------------------------------------------------------- traversal
 
-def _topo(roots: Sequence[Expression]) -> list[Expression]:
-    """Unique nodes of the DAG(s), children before parents. Iterative."""
+def _topo(roots: Sequence[Expression], seen=None) -> list[Expression]:
+    """Unique nodes of the DAG(s), children before parents. Iterative. A
+    node whose id `seen` holds is left out with the nodes below it, and
+    `seen` gains the ids returned."""
     order: list[Expression] = []
-    seen: set[int] = set()
+    seen = set() if seen is None else seen
     stack: list[tuple[Expression, bool]] = [(r, False) for r in reversed(roots)]
     while stack:
         node, done = stack.pop()
@@ -544,68 +546,75 @@ def free_symbols(*exprs: Expression) -> set[Symbol]:
 
 def partials(roots: Sequence[Expression],
              symbols: Sequence[Symbol]) -> tuple[tuple[Expression, ...], ...]:
-    """Partial derivatives of every root with respect to every symbol:
-    entry [i][j] is d roots[i] / d symbols[j].
-
-    All other symbols are held fixed. One traversal of the roots' shared
-    DAG records, as a bitmask, which of the symbols each node mentions;
-    the pass for a symbol then visits only the nodes that mention it, and
-    every subtree that does not is pruned to zero without being rebuilt,
-    which keeps the results sharing structure with the input.
-    """
-    return _partials(_topo(list(roots)), roots, symbols)
+    """Partial derivatives of every root with respect to every symbol, all
+    others held fixed: entry [i][j] is d roots[i] / d symbols[j]. One
+    traversal of the roots' shared DAG records which symbols each node
+    mentions; the pass for a symbol visits only the nodes that mention it,
+    and every other subtree is pruned to zero without being rebuilt, which
+    keeps the results sharing structure with the input."""
+    return _Partials().see(roots).partials(roots, symbols)
 
 
-def _partials(order: list[Expression], roots: Sequence[Expression],
-              symbols: Sequence[Symbol]) -> tuple[tuple[Expression, ...], ...]:
-    """`partials`, given `order`, the roots' `_topo`."""
-    bit = {s: 1 << j for j, s in enumerate(symbols)}
-    masks: dict[int, int] = {}
-    for node in order:
-        if isinstance(node, Sym):
-            masks[id(node)] = bit.get(node.symbol, 0)
-        elif isinstance(node, Const):
-            masks[id(node)] = 0
-        else:
-            m = 0
-            for c in node.args:
-                m |= masks[id(c)]
-            masks[id(node)] = m
+class _Partials:
+    """`partials` keeping, while it lives, the symbol bitmask of every node
+    it has seen and every (node, symbol) partial it has taken, so a chain
+    of derivatives traverses and differentiates each node once. `nodes`,
+    children first, keeps their ids unique; `memos[s]` holds the partials
+    by s of `nodes[:done[s]]`."""
 
-    columns = []
-    for s in symbols:
-        b = bit[s]
-        memo: dict[int, Expression] = {}
-        deriv = memo.get
-        for node in [n for n in order if masks[id(n)] & b]:
+    def __init__(self):
+        self.nodes, self.seen, self.masks = [], set(), {}
+        self.bits, self.memos, self.done = {}, {}, {}
+
+    def see(self, roots: Sequence[Expression]) -> "_Partials":
+        """Traverse the nodes of `roots` not seen before; returns self."""
+        masks, bits = self.masks, self.bits
+        for node in _topo(roots, self.seen):
             if isinstance(node, Sym):
-                memo[id(node)] = ONE
-            elif isinstance(node, Sum):
-                memo[id(node)] = add(*(memo[id(c)] for c in node.args
-                                       if masks[id(c)] & b))
-            elif isinstance(node, Difference):
-                x, y = node.args
-                memo[id(node)] = sub(deriv(id(x), ZERO), deriv(id(y), ZERO))
-            elif isinstance(node, Product):
-                terms = []
-                fs = node.args
-                for i, f in enumerate(fs):
-                    if masks[id(f)] & b:
-                        terms.append(mul(*fs[:i], memo[id(f)], *fs[i + 1:]))
-                memo[id(node)] = add(*terms)
-            elif isinstance(node, Quotient):
-                n, den = node.args
-                if not masks[id(den)] & b:
-                    memo[id(node)] = div(memo[id(n)], den)
-                else:
-                    num = sub(mul(deriv(id(n), ZERO), den), mul(n, memo[id(den)]))
-                    memo[id(node)] = div(num, pow_(den, 2))
-            else:  # Power
-                base = node.args[0]
-                k = node.exponent
-                memo[id(node)] = mul(const(k), pow_(base, k - 1), memo[id(base)])
-        columns.append([deriv(id(r), ZERO) for r in roots])
-    return tuple(tuple(col[i] for col in columns) for i in range(len(roots)))
+                masks[id(node)] = bits.setdefault(node.symbol, 1 << len(bits))
+            else:  # a constant has no args, so its mask is 0
+                m = 0
+                for c in node.args:
+                    m |= masks[id(c)]
+                masks[id(node)] = m
+            self.nodes.append(node)
+        return self
+
+    def partials(self, roots, symbols) -> tuple[tuple[Expression, ...], ...]:
+        """`partials` of seen `roots`, from the nodes new to each symbol."""
+        masks, nodes = self.masks, self.nodes
+        columns = []
+        for s in symbols:
+            b = self.bits.get(s, 0)
+            memo = self.memos.setdefault(s, {})
+            deriv = memo.get
+            start, self.done[s] = self.done.get(s, 0), len(nodes)
+            for node in [n for n in nodes[start:] if masks[id(n)] & b]:
+                if isinstance(node, Sym):
+                    memo[id(node)] = ONE
+                elif isinstance(node, Sum):
+                    memo[id(node)] = add(*(memo[id(c)] for c in node.args
+                                           if masks[id(c)] & b))
+                elif isinstance(node, Difference):
+                    x, y = node.args
+                    memo[id(node)] = sub(deriv(id(x), ZERO), deriv(id(y), ZERO))
+                elif isinstance(node, Product):
+                    fs = node.args
+                    memo[id(node)] = add(*(mul(*fs[:i], memo[id(f)], *fs[i + 1:])
+                                           for i, f in enumerate(fs)
+                                           if masks[id(f)] & b))
+                elif isinstance(node, Quotient):
+                    n, den = node.args
+                    if not masks[id(den)] & b:
+                        memo[id(node)] = div(memo[id(n)], den)
+                    else:
+                        num = sub(mul(deriv(id(n), ZERO), den), mul(n, memo[id(den)]))
+                        memo[id(node)] = div(num, pow_(den, 2))
+                else:  # Power
+                    base, k = node.args[0], node.exponent
+                    memo[id(node)] = mul(const(k), pow_(base, k - 1), memo[id(base)])
+            columns.append([deriv(id(r), ZERO) for r in roots])
+        return tuple(tuple(col[i] for col in columns) for i in range(len(roots)))
 
 
 def differentiate(e: Expression, s: Symbol) -> Expression:
@@ -974,6 +983,7 @@ _PIECE_CHARS = 8192
 # modulus and no intermediate exceeds 2^(4*W + 16).
 _LAZY_BITS = (4, 16)
 _REDUCED = (1, 0)
+_KEPT_MODULI = 4  # a rank verdict's three primes and their product
 
 
 class Program:
@@ -990,10 +1000,10 @@ class Program:
     The modular rendering reduces lazily: it emits `% p` only where a
     value's bound would pass 2^(4*W + 16), W the bit length of the modulus,
     and at every temporary and output (see `_LAZY_BITS`). It raises
-    DivisionByZero on a value with no inverse and is bound once per
-    modulus (`run_mod`), which may be a prime or a product of distinct
-    primes. Each domain converts its inputs by one rule: `run_exact` by
-    `_as_fraction`, `run_mod` by `_as_residue`.
+    DivisionByZero on a value with no inverse and is bound per modulus
+    (`run_mod`), a prime or a product of distinct primes; the program keeps
+    the `_KEPT_MODULI` latest bindings. Each domain converts its inputs by
+    one rule: `run_exact` by `_as_fraction`, `run_mod` by `_as_residue`.
     """
 
     def __init__(self, instructions, constants, outputs, input_symbols):
@@ -1077,6 +1087,9 @@ class Program:
         if fn is None:
             if p < 2:
                 raise ValueError("modulus must be at least 2")
+            moduli = [k for k in self._fns if type(k) is int]
+            if len(moduli) >= _KEPT_MODULI:
+                del self._fns[moduli[0]]
             fn = self._bind(p, True,
                             (p, [_as_residue(c, p) for c in self.constants]))
         return fn(*[_as_residue(v, p) for v in values])

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 from . import expr
 from .expr import (
@@ -23,8 +24,8 @@ from .expr import (
 
 __all__ = [
     "MixedModeSymbols", "MissingOdeForState", "OdeModel", "OutputJet",
-    "HIV_MODEL_TEXT", "hiv_model", "output_jet", "output_symbol",
-    "parse_model", "print_model", "total_time_derivative",
+    "HIV_MODEL_TEXT", "derivative_chain", "hiv_model", "output_jet",
+    "output_symbol", "parse_model", "print_model", "total_time_derivative",
 ]
 
 class MissingOdeForState(expr.ExprError):
@@ -59,8 +60,10 @@ class OdeModel:
 
 def output_symbol(m: OdeModel, output_index: int, order: int = 0) -> Symbol:
     """Symbol for the k-th time derivative of the i-th output (1-based i)."""
-    name = m.outputs[output_index - 1][0]
-    return Symbol(name, OUTPUT_DERIV, order=order, output_index=output_index)
+    i, n = output_index, len(m.outputs)
+    if not (isinstance(i, int) and 1 <= i <= n):
+        raise ValueError(f"output index {i!r} is outside the range 1..{n}")
+    return Symbol(m.outputs[i - 1][0], OUTPUT_DERIV, order=order, output_index=i)
 
 
 # ------------------------------------------------------------- model text
@@ -220,30 +223,39 @@ def hiv_model() -> OdeModel:
 
 # ------------------------------------------------------------------- jets
 
-def total_time_derivative(m: OdeModel, e: Expression) -> Expression:
-    """Total derivative of `e` along trajectories of `m`.
+def derivative_chain(m: OdeModel, e: Expression) -> Iterator[Expression]:
+    """`e` and its total derivatives along trajectories of `m`: e, e',
+    e'', ..., one per step.
 
     State symbols differentiate to their right-hand sides, and the
     symbols of a derivative chain advance along it: eta^(j) -> eta^(j+1)
-    and y^(k) -> y^(k+1). An expression in states gives the next entry of
-    an output jet; one in output symbols treats the outputs and their
-    derivatives as formal symbols. Mixing states with output symbols is
-    an error, because output symbols already absorb the state dependence.
+    and y^(k) -> y^(k+1). Mixing states with output symbols, which
+    already absorb the state dependence, is an error. The chain keeps
+    every node's symbol bitmask and every partial it takes, so a step
+    differentiates only the nodes that no step before it did; all of
+    that dies with the chain.
     """
-    order = expr._topo([e])  # one traversal for the symbols and partials
-    syms = {node.symbol for node in order if isinstance(node, expr.Sym)}
-    if (any(s.kind == STATE for s in syms)
-            and any(s.kind == OUTPUT_DERIV for s in syms)):
-        raise MixedModeSymbols(
-            "expression mixes state symbols with output-derivative symbols")
+    d = expr._Partials()
+    while True:
+        yield e
+        d.see([e])
+        syms = {s for s, b in d.bits.items() if d.masks[id(e)] & b}
+        if {STATE, OUTPUT_DERIV} <= {s.kind for s in syms}:
+            raise MixedModeSymbols(
+                "expression mixes state symbols with output-derivative symbols")
+        # each symbol that moves with time, and its time derivative
+        moving = [(s, f) for s, f in zip(m.states, m.rhs) if s in syms]
+        moving += [(s, expr.sym(s.derivative()))
+                   for s in sorted(syms, key=Symbol.sort_key)
+                   if s.kind in (TV_DERIV, OUTPUT_DERIV)]
+        grads = d.partials([e], [s for s, _ in moving])[0]
+        e = expr.add(*(expr.mul(g, f) for g, (_, f) in zip(grads, moving)))
 
-    # each symbol that moves with time, and its time derivative
-    moving = [(s, f) for s, f in zip(m.states, m.rhs) if s in syms]
-    moving += [(s, expr.sym(s.derivative()))
-               for s in sorted(syms, key=Symbol.sort_key)
-               if s.kind in (TV_DERIV, OUTPUT_DERIV)]
-    grads = expr._partials(order, [e], [s for s, _ in moving])[0]
-    return expr.add(*(expr.mul(g, f) for g, (_, f) in zip(grads, moving)))
+
+def total_time_derivative(m: OdeModel, e: Expression) -> Expression:
+    """Total derivative of `e` along trajectories of `m`: entry 1 of its
+    `derivative_chain`, which the single-step callers take."""
+    return list(islice(derivative_chain(m, e), 2))[1]
 
 
 @dataclass(frozen=True)
@@ -263,12 +275,10 @@ class OutputJet:
 
 
 def output_jet(m: OdeModel, output_index: int, order: int) -> OutputJet:
-    """Jet of the 1-based `output_index`-th output of `m` up to `order`."""
+    """Jet of the 1-based `output_index`-th output of `m` up to `order`:
+    the first order + 1 entries of the output's `derivative_chain`."""
     if order < 0:
         raise ValueError("jet order must be nonnegative")
-    current = m.outputs[output_index - 1][1]
-    entries = [current]
-    for _ in range(order):
-        current = total_time_derivative(m, current)
-        entries.append(current)
-    return OutputJet(output_index=output_index, entries=tuple(entries))
+    output_symbol(m, output_index)  # checks the index before any work
+    chain = derivative_chain(m, m.outputs[output_index - 1][1])
+    return OutputJet(output_index, tuple(islice(chain, order + 1)))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import operator
@@ -41,7 +42,7 @@ from .expr import (
     DivisionByZero, Expression, RationalCanonical, Symbol,
     compile_program, free_symbols, normalize, substitute_many, sym,
 )
-from .model import hiv_model, output_jet, output_symbol, total_time_derivative
+from .model import derivative_chain, hiv_model, output_jet, output_symbol
 
 __all__ = [
     "CORRECTED", "MIAO_AS_PRINTED", "DEFAULT_PRIMES", "PARAM_ORDER",
@@ -112,12 +113,9 @@ def build_phi(variant: str = CORRECTED) -> Expression:
 
 
 def build_phi_system(phi: Expression) -> tuple[Expression, ...]:
-    """The relation and its first four total time derivatives, in output
-    symbols; entry k uses output derivatives up to order k+2."""
-    entries = [phi]
-    for _ in range(4):
-        entries.append(total_time_derivative(hiv_model(), entries[-1]))
-    return tuple(entries)
+    """The relation and its first four total time derivatives in output
+    symbols, one `derivative_chain`; entry k has output orders to k+2."""
+    return tuple(itertools.islice(derivative_chain(hiv_model(), phi), 5))
 
 
 def parameter_jacobian(system: Sequence[Expression]
@@ -143,10 +141,8 @@ def substitute_dynamics(matrix: Sequence[Sequence[Expression]]
     for s in free_symbols(*flat):
         if s.kind == OUTPUT_DERIV:
             orders[s.output_index] = max(orders.get(s.output_index, 0), s.order)
-    bindings: dict[Symbol, Expression] = {}
-    for i in sorted(orders):
-        for k, entry in enumerate(output_jet(m, i, orders[i]).entries):
-            bindings[output_symbol(m, i, k)] = entry
+    bindings = {output_symbol(m, i, k): entry for i in sorted(orders)
+                for k, entry in enumerate(output_jet(m, i, orders[i]).entries)}
     sub = substitute_many(flat, bindings)
     n = len(matrix[0])
     return tuple(tuple(sub[r * n:(r + 1) * n]) for r in range(len(matrix)))

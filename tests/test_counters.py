@@ -4,8 +4,9 @@ The bounds are the sizes the hash-consed engine and the straight-line
 emitter produce; a change that grows the DAG, the compiled program or its
 generated source fails here before it shows up as wall time, and so does
 one that traverses the DAG more often to build the jets or the Jacobian,
-or eliminates more than once per rank trial, and so does a second rank
-verdict in a process that builds, compiles or emits its matrix again
+or that traverses or differentiates a node of a derivative chain again
+at a later order, or eliminates more than once per rank trial, and so
+does a second rank verdict in a process that builds, compiles or emits its matrix again
 rather than reusing the first verdict's program, or whose cache of
 programs keeps an expression alive. The RHS evaluation counts
 of two default-config runs and of the stacked criterion-5 tau sweep are
@@ -114,15 +115,45 @@ def _traversals(monkeypatch, run) -> int:
 
 
 # one traversal per total derivative, shared by its free symbols and all
-# its partials (8 per jet); the relation system takes 4 total derivatives
-# and the Jacobian one traversal for all 25 entries. A second traversal
-# for the free symbols made these 32 and 9, one per symbol 109 and 65
+# its partials (8 per jet), of the nodes that the chain's earlier orders
+# did not traverse; the relation system takes 4 total derivatives and the
+# Jacobian one traversal for all 25 entries. A second traversal for the
+# free symbols made these 32 and 9, one per symbol 109 and 65
 @pytest.mark.parametrize("run, bound", [
     (lambda: [M.output_jet(hiv, i, 8) for i in (1, 2)], 16),
     (lambda: R.parameter_jacobian(R.build_phi_system(R.build_phi())), 5),
 ], ids=["order-8 jets", "relation system and Jacobian"])
 def test_dag_traversals(monkeypatch, run, bound):
     assert _traversals(monkeypatch, run) <= bound
+
+
+def _chain_work(monkeypatch, run) -> tuple[int, int]:
+    """(nodes traversed, (node, symbol) partials taken) by the
+    `expr._Partials` that `run` makes, a derivative chain's among them."""
+    made = []
+
+    class Counting(E._Partials):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(E, "_Partials", Counting)
+    run()
+    return (sum(len(d.nodes) for d in made),
+            sum(len(memo) for d in made for memo in d.memos.values()))
+
+
+# a derivative chain traverses each node of its entries once and
+# differentiates it once per symbol it mentions; rebuilding every order
+# from scratch traversed 2,742 and 565 nodes and took 8,536 and 1,329
+# partials
+@pytest.mark.parametrize("run, nodes, partials", [
+    (lambda: [M.output_jet(hiv, i, 8) for i in (1, 2)], 1483, 5276),
+    (lambda: R.build_phi_system(R.build_phi()), 308, 901),
+], ids=["order-8 jets", "relation system"])
+def test_chain_nodes_traversed_and_partials_taken(monkeypatch, run, nodes,
+                                                  partials):
+    assert _chain_work(monkeypatch, run) == (nodes, partials)
 
 
 # the modular rendering reduces lazily, where a bound requires it and at

@@ -1,8 +1,10 @@
 """Model text format, the bundled HIV model, and the jet engine."""
 
+import gc
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -190,6 +192,77 @@ def test_jet_text_does_not_depend_on_the_hash_seed():
 def test_jet_rejects_negative_order():
     with pytest.raises(ValueError):
         M.output_jet(hiv, 1, -1)
+
+
+@pytest.mark.parametrize("index", [0, -1, 3])
+def test_an_output_index_outside_the_model_is_rejected_before_any_work(
+        monkeypatch, index):
+    # 0 and -1 once gave the last output's jet and y1's, and 3 a bare
+    # IndexError
+    def no_chain(*args):
+        raise AssertionError("a derivative chain was started")
+
+    monkeypatch.setattr(M, "derivative_chain", no_chain)
+    for call in (lambda: M.output_jet(hiv, index, 2),
+                 lambda: M.output_symbol(hiv, index, 1)):
+        with pytest.raises(ValueError, match=r"output index -?\d+ is outside "
+                                             r"the range 1\.\.2"):
+            call()
+
+
+# ------------------------------------------------------- derivative chain
+
+def _stepwise(m, e, order):
+    """`e` and its first `order` total derivatives, one
+    `total_time_derivative` call each."""
+    entries = [e]
+    for _ in range(order):
+        entries.append(M.total_time_derivative(m, entries[-1]))
+    return entries
+
+
+def _same_objects(got, want) -> bool:
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.ode")),
+                         ids=lambda path: path.stem)
+def test_chain_entries_are_the_stepwise_derivatives(path):
+    m = M.parse_model(path.read_text())
+    for i, (_, y) in enumerate(m.outputs, start=1):
+        assert _same_objects(M.output_jet(m, i, 5).entries,
+                             _stepwise(m, y, 5)), (path.name, i)
+
+
+@pytest.mark.parametrize("output_index", [1, 2])
+def test_order_eight_jet_entries_are_the_stepwise_derivatives(output_index):
+    y = hiv.outputs[output_index - 1][1]
+    assert _same_objects(M.output_jet(hiv, output_index, 8).entries,
+                         _stepwise(hiv, y, 8))
+
+
+def test_a_chain_over_a_quotient_is_the_stepwise_one():
+    # a symbol held fixed (rho), a denominator and eta's chain
+    e = _expr("T_U / (V + rho*eta) - eta*T_I")
+    assert _same_objects(list(islice(M.derivative_chain(hiv, e), 5)),
+                         _stepwise(hiv, e, 4))
+
+
+def test_a_dropped_chain_leaves_no_node_alive():
+    gc.collect()
+    before = len(E._NODES)
+    chain = M.derivative_chain(hiv, hiv.outputs[0][1])
+    assert len(list(islice(chain, 7))) == 7
+    del chain  # suspended, holding its partials
+    assert len(E._NODES) == before  # freed without the cyclic collector
+
+
+def test_a_chain_raises_on_mixed_symbols_at_the_step_that_meets_them():
+    y1 = E.sym(M.output_symbol(hiv, 1))
+    chain = M.derivative_chain(hiv, y1 + E.sym(TU))
+    assert next(chain) is y1 + E.sym(TU)
+    with pytest.raises(M.MixedModeSymbols):
+        next(chain)
 
 
 # --------------------------------------------------- total time derivative

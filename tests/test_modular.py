@@ -68,6 +68,36 @@ def test_run_mod_modulo_a_product_of_primes_is_the_crt_lift():
             _crt(residues, PRIMES) for residues in zip(*per_prime)]
 
 
+def test_run_mod_keeps_the_latest_moduli_bound_only(monkeypatch):
+    # a program that lives for the process, as run_rank_test's do, run
+    # under 20 distinct pairs of primes as a verdict runs them: the product
+    # for the trials and the first prime for the structured point. Every
+    # binding was once kept, about 4.6 KiB each on this program
+    program, symbols = _constrained_program()
+    primes = [p for p in range(2**61 + 1, 2**61 + 10**4, 2) if R.is_prime(p)]
+    rng = random.Random(23)
+    moduli = []
+    for p, q in zip(primes[0:40:2], primes[1:40:2]):
+        for modulus in (p * q, p):
+            moduli.append(modulus)
+            point = [rng.randrange(modulus) for _ in symbols]
+            fresh = E.Program(program.instructions, program.constants,
+                              program.outputs, program.input_symbols)
+            assert program.run_mod(point, modulus) == fresh.run_mod(point,
+                                                                    modulus)
+    assert len(moduli) == 40
+    assert [k for k in program._fns if type(k) is int] == moduli[-4:]
+    # a warm verdict binds neither its product nor its first prime again
+    binds = []
+    bind = E.Program._bind
+    monkeypatch.setattr(E.Program, "_bind", lambda self, domain, *args: (
+        binds.append(domain), bind(self, domain, *args))[1])
+    R.run_rank_test("constrained", trials=3, seed=7)
+    binds.clear()
+    R.run_rank_test("constrained", trials=3, seed=7)
+    assert binds == []
+
+
 def test_random_programs_modulo_the_product_agree_with_every_prime():
     """Mod the product a run raises DivisionByZero exactly when a run mod
     some prime does, and otherwise returns the CRT lift of the runs."""

@@ -110,6 +110,17 @@ def test_system_entries_are_successive_derivatives():
     assert E.normalize(E.sub(system[1], derived)).is_zero
 
 
+@pytest.mark.parametrize("variant", [R.CORRECTED, R.MIAO_AS_PRINTED])
+def test_system_entries_are_the_stepwise_derivatives(variant):
+    # one derivative chain builds the objects that four separate
+    # total_time_derivative calls build
+    system = R.build_phi_system(R.build_phi(variant))
+    want = [R.build_phi(variant)]
+    for _ in range(4):
+        want.append(M.total_time_derivative(hiv, want[-1]))
+    assert len(system) == 5 and all(a is b for a, b in zip(system, want))
+
+
 # ---------------------------------------------------------------- jacobian
 
 def test_jacobian_first_entry_closed_form():
