@@ -25,7 +25,6 @@ rank of at most 4.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import json
@@ -324,13 +323,13 @@ def _flat(matrix: Sequence[Sequence[Expression]]
 def _rank_report(program: expr.Program, symbols: Sequence[Symbol],
                  shape: tuple[int, int], trials: int, seed: int,
                  primes: tuple[int, ...],
-                 structured_point: Mapping[Symbol, int] | None
-                 ) -> RankReport:
-    """The report of `generic_rank` for the `shape` matrix that `program`
-    computes from `symbols`, once the arguments are checked: every trial's
-    points drawn, evaluated and eliminated. `elapsed_ms` times this alone,
-    so it includes emitting and exec'ing the modular source only on the
-    program's first run."""
+                 structured_point: Mapping[Symbol, int] | None,
+                 mode: str, variant: str) -> RankReport:
+    """The report, labelled `mode` and `variant`, of `generic_rank` for the
+    `shape` matrix that `program` computes from `symbols`, once the
+    arguments are checked: every trial's points drawn, evaluated and
+    eliminated. `elapsed_ms` times this alone, so it includes emitting and
+    exec'ing the modular source only on the program's first run."""
     started = time.perf_counter()
     ranks_at = functools.partial(_ranks_at, program, seed,
                                  {s: i for i, s in enumerate(symbols)}, shape)
@@ -354,8 +353,8 @@ def _rank_report(program: expr.Program, symbols: Sequence[Symbol],
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return RankReport(
-        mode="",
-        variant="",
+        mode=mode,
+        variant=variant,
         trials=trials,
         primes=primes,
         observed_ranks=observed,
@@ -411,7 +410,7 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
             raise ValueError(f"structured point value of {name} must be an "
                              f"int, got {v!r}")
     return _rank_report(compile_program(flat, symbols), symbols, shape,
-                        trials, seed, primes, structured_point)
+                        trials, seed, primes, structured_point, "", "")
 
 
 @functools.cache
@@ -458,6 +457,5 @@ def run_rank_test(mode: str = "constrained",
         tv = hiv_model().tv_params[0]
         structured = {tv.derivative(k): 0 for k in range(1, 6)}
 
-    report = _rank_report(program, symbols, shape, trials, seed, primes,
-                          structured)
-    return dataclasses.replace(report, mode=mode, variant=variant)
+    return _rank_report(program, symbols, shape, trials, seed, primes,
+                        structured, mode, variant)

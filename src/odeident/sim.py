@@ -35,9 +35,9 @@ forms, holds the whole 6-state field, eta and eta' included. A single
 twin runs it on Python floats. A tau sweep stacks one row per twin and
 runs the program once per right-hand side call, on the shared original
 states as Python floats and the twins' states as numpy columns. For one
-twin and a sweep alike, eta''s pole guard runs at t0 and once per
-accepted step, not per call, with the program that `eta_prime_value`
-runs.
+twin and a sweep alike, one check runs eta''s pole rule,
+`transform.eta_prime_poles`, at t0 and once per accepted step, not per
+call.
 Reported are the worst relative deviation between the two output pairs,
 and the stronger check: the worst deviation between the integrated
 transformed states and the algebraic image of the original states.
@@ -58,8 +58,9 @@ from .expr import (AUX, Expression, Symbol, compile_float_fn,
                    compile_program, free_symbols)
 from .model import OdeModel, hiv_model, output_jet, output_symbol
 from .ranktest import CORRECTED, build_phi
-from .transform import (_DENOM_EPS, _ETA_PRIME, Params, SingularPoint,
-                        TauFamily, admissible_tau_interval, eta_prime_expr)
+from .transform import (Params, SingularPoint, TauFamily,
+                        admissible_tau_interval, eta_prime_expr,
+                        eta_prime_poles)
 
 __all__ = [
     "EtaSignal", "IndistReport", "NonFiniteState", "SimConfig",
@@ -283,8 +284,8 @@ def _solve(f, y0, cfg: SimConfig, check=None) -> np.ndarray:
     take the same steps. The step error is the largest of the rows' RMS
     errors, so no row is held to a looser tolerance than it would be in
     a run of its own. A run gives up with StepBudgetExceeded after
-    `_MAX_ATTEMPTS` step attempts, and a scalar division by zero in f
-    raises DivisionByZero.
+    `_MAX_ATTEMPTS` step attempts; a scalar division by zero in f raises
+    DivisionByZero, and a scalar overflow NonFiniteState.
 
     Each accepted step fills the grid points it covers by cubic Hermite
     interpolation and is then dropped, so only the current step is held.
@@ -376,6 +377,8 @@ def _solve(f, y0, cfg: SimConfig, check=None) -> np.ndarray:
                 h *= max(_MIN_SHRINK, _SAFETY * err ** -0.2)
     except ZeroDivisionError as exc:  # a quotient of Python floats
         raise expr.DivisionByZero(str(exc)) from None
+    except OverflowError:  # a power of Python floats
+        raise NonFiniteState(f"derivative overflows near t = {t}") from None
     states[filled:] = y
     if not _finite(states):
         raise NonFiniteState("trajectory left the finite domain")
@@ -437,6 +440,8 @@ def _trajectory(m: OdeModel, outputs: expr.Program, grid: np.ndarray,
             values[:, j] = col
     except ZeroDivisionError as exc:  # a quotient of scalar values only
         raise expr.DivisionByZero(str(exc)) from None
+    except OverflowError:  # a power of scalar values only
+        raise NonFiniteState("an output overflows on the grid") from None
     return Trajectory(times=grid, states=states, outputs=values,
                       state_names=tuple(s.name for s in m.states),
                       output_names=m.output_names)
@@ -623,25 +628,15 @@ def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
     takes the original row's derivative, exactly: at u == 1 the state
     map, `transform_params` and eta' are identities.
 
-    At eta''s pole (a denominator within 1e-12 of the scale) the twin's
-    SingularPoint is raised through `inst.eta`, naming its tau. No f
-    tests a call: `check` evaluates the denominator and scale of every
-    twin with `eta_prime_value`'s own program, on Python floats for one
-    twin and on the u column for a sweep, and `_solve` calls it on the
-    start state and on each accepted step's end, so a stage near a pole
-    is only a rejected step. On a division by zero f calls eta(t), so a
-    pole of eta raises the signal's DivisionByZero first; the flat f then
-    raises the twin's SingularPoint for a stage exactly on its pole, and
-    any other division by zero propagates.
+    No f tests a call for eta''s pole. One `check` tests the original
+    states with `eta_prime_poles`, on Python floats for one twin and by
+    one reduction over the u column for a sweep; `_solve` calls it on the
+    start state and each accepted step's end, so a stage near a pole is
+    only a rejected step. At a pole it raises, after eta(t), the first such
+    twin's SingularPoint through `inst.eta`, naming the twin. The flat f
+    sends a division by zero, a stage exactly on a pole, through `check`;
+    any other propagates, eta's own at its pole included.
     """
-    def check_pole(inst, orig, t):
-        """Raise what eta(t) or `inst.eta` raises at this point, the
-        latter's SingularPoint naming the twin; return if neither does."""
-        try:
-            inst.eta(*orig, eta(t))
-        except SingularPoint as exc:
-            raise SingularPoint(f"{exc}, for {_where([inst])}") from None
-
     states_p, consts_p = ([Symbol(s.name + "'", AUX) for s in symbols]
                           for symbols in (m.states, m.const_params))
     images = dict(zip((*m.states, *m.const_params),
@@ -656,53 +651,41 @@ def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
          Symbol("u", AUX)]).float_fn()
     base = _param_values(m, insts[0].params.as_dict())
     primed = [_param_values(m, inst.params_prime.as_dict()) for inst in insts]
-    delta, rho = insts[0].params.delta, insts[0].params.rho
+    u = insts[0].u if flat else np.array([inst.u for inst in insts])
+
+    def check(t, y):
+        orig = y[:3] if flat else y[0, :3].tolist()
+        poles = eta_prime_poles(*orig, insts[0].params, u)
+        if poles if flat else poles.any():
+            inst = insts[int(np.argmax(poles))]  # the first at its pole
+            try:
+                inst.eta(*orig, eta(t))
+            except SingularPoint as exc:
+                raise SingularPoint(f"{exc}, for {_where([inst])}") from None
 
     if flat:
-        inst, u = insts[0], insts[0].u
         rest = [*base, *primed[0], u]
 
         def f(t, y):
             try:
                 return field(*y, t, *rest)
             except ZeroDivisionError:
-                check_pole(inst, y[:3], t)
+                check(t, y)
                 raise
-
-        def check(t, y):
-            _, den, scale = _ETA_PRIME(*y[:3], 0.0, delta, rho, u)
-            if not abs(den) > _DENOM_EPS * abs(scale):  # True where NaN
-                check_pole(inst, y[:3], t)
 
         return f, (check if u != 1 else None)
 
-    u = np.array([inst.u for inst in insts])
     rest = [*base, *np.array(primed).T, u]
-    other, ones = u != 1, np.flatnonzero(u == 1)
+    ones = np.flatnonzero(u == 1)
 
     def f(t, y):
-        try:
-            cols = field(*y[0, :3].tolist(), y[:, 3], y[:, 4], y[:, 5], t,
-                         *rest)
-        except ZeroDivisionError:
-            eta(t)  # raises at a pole of eta
-            raise
+        cols = field(*y[0, :3].tolist(), y[:, 3], y[:, 4], y[:, 5], t, *rest)
         dy = np.empty(y.shape)
         dy[:, :3] = cols[:3]
         dy[:, 3], dy[:, 4], dy[:, 5] = cols[3:]
         if ones.size:
             dy[ones, 3:] = cols[:3]
         return dy
-
-    def check(t, y):
-        orig = y[0, :3].tolist()
-        # eta''s numerator is not needed: the denominator and scale read
-        # no eta
-        _, den, scale = _ETA_PRIME(*orig, 0.0, delta, rho, u)
-        off_pole = abs(den) > _DENOM_EPS * abs(scale)  # False where NaN
-        if not off_pole.all():
-            for i in np.flatnonzero(~off_pole & other):
-                check_pole(insts[i], orig, t)
 
     return f, check
 
@@ -714,10 +697,7 @@ def _where(insts: Sequence[TauFamily]) -> str:
     taus = [inst.tau for inst in insts]
     where = (f"tau = {taus[0]:.6g}" if len(taus) == 1
              else f"tau in [{min(taus):.6g}, {max(taus):.6g}]")
-    # eta_prime_expr's denominator is V*(rho*u*T_U - delta*(1-u)*T_I)
-    poles = sorted(inst.params.rho * inst.u
-                   / (inst.params.delta * (1 - inst.u))
-                   for inst in insts if inst.u < 1)
+    poles = sorted(inst.pole for inst in insts if inst.u < 1)
     if len(poles) == 1:
         where += f" (eta' has its pole at T_I/T_U = {poles[0]:.3g})"
     elif poles:

@@ -35,9 +35,10 @@ from .model import hiv_model, total_time_derivative
 
 __all__ = [
     "IdentityCheck", "Params", "SingularPoint", "SingularTau", "TauFamily",
-    "admissible_tau_interval", "eta_prime_expr", "eta_prime_scale_expr",
-    "eta_prime_value", "params_prime_exprs", "state_map_exprs",
-    "transform_params", "transform_state", "verify_identities",
+    "admissible_tau_interval", "eta_prime_expr", "eta_prime_poles",
+    "eta_prime_scale_expr", "eta_prime_value", "params_prime_exprs",
+    "state_map_exprs", "transform_params", "transform_state",
+    "verify_identities",
 ]
 
 _DENOM_EPS = 1e-12
@@ -111,16 +112,30 @@ def transform_state(T_U, T_I, V, params: Params, *, u):
     return T_U_p, T_I_p, V
 
 
+def _at_pole(den, scale):
+    """eta''s pole rule, for floats and numpy arrays alike: its denominator
+    is 0 or within 1e-12 of the scale V rho (T_U + T_I) u; False at NaN."""
+    return (den == 0) | (abs(den) <= _DENOM_EPS * abs(scale))
+
+
+def eta_prime_poles(T_U, T_I, V, params: Params, u):
+    """Whether eta' is at its pole at this point of the original
+    trajectory, by `eta_prime_value`'s rule: a bool for a float u, a bool
+    array for a numpy array of them, False where u == 1. eta does not
+    enter the denominator or its scale, so it is not taken."""
+    _, den, scale = _ETA_PRIME(T_U, T_I, V, 0, params.delta, params.rho, u)
+    return (u != 1) & _at_pole(den, scale)
+
+
 def eta_prime_value(T_U, T_I, V, eta, params: Params, *, u):
     """Transformed time-varying parameter, `eta_prime_expr` at this point.
-    SingularPoint when its denominator is below 1e-12 of the natural scale
-    V rho (T_U + T_I) u."""
+    SingularPoint at its pole (see `eta_prime_poles`)."""
     if not u > 0:
         raise ValueError(f"u must be positive, got {u}")
     if u == 1:
         return eta
     num, den, scale = _ETA_PRIME(T_U, T_I, V, eta, params.delta, params.rho, u)
-    if den == 0 or abs(den) <= _DENOM_EPS * abs(scale):
+    if _at_pole(den, scale):
         raise SingularPoint(
             f"eta' denominator {den} vanishes relative to scale {abs(scale)}")
     return num / den
@@ -168,6 +183,14 @@ class TauFamily:
 
     def eta(self, T_U, T_I, V, eta):
         return eta_prime_value(T_U, T_I, V, eta, self.params, u=self.u)
+
+    @property
+    def pole(self) -> float | None:
+        """T_I/T_U at eta''s pole, rho*u/(delta*(1-u)), where its denominator
+        V*(rho*u*T_U - delta*(1-u)*T_I) vanishes; None unless u < 1."""
+        if self.u < 1:
+            return self.params.rho * self.u / (self.params.delta * (1 - self.u))
+        return None
 
 
 # ------------------------------------------------------- the one formula
@@ -246,17 +269,16 @@ def verify_identities() -> list[IdentityCheck]:
     transformed dynamics.
 
     For each transformed state, form its total time derivative under the
-    original dynamics and subtract the transformed right-hand side built
-    from the transformed parameters and eta'; each residual must expand to
-    the zero rational function in the states, parameters, eta and u.
-    False results are reported, not raised.
+    original dynamics and subtract the transformed right-hand side: the
+    model's own, with the transformed states, parameters and eta' put in
+    for the originals. Each residual must expand to the zero rational
+    function in the states, parameters, eta and u. False results are
+    reported, not raised.
     """
-    lam, c, rho = _syms("lambda c rho")
-    T_U_p, T_I_p, V_p = maps = state_map_exprs()
-    pp, eta_p = params_prime_exprs(), eta_prime_expr()
-    primed_rhs = (lam - rho * T_U_p - eta_p * T_U_p * V_p,
-                  eta_p * T_U_p * V_p - pp["delta"] * T_I_p,
-                  pp["N"] * pp["delta"] * T_I_p - c * V_p)
+    maps, pp = state_map_exprs(), params_prime_exprs()
+    primed_rhs = expr.substitute_many(_HIV.rhs, {
+        **dict(zip(_HIV.states, maps)), _HIV.tv_params[0]: eta_prime_expr(),
+        **{s: pp[s.name] for s in _HIV.const_params}})
     checks = []
     for name, mapped, rhs in zip(("T_U'", "T_I'", "V'"), maps, primed_rhs):
         lhs = total_time_derivative(_HIV, mapped)

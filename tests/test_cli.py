@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from odeident import cli, expr, sim
+from odeident import cli, expr, ranktest, sim
 from odeident.transform import Params
 
 ONES = Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
@@ -121,6 +121,22 @@ def test_rank_pretty_output(capsys):
 def test_rank_unknown_flag(capsys):
     code, _, _ = run(capsys, "rank", "--seed", "1", "--bogus")
     assert code == 2
+
+
+@pytest.mark.parametrize("error", [ranktest.PrimeDisagreement,
+                                   ranktest.ExhaustedRetries])
+def test_rank_failed_verdict_prints_one_line_and_exits_1(capsys, monkeypatch,
+                                                         error):
+    # neither is met on the bundled model with proven primes, so the
+    # pipeline is stood in for by one that raises
+    def failing(**kwargs):
+        raise error("per-prime generic ranks differ: p->4, q->5")
+
+    monkeypatch.setattr(ranktest, "run_rank_test", failing)
+    code, out, err = run(capsys, "rank", "--seed", "7")
+    assert code == 1
+    assert out == ""
+    assert err == "error: per-prime generic ranks differ: p->4, q->5\n"
 
 
 # --------------------------------------------------------------- simulate
@@ -325,6 +341,21 @@ def test_eta_pole_at_a_stage_time_prints_only_the_error_line(capsys, command,
     assert out == "" and err == f"error: float division by zero{where}\n"
 
 
+@pytest.mark.parametrize("command, where", [
+    (["simulate", "--tau", "0.5"], ", for tau = 0.5"),
+    (["simulate", "--sweep=0:1:3"], ", for tau in [0, 1]"),
+    (["phi-check"], ""),
+], ids=["simulate", "sweep", "phi-check"])
+def test_eta_overflow_between_grid_points_prints_only_the_error_line(
+        capsys, command, where):
+    # eta is finite on the grid, but a power of a Python float overflows
+    # at a stage between grid points, near the pole at t = 1/80
+    code, out, err = run(capsys, *command, "--eta", "(t - 1/80)^-150")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: derivative overflows near t = 0.0{where}\n"
+
+
 def test_simulate_sweep_matches_tau_sweep(capsys):
     code, out, _ = run(capsys, "simulate", "--sweep=-0.5:0.5:3", "--tf", "2",
                        "--init", "1,0.2,1")
@@ -492,11 +523,19 @@ def test_phi_check_printed_variant_alone_fails(capsys):
 
 # ---------------------------------------------------------- golden outputs
 # stored from `simulate --tau T --eta E --output json`, the sha256 of the
-# same run with `--output csv`, and `phi-check --output json`; every float
-# is printed by repr, so equal reports mean bit-identical trajectories
+# same run with `--output csv`, `simulate --sweep ... --output json` keyed
+# by its flags, and `phi-check --output json`; every float is printed by
+# repr, so equal reports mean bit-identical trajectories
 
 GOLDEN = Path(__file__).parent / "golden"
 SIMULATE_GOLDEN = json.loads((GOLDEN / "simulate_tau_runs.json").read_text())
+SWEEP_GOLDEN = json.loads((GOLDEN / "simulate_sweeps.json").read_text())
+# the second sweep's eta varies in time; the third holds the u == 1 twin
+SWEEP_RUNS = [
+    ["--sweep=-1:1.5:20", "--init", "1,0.2,1", "--eta", "1/2"],
+    ["--sweep=-1:1.5:20", "--init", "1,0.2,1", "--eta", "1/2 + t/20"],
+    ["--sweep=0:1:20"],
+]
 
 
 @pytest.mark.parametrize("tau", ["0.7", "0", "-0.5"])
@@ -511,6 +550,18 @@ def test_simulate_reports_and_csv_match_the_stored_ones(tmp_path, capsys,
     assert code == 0
     assert json.loads(out) == want["report"]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == want["csv_sha256"]
+
+
+def test_the_sweep_goldens_are_the_runs_tested():
+    assert list(SWEEP_GOLDEN) == [" ".join(argv) for argv in SWEEP_RUNS]
+
+
+@pytest.mark.parametrize("argv", SWEEP_RUNS,
+                         ids=["eta 1/2", "eta 1/2 + t/20", "default"])
+def test_simulate_sweep_reports_match_the_stored_ones(capsys, argv):
+    code, out, _ = run(capsys, "simulate", *argv, "--output", "json")
+    assert code == 0
+    assert json.loads(out) == SWEEP_GOLDEN[" ".join(argv)]
 
 
 def test_phi_check_output_matches_the_stored_one(capsys):

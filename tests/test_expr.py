@@ -325,6 +325,18 @@ def test_canonical_denominator_is_monic():
     assert lead == 1
 
 
+def test_canonical_form_prints_by_hand_derived_text():
+    # over the monic denominator 2y + 4 -> y + 2 the numerator is halved;
+    # terms run from the highest total degree down, a -1 prints as a sign
+    # and a negative coefficient as a subtraction
+    rc = E.normalize(E.parse_expression("(2*x^2*y - x + 3)/(2*y + 4)"))
+    assert str(rc) == "(x^2*y - 1/2*x + 3/2) / (y + 2)"
+    assert repr(rc) == "<RationalCanonical (x^2*y - 1/2*x + 3/2) / (y + 2)>"
+    # a denominator of 1 is left out, and zero prints as 0
+    assert str(E.normalize(E.parse_expression("y - x^2"))) == "-x^2 + y"
+    assert str(E.normalize(X - X)) == "0"
+
+
 def test_canonical_coefficient_lookup():
     rc = E.normalize(3 * X * Y ** 2 - E.const(Fraction(1, 2)) * Z)
     assert rc.coefficient({xs: 1, ys: 2}) == 3
@@ -336,6 +348,11 @@ def test_canonical_coefficient_lookup():
 
 def test_evaluate_exact():
     assert E.evaluate(X / Y, {xs: 1, ys: 2}) == Fraction(1, 2)
+
+
+def test_evaluate_rejects_an_unknown_arithmetic():
+    with pytest.raises(ValueError, match="unknown arithmetic mode 'bogus'"):
+        E.evaluate(X, {xs: 1}, arithmetic="bogus")
 
 
 def test_evaluate_division_by_zero():
@@ -506,6 +523,18 @@ def test_parse_offsets_apply():
     assert err.value.line == 12 and err.value.col == 13
 
 
+@pytest.mark.parametrize("text, offsets, where", [
+    ("x +\n  * y", {}, "2:3: unexpected token '*'"),
+    # a new line starts at column 1, whatever the first line's offset
+    ("1 +\n)", {"line": 5, "col": 7}, "6:1: unexpected token ')'"),
+])
+def test_parse_error_on_a_later_line_names_its_position(text, offsets,
+                                                        where):
+    with pytest.raises(E.ParseError) as err:
+        E.parse_expression(text, **offsets)
+    assert str(err.value) == where
+
+
 def test_parenthesized_exponent_rejected():
     with pytest.raises(E.ParseError) as err:
         E.parse_expression("(x + y)^(2)")
@@ -525,6 +554,10 @@ def test_parse_derivative_of_plain_symbol_fails():
     table = E.SymbolTable([E.Symbol("x", E.STATE)])
     with pytest.raises(E.ParseError):
         E.parse_expression("x'", table)
+    # without a table a name creates a plain symbol, which has no chain
+    with pytest.raises(E.ParseError) as err:
+        E.parse_expression("x'")
+    assert str(err.value) == "1:1: 'x' has no derivative chain here"
 
 
 def test_parse_undeclared_symbol_with_table():

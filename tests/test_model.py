@@ -137,6 +137,12 @@ def test_jet_entry_zero_is_the_output():
     assert jet.entries[0] == dict(hiv.outputs)["y1"]
 
 
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_jet_order_is_its_highest_derivative(order):
+    jet = M.output_jet(hiv, 2, order)
+    assert jet.order == order and len(jet.entries) == order + 1
+
+
 def test_jet_first_derivative_of_virus_output():
     jet = M.output_jet(hiv, 2, 1)
     assert E.normalize(jet.entries[1] - _expr("N*delta*T_I - c*V")).is_zero

@@ -203,6 +203,20 @@ def test_flat_right_hand_side_division_by_zero_is_typed():
         S.integrate(m, {}, [1.0], None, S.SimConfig(tf=1.0))
 
 
+@pytest.mark.parametrize("text, params, init, message", [
+    # x' = x^2 blows up at t = 1e-10, and x^2 of a Python float overflows
+    ("ode x = x^2\noutput o = x\n", {}, 1e10,
+     r"derivative overflows near t = \S+"),
+    # the output's k^400 is a power of a scalar, which overflows at once
+    ("params k\node x = -x\noutput o = x + k^400\n", {"k": 10.0}, 1.0,
+     "an output overflows on the grid"),
+], ids=["field", "output"])
+def test_overflowing_power_is_typed(text, params, init, message):
+    m = M.parse_model("model p\nstates x\n" + text)
+    with pytest.raises(S.NonFiniteState, match=f"^{message}$"):
+        S.integrate(m, params, [init], None, S.SimConfig(tf=1.0))
+
+
 @pytest.mark.parametrize("T_I", [1.0, math.nextafter(1.0, 2.0)],
                          ids=["denominator zero", "denominator tiny"])
 def test_twin_field_raises_eta_prime_values_error_at_the_pole(T_I):

@@ -138,6 +138,50 @@ def test_eta_singular_when_no_virus():
         T.eta_prime_value(F(1), F(1), F(0), F(1, 2), EXACT, u=F(2))
 
 
+# eta''s pole rule, written once: its denominator V*((T_I + T_U)*u - T_I)
+# at ONES is 0.0 at T_I = T_U = V = 1 with u = 1/2, within 1e-12 of the
+# scale one ulp above, and far from it at T_I = 0.9
+@pytest.mark.parametrize("T_I, V, u, pole", [
+    (1.0, 1.0, 0.5, True),
+    (math.nextafter(1.0, 2.0), 1.0, 0.5, True),
+    (0.9, 1.0, 0.5, False),
+    (1.0, 0.0, 2.0, True),  # V = 0: the denominator and scale are 0
+    (1.0, 0.0, 1.0, False),  # u == 1 is the identity, which has no pole
+    (math.nan, 1.0, 0.5, False),
+])
+def test_eta_prime_poles_follows_eta_prime_value(T_I, V, u, pole):
+    assert T.eta_prime_poles(1.0, T_I, V, ONES, u) is pole
+    if pole:
+        with pytest.raises(T.SingularPoint):
+            T.eta_prime_value(1.0, T_I, V, 0.5, ONES, u=u)
+    else:
+        T.eta_prime_value(1.0, T_I, V, 0.5, ONES, u=u)
+
+
+def test_eta_prime_poles_takes_a_column_of_u():
+    us = np.array([0.5, 1.0, 2.0, 0.25])
+    got = T.eta_prime_poles(1.0, 1.0, 1.0, ONES, us)
+    assert got.tolist() == [True, False, False, False]
+    # entry by entry, as for each u alone
+    assert got.tolist() == [T.eta_prime_poles(1.0, 1.0, 1.0, ONES, u)
+                            for u in us.tolist()]
+
+
+@pytest.mark.parametrize("params", [ONES, SKEW], ids=["ones", "skew"])
+def test_tau_family_pole_is_where_eta_prime_has_it(params):
+    for tau in (-0.5, -0.1):
+        inst = T.TauFamily(tau=tau, params=params)
+        assert inst.pole == pytest.approx(
+            params.rho * inst.u / (params.delta * (1 - inst.u)))
+        assert T.eta_prime_poles(1.0, inst.pole, 1.0, params, inst.u)
+        for off in (0.99, 1.01):
+            assert not T.eta_prime_poles(1.0, off * inst.pole, 1.0, params,
+                                         inst.u)
+    # a twin with u >= 1 has no pole
+    assert T.TauFamily(tau=0.0, params=params).pole is None
+    assert T.TauFamily(tau=0.5, params=params).pole is None
+
+
 # a sweep's stacked eta' is evaluated inside its stacked twin field, on the
 # shared original state, one entry per twin
 
