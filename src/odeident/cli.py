@@ -7,10 +7,16 @@ Subcommands:
   phi-check           relation residual along a simulated trajectory
   parse               validate a model file
 
-Exit codes: 0 success / all checks pass, 1 a mathematical check failed,
-2 usage error (bad flags, malformed input files). JSON output is
+Exit codes: 0 success / all checks pass, 1 a mathematical check failed or
+standard output closed early, 2 usage error (bad flags, malformed input
+files, a `--csv` path that cannot be written). JSON output is
 deterministic for identical invocations; elapsed times live in their own
 field.
+
+A subcommand returns its exit code with its report, as a JSON payload and
+as pretty lines, or raises `_Failure` with its exit code and error line;
+`main` is the one writer of both. Only `simulate --output csv` streams to
+standard output itself.
 
 Only `simulate` and `phi-check` import the simulator, `odeident.sim`, and
 with it numpy; `verify-identities`, `rank` and `parse` run on exact and
@@ -20,8 +26,11 @@ modular integer arithmetic and never load either.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
+import os
 import sys
 
 from . import expr, model, ranktest, transform
@@ -40,30 +49,36 @@ _PHI_MIAO_MIN = 1e-2
 # 3,740 taus at the default 401 points at 131 MB (9 s).
 _MAX_SAMPLES = 1_500_000
 
+# The HIV model's constant parameters in its order, which `--help` lists:
+# (flag, `Params` field, help). Each defaults to 1.
+_PARAM_FLAGS = (("--lambda", "lam", "production rate"),
+                ("--rho", "rho", "uninfected-cell clearance rate"),
+                ("--delta", "delta", "infected-cell clearance rate"),
+                ("--N", "N", "virions per infected cell"),
+                ("--c", "c", "virus clearance rate"))
 
-_PARAM_FLAGS = (("--lambda", "lam"), ("--delta", "delta"), ("--rho", "rho"),
-                ("--c", "c"), ("--N", "N"))
+
+class _Failure(Exception):
+    """Ends a run; its args are (exit code, the one stderr line)."""
+
+
+@contextlib.contextmanager
+def _failing(code: int, *errors, prefix: str = "error"):
+    """Turns any of `errors` into a `_Failure` with `code` and the line
+    `prefix: message`."""
+    try:
+        yield
+    except errors as exc:
+        raise _Failure(code, f"{prefix}: {exc}") from None
 
 
 def _params_from_args(args) -> transform.Params:
-    for flag, dest in _PARAM_FLAGS:
-        if not math.isfinite(getattr(args, dest)):
-            raise ValueError(f"{flag} wants a finite number")
-    return transform.Params(lam=args.lam, delta=args.delta, rho=args.rho,
-                            c=args.c, N=args.N)
-
-
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="production rate (default 1)")
-    p.add_argument("--rho", type=float, default=1.0,
-                   help="uninfected-cell clearance rate (default 1)")
-    p.add_argument("--delta", type=float, default=1.0,
-                   help="infected-cell clearance rate (default 1)")
-    p.add_argument("--N", type=float, default=1.0,
-                   help="virions per infected cell (default 1)")
-    p.add_argument("--c", type=float, default=1.0,
-                   help="virus clearance rate (default 1)")
+    flags = {dest: flag for flag, dest, _ in _PARAM_FLAGS}
+    params = transform.Params(**{dest: getattr(args, dest) for dest in flags})
+    for field in dataclasses.fields(params):  # names --delta before --rho
+        if not math.isfinite(getattr(params, field.name)):
+            raise ValueError(f"{flags[field.name]} wants a finite number")
+    return params
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
@@ -78,7 +93,9 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
                    help="dense-output points (default 401)")
     p.add_argument("--init", type=str, default="1,1,1",
                    help="initial T_U,T_I,V (default 1,1,1)")
-    _add_param_flags(p)
+    for flag, dest, text in _PARAM_FLAGS:
+        p.add_argument(flag, dest=dest, type=float, default=1.0,
+                       help=f"{text} (default 1)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,49 +154,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # ------------------------------------------------------------ subcommands
+#
+# Each returns (exit code, JSON payload, pretty lines).
 
-def _cmd_verify_identities(args) -> int:
+def _cmd_verify_identities(args):
     checks = transform.verify_identities()
-    if args.output == "json":
-        payload = {"identities": [{"name": ch.name, "pass": ch.holds}
-                                  for ch in checks],
-                   "all_pass": all(ch.holds for ch in checks)}
-        print(json.dumps(payload, indent=2))
-    else:
-        for ch in checks:
-            print(f"d/dt {ch.name} identity: {'PASS' if ch.holds else 'FAIL'}")
-    return 0 if all(ch.holds for ch in checks) else _MATH_FAIL
+    ok = all(ch.holds for ch in checks)
+    payload = {"identities": [{"name": ch.name, "pass": ch.holds}
+                              for ch in checks],
+               "all_pass": ok}
+    return (0 if ok else _MATH_FAIL, payload,
+            [f"d/dt {ch.name} identity: {'PASS' if ch.holds else 'FAIL'}"
+             for ch in checks])
 
 
-def _cmd_rank(args) -> int:
-    primes = ranktest.DEFAULT_PRIMES
-    if args.primes is not None:
-        try:
-            primes = tuple(int(x) for x in args.primes.split(","))
-        except ValueError:
-            print("error: --primes wants comma-separated integers",
-                  file=sys.stderr)
-            return _USAGE_ERROR
+def _cmd_rank(args):
     try:
+        primes = ranktest.DEFAULT_PRIMES if args.primes is None \
+            else tuple(int(x) for x in args.primes.split(","))
+    except ValueError:
+        raise _Failure(_USAGE_ERROR, "error: --primes wants comma-separated "
+                                     "integers") from None
+    with _failing(_USAGE_ERROR, ValueError), \
+            _failing(_MATH_FAIL, ranktest.PrimeDisagreement,
+                     ranktest.ExhaustedRetries):
         report = ranktest.run_rank_test(mode=args.mode, variant=args.variant,
                                         trials=args.trials, seed=args.seed,
                                         primes=primes)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-    except (ranktest.PrimeDisagreement, ranktest.ExhaustedRetries) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _MATH_FAIL
-    if args.output == "json":
-        print(report.to_json())
-    else:
-        d = report.to_dict()
-        print(f"mode {d['mode']} variant {d['variant']}: generic rank "
-              f"{d['generic_rank']} over {d['trials']} trials x "
-              f"{len(d['primes'])} primes "
-              f"(observed {d['observed_ranks']}, structured point "
-              f"{d['structured_point_rank']}, {d['elapsed_ms']} ms)")
-    return 0
+    d = report.to_dict()
+    return 0, d, [f"mode {d['mode']} variant {d['variant']}: generic rank "
+                  f"{d['generic_rank']} over {d['trials']} trials x "
+                  f"{len(d['primes'])} primes "
+                  f"(observed {d['observed_ranks']}, structured point "
+                  f"{d['structured_point_rank']}, {d['elapsed_ms']} ms)"]
 
 
 def _sim_inputs(args):
@@ -222,10 +229,10 @@ def _parse_sweep(text: str, grid: int):
     return taus
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     from . import sim
 
-    try:
+    with _failing(_USAGE_ERROR, ValueError, expr.ExprError):
         init, eta, cfg = _sim_inputs(args)
         if (args.tau is None) == (args.sweep is None):
             raise ValueError("pass exactly one of --tau or --sweep")
@@ -238,57 +245,41 @@ def _cmd_simulate(args) -> int:
         if args.sweep is not None:
             taus = _parse_sweep(args.sweep, args.grid)
         params = _params_from_args(args)
-    except (ValueError, expr.ExprError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
 
-    try:
+    with _failing(_MATH_FAIL, ValueError, expr.ExprError):
         if args.sweep is not None:
             reports = sim.tau_sweep(params, init, eta, taus, cfg)
         else:
             report, orig, prim = sim.run_indistinguishability(
                 params, init, eta, args.tau, cfg)
             reports = [report]
-            if args.csv:
-                with open(args.csv, "w", newline="") as fh:
-                    sim.write_trajectory_csv(fh, orig, prim)
-    except (ValueError, expr.ExprError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _MATH_FAIL
-
+    if args.csv:
+        # opened only now, so a run that fails leaves the file as it was
+        with _failing(_USAGE_ERROR, OSError), \
+                open(args.csv, "w", newline="") as fh:
+            sim.write_trajectory_csv(fh, orig, prim)
     if args.output == "csv":
         sim.write_trajectory_csv(sys.stdout, orig, prim)
-    elif args.output == "json":
-        payload = [r.to_dict() for r in reports]
-        print(json.dumps(payload[0] if args.tau is not None else payload,
-                         indent=2))
-    else:
-        for r in reports:
-            print(f"tau {r.tau:+.6g}: output dev {r.max_rel_output_dev:.3e}, "
-                  f"state-map dev {r.max_rel_state_map_dev:.3e}")
-    return 0
+    payload = [r.to_dict() for r in reports]
+    return 0, payload[0] if args.tau is not None else payload, [
+        f"tau {r.tau:+.6g}: output dev {r.max_rel_output_dev:.3e}, "
+        f"state-map dev {r.max_rel_state_map_dev:.3e}" for r in reports]
 
 
-def _cmd_phi_check(args) -> int:
+def _cmd_phi_check(args):
     from . import sim
 
-    try:
+    with _failing(_USAGE_ERROR, ValueError, expr.ExprError):
         init, eta, cfg = _sim_inputs(args)
         params = _params_from_args(args)
-    except (ValueError, expr.ExprError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
 
     pd = params.as_dict()
-    try:
+    with _failing(_MATH_FAIL, ValueError, expr.ExprError):
         trajectory = sim.integrate(model.hiv_model(), pd, init, eta, cfg)
         variants = [ranktest.CORRECTED, ranktest.MIAO_AS_PRINTED] \
             if args.variant == "both" else [args.variant]
         residuals = sim.phi_residuals_along(trajectory, params, eta,
                                             variants)
-    except (ValueError, expr.ExprError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _MATH_FAIL
 
     ok = True
     if ranktest.CORRECTED in residuals:
@@ -296,71 +287,71 @@ def _cmd_phi_check(args) -> int:
     if ranktest.MIAO_AS_PRINTED in residuals:
         ok = ok and residuals[ranktest.MIAO_AS_PRINTED] > _PHI_MIAO_MIN
 
-    if args.output == "json":
-        payload = {
-            "residuals": residuals,
-            "thresholds": {"corrected_max": _PHI_CORRECTED_MAX,
-                           "miao_min": _PHI_MIAO_MIN},
-            "pass": ok,
-            "params": pd,
-            "eta": eta.text(),
-            "config": cfg.to_dict(),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for v, r in residuals.items():
-            print(f"{v}: max scaled residual {r:.3e}")
-        print("PASS" if ok else "FAIL")
-    return 0 if ok else _MATH_FAIL
+    payload = {
+        "residuals": residuals,
+        "thresholds": {"corrected_max": _PHI_CORRECTED_MAX,
+                       "miao_min": _PHI_MIAO_MIN},
+        "pass": ok,
+        "params": pd,
+        "eta": eta.text(),
+        "config": cfg.to_dict(),
+    }
+    lines = [f"{v}: max scaled residual {r:.3e}" for v, r in residuals.items()]
+    return 0 if ok else _MATH_FAIL, payload, lines + ["PASS" if ok else "FAIL"]
 
 
-def _cmd_parse(args) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-    try:
+def _cmd_parse(args):
+    with _failing(_USAGE_ERROR, OSError, UnicodeDecodeError), \
+            open(args.file, encoding="utf-8") as fh:
+        text = fh.read()
+    with _failing(_USAGE_ERROR, expr.ExprError, prefix=args.file):
         m = model.parse_model(text)
-    except expr.ExprError as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-    if args.output == "json":
-        payload = {
-            "name": m.name,
-            "states": [s.name for s in m.states],
-            "params": [s.name for s in m.const_params],
-            "tvparams": [s.name for s in m.tv_params],
-            "outputs": list(m.output_names),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"model {m.name}: {len(m.states)} states, "
-              f"{len(m.const_params)} params, {len(m.tv_params)} tvparams, "
-              f"{len(m.outputs)} outputs")
-    return 0
+    payload = {
+        "name": m.name,
+        "states": [s.name for s in m.states],
+        "params": [s.name for s in m.const_params],
+        "tvparams": [s.name for s in m.tv_params],
+        "outputs": list(m.output_names),
+    }
+    return 0, payload, [f"model {m.name}: {len(m.states)} states, "
+                        f"{len(m.const_params)} params, "
+                        f"{len(m.tv_params)} tvparams, "
+                        f"{len(m.outputs)} outputs"]
+
+
+_COMMANDS = {
+    "verify-identities": _cmd_verify_identities,
+    "rank": _cmd_rank,
+    "simulate": _cmd_simulate,
+    "phi-check": _cmd_phi_check,
+    "parse": _cmd_parse,
+}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep that contract when called
         # in-process as well
         return int(exc.code) if exc.code is not None else 0
-    handlers = {
-        "verify-identities": _cmd_verify_identities,
-        "rank": _cmd_rank,
-        "simulate": _cmd_simulate,
-        "phi-check": _cmd_phi_check,
-        "parse": _cmd_parse,
-    }
     try:
-        return handlers[args.command](args)
-    except expr.ExpressionTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with _failing(_MATH_FAIL, expr.ExpressionTooLarge):
+            code, payload, lines = _COMMANDS[args.command](args)
+        if args.output == "json":
+            print(json.dumps(payload, indent=2))
+        elif args.output == "pretty":
+            print("\n".join(lines))
+        sys.stdout.flush()
+        return code
+    except _Failure as exc:
+        code, line = exc.args
+        print(line, file=sys.stderr)
+        return code
+    except BrokenPipeError:
+        # the reader went away: what is still buffered goes to devnull, so
+        # the interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _MATH_FAIL
 
 

@@ -21,7 +21,7 @@ __all__ = [
     "AUX", "CONST_PARAM", "OUTPUT_DERIV", "STATE", "TV_DERIV",
     "Const", "Difference", "Expression", "Power", "Product", "Quotient",
     "Sum", "Sym", "Symbol", "SymbolTable",
-    "RationalCanonical", "Program",
+    "PartialsMemo", "RationalCanonical", "Program",
     "ExprError", "ParseError", "UndeclaredSymbol", "DuplicateDeclaration",
     "UnboundSymbol", "DivisionByZero", "DenominatorIdenticallyZero",
     "ExpressionTooLarge",
@@ -82,7 +82,8 @@ class DenominatorIdenticallyZero(ExprError):
 
 class ExpressionTooLarge(ExprError):
     """Expanding an expression would form a polynomial product past the
-    size limit; raised before the product is allocated."""
+    size limit, or a constant would pass `_MAX_CONST_BITS`; raised before
+    the product, or the power of a constant, is computed."""
 
 
 # ----------------------------------------------------------------- symbols
@@ -292,13 +293,38 @@ def _new_node(cls, key, h, **fields):
     return node
 
 
+# Python reads and prints an int of at most 4,300 digits (the default of
+# `sys.set_int_max_str_digits`). A constant's numerator and denominator
+# stay within `_MAX_CONST_BITS`, the bit length of 10^4000 - 1, so they
+# have at most 4,001 digits, and any expression prints and reads back. The
+# parser takes number literals of at most `_MAX_CONST_DIGITS` digits. The
+# largest constant in the bundled model's jets and Jacobians has 3 bits.
+_MAX_CONST_DIGITS = 4_000
+_MAX_CONST_BITS = 13_288
+
+
+def _bounded(value: Fraction, exponent: int = 1) -> Fraction:
+    """`value`, once `value ** exponent` is known to stay within the bound.
+    An int of b bits raised to k has more than (b - 1)*k bits, which is
+    checked before the power is computed; a power that passes has fewer
+    than 2 * _MAX_CONST_BITS, and `Const` checks it again with k = 1,
+    where the test is exact."""
+    if (max(value.numerator.bit_length(), value.denominator.bit_length())
+            - 1) * abs(exponent) >= _MAX_CONST_BITS:
+        raise ExpressionTooLarge(
+            f"a constant would pass the limit of {_MAX_CONST_BITS:,} bits "
+            f"(about {_MAX_CONST_DIGITS:,} digits)")
+    return value
+
+
 class Const(Expression):
     __slots__ = ("value",)
 
     def __new__(cls, value: Fraction):
         key = ("const", value)
         ref = _NODES.get(key)
-        return ref and ref() or _new_node(cls, key, hash(key), value=value)
+        return ref and ref() or _new_node(cls, key, hash(key),
+                                          value=_bounded(value))
 
     def __reduce__(self):  # through the constructor, which interns again
         return Const, (self.value,)
@@ -505,7 +531,7 @@ def pow_(base, exponent: int) -> Expression:
     if isinstance(base, Const):
         if base.value == 0 and exponent < 0:
             raise DenominatorIdenticallyZero("zero constant raised to a negative power")
-        return Const(base.value ** exponent)
+        return Const(_bounded(base.value, exponent) ** exponent)
     return Power(base, exponent)
 
 
@@ -552,10 +578,10 @@ def partials(roots: Sequence[Expression],
     mentions; the pass for a symbol visits only the nodes that mention it,
     and every other subtree is pruned to zero without being rebuilt, which
     keeps the results sharing structure with the input."""
-    return _Partials().see(roots).partials(roots, symbols)
+    return PartialsMemo().see(roots).partials(roots, symbols)
 
 
-class _Partials:
+class PartialsMemo:
     """`partials` keeping, while it lives, the symbol bitmask of every node
     it has seen and every (node, symbol) partial it has taken, so a chain
     of derivatives traverses and differentiates each node once. `nodes`,
@@ -566,7 +592,7 @@ class _Partials:
         self.nodes, self.seen, self.masks = [], set(), {}
         self.bits, self.memos, self.done = {}, {}, {}
 
-    def see(self, roots: Sequence[Expression]) -> "_Partials":
+    def see(self, roots: Sequence[Expression]) -> "PartialsMemo":
         """Traverse the nodes of `roots` not seen before; returns self."""
         masks, bits = self.masks, self.bits
         for node in _topo(roots, self.seen):
@@ -579,6 +605,11 @@ class _Partials:
                 masks[id(node)] = m
             self.nodes.append(node)
         return self
+
+    def symbols(self, e: Expression) -> set[Symbol]:
+        """The symbols that seen `e` mentions, read from its bitmask."""
+        m = self.masks[id(e)]
+        return {s for s, b in self.bits.items() if m & b}
 
     def partials(self, roots, symbols) -> tuple[tuple[Expression, ...], ...]:
         """`partials` of seen `roots`, from the nodes new to each symbol."""
@@ -1482,6 +1513,18 @@ def to_text(e: Expression) -> str:
 _T_NUM, _T_IDENT, _T_OP, _T_LP, _T_RP, _T_END = range(6)
 
 
+def _digits_end(text: str, i: int, line: int, col: int) -> int:
+    """The end of the run of decimal digits from `text[i]`, at (line, col).
+    `str.isdecimal` accepts exactly the digits `int` reads."""
+    j = i
+    while j < len(text) and text[j].isdecimal():
+        j += 1
+    if j - i > _MAX_CONST_DIGITS:
+        raise ParseError(f"number longer than {_MAX_CONST_DIGITS:,} digits",
+                         line, col)
+    return j
+
+
 def _tokenize(text: str, base_line: int, base_col: int):
     tokens = []
     i, n = 0, len(text)
@@ -1498,10 +1541,8 @@ def _tokenize(text: str, base_line: int, base_col: int):
             col += 1
             continue
         start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
+        if ch.isdecimal():
+            j = _digits_end(text, i, line, start_col)
             if j < n and text[j] == ".":
                 raise ParseError("decimal literals are not supported; "
                                  "write an exact rational like 1/2", line, start_col)
@@ -1523,9 +1564,7 @@ def _tokenize(text: str, base_line: int, base_col: int):
                 col += 1
             if order == 0 and i + 1 < n and text[i] == "^" and text[i + 1] == "(":
                 # name^(k) is a derivative marker, not a power
-                j = i + 2
-                while j < n and text[j].isdigit():
-                    j += 1
+                j = _digits_end(text, i + 2, line, col + 2)
                 if j > i + 2 and j < n and text[j] == ")":
                     order = int(text[i + 2:j])
                     col += j + 1 - i

@@ -235,11 +235,10 @@ def derivative_chain(m: OdeModel, e: Expression) -> Iterator[Expression]:
     differentiates only the nodes that no step before it did; all of
     that dies with the chain.
     """
-    d = expr._Partials()
+    d = expr.PartialsMemo()
     while True:
         yield e
-        d.see([e])
-        syms = {s for s, b in d.bits.items() if d.masks[id(e)] & b}
+        syms = d.see([e]).symbols(e)
         if {STATE, OUTPUT_DERIV} <= {s.kind for s in syms}:
             raise MixedModeSymbols(
                 "expression mixes state symbols with output-derivative symbols")

@@ -377,8 +377,9 @@ def _solve(f, y0, cfg: SimConfig, check=None) -> np.ndarray:
                 h *= max(_MIN_SHRINK, _SAFETY * err ** -0.2)
     except ZeroDivisionError as exc:  # a quotient of Python floats
         raise expr.DivisionByZero(str(exc)) from None
-    except OverflowError:  # a power of Python floats
-        raise NonFiniteState(f"derivative overflows near t = {t}") from None
+    except OverflowError:  # a power of Python floats, in the step from t
+        raise NonFiniteState(f"derivative overflows in the step from t = {t} "
+                             f"to {min(t + h, tf)}") from None
     states[filled:] = y
     if not _finite(states):
         raise NonFiniteState("trajectory left the finite domain")

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -14,6 +17,10 @@ from odeident.transform import Params
 ONES = Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
 
 REPO_MODEL = Path(__file__).parent.parent / "models" / "hiv.ode"
+
+# the error line of a constant past expr's bound
+_PAST_THE_BOUND = ("a constant would pass the limit of 13,288 bits (about "
+                   "4,000 digits)")
 
 
 def run(capsys, *argv):
@@ -223,6 +230,48 @@ def test_simulate_csv_to_stdout(capsys):
     assert len(lines) == 4
 
 
+def test_simulate_csv_to_a_path_that_cannot_be_written_is_usage_error(
+        tmp_path, capsys):
+    for path in (tmp_path / "no" / "such" / "dir.csv", tmp_path):
+        code, out, err = run(capsys, "simulate", "--tau", "0.5", "--csv",
+                             str(path))
+        assert code == 2
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: [Errno ") and str(path) in err
+
+
+def test_a_failed_run_leaves_an_existing_csv_file_as_it_was(tmp_path,
+                                                             capsys):
+    out_csv = tmp_path / "traj.csv"
+    out_csv.write_text("kept\n")
+    code, _, err = run(capsys, "simulate", "--tau", "0.5", "--eta", "1/(t-1)",
+                       "--csv", str(out_csv))
+    assert code == 1 and err == "error: eta is not finite on the window\n"
+    assert out_csv.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--seed", "7", "--trials", "5", "--output", "pretty"],
+    ["simulate", "--tau", "0.5", "--output", "csv"],
+], ids=["rank pretty", "simulate csv"])
+def test_a_reader_that_closes_early_ends_the_run_with_exit_1(argv):
+    # a new interpreter, on this odeident, whose standard output is a pipe
+    # with its read end already closed: the first write fails with EPIPE
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "odeident.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
+
+
 def test_simulate_bad_eta_expression(capsys):
     code, _, err = run(capsys, "simulate", "--tau", "0", "--eta", "0.5")
     assert code == 2
@@ -234,6 +283,11 @@ def test_simulate_bad_eta_expression(capsys):
 @pytest.mark.parametrize("eta, line", [
     ("t^x", "1:3: integer exponent expected"),
     ("t + )", "1:5: unexpected token ')'"),
+    # a digit to str.isdigit, but no number to int
+    ("t^\u00b2", "1:3: unexpected character '\u00b2'"),
+    # constants past the bound, refused before the power is computed
+    ("10^99999999*t", _PAST_THE_BOUND),
+    ("3^9100/(3^9100+1)/2", _PAST_THE_BOUND),
 ])
 def test_malformed_eta_is_usage_error(capsys, command, eta, line):
     code, out, err = run(capsys, *command, "--eta", eta)
@@ -349,11 +403,13 @@ def test_eta_pole_at_a_stage_time_prints_only_the_error_line(capsys, command,
 def test_eta_overflow_between_grid_points_prints_only_the_error_line(
         capsys, command, where):
     # eta is finite on the grid, but a power of a Python float overflows
-    # at a stage between grid points, near the pole at t = 1/80
+    # at a stage between grid points, in the step from 0 to 0.02 that
+    # holds the pole at t = 1/80
     code, out, err = run(capsys, *command, "--eta", "(t - 1/80)^-150")
     assert code == 1
     assert out == ""
-    assert err == f"error: derivative overflows near t = 0.0{where}\n"
+    assert err == ("error: derivative overflows in the step from t = 0.0 "
+                   f"to 0.020000000000000004{where}\n")
 
 
 def test_simulate_sweep_matches_tau_sweep(capsys):
@@ -665,3 +721,35 @@ def test_a_hundred_levels_of_parentheses_and_long_sign_runs_parse(
                              str(_hiv_with_virus_rhs(tmp_path, rhs)))
         assert code == 0 and err == ""
         assert out.startswith("model hiv: 3 states")
+
+
+# -------------------------------------------- constants and number tokens
+
+@pytest.mark.parametrize("rhs, message", [
+    # constants past the bound, refused before the power is computed
+    ("10^9999999", _PAST_THE_BOUND),
+    ("10^99999999", _PAST_THE_BOUND),
+    ("3^9100", _PAST_THE_BOUND),
+    ("(1/3)^-9100", _PAST_THE_BOUND),
+    # a digit to str.isdigit, but no number to int
+    ("-c*V^\u00b2", "9:14: unexpected character '\u00b2'"),
+    ("7" * 5000 + "*V", "9:9: number longer than 4,000 digits"),
+    ("V^" + "7" * 5000, "9:11: number longer than 4,000 digits"),
+], ids=["10^9999999", "10^99999999", "3^9100", "(1 over 3)^-9100",
+        "superscript two", "long literal", "long exponent"])
+def test_a_number_past_its_bound_is_a_one_line_usage_error(tmp_path, capsys,
+                                                           rhs, message):
+    path = _hiv_with_virus_rhs(tmp_path, rhs)
+    code, out, err = run(capsys, "parse", str(path))
+    assert code == 2
+    assert out == "" and err == f"{path}: {message}\n"
+
+
+def test_an_eta_constant_under_the_bound_prints_and_reads_back(capsys):
+    # numerator and denominator of 3,818 digits each
+    eta = "3^8000/(3^8000+1)/2"
+    code, out, err = run(capsys, "phi-check", "--eta", eta, "--grid", "3",
+                         "--tf", "1")
+    assert code == 0 and err == ""
+    text = json.loads(out)["eta"]
+    assert expr.parse_expression(text) is expr.parse_expression(eta)

@@ -129,15 +129,15 @@ def test_dag_traversals(monkeypatch, run, bound):
 
 def _chain_work(monkeypatch, run) -> tuple[int, int]:
     """(nodes traversed, (node, symbol) partials taken) by the
-    `expr._Partials` that `run` makes, a derivative chain's among them."""
+    `expr.PartialsMemo` that `run` makes, a derivative chain's among them."""
     made = []
 
-    class Counting(E._Partials):
+    class Counting(E.PartialsMemo):
         def __init__(self):
             super().__init__()
             made.append(self)
 
-    monkeypatch.setattr(E, "_Partials", Counting)
+    monkeypatch.setattr(E, "PartialsMemo", Counting)
     run()
     return (sum(len(d.nodes) for d in made),
             sum(len(memo) for d in made for memo in d.memos.values()))

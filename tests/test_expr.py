@@ -131,6 +131,38 @@ def test_constant_folding():
     assert E.pow_(X, 0) == E.ONE
 
 
+def test_a_constant_stays_within_the_printable_bound():
+    # 13,288 bits is the bit length of 10^4000 - 1
+    assert E.const(2**13287).value.numerator.bit_length() == 13288
+    assert E.const(Fraction(1, 2**13287)).value.denominator == 2**13287
+    for value in (2**13288, Fraction(1, 2**13288), -(2**13288)):
+        with pytest.raises(E.ExpressionTooLarge, match="13,288 bits"):
+            E.const(value)
+    with pytest.raises(E.ExpressionTooLarge):
+        E.mul(E.const(2**13287), E.const(2))
+    biggest = E.const(10**4000 - 1)
+    assert E.parse_expression(E.to_text(biggest)) is biggest
+
+
+def test_a_too_large_constant_power_is_refused_before_it_is_computed():
+    started = time.perf_counter()
+    for base, k in ((2, 10**12), (10, 99999999), (Fraction(1, 3), -10**12),
+                    (Fraction(2, 3), 10**12)):
+        with pytest.raises(E.ExpressionTooLarge):
+            E.pow_(E.const(base), k)
+    assert time.perf_counter() - started < 1.0
+    # at the bound, and bases whose powers stay small at any exponent
+    assert E.pow_(E.const(2), 13287) is E.const(2**13287)
+    with pytest.raises(E.ExpressionTooLarge):
+        E.pow_(E.const(2), 13288)
+    assert E.pow_(E.const(3), 8383).value.numerator.bit_length() == 13287
+    with pytest.raises(E.ExpressionTooLarge):
+        E.pow_(E.const(3), 8384)
+    assert E.pow_(E.ONE, 10**12) is E.ONE
+    assert E.pow_(E.const(-1), 10**12 + 1) is E.const(-1)
+    assert E.pow_(E.ZERO, 10**12) is E.ZERO
+
+
 def test_literal_zero_denominator_rejected():
     with pytest.raises(E.DenominatorIdenticallyZero):
         E.div(X, E.ZERO)
@@ -515,6 +547,27 @@ def test_parse_errors_carry_positions():
         E.parse_expression("x + (y")
     with pytest.raises(E.ParseError):
         E.parse_expression("x y")
+
+
+def test_number_tokens_are_the_decimal_digits_int_reads():
+    # Arabic-Indic three: a decimal digit, which int reads as 3
+    assert E.parse_expression("\u0663*x") == E.parse_expression("3*x")
+    # superscript two: a digit to str.isdigit, but no number to int
+    for text, col in (("x^\u00b2", 3), ("\u00b2", 1), ("x^(\u00b2)", 4)):
+        with pytest.raises(E.ParseError, match="unexpected character") as err:
+            E.parse_expression(text)
+        assert err.value.col == col
+
+
+@pytest.mark.parametrize("text, col", [
+    ("1 + " + "9" * 4001, 5),
+    ("x^-" + "9" * 4001, 4),
+    ("eta^(" + "9" * 4001 + ")", 6),
+], ids=["literal", "exponent", "derivative order"])
+def test_a_number_past_4000_digits_is_a_parse_error(text, col):
+    with pytest.raises(E.ParseError) as err:
+        E.parse_expression(text)
+    assert str(err.value) == f"1:{col}: number longer than 4,000 digits"
 
 
 def test_parse_offsets_apply():
