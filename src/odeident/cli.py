@@ -242,6 +242,8 @@ def _cmd_simulate(args):
             raise ValueError("--csv works with a single --tau only")
         if args.sweep is not None and args.output == "csv":
             raise ValueError("--output csv works with a single --tau only")
+        if args.csv == "":
+            raise ValueError("--csv wants a file path")
         if args.sweep is not None:
             taus = _parse_sweep(args.sweep, args.grid)
         params = _params_from_args(args)
@@ -253,7 +255,7 @@ def _cmd_simulate(args):
             report, orig, prim = sim.run_indistinguishability(
                 params, init, eta, args.tau, cfg)
             reports = [report]
-    if args.csv:
+    if args.csv is not None:
         # opened only now, so a run that fails leaves the file as it was
         with _failing(_USAGE_ERROR, OSError), \
                 open(args.csv, "w", newline="") as fh:

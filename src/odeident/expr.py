@@ -26,7 +26,8 @@ __all__ = [
     "UnboundSymbol", "DivisionByZero", "DenominatorIdenticallyZero",
     "ExpressionTooLarge",
     "add", "compile_float_fn", "compile_program", "const", "differentiate",
-    "div", "evaluate", "free_symbols", "mul", "neg", "normalize",
+    "div", "evaluate", "free_symbols", "is_identifier", "mul", "neg",
+    "normalize",
     "parse_expression", "partials", "pow_", "sub", "substitute_many", "sym",
     "to_text", "ZERO", "ONE",
 ]
@@ -1051,19 +1052,12 @@ class Program:
     def _render(self, modular: bool) -> tuple:
         rendered = self._rendered.get(modular)
         if rendered is None:
-            units = _emit(self, modular)
-            # each unit defines one function, in a namespace of its own
-            # that holds the functions defined before it but not itself,
-            # so no function and namespace form a reference cycle: the
-            # compiled code goes with the program, not with the cyclic GC
-            made = {}
-            for unit in units:  # generated purely from the program
-                namespace = {"DivisionByZero": DivisionByZero, **made}
-                exec(unit, namespace)
-                name = unit[len("def "):unit.index("(")]
-                made[name] = namespace.pop(name)
+            inputs = [f"v{j}" for j in range(self.n_inputs)]
+            pieces, prelude, body, result = _emit(self, modular, inputs)
+            units = [*pieces, _unit("_make", "p, c" if modular else "c",
+                                    prelude, inputs, body, result)]
             rendered = self._rendered[modular] = ("\n".join(units),
-                                                  made["_make"])
+                                                  _define(units))
         return rendered
 
     def source(self, modular: bool = False) -> str:
@@ -1081,15 +1075,39 @@ class Program:
         values. Arguments pass through unconverted, so numpy arrays
         broadcast; scalar division by zero raises ZeroDivisionError. A
         constant outside the float64 range raises ValueError."""
-        fn = self._fns.get("float")
-        if fn is None:
-            try:
-                constants = [float(c) for c in self.constants]
-            except OverflowError:
-                raise ValueError("a constant is outside the float64 "
-                                 "range") from None
-            fn = self._bind("float", False, (constants,))
-        return fn
+        return self._fns.get("float") or self._bind(
+            "float", False, (self.float_constants(),))
+
+    def float_constants(self) -> list[float]:
+        """The constants in float64, as `float_fn` binds them. One outside
+        the float64 range raises ValueError."""
+        try:
+            return [float(c) for c in self.constants]
+        except OverflowError:
+            raise ValueError("a constant is outside the float64 "
+                             "range") from None
+
+    def inline(self, host):
+        """Compile a function of the caller's that runs the plain rendering
+        in line, in as many places as it likes.
+
+        `host(prelude, body)` returns the source of one function, `def
+        _make(c, ...)`, whose `c` takes `float_constants()`. Its top level
+        runs the lines `prelude`, which bind the constants c<k> and, for a
+        long program, its pieces _p<k>. Each `body(inputs, targets)` gives
+        the lines of `float_fn`'s body with input slot j read from the
+        name `inputs[j]` and output j assigned to the name `targets[j]`;
+        besides those they use c<k>, _p<k> and temporaries t<k>. The
+        pieces are compiled first, as for `float_fn`, so the host's source
+        holds only their calls and compile memory stays bounded. Returns
+        the compiled `_make`."""
+        pieces, prelude, _, _ = _emit(
+            self, False, [f"v{j}" for j in range(self.n_inputs)])
+
+        def body(inputs, targets):
+            return _emit(self, False, inputs, targets)[2]
+
+        return _define([*pieces, host(prelude, body)])
 
     def plain_fn(self):
         """float_fn with integral constants bound as Python ints: Fraction
@@ -1126,15 +1144,22 @@ class Program:
         return fn(*[_as_residue(v, p) for v in values])
 
 
-def _emit(program: Program, modular: bool) -> list[str]:
-    """Straight-line source for `program`'s instructions, as units that
-    are compiled one after another in one namespace.
+def _emit(program: Program, modular: bool, inputs: Sequence[str],
+          targets: Sequence[str] | None = None) -> tuple:
+    """Straight-line source for `program`'s instructions, in parts:
+    `(pieces, prelude, body, result)`.
 
     A slot read more than once, or an operand nested `_MAX_INLINE_DEPTH`
     deep, gets a temporary `t<slot>`; every other slot is inlined into its
     one reader, so a tree-shaped expression becomes one nested expression.
-    A program longer than `_PIECE_CHARS` is cut into piece functions that
-    pass on the temporaries crossing a cut, chained by a last unit.
+    Input slot j is read from the name `inputs[j]`. `body` is the lines of
+    `_make`'s `_fn` and `result` the list of outputs it returns; with
+    `targets`, body ends by assigning output j to `targets[j]` instead,
+    and result is None. `prelude` is the lines of `_make` that bind the
+    constants. A program longer than `_PIECE_CHARS` is cut into piece
+    functions that pass on the temporaries crossing a cut, defined by the
+    units `pieces`, which are compiled first; prelude then binds them,
+    and body is their calls.
     """
     uses = [0] * program.n_slots
     for ins in program.instructions:
@@ -1148,7 +1173,7 @@ def _emit(program: Program, modular: bool) -> list[str]:
     n_in, n_leaves = program.n_inputs, program.n_inputs + len(program.constants)
 
     def name(j):
-        return f"v{j}" if j < n_in else f"c{j - n_in}" if j < n_leaves else f"t{j}"
+        return inputs[j] if j < n_in else f"c{j - n_in}" if j < n_leaves else f"t{j}"
 
     # slot -> (text, depth, slots read, bound): depth bounds the syntactic
     # nesting; bound is the modular rendering's magnitude bound (a, b), and
@@ -1209,7 +1234,8 @@ def _emit(program: Program, modular: bool) -> list[str]:
             text[dst] = (name(dst), 0, (dst,), _REDUCED)
 
     returned = [read(o) for o in program.outputs]
-    result = f"[{', '.join(settled(t, bound) for t, _, _, bound in returned)}]"
+    outputs = [settled(t, bound) for t, _, _, bound in returned]
+    result = f"[{', '.join(outputs)}]"
     pieces = [[]]
     size = 0
     for line in lines:
@@ -1226,7 +1252,6 @@ def _emit(program: Program, modular: bool) -> list[str]:
            "    except ValueError:",
            "        raise DivisionByZero(\"denominator is zero at this point\") "
            "from None"] if modular else []
-    inputs = [name(i) for i in range(n_in)]
     later = {r for _, _, reads, _ in returned for r in reads}  # read after a piece
     units, calls = [], []
     for k in reversed(range(len(pieces))):
@@ -1245,7 +1270,11 @@ def _emit(program: Program, modular: bool) -> list[str]:
                    if n_in <= r < n_leaves] + inv
         assigns = [f"t{dst} = {expression}" for dst, expression, _ in pieces[k]]
         if len(pieces) == 1:
-            return [_unit("_make", make, prelude, inputs, assigns, result)]
+            if targets is None:
+                return [], prelude, assigns, result
+            return [], prelude, assigns + [
+                f"{target} = {output}"
+                for target, output in zip(targets, outputs)], None
         args = [name(r) for r in sorted(takes) if not n_in <= r < n_leaves]
         units.append(_unit(f"_piece{k}", make, prelude, args, assigns, hands))
         calls.append(f"_p{k}({', '.join(args)})" if last
@@ -1253,7 +1282,24 @@ def _emit(program: Program, modular: bool) -> list[str]:
     units.reverse()  # both were gathered last piece first
     calls.reverse()
     made = [f"_p{k} = _piece{k}({make})" for k in range(len(pieces))]
-    return units + [_unit("_make", make, made, inputs, calls[:-1], calls[-1])]
+    if targets is None:
+        return units, made, calls[:-1], calls[-1]
+    return units, made, [*calls[:-1], f"{', '.join(targets)}, = {calls[-1]}"], None
+
+
+def _define(units: Sequence[str]):
+    """Compile `units`, each the source of one function, in order; returns
+    the last unit's function. Each is defined in a namespace of its own
+    that holds the functions defined before it but not itself, so no
+    function and namespace form a reference cycle: the compiled code goes
+    with its last function, not with the cyclic GC."""
+    made = {}
+    for unit in units:  # generated purely from a program
+        namespace = {"DivisionByZero": DivisionByZero, **made}
+        exec(unit, namespace)
+        name = unit[len("def "):unit.index("(")]
+        made[name] = namespace.pop(name)
+    return made[name]
 
 
 def _mod_sum(operands, sign: str) -> tuple[str, tuple[int, int]]:
@@ -1511,6 +1557,16 @@ def to_text(e: Expression) -> str:
 # ----------------------------------------------------------------- parsing
 
 _T_NUM, _T_IDENT, _T_OP, _T_LP, _T_RP, _T_END = range(6)
+# identifiers are [A-Za-z_][A-Za-z0-9_]*: str.isalpha and str.isalnum
+# would take letters and digits of any script, such as é, ² and ٣
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_IDENT_PART = _IDENT_START | frozenset("0123456789")
+
+
+def is_identifier(text: str) -> bool:
+    """Whether `text` is an identifier, `[A-Za-z_][A-Za-z0-9_]*`."""
+    return (text[:1] in _IDENT_START
+            and all(ch in _IDENT_PART for ch in text))
 
 
 def _digits_end(text: str, i: int, line: int, col: int) -> int:
@@ -1550,9 +1606,9 @@ def _tokenize(text: str, base_line: int, base_col: int):
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _IDENT_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _IDENT_PART:
                 j += 1
             name = text[i:j]
             col += j - i

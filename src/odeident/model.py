@@ -94,7 +94,7 @@ def parse_model(text: str) -> OdeModel:
     equations: list[tuple[int, str, str, str, int, int]] = []
 
     def declare(ident: str, lineno: int) -> None:
-        if not _is_identifier(ident):
+        if not expr.is_identifier(ident):
             raise ParseError(f"invalid identifier {ident!r}", lineno, 1)
         if ident in declared:
             raise DuplicateDeclaration(ident, lineno)
@@ -104,7 +104,7 @@ def parse_model(text: str) -> OdeModel:
         if head == "model":
             if name is not None:
                 raise DuplicateDeclaration("model", lineno)
-            if not _is_identifier(rest):
+            if not expr.is_identifier(rest):
                 raise ParseError("model directive needs one identifier", lineno, 1)
             name = rest
         elif head in groups:
@@ -144,7 +144,7 @@ def parse_model(text: str) -> OdeModel:
             rhs_by_state[target] = expr.parse_expression(
                 body, table, line=lineno, col=body_col)
         else:
-            if not _is_identifier(target):
+            if not expr.is_identifier(target):
                 raise ParseError(f"invalid output name {target!r}",
                                  lineno, target_col)
             if target in declared or target in output_names:
@@ -165,12 +165,6 @@ def parse_model(text: str) -> OdeModel:
         rhs=tuple(rhs_by_state[s.name] for s in groups["states"]),
         outputs=tuple(outputs),
     )
-
-
-def _is_identifier(text: str) -> bool:
-    if not text or not (text[0].isalpha() or text[0] == "_"):
-        return False
-    return all(c.isalnum() or c == "_" for c in text)
 
 
 class _BaseOnlyTable(SymbolTable):

@@ -10,18 +10,25 @@ comparison, one that covers a single point evaluates the interpolant at
 one scalar theta, and only one that covers several looks them up in the
 grid and fills them as one numpy column. Plain, co-integrated and stacked
 runs share this one solver loop and one trajectory builder. The loop
-calls one step attempt emitted as straight-line Python per state width,
-in two renderings: a 1-D state is one Python float per component, and a
-stacked 2-D state is one numpy array. Both round their stage sums
-exactly as the generic `y + h * sum(a * k for ...)` does. A run that
-needs more than `_MAX_ATTEMPTS` step attempts stops with
-StepBudgetExceeded.
+calls one step attempt emitted as straight-line Python, in two
+renderings. A plain run and one twin step a flat state, one Python float
+per component, and their attempt holds the vector field's program in
+line: each of the five stages evaluates it on its own local floats, with
+no call. That attempt is compiled once per field source text and bound
+per run to the field's constants and parameters; Python calls the field
+only for the derivative at each state the run keeps. A sweep's stacked
+2-D state is one numpy array, and each stage calls the field once on
+all rows; the time there goes to numpy operations on small arrays, which
+fusing would not remove, and no fused or re-laid-out stacked rendering
+tried has measured faster. Both renderings round their stage sums exactly
+as the generic `y + h * sum(a * k for ...)` does. A run that needs more
+than `_MAX_ATTEMPTS` step attempts stops with StepBudgetExceeded.
 
 A run compiles one program per evaluation site: one for the vector field
 and one for the outputs of all its trajectories (every twin of a sweep
 included). The vector field includes eta: the signal's expression in t
 stands in for the model's time-varying parameter, and the program takes
-t in its place, so each right-hand side call is one call of one program.
+t in its place, so each right-hand side evaluation runs one program.
 The signal's own program still samples eta on the grid. Relation
 residuals compile one program each for eta with eta', the output jets
 and the terms of every relation variant.
@@ -32,9 +39,10 @@ evaluated pointwise from the co-integrated ORIGINAL states (its closed
 form is a function of the original trajectory), so no interpolation error
 enters the coupling. One program, built by `_twin_field` from the closed
 forms, holds the whole 6-state field, eta and eta' included. A single
-twin runs it on Python floats. A tau sweep stacks one row per twin and
-runs the program once per right-hand side call, on the shared original
-states as Python floats and the twins' states as numpy columns. For one
+twin runs it on Python floats, in line in its step attempt. A tau sweep
+stacks one row per twin and runs the program once per right-hand side
+call, on the shared original states as Python floats and the twins'
+states as numpy columns. For one
 twin and a sweep alike, one check runs eta''s pole rule,
 `transform.eta_prime_poles`, at t0 and once per accepted step, not per
 call.
@@ -205,9 +213,10 @@ def _pairwise(terms: list[str]) -> str:
     return f"({' + '.join([block, *terms[stop:]])})"
 
 
-def _emit_attempt(width: int | None) -> str:
-    """Source of `_attempt(f, t, h, y, k0, atol, rtol)`: one RKF45 step
-    attempt of size h from (t, y), where k0 = f(t, y). It returns the
+def _emit_attempt(width: int | None, n_rest: int = 0, prelude=(),
+                  body=None) -> str:
+    """Source of one RKF45 step attempt `_attempt(f, t, h, y, k0, atol,
+    rtol)` of size h from (t, y), where k0 = f(t, y). It returns the
     4th-order solution y4 and the worst row's sum of squared scaled
     errors, or None as soon as a stage, y4 or the error is not finite.
 
@@ -216,13 +225,22 @@ def _emit_attempt(width: int | None) -> str:
     way. Terms with a zero coefficient (k1 and k5 in y4, k1 in the error)
     are left out: a sum that starts at 0 is never -0.0, so adding 0.0*k
     for a finite k changes nothing, and a k1 or k5 that is not finite
-    still makes s2 or the error not finite. With `width` None the state is
-    one numpy array whose rows are stacked systems; with an int it is
-    `width` Python floats, one variable each, and f takes and returns
-    lists.
+    still makes s2 or the error not finite.
+
+    With `width` None the state is one numpy array whose rows are stacked
+    systems, and each stage calls f. With an int it is `width` Python
+    floats, one variable each, and the source is `_make(c, rest)`: it
+    binds a field program's constants c and its `n_rest` inputs after t,
+    `rest`, and returns `_attempt`, whose stages run the field in line.
+    `prelude` and `body` come from `Program.inline`; stage i's body reads
+    its state s<i>_j, its time ts<i> and the rest r<j>, and assigns the
+    derivative to k<i>_j. A stage that divides by zero calls f at its own
+    time and state, which raises as the field does, through a twin's pole
+    check; f is otherwise called only for k0, by the caller.
     """
     flat = width is not None
     parts = [f"_{j}" for j in range(width)] if flat else [""]
+    rest = [f"r{j}" for j in range(n_rest)]
 
     def vec(name):
         return ", ".join(name + c for c in parts) + ("," if flat else "")
@@ -238,36 +256,76 @@ def _emit_attempt(width: int | None) -> str:
                                 for c in parts)
         return " and ".join(f"_finite({n})" for n in names)
 
-    body = [f"{vec('y')} = y", f"{vec('k0')} = k0"] if flat else []
+    lines = [f"{vec('y')} = y", f"{vec('k0')} = k0"] if flat else []
     for i in range(1, 6):
-        body += [f"s{i}{c} = y{c} + h * {stage_sum(_A[i], c)}" for c in parts]
-        body.append(f"if not ({finite(f's{i}')}): return None")
-        arg = f"[{vec(f's{i}')}]" if flat else f"s{i}"
-        body.append(f"{vec(f'k{i}')} = f(t + {_C[i]!r}*h, {arg})")
-    body += [f"y4{c} = y{c} + h * {stage_sum(_B4, c)}" for c in parts]
-    body += [f"e{c} = h * {stage_sum(_E, c)}" for c in parts]
-    body.append(f"if not ({finite('y4', 'e')}): return None")
-    if flat:
-        body += [f"q{c} = e{c} / (atol + rtol * max(abs(y{c}), abs(y4{c})))"
-                 for c in parts]
-        body.append(f"return [{vec('y4')}], "
-                    f"{_pairwise([f'q{c}*q{c}' for c in parts])}")
-    else:
-        body += ["q = e / (atol + rtol * np.maximum(np.abs(y), np.abs(y4)))",
-                 "return y4, float((q*q).sum(axis=-1).max())"]
-    return "".join(["def _attempt(f, t, h, y, k0, atol, rtol):\n",
-                    *(f"    {line}\n" for line in body)])
+        sums = [f"s{i}{c} = y{c} + h * {stage_sum(_A[i], c)}" for c in parts]
+        check = f"if not ({finite(f's{i}')}): return None"
+        if not flat:
+            lines += [*sums, check, f"k{i} = f(t + {_C[i]!r}*h, s{i})"]
+            continue
+        stage = [f"s{i}{c}" for c in parts]
+        lines += [*sums, check, f"ts{i} = t + {_C[i]!r}*h", "try:",
+                  *(f"    {line}" for line in body(
+                      [*stage, f"ts{i}", *rest], [f"k{i}{c}" for c in parts])),
+                  "except ZeroDivisionError:",
+                  f"    f(ts{i}, [{', '.join(stage)}])",
+                  "    raise"]
+    lines += [f"y4{c} = y{c} + h * {stage_sum(_B4, c)}" for c in parts]
+    lines += [f"e{c} = h * {stage_sum(_E, c)}" for c in parts]
+    lines.append(f"if not ({finite('y4', 'e')}): return None")
+    if not flat:
+        lines += ["q = e / (atol + rtol * np.maximum(np.abs(y), np.abs(y4)))",
+                  "return y4, float((q*q).sum(axis=-1).max())"]
+        return "".join(["def _attempt(f, t, h, y, k0, atol, rtol):\n",
+                        *(f"    {line}\n" for line in lines)])
+    lines += [f"q{c} = e{c} / (atol + rtol * max(abs(y{c}), abs(y4{c})))"
+              for c in parts]
+    lines.append(f"return [{vec('y4')}], "
+                 f"{_pairwise([f'q{c}*q{c}' for c in parts])}")
+    return "".join(["def _make(c, rest):\n",
+                    "    from math import isfinite\n",
+                    *(f"    {line}\n" for line in prelude),
+                    *([f"    {', '.join(rest)}, = rest\n"] if rest else []),
+                    "    def _attempt(f, t, h, y, k0, atol, rtol):\n",
+                    *(f"        {line}\n" for line in lines),
+                    "    return _attempt\n"])
+
+
+# fused step attempts kept per process, one per field source text and
+# state width: enough for the plain and co-integrated runs of two etas
+_KEPT_ATTEMPTS = 4
+_flat_makers: dict = {}
 
 
 @functools.cache
-def _attempt_fn(width: int | None):
-    """`_emit_attempt(width)` compiled, once per width."""
-    namespace = {"isfinite": math.isfinite, "_finite": _finite, "np": np}
-    exec(_emit_attempt(width), namespace)  # generated from the tableau only
+def _stacked_attempt():
+    """`_emit_attempt(None)` compiled, once."""
+    namespace = {"_finite": _finite, "np": np}
+    exec(_emit_attempt(None), namespace)  # generated from the tableau only
     return namespace["_attempt"]
 
 
-def _solve(f, y0, cfg: SimConfig, check=None) -> np.ndarray:
+def _attempt_fn(field: expr.Program | None = None, rest: Sequence = ()):
+    """The step attempt of a numpy state (`field` None), compiled once, or
+    of a flat state stepped by the program `field`, whose inputs are the
+    state, t and `rest`. The flat attempt runs the field in line in every
+    stage; its source is compiled once per field source text and width,
+    for the `_KEPT_ATTEMPTS` latest, and bound here to the field's
+    constants and `rest`."""
+    if field is None:
+        return _stacked_attempt()
+    width = field.n_inputs - 1 - len(rest)
+    key = field.source(), width
+    make = _flat_makers.get(key)
+    if make is None:
+        if len(_flat_makers) >= _KEPT_ATTEMPTS:
+            del _flat_makers[next(iter(_flat_makers))]
+        make = _flat_makers[key] = field.inline(
+            functools.partial(_emit_attempt, width, len(rest)))
+    return make(field.float_constants(), rest)
+
+
+def _solve(f, y0, cfg: SimConfig, check=None, attempt=None) -> np.ndarray:
     """Adaptive RKF45 over the window of `cfg`; returns the states on
     `cfg.grid()`, shaped (grid points, *y0.shape).
 
@@ -276,15 +334,17 @@ def _solve(f, y0, cfg: SimConfig, check=None) -> np.ndarray:
     f is called there. It raises to stop the run; stage states are not
     checked.
 
-    A 1-D `y0` is one system, stepped on Python floats: f takes and
-    returns a list, and an accepted step checks f, compares its end with
-    the next grid time and fills a single grid point without converting
-    to numpy; only a step that covers several points does. A 2-D `y0`
-    stacks one system per row, stepped as one numpy array, and all rows
+    Given `attempt`, a flat attempt from `_attempt_fn`, `y0` is one system
+    stepped on Python floats: f takes and returns a list, and an accepted
+    step checks f, compares its end with the next grid time and fills a
+    single grid point without converting to numpy; only a step that
+    covers several points does. Otherwise the state is a numpy array and
+    each stage calls f. A 2-D `y0` stacks one system per row, and all rows
     take the same steps. The step error is the largest of the rows' RMS
     errors, so no row is held to a looser tolerance than it would be in
-    a run of its own. A run gives up with StepBudgetExceeded after
-    `_MAX_ATTEMPTS` step attempts; a scalar division by zero in f raises
+    a run of its own; a 1-D `y0` is one row, and f may return a list. A
+    run gives up with StepBudgetExceeded after `_MAX_ATTEMPTS` step
+    attempts; a scalar division by zero in the field raises
     DivisionByZero, and a scalar overflow NonFiniteState.
 
     Each accepted step fills the grid points it covers by cubic Hermite
@@ -302,14 +362,17 @@ def _solve(f, y0, cfg: SimConfig, check=None) -> np.ndarray:
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     max_step = cfg.max_step if cfg.max_step is not None else tf - t
     y0 = np.asarray(y0, dtype=float)
-    flat = y0.ndim == 1
+    flat = attempt is not None
     y = y0.tolist() if flat else y0
     # a list of Python floats is checked without a trip through numpy
     finite = (lambda v: all(map(math.isfinite, v))) if flat else _finite
     if not finite(y):
         raise NonFiniteState("initial state is not finite")
     width = y0.shape[-1]
-    attempt = _attempt_fn(width if flat else None)
+    if not flat:
+        attempt = _attempt_fn()
+        if y0.ndim == 1:  # the stages add f's value to arrays
+            f = functools.partial(_as_array, f)
     states = np.empty((len(grid), *y0.shape))
     filled = 0
     t_next = grid.item(0)  # the first grid point not yet filled
@@ -384,6 +447,10 @@ def _solve(f, y0, cfg: SimConfig, check=None) -> np.ndarray:
     if not _finite(states):
         raise NonFiniteState("trajectory left the finite domain")
     return states
+
+
+def _as_array(f, t, y) -> np.ndarray:
+    return np.asarray(f(t, y), dtype=float)
 
 
 def _hermite(theta, h, y0, y1, f0, f1):
@@ -475,12 +542,13 @@ def integrate(m: OdeModel, params: Mapping[str, float],
     field = compile_program(
         expr.substitute_many(m.rhs, {tv: sig.expression for tv, sig
                                      in zip(m.tv_params, sigs)}),
-        [*m.states, TIME_SYMBOL, *m.const_params]).float_fn()
+        [*m.states, TIME_SYMBOL, *m.const_params])
+    fn = field.float_fn()
 
     def f(t, y):
-        return field(*y, t, *pvals)
+        return fn(*y, t, *pvals)
 
-    states = _solve(f, init, cfg)
+    states = _solve(f, init, cfg, attempt=_attempt_fn(field, pvals))
     outputs = compile_program([e for _, e in m.outputs],
                               [*m.states, *m.tv_params, *m.const_params])
     return _trajectory(m, outputs, grid, states, *cols, *pvals)
@@ -568,7 +636,7 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
     init = [float(v) for v in init]
     y0 = [init + list(inst.map_state(*init)) for inst in insts]
 
-    f, check = _twin_field(m, eta, insts)
+    f, check, attempt = _twin_field(m, eta, insts)
     try:
         # the stacked eta' divides by zero, or overflows, at or near a
         # twin's pole, and for a u == 1 twin at V = 0, whose row f
@@ -576,7 +644,7 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
         # accepted step, for one twin as for a sweep; a stage there is
         # not finite and is rejected. A flat run divides no numpy values
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            states = _solve(f, y0[0] if len(insts) == 1 else y0, cfg, check)
+            states = _solve(f, y0[0] if attempt else y0, cfg, check, attempt)
     except (StepSizeUnderflow, NonFiniteState, expr.DivisionByZero) as exc:
         # the SingularPoint of check, or of a flat f on a stage exactly at
         # the pole, names the twin itself
@@ -609,10 +677,12 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
 
 def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
     """The vector field f(t, y) of the original system co-integrated with
-    the twins `insts`, and the pole check `check(t, y)` that `_solve`
-    takes (None for one twin with u == 1, which has no pole): for one
-    twin y is flat, the original states then the twin's, on Python
-    floats; for several, it stacks one row per twin.
+    the twins `insts`, the pole check `check(t, y)` and the step attempt
+    that `_solve` takes: for one twin y is flat, the original states then
+    the twin's, on Python floats, and the attempt runs the field's
+    program in line (`_attempt_fn`); for several, y stacks one row per
+    twin, and the attempt is None, the stacked one. check is None for one
+    twin with u == 1, which has no pole.
 
     f calls one program, built from the closed forms that
     `verify_identities` proves: the model right-hand side on the original
@@ -645,11 +715,12 @@ def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
     flat = len(insts) == 1
     if not flat or insts[0].u != 1:
         images[m.tv_params[0]] = eta_prime_expr()
-    field = compile_program(
+    program = compile_program(
         expr.substitute_many([*m.rhs, *expr.substitute_many(m.rhs, images)],
                              {m.tv_params[0]: eta.expression}),
         [*m.states, *states_p, TIME_SYMBOL, *m.const_params, *consts_p,
-         Symbol("u", AUX)]).float_fn()
+         Symbol("u", AUX)])
+    field = program.float_fn()
     base = _param_values(m, insts[0].params.as_dict())
     primed = [_param_values(m, inst.params_prime.as_dict()) for inst in insts]
     u = insts[0].u if flat else np.array([inst.u for inst in insts])
@@ -674,7 +745,7 @@ def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
                 check(t, y)
                 raise
 
-        return f, (check if u != 1 else None)
+        return f, (check if u != 1 else None), _attempt_fn(program, rest)
 
     rest = [*base, *np.array(primed).T, u]
     ones = np.flatnonzero(u == 1)
@@ -688,7 +759,7 @@ def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
             dy[ones, 3:] = cols[:3]
         return dy
 
-    return f, check
+    return f, check, None
 
 
 def _where(insts: Sequence[TauFamily]) -> str:

@@ -221,6 +221,16 @@ def test_simulate_csv_with_sweep_rejected(capsys):
     assert code == 2
 
 
+def test_simulate_empty_csv_path_is_usage_error(tmp_path, capsys,
+                                                monkeypatch):
+    # it used to run, write nothing and exit 0
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "simulate", "--tau", "0.5", "--csv", "")
+    assert code == 2
+    assert out == "" and err == "error: --csv wants a file path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_csv_to_stdout(capsys):
     code, out, _ = run(capsys, "simulate", "--tau", "0.2", "--tf", "1",
                        "--grid", "3", "--output", "csv")
@@ -285,6 +295,10 @@ def test_simulate_bad_eta_expression(capsys):
     ("t + )", "1:5: unexpected token ')'"),
     # a digit to str.isdigit, but no number to int
     ("t^\u00b2", "1:3: unexpected character '\u00b2'"),
+    # identifiers are [A-Za-z_][A-Za-z0-9_]*: t and then a superscript,
+    # where str.isalnum read one undeclared symbol 't\u00b2'
+    ("t\u00b2", "1:2: unexpected character '\u00b2'"),
+    ("\u00e9 + t", "1:1: unexpected character '\u00e9'"),
     # constants past the bound, refused before the power is computed
     ("10^99999999*t", _PAST_THE_BOUND),
     ("3^9100/(3^9100+1)/2", _PAST_THE_BOUND),
@@ -660,6 +674,14 @@ def test_parse_reports_position(tmp_path, capsys):
      "3:1: 'ode' line needs '<name> = <expression>'"),
     ("model m\nstates x\node x = -x\noutput 9y = x\n",
      "4:8: invalid output name '9y'"),
+    # identifiers are ASCII: a letter or digit of another script is none
+    ("model m\nstates x \u00e9\n", "2:1: invalid identifier '\u00e9'"),
+    ("model m\u00b2\nstates x\node x = -x\n",
+     "1:1: model directive needs one identifier"),
+    ("model m\nstates x\node x = -x\noutput y\u00b2 = x\n",
+     "4:8: invalid output name 'y\u00b2'"),
+    ("model m\nstates x\node x = -x\u00b2\n",
+     "3:11: unexpected character '\u00b2'"),
 ])
 def test_parse_malformed_model_names_the_position(tmp_path, capsys, text,
                                                   where):

@@ -13,7 +13,9 @@ of two default-config runs and of the stacked criterion-5 tau sweep are
 pinned exactly, so a change to the step controller that alters a single
 step fails here too; so is the number of the sweep's vector-field
 evaluations that run on numpy columns, and the products of its emitted
-step attempt. Each default-grid run fills its
+step attempt. A flat run evaluates its field in line in the step
+attempt, calls it from Python once per kept state, and compiles that
+attempt once per field source text. Each default-grid run fills its
 401 grid points one per step, from a scalar theta, and a run on the
 largest grid fills at most once per accepted step. Every run, plain,
 single-twin or sweep, reads eta inside its compiled vector field, never
@@ -230,9 +232,11 @@ def _scalar_eta_calls(run) -> int:
 
 
 def _field_calls(monkeypatch, run) -> list[bool]:
-    """One entry per call of a compiled vector field, the program `sim`
-    compiles that takes t, once per RHS evaluation: True where the call
-    receives a numpy array."""
+    """One entry per Python-level call of a compiled vector field, the
+    program `sim` compiles that takes t: True where the call receives a
+    numpy array. A stacked run calls it once per RHS evaluation; a flat
+    run only for k0 and each accepted step's end, as its step attempt
+    runs the field in line."""
     calls = []
     compile_program = S.compile_program
 
@@ -270,12 +274,71 @@ def _tau_sweep(eta):
     return S.tau_sweep(ONES, (1.0, 0.2, 1.0), eta, SWEEP_TAUS)
 
 
+def _flat_run_counts(monkeypatch, run, width) -> tuple[int, int, int]:
+    """(calls of the compiled field, step attempts, accepted steps) of a
+    flat `run`, whose state has `width` components. No attempt of these
+    runs stops early at a stage that is not finite, so each runs the
+    field in line five times."""
+    attempts = []
+    attempt_fn = S._attempt_fn
+
+    def attempt_spy(*args):
+        attempt = attempt_fn(*args)
+
+        def counting(*a):
+            step = attempt(*a)
+            assert step is not None
+            attempts.append(math.sqrt(step[1] / width) <= 1.0)
+            return step
+
+        return counting
+
+    monkeypatch.setattr(S, "_attempt_fn", attempt_spy)
+    calls = _field_calls(monkeypatch, run).count(False)
+    return calls, len(attempts), sum(attempts)
+
+
+# RHS evaluations: the field's calls and the five stages of every attempt
 def test_co_integrated_run_rhs_calls(monkeypatch):
-    assert _field_calls(monkeypatch, _co_integrated_run).count(False) == 13069
+    calls, attempts, _ = _flat_run_counts(monkeypatch, _co_integrated_run, 6)
+    assert calls + 5 * attempts == 13069
 
 
 def test_plain_run_rhs_calls(monkeypatch):
-    assert _field_calls(monkeypatch, _plain_run).count(False) == 14575
+    calls, attempts, _ = _flat_run_counts(monkeypatch, _plain_run, 3)
+    assert calls + 5 * attempts == 14575
+
+
+# the five stages of every attempt run the field in line: Python calls it
+# for k0 and at each accepted step's end only, where it took one call per
+# RHS evaluation, 14,575 and 13,069
+@pytest.mark.parametrize("run, width, calls", [
+    (_plain_run, 3, 2425), (_co_integrated_run, 6, 2174)],
+    ids=["plain", "single tau"])
+def test_flat_runs_call_the_field_once_per_kept_state(monkeypatch, run,
+                                                      width, calls):
+    got, _, accepted = _flat_run_counts(monkeypatch, run, width)
+    assert got == accepted + 1 == calls
+
+
+def test_a_fused_step_attempt_is_compiled_once_per_field_text(monkeypatch):
+    # fields that differ only in their constants share one source text and
+    # one compiled attempt; the process keeps the _KEPT_ATTEMPTS latest
+    monkeypatch.setattr(S, "_flat_makers", {})
+    compiled = _spy(monkeypatch, E.Program, "inline")
+    cfg = S.SimConfig(tf=1.0)
+
+    def run(text):
+        S.integrate(hiv, ONES.as_dict(), [1.0, 1.0, 1.0],
+                    S.EtaSignal.from_text(text), cfg)
+
+    for text in ("1/2", "1/3", "1/2 + t/20", "1/2 + t/30", "1/2"):
+        run(text)
+    assert len(compiled) == 2
+    for k in range(2, 8):
+        run(f"1/2 + t^{k}/20")
+    assert len(compiled) == 8
+    assert len(S._flat_makers) == S._KEPT_ATTEMPTS
 
 
 @pytest.mark.parametrize("run", [_co_integrated_run, _plain_run, _tau_sweep],
@@ -299,8 +362,8 @@ def _dense_output(monkeypatch, run, width) -> dict[str, int]:
     counts = {"accepted": 0, "one": 0, "many": 0, "components": 0}
     attempt_fn, hermite = S._attempt_fn, S._hermite
 
-    def attempt_spy(w):
-        attempt = attempt_fn(w)
+    def attempt_spy(*args):
+        attempt = attempt_fn(*args)
 
         def counting(*args):
             step = attempt(*args)
@@ -353,7 +416,13 @@ def test_a_dense_grid_fills_at_most_once_per_step(monkeypatch):
 @pytest.mark.parametrize("width, products", [(None, 24), (6, 144)],
                          ids=["stacked", "flat 6"])
 def test_step_attempt_products(width, products):
-    assert S._emit_attempt(width).count("*k") == products
+    # a flat attempt runs its field in line: here one that adds no product
+    def identity(inputs, targets):
+        return [f"{k} = {s}" for k, s in zip(targets, inputs)]
+
+    source = (S._emit_attempt(None) if width is None
+              else S._emit_attempt(width, 0, [], identity))
+    assert source.count("*k") == products
 
 
 def test_a_passing_tau_run_never_calls_eta_prime_value(monkeypatch):
@@ -388,12 +457,12 @@ def _pole_check_times(monkeypatch, run) -> tuple[list[float], int]:
     times = []
     solve = S._solve
 
-    def spy(f, y0, cfg, check):
+    def spy(f, y0, cfg, check, attempt):
         def counting(t, y):
             times.append(t)
             return check(t, y)
 
-        return solve(f, y0, cfg, counting)
+        return solve(f, y0, cfg, counting, attempt)
 
     monkeypatch.setattr(S, "_solve", spy)
     return times, _dense_output(monkeypatch, run, 6)["accepted"]

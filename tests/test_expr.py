@@ -559,6 +559,21 @@ def test_number_tokens_are_the_decimal_digits_int_reads():
         assert err.value.col == col
 
 
+def test_identifiers_are_ascii_letters_digits_and_underscore():
+    assert E.parse_expression("_a1 + B_2*z9") == E.sym(E.Symbol("_a1", E.AUX)) \
+        + E.sym(E.Symbol("B_2", E.AUX)) * E.sym(E.Symbol("z9", E.AUX))
+    assert [E.is_identifier(t) for t in ("x", "_", "T_U2", "", "2y", "x-y")] \
+        == [True, True, True, False, False, False]
+    # a letter or digit of another script is no part of one: str.isalnum
+    # read "\u00e9 + x\u00b2" as two symbols
+    for text, col in (("\u00e9 + x\u00b2", 1), ("x\u00b2", 2),
+                      ("x\u0663", 2), ("a\u00e9b", 2), ("\u03b7*t", 1)):
+        with pytest.raises(E.ParseError) as err:
+            E.parse_expression(text)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert not E.is_identifier(text.replace(" + ", ""))
+
+
 @pytest.mark.parametrize("text, col", [
     ("1 + " + "9" * 4001, 5),
     ("x^-" + "9" * 4001, 4),

@@ -1,10 +1,13 @@
 """Agreement with independent oracles: scipy's DOP853 for the integrator,
-sympy's power series for the output jets and `sympy.cancel` for exact
-zero tests. The integrator and jet oracles live in `perfbench/oracles.py`
-and share no code with odeident; these tests skip when sympy or scipy is
-not installed."""
+sympy's power series for the output jets, `sympy.cancel` for exact zero
+tests and sympy's exact rank for the rank verdicts. The integrator and jet
+oracles live in `perfbench/oracles.py` and, like the rank oracle here,
+share no code with odeident; these tests skip when sympy or scipy is not
+installed."""
 
+import functools
 import importlib.util
+import math
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -122,3 +125,101 @@ def test_relation_on_the_dynamics_agrees_with_sympy(variant, vanishes):
     on_dynamics = R.substitute_dynamics([[relation]])[0][0]
     assert E.normalize(on_dynamics).is_zero is vanishes
     assert _cancels_to_zero(on_dynamics) is vanishes
+
+
+# ------------------------------------------------------- rank verdicts
+
+_PARAM_NAMES = ("lambda", "delta", "rho", "c", "N")  # the Jacobian's columns
+_JET_ORDER = 6  # the relation's fourth derivative reads outputs to order 6
+
+
+@functools.cache
+def _jacobian_sympy():
+    """The corrected relation written out again in sympy's sparse
+    polynomials over Q, its first four total time derivatives with the
+    output derivatives y<i>_<k> as independent symbols, and the 5x5
+    Jacobian of those five in the parameters. Returns (ring, generators,
+    Jacobian)."""
+    sp = pytest.importorskip("sympy")
+    ring, *gens = sp.polys.rings.ring(
+        [*_PARAM_NAMES, *(f"y{i}_{k}" for i in (1, 2)
+                          for k in range(_JET_ORDER + 1))], sp.QQ)
+    lam, delta, rho, c, N = gens[:5]
+    y = {(i, k): gens[5 + (i - 1) * (_JET_ORDER + 1) + k]
+         for i in (1, 2) for k in range(_JET_ORDER + 1)}
+    y1, dy1, ddy1 = y[1, 0], y[1, 1], y[1, 2]
+    y2, dy2, ddy2 = y[2, 0], y[2, 1], y[2, 2]
+    phi = (ddy1*y2*dy2 - dy1*y2*ddy2 - delta*y1*y2*ddy2 + lam*y2*ddy2
+           - (delta + c)*dy1*y2*dy2
+           + (delta*rho - delta**2 - delta*c)*y1*y2*dy2
+           + (rho + delta)*dy1*y2*dy2 + lam*c*y2*dy2
+           + rho*c*dy1*y2**2 + (rho*delta*c - delta**2*c)*y1*y2**2
+           - N*delta*y1*ddy1*y2 + c*ddy1*y2**2
+           - N*delta*(rho + delta)*y1*dy1*y2
+           - N*delta**2*rho*y1**2*y2 + N*delta**2*lam*y1*y2)
+    system = [phi]
+    for _ in range(4):
+        system.append(sum((system[-1].diff(y[i, k]) * y[i, k + 1]
+                           for i in (1, 2) for k in range(_JET_ORDER)),
+                          ring.zero))
+    return ring, gens, [[e.diff(p) for p in gens[:5]] for e in system]
+
+
+def _hiv_output_jets(state, params, eta_chain):
+    """y1 = T_U + T_I and y2 = V and their derivatives to `_JET_ORDER` at
+    t = 0, from the Taylor coefficients of the solution: the HIV system is
+    polynomial, so coefficient n + 1 of each state follows from those up
+    to n by Cauchy products. eta_chain holds eta and its derivatives."""
+    lam, delta, rho, c, N = (params[n] for n in _PARAM_NAMES)
+    tu, ti, v = ([F(x)] for x in state)
+    eta = [F(e, math.factorial(k)) for k, e in enumerate(eta_chain)]
+
+    def cauchy(a, b, n):
+        return sum(a[j] * b[n - j] for j in range(n + 1))
+
+    for n in range(_JET_ORDER):
+        infection = cauchy(eta, [cauchy(tu, v, m) for m in range(n + 1)], n)
+        tu.append(((lam if n == 0 else 0) - rho*tu[n] - infection) / (n + 1))
+        ti.append((infection - delta*ti[n]) / (n + 1))
+        v.append((N*delta*ti[n] - c*v[n]) / (n + 1))
+    return ([math.factorial(k) * (a + b) for k, (a, b) in enumerate(zip(tu, ti))],
+            [math.factorial(k) * x for k, x in enumerate(v)])
+
+
+_RATIONAL_PARAMS = {"lambda": F(7, 3), "delta": F(1, 2), "rho": F(4, 5),
+                    "c": F(9, 4), "N": F(11, 2)}
+
+
+def _rank_point(mode: str) -> list[F]:
+    """Values of the parameters and the output derivatives: drawn freely
+    for the naive matrix, and for the constrained one the output jets of a
+    rational state under a rational eta chain."""
+    if mode == "naive":
+        rng = random.Random(20261020)
+        outputs = [F(rng.randint(-50, 50), rng.randint(1, 20))
+                   for _ in range(2 * (_JET_ORDER + 1))]
+    else:
+        y1, y2 = _hiv_output_jets(
+            (F(3, 2), F(2, 3), F(5)), _RATIONAL_PARAMS,
+            (F(1, 2), F(-1, 3), F(2, 7), F(5, 3), F(-3, 4), F(1, 9)))
+        outputs = [*y1, *y2]
+    return [*(_RATIONAL_PARAMS[n] for n in _PARAM_NAMES), *outputs]
+
+
+@pytest.mark.parametrize("mode, rank", [("naive", 5), ("constrained", 4)])
+def test_rank_verdicts_agree_with_sympy(mode, rank):
+    sp = pytest.importorskip("sympy")
+    ring, _, jacobian = _jacobian_sympy()
+    point = [sp.QQ(x.numerator, x.denominator) for x in _rank_point(mode)]
+    matrix = sp.Matrix([[ring.domain.to_sympy(entry(*point)) for entry in row]
+                        for row in jacobian])
+    assert matrix.rank() == rank
+    assert R.run_rank_test(mode, trials=3, seed=7).generic_rank == rank
+    if mode == "constrained":
+        # the kernel is the tau family's tangent at tau = 0,
+        # (0, delta^2 - delta*rho, 0, 0, N*rho)
+        d, r, n = (_RATIONAL_PARAMS[k] for k in ("delta", "rho", "N"))
+        tangent = sp.Matrix([0, d*d - d*r, 0, 0, n*r])
+        (kernel,) = matrix.nullspace()
+        assert matrix * tangent == sp.zeros(5, 1)
+        assert sp.Matrix.hstack(kernel, tangent).rank() == 1

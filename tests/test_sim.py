@@ -176,7 +176,7 @@ def test_step_budget_raises_typed_error(monkeypatch):
 
 
 def test_twin_failure_names_the_ratio_at_the_eta_pole(monkeypatch):
-    def underflow(f, y0, cfg, check):
+    def underflow(f, y0, cfg, check, attempt):
         raise S.StepSizeUnderflow("step size underflow at t = 1.0")
 
     monkeypatch.setattr(S, "_solve", underflow)
@@ -201,6 +201,34 @@ def test_flat_right_hand_side_division_by_zero_is_typed():
     m = M.parse_model("model p\nstates x\node x = 1/(x-1)\noutput o = x\n")
     with pytest.raises(E.DivisionByZero):
         S.integrate(m, {}, [1.0], None, S.SimConfig(tf=1.0))
+
+
+def test_a_stage_that_divides_by_zero_raises_division_by_zero(monkeypatch):
+    # s' = -vmax*s/(km + s) with km = 0: k0 = -16 at s = 1, and the first
+    # step, a hundredth of the window, is 1/4, so the first stage state is
+    # s = 1 + 1/4*(1/4*-16) = 0. The step attempt runs the field in line;
+    # the stage calls f once more, at its own time, to raise as f does
+    m = M.parse_model(
+        (Path(__file__).parent / "corpus" / "michaelis.ode").read_text())
+    times = []
+    compile_program = S.compile_program
+
+    def spy(exprs, inputs):
+        program = compile_program(exprs, inputs)
+        fn = program.float_fn()
+
+        def recording(*args):
+            times.append(args[len(m.states)])
+            return fn(*args)
+
+        program.float_fn = lambda: recording
+        return program
+
+    monkeypatch.setattr(S, "compile_program", spy)
+    with pytest.raises(E.DivisionByZero, match="^float division by zero$"):
+        S.integrate(m, {"vmax": 16.0, "km": 0.0}, [1.0, 0.0], None,
+                    S.SimConfig(tf=25.0))
+    assert times == [0.0, 0.0625]
 
 
 @pytest.mark.parametrize("text, params, init, message", [
@@ -235,7 +263,7 @@ def test_twin_field_raises_eta_prime_values_error_at_the_pole(T_I):
         inst.eta(1.0, T_I, 1.0, 0.5)
     # one twin's check, which `_solve` runs on the states it keeps, raises
     # at the pole, as a sweep's does; its f guards no call
-    f, check = S._twin_field(hiv, HALF, [inst])
+    f, check, _ = S._twin_field(hiv, HALF, [inst])
     y = [1.0, T_I, 1.0, *inst.map_state(1.0, T_I, 1.0)]
     with pytest.raises(SingularPoint) as got:
         check(0.0, y)
@@ -353,7 +381,7 @@ def _pole_outcome(f, *args):
 def _single_twin_outcome(eta, inst, t, y):
     """One twin's derivative at (t, y), or the message of the SingularPoint
     that its check, which `_solve` runs on y before f, or its f raises."""
-    f, check = S._twin_field(hiv, eta, [inst])
+    f, check, _ = S._twin_field(hiv, eta, [inst])
 
     def run():
         if check is not None:
@@ -387,7 +415,7 @@ def test_stacked_twin_field_rows_match_single_twin_fields(
                for inst, row in zip(insts, rows)]
     # neither field guards a call; the stacked check, which `_solve` runs
     # on the states it keeps, raises what the single twins' checks raise
-    f, check = S._twin_field(hiv, eta, insts)
+    f, check, _ = S._twin_field(hiv, eta, insts)
     with np.errstate(divide="ignore", invalid="ignore"):
         stacked = f(t, np.array(rows))
     checked = _pole_outcome(check, t, np.array(rows))
@@ -550,6 +578,38 @@ def test_wide_flat_state_matches_reference_stepper(width):
         reference_solve(lambda t, y: a @ y, y0, cfg))
 
 
+def _wide_model(width: int, rng) -> M.OdeModel:
+    """A linear model of `width` states, each coupled to its neighbours
+    and to one state drawn at random, with rational coefficients."""
+    lines = ["model wide", "states " + " ".join(f"x{i}" for i in range(width))]
+    for i in range(width):
+        coupled = sorted({i, (i + 1) % width, int(rng.integers(width))})
+        terms = " + ".join(f"{int(rng.integers(-9, 10))}/{width}*x{j}"
+                           for j in coupled)
+        lines.append(f"ode x{i} = {terms} - x{i}")
+    return M.parse_model("\n".join([*lines, "output o = x0"]) + "\n")
+
+
+@pytest.mark.parametrize("width, piece_chars", [
+    (9, E._PIECE_CHARS), (130, E._PIECE_CHARS), (9, 5)],
+    ids=["9", "130", "9 in pieces"])
+def test_wide_model_matches_reference_stepper(monkeypatch, width,
+                                              piece_chars):
+    # from 8 components numpy sums the squared errors pairwise, and a plain
+    # run, which steps on Python floats, must sum them in the same order;
+    # a field cut into pieces runs in each stage as the pieces' calls
+    monkeypatch.setattr(E, "_PIECE_CHARS", piece_chars)
+    rng = np.random.default_rng(width)
+    m = _wide_model(width, rng)
+    field = E.compile_program(m.rhs, m.states)
+    assert ("_piece1" in field.source()) == (piece_chars < 1000)
+    fn = field.float_fn()
+    y0 = rng.uniform(0.5, 1.5, width).tolist()
+    cfg = S.SimConfig(tf=1.0, dense_output_points=5)
+    assert _bit_equal(S.integrate(m, {}, y0, None, cfg).states,
+                      reference_solve(lambda t, y: fn(*y), y0, cfg))
+
+
 # windows shorter than the stepper's end tolerance: no step is taken
 TOO_SHORT = [S.SimConfig(t0=0.0, tf=1e-14),
              S.SimConfig(t0=1e15, tf=1e15 + 0.125)]
@@ -622,6 +682,21 @@ def test_fill_paths_match_reference_stepper(monkeypatch, cfg, paths, check,
     assert _bit_equal(got, want)
     assert taken == paths
     assert check(cfg.grid(), times)
+
+
+@pytest.mark.parametrize("cfg, paths, _", FILL_CASES.values(),
+                         ids=FILL_CASES.keys())
+def test_plain_run_fill_paths_match_reference_stepper(monkeypatch, cfg,
+                                                      paths, _):
+    # the fill paths of a run stepped on Python floats, with the field in
+    # line in its step attempt
+    eta = S.EtaSignal.from_text("1/2 + t/20")
+    init = [1.0, 0.2, 1.0]
+    want = reference_solve(_plain_reference_f(eta, ONES), init, cfg)
+    taken = _fill_paths(monkeypatch)
+    assert _bit_equal(S.integrate(hiv, ONES_DICT, init, eta, cfg).states,
+                      want)
+    assert taken == paths
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["flat", "stacked"])

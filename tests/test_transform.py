@@ -207,7 +207,7 @@ def _stacked_field(insts, orig, twins, eta):
     SingularPoint of a twin at its pole."""
     rows = np.array([[*orig, *(orig if inst.u == 1 else twin)]
                      for inst, twin in zip(insts, twins)])
-    field, check = S._twin_field(HIV, S.EtaSignal(E.const(F(eta))), insts)
+    field, check, _ = S._twin_field(HIV, S.EtaSignal(E.const(F(eta))), insts)
     check(0.0, rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         return field(0.0, rows)
