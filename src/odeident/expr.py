@@ -1052,8 +1052,10 @@ class Program:
     def _render(self, modular: bool) -> tuple:
         rendered = self._rendered.get(modular)
         if rendered is None:
+            pieces, prelude, body, outputs = _emit(self, modular)
             inputs = [f"v{j}" for j in range(self.n_inputs)]
-            pieces, prelude, body, result = _emit(self, modular, inputs)
+            result = (outputs if isinstance(outputs, str)
+                      else f"[{', '.join(outputs)}]")
             units = [*pieces, _unit("_make", "p, c" if modular else "c",
                                     prelude, inputs, body, result)]
             rendered = self._rendered[modular] = ("\n".join(units),
@@ -1091,23 +1093,21 @@ class Program:
         """Compile a function of the caller's that runs the plain rendering
         in line, in as many places as it likes.
 
-        `host(prelude, body)` returns the source of one function, `def
-        _make(c, ...)`, whose `c` takes `float_constants()`. Its top level
-        runs the lines `prelude`, which bind the constants c<k> and, for a
-        long program, its pieces _p<k>. Each `body(inputs, targets)` gives
-        the lines of `float_fn`'s body with input slot j read from the
-        name `inputs[j]` and output j assigned to the name `targets[j]`;
-        besides those they use c<k>, _p<k> and temporaries t<k>. The
+        `host(prelude, body, outputs)` returns the source of one function,
+        `def _make(c, ...)`, whose `c` takes `float_constants()`. Its top
+        level runs the lines `prelude`, which bind the constants c<k> and,
+        for a long program, its pieces _p<k>. Wherever it runs the lines
+        `body` of `float_fn`, input j is read from the name v<j>, and
+        `outputs[j]` is then the expression of output j; besides the
+        inputs they use c<k>, _p<k>, temporaries t<k> and _out. The
         pieces are compiled first, as for `float_fn`, so the host's source
         holds only their calls and compile memory stays bounded. Returns
         the compiled `_make`."""
-        pieces, prelude, _, _ = _emit(
-            self, False, [f"v{j}" for j in range(self.n_inputs)])
-
-        def body(inputs, targets):
-            return _emit(self, False, inputs, targets)[2]
-
-        return _define([*pieces, host(prelude, body)])
+        pieces, prelude, body, outputs = _emit(self, False)
+        if isinstance(outputs, str):  # the last piece's call
+            body = [*body, f"_out = {outputs}"]
+            outputs = [f"_out[{j}]" for j in range(len(self.outputs))]
+        return _define([*pieces, host(prelude, body, outputs)])
 
     def plain_fn(self):
         """float_fn with integral constants bound as Python ints: Fraction
@@ -1144,22 +1144,20 @@ class Program:
         return fn(*[_as_residue(v, p) for v in values])
 
 
-def _emit(program: Program, modular: bool, inputs: Sequence[str],
-          targets: Sequence[str] | None = None) -> tuple:
+def _emit(program: Program, modular: bool) -> tuple:
     """Straight-line source for `program`'s instructions, in parts:
-    `(pieces, prelude, body, result)`.
+    `(pieces, prelude, body, outputs)`.
 
     A slot read more than once, or an operand nested `_MAX_INLINE_DEPTH`
     deep, gets a temporary `t<slot>`; every other slot is inlined into its
     one reader, so a tree-shaped expression becomes one nested expression.
-    Input slot j is read from the name `inputs[j]`. `body` is the lines of
-    `_make`'s `_fn` and `result` the list of outputs it returns; with
-    `targets`, body ends by assigning output j to `targets[j]` instead,
-    and result is None. `prelude` is the lines of `_make` that bind the
-    constants. A program longer than `_PIECE_CHARS` is cut into piece
-    functions that pass on the temporaries crossing a cut, defined by the
-    units `pieces`, which are compiled first; prelude then binds them,
-    and body is their calls.
+    Input slot j is read from the name v<j>. `body` is the lines of
+    `_make`'s `_fn`, `outputs` the list of the expressions it returns and
+    `prelude` the lines of `_make` that bind the constants. A program
+    longer than `_PIECE_CHARS` is cut into piece functions that pass on
+    the temporaries crossing a cut, defined by the units `pieces`, which
+    are compiled first; prelude then binds them, body is their calls but
+    the last, and outputs is the last call, which returns the list.
     """
     uses = [0] * program.n_slots
     for ins in program.instructions:
@@ -1173,7 +1171,7 @@ def _emit(program: Program, modular: bool, inputs: Sequence[str],
     n_in, n_leaves = program.n_inputs, program.n_inputs + len(program.constants)
 
     def name(j):
-        return inputs[j] if j < n_in else f"c{j - n_in}" if j < n_leaves else f"t{j}"
+        return f"v{j}" if j < n_in else f"c{j - n_in}" if j < n_leaves else f"t{j}"
 
     # slot -> (text, depth, slots read, bound): depth bounds the syntactic
     # nesting; bound is the modular rendering's magnitude bound (a, b), and
@@ -1235,7 +1233,6 @@ def _emit(program: Program, modular: bool, inputs: Sequence[str],
 
     returned = [read(o) for o in program.outputs]
     outputs = [settled(t, bound) for t, _, _, bound in returned]
-    result = f"[{', '.join(outputs)}]"
     pieces = [[]]
     size = 0
     for line in lines:
@@ -1262,7 +1259,7 @@ def _emit(program: Program, modular: bool, inputs: Sequence[str],
             defined.add(dst)
         if last:
             takes.update(r for r in later if r not in defined)
-            hands = result
+            hands = f"[{', '.join(outputs)}]"
         else:
             hands = f"[{', '.join(map(name, sorted(defined & later)))}]"
         later = (later - defined) | takes
@@ -1270,11 +1267,7 @@ def _emit(program: Program, modular: bool, inputs: Sequence[str],
                    if n_in <= r < n_leaves] + inv
         assigns = [f"t{dst} = {expression}" for dst, expression, _ in pieces[k]]
         if len(pieces) == 1:
-            if targets is None:
-                return [], prelude, assigns, result
-            return [], prelude, assigns + [
-                f"{target} = {output}"
-                for target, output in zip(targets, outputs)], None
+            return [], prelude, assigns, outputs
         args = [name(r) for r in sorted(takes) if not n_in <= r < n_leaves]
         units.append(_unit(f"_piece{k}", make, prelude, args, assigns, hands))
         calls.append(f"_p{k}({', '.join(args)})" if last
@@ -1282,9 +1275,7 @@ def _emit(program: Program, modular: bool, inputs: Sequence[str],
     units.reverse()  # both were gathered last piece first
     calls.reverse()
     made = [f"_p{k} = _piece{k}({make})" for k in range(len(pieces))]
-    if targets is None:
-        return units, made, calls[:-1], calls[-1]
-    return units, made, [*calls[:-1], f"{', '.join(targets)}, = {calls[-1]}"], None
+    return units, made, calls[:-1], calls[-1]
 
 
 def _define(units: Sequence[str]):

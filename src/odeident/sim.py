@@ -214,7 +214,7 @@ def _pairwise(terms: list[str]) -> str:
 
 
 def _emit_attempt(width: int | None, n_rest: int = 0, prelude=(),
-                  body=None) -> str:
+                  body=(), outputs=()) -> str:
     """Source of one RKF45 step attempt `_attempt(f, t, h, y, k0, atol,
     rtol)` of size h from (t, y), where k0 = f(t, y). It returns the
     4th-order solution y4 and the worst row's sum of squared scaled
@@ -232,15 +232,15 @@ def _emit_attempt(width: int | None, n_rest: int = 0, prelude=(),
     floats, one variable each, and the source is `_make(c, rest)`: it
     binds a field program's constants c and its `n_rest` inputs after t,
     `rest`, and returns `_attempt`, whose stages run the field in line.
-    `prelude` and `body` come from `Program.inline`; stage i's body reads
-    its state s<i>_j, its time ts<i> and the rest r<j>, and assigns the
-    derivative to k<i>_j. A stage that divides by zero calls f at its own
-    time and state, which raises as the field does, through a twin's pole
-    check; f is otherwise called only for k0, by the caller.
+    `prelude`, `body` and `outputs` come from `Program.inline`: each
+    stage names its state and time as the field's inputs v<j>, runs
+    `body` and assigns output j, the derivative, to its k<i>_j. A stage
+    that divides by zero calls f at its own time and state, which raises
+    as the field does, through a twin's pole check; f is otherwise called
+    only for k0, by the caller.
     """
     flat = width is not None
     parts = [f"_{j}" for j in range(width)] if flat else [""]
-    rest = [f"r{j}" for j in range(n_rest)]
 
     def vec(name):
         return ", ".join(name + c for c in parts) + ("," if flat else "")
@@ -258,17 +258,22 @@ def _emit_attempt(width: int | None, n_rest: int = 0, prelude=(),
 
     lines = [f"{vec('y')} = y", f"{vec('k0')} = k0"] if flat else []
     for i in range(1, 6):
-        sums = [f"s{i}{c} = y{c} + h * {stage_sum(_A[i], c)}" for c in parts]
-        check = f"if not ({finite(f's{i}')}): return None"
         if not flat:
-            lines += [*sums, check, f"k{i} = f(t + {_C[i]!r}*h, s{i})"]
+            lines += [f"s{i} = y + h * {stage_sum(_A[i], '')}",
+                      f"if not ({finite(f's{i}')}): return None",
+                      f"k{i} = f(t + {_C[i]!r}*h, s{i})"]
             continue
-        stage = [f"s{i}{c}" for c in parts]
-        lines += [*sums, check, f"ts{i} = t + {_C[i]!r}*h", "try:",
-                  *(f"    {line}" for line in body(
-                      [*stage, f"ts{i}", *rest], [f"k{i}{c}" for c in parts])),
+        # the stage's state and time are the field's inputs v0 ... v<width>
+        stage = [f"v{j}" for j in range(width)]
+        lines += [f"v{j} = y{c} + h * {stage_sum(_A[i], c)}"
+                  for j, c in enumerate(parts)]
+        lines += [f"if not ({' and '.join(f'isfinite({v})' for v in stage)})"
+                  ": return None",
+                  f"v{width} = t + {_C[i]!r}*h", "try:",
+                  *(f"    {line}" for line in body),
+                  *(f"    k{i}{c} = {o}" for c, o in zip(parts, outputs)),
                   "except ZeroDivisionError:",
-                  f"    f(ts{i}, [{', '.join(stage)}])",
+                  f"    f(v{width}, [{', '.join(stage)}])",
                   "    raise"]
     lines += [f"y4{c} = y{c} + h * {stage_sum(_B4, c)}" for c in parts]
     lines += [f"e{c} = h * {stage_sum(_E, c)}" for c in parts]
@@ -282,6 +287,7 @@ def _emit_attempt(width: int | None, n_rest: int = 0, prelude=(),
               for c in parts]
     lines.append(f"return [{vec('y4')}], "
                  f"{_pairwise([f'q{c}*q{c}' for c in parts])}")
+    rest = [f"v{j}" for j in range(width + 1, width + 1 + n_rest)]
     return "".join(["def _make(c, rest):\n",
                     "    from math import isfinite\n",
                     *(f"    {line}\n" for line in prelude),
@@ -292,7 +298,9 @@ def _emit_attempt(width: int | None, n_rest: int = 0, prelude=(),
 
 
 # fused step attempts kept per process, one per field source text and
-# state width: enough for the plain and co-integrated runs of two etas
+# state width, each 10 KiB (a plain HIV run) to 20 KiB (a twin) of code.
+# Parameters, tau and u are inputs of the field, not constants, so runs
+# that scan them share one; a second signal or model takes another
 _KEPT_ATTEMPTS = 4
 _flat_makers: dict = {}
 
@@ -309,9 +317,9 @@ def _attempt_fn(field: expr.Program | None = None, rest: Sequence = ()):
     """The step attempt of a numpy state (`field` None), compiled once, or
     of a flat state stepped by the program `field`, whose inputs are the
     state, t and `rest`. The flat attempt runs the field in line in every
-    stage; its source is compiled once per field source text and width,
-    for the `_KEPT_ATTEMPTS` latest, and bound here to the field's
-    constants and `rest`."""
+    stage; it is compiled once per field source text and width, for the
+    `_KEPT_ATTEMPTS` latest, and bound here to the field's constants and
+    `rest`."""
     if field is None:
         return _stacked_attempt()
     width = field.n_inputs - 1 - len(rest)
@@ -338,14 +346,13 @@ def _solve(f, y0, cfg: SimConfig, check=None, attempt=None) -> np.ndarray:
     stepped on Python floats: f takes and returns a list, and an accepted
     step checks f, compares its end with the next grid time and fills a
     single grid point without converting to numpy; only a step that
-    covers several points does. Otherwise the state is a numpy array and
-    each stage calls f. A 2-D `y0` stacks one system per row, and all rows
-    take the same steps. The step error is the largest of the rows' RMS
-    errors, so no row is held to a looser tolerance than it would be in
-    a run of its own; a 1-D `y0` is one row, and f may return a list. A
-    run gives up with StepBudgetExceeded after `_MAX_ATTEMPTS` step
-    attempts; a scalar division by zero in the field raises
-    DivisionByZero, and a scalar overflow NonFiniteState.
+    covers several points does. Otherwise `y0` is 2-D, one system per
+    row, stepped as one numpy array: each stage calls f on all rows, and
+    all rows take the same steps. The step error is the largest of the
+    rows' RMS errors, so no row is held to a looser tolerance than it
+    would be in a run of its own. A run gives up with StepBudgetExceeded
+    after `_MAX_ATTEMPTS` step attempts; a scalar division by zero in the
+    field raises DivisionByZero, and a scalar overflow NonFiniteState.
 
     Each accepted step fills the grid points it covers by cubic Hermite
     interpolation and is then dropped, so only the current step is held.
@@ -371,8 +378,6 @@ def _solve(f, y0, cfg: SimConfig, check=None, attempt=None) -> np.ndarray:
     width = y0.shape[-1]
     if not flat:
         attempt = _attempt_fn()
-        if y0.ndim == 1:  # the stages add f's value to arrays
-            f = functools.partial(_as_array, f)
     states = np.empty((len(grid), *y0.shape))
     filled = 0
     t_next = grid.item(0)  # the first grid point not yet filled
@@ -447,10 +452,6 @@ def _solve(f, y0, cfg: SimConfig, check=None, attempt=None) -> np.ndarray:
     if not _finite(states):
         raise NonFiniteState("trajectory left the finite domain")
     return states
-
-
-def _as_array(f, t, y) -> np.ndarray:
-    return np.asarray(f(t, y), dtype=float)
 
 
 def _hermite(theta, h, y0, y1, f0, f1):

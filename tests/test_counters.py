@@ -417,11 +417,8 @@ def test_a_dense_grid_fills_at_most_once_per_step(monkeypatch):
                          ids=["stacked", "flat 6"])
 def test_step_attempt_products(width, products):
     # a flat attempt runs its field in line: here one that adds no product
-    def identity(inputs, targets):
-        return [f"{k} = {s}" for k, s in zip(targets, inputs)]
-
-    source = (S._emit_attempt(None) if width is None
-              else S._emit_attempt(width, 0, [], identity))
+    source = (S._emit_attempt(None) if width is None else S._emit_attempt(
+        width, 0, [], [], [f"v{j}" for j in range(width)]))
     assert source.count("*k") == products
 
 

@@ -565,19 +565,6 @@ def test_stacked_rows_match_reference_stepper():
                       reference_solve(f, y0, S.SimConfig()))
 
 
-@pytest.mark.parametrize("width", [9, 130])
-def test_wide_flat_state_matches_reference_stepper(width):
-    # from 8 components on numpy sums the squared errors pairwise; the flat
-    # rendering must sum them in the same order
-    rng = np.random.default_rng(width)
-    a = rng.normal(size=(width, width)) / width - np.eye(width)
-    y0 = rng.uniform(0.5, 1.5, width)
-    cfg = S.SimConfig(tf=1.0, dense_output_points=5)
-    assert _bit_equal(
-        S._solve(lambda t, y: (a @ y).tolist(), y0, cfg),
-        reference_solve(lambda t, y: a @ y, y0, cfg))
-
-
 def _wide_model(width: int, rng) -> M.OdeModel:
     """A linear model of `width` states, each coupled to its neighbours
     and to one state drawn at random, with rational coefficients."""
@@ -593,8 +580,8 @@ def _wide_model(width: int, rng) -> M.OdeModel:
 @pytest.mark.parametrize("width, piece_chars", [
     (9, E._PIECE_CHARS), (130, E._PIECE_CHARS), (9, 5)],
     ids=["9", "130", "9 in pieces"])
-def test_wide_model_matches_reference_stepper(monkeypatch, width,
-                                              piece_chars):
+def test_wide_flat_state_matches_reference_stepper(monkeypatch, width,
+                                                   piece_chars):
     # from 8 components numpy sums the squared errors pairwise, and a plain
     # run, which steps on Python floats, must sum them in the same order;
     # a field cut into pieces runs in each stage as the pieces' calls
@@ -631,17 +618,29 @@ def _fill_paths(monkeypatch) -> set[str]:
 
 
 def _recording_model_field(stacked: bool, times: list):
-    """The model's field with eta = 1/2 + t/20 for a flat or a stacked
-    state; each call appends its t to `times`."""
+    """The model's field with eta = 1/2 + t/20 and the step attempt that
+    `_solve` takes for it; each call of the field appends its t to
+    `times`. A stacked state takes the stacked attempt (None). For a flat
+    one the field is one program with eta in it, as in a plain run, and
+    its attempt runs that program in line in every stage."""
     pvals = S._param_values(hiv, ONES_DICT)
+    if stacked:
+        def f(t, y):
+            times.append(t)
+            return np.array(MODEL_RHS(*y.T, 0.5 + t / 20, *pvals)).T
+
+        return f, None
+    program = E.compile_program(
+        E.substitute_many(hiv.rhs, {hiv.tv_params[0]: S.EtaSignal.from_text(
+            "1/2 + t/20").expression}),
+        [*hiv.states, S.TIME_SYMBOL, *hiv.const_params])
+    fn = program.float_fn()
 
     def f(t, y):
         times.append(t)
-        if stacked:
-            return np.array(MODEL_RHS(*y.T, 0.5 + t / 20, *pvals)).T
-        return MODEL_RHS(*y, 0.5 + t / 20, *pvals)
+        return fn(*y, t, *pvals)
 
-    return f
+    return f, S._attempt_fn(program, pvals)
 
 
 # steps are max_step long at loose tolerances: every step of 1/128 ends on
@@ -649,7 +648,8 @@ def _recording_model_field(stacked: bool, times: list):
 # a step of 1/32 covers four points of a grid 1/128 apart and ends on the
 # fifth; a hundred steps of 0.1 sum to
 # 9.99999999999998, so the last step ends short of the grid point at tf.
-# Each case checks the times f was called at
+# Each case checks the times f was called at: a flat run calls it at each
+# accepted step's end, a stacked one at every stage as well
 LOOSE = dict(abs_tol=1e-2, rel_tol=1e-2)
 FILL_CASES = {
     "default grid": (S.SimConfig(), {"one"}, lambda grid, times: True),
@@ -676,27 +676,12 @@ FILL_CASES = {
 def test_fill_paths_match_reference_stepper(monkeypatch, cfg, paths, check,
                                             stacked):
     y0 = [[1.0, 0.2, 1.0], [2.0, 1.0, 0.5]] if stacked else [1.0, 0.2, 1.0]
-    want = reference_solve(_recording_model_field(stacked, []), y0, cfg)
+    want = reference_solve(_recording_model_field(stacked, [])[0], y0, cfg)
     taken, times = _fill_paths(monkeypatch), []
-    got = S._solve(_recording_model_field(stacked, times), y0, cfg)
-    assert _bit_equal(got, want)
+    f, attempt = _recording_model_field(stacked, times)
+    assert _bit_equal(S._solve(f, y0, cfg, attempt=attempt), want)
     assert taken == paths
     assert check(cfg.grid(), times)
-
-
-@pytest.mark.parametrize("cfg, paths, _", FILL_CASES.values(),
-                         ids=FILL_CASES.keys())
-def test_plain_run_fill_paths_match_reference_stepper(monkeypatch, cfg,
-                                                      paths, _):
-    # the fill paths of a run stepped on Python floats, with the field in
-    # line in its step attempt
-    eta = S.EtaSignal.from_text("1/2 + t/20")
-    init = [1.0, 0.2, 1.0]
-    want = reference_solve(_plain_reference_f(eta, ONES), init, cfg)
-    taken = _fill_paths(monkeypatch)
-    assert _bit_equal(S.integrate(hiv, ONES_DICT, init, eta, cfg).states,
-                      want)
-    assert taken == paths
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["flat", "stacked"])
@@ -704,9 +689,10 @@ def test_plain_run_fill_paths_match_reference_stepper(monkeypatch, cfg,
 def test_window_without_steps_matches_reference_stepper(monkeypatch, cfg,
                                                         stacked):
     y0 = [[1.0, -0.0, 1.0], [2.0, 1.0, 0.5]] if stacked else [1.0, -0.0, 1.0]
-    f = _recording_model_field(stacked, [])
+    f, attempt = _recording_model_field(stacked, [])
     taken = _fill_paths(monkeypatch)
-    assert _bit_equal(S._solve(f, y0, cfg), reference_solve(f, y0, cfg))
+    assert _bit_equal(S._solve(f, y0, cfg, attempt=attempt),
+                      reference_solve(f, y0, cfg))
     assert taken == set()
 
 
@@ -724,9 +710,9 @@ def test_stacked_rows_take_the_steps_of_the_hardest_row():
     rates = np.array([[1.0, 7.0, 0.3], [0.0, 0.0, 0.0]])
     cfg = S.SimConfig(tf=3.0, abs_tol=1e-8, rel_tol=1e-8)
     stacked = S._solve(lambda t, y: -rates * y, [[1.0, 2.0, 3.0]] * 2, cfg)
-    alone = S._solve(lambda t, y: -rates[0] * y, [1.0, 2.0, 3.0], cfg)
+    alone = S._solve(lambda t, y: -rates[:1] * y, [[1.0, 2.0, 3.0]], cfg)
     assert stacked.shape == (cfg.dense_output_points, 2, 3)
-    assert np.array_equal(stacked[:, 0], alone)
+    assert np.array_equal(stacked[:, :1], alone)
     assert np.allclose(stacked[:, 1], [1.0, 2.0, 3.0], rtol=1e-15, atol=0)
 
 
