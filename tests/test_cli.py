@@ -594,8 +594,9 @@ def test_phi_check_printed_variant_alone_fails(capsys):
 # ---------------------------------------------------------- golden outputs
 # stored from `simulate --tau T --eta E --output json`, the sha256 of the
 # same run with `--output csv`, `simulate --sweep ... --output json` keyed
-# by its flags, and `phi-check --output json`; every float is printed by
-# repr, so equal reports mean bit-identical trajectories
+# by its flags, and `phi-check --output json`, alone and keyed by its
+# flags; every float is printed by repr, so equal reports mean
+# bit-identical trajectories
 
 GOLDEN = Path(__file__).parent / "golden"
 SIMULATE_GOLDEN = json.loads((GOLDEN / "simulate_tau_runs.json").read_text())
@@ -638,6 +639,34 @@ def test_phi_check_output_matches_the_stored_one(capsys):
     code, out, _ = run(capsys, "phi-check", "--output", "json")
     assert code == 0
     assert out == (GOLDEN / "phi_check.json").read_text()
+
+
+PHI_CHECK_GOLDEN = json.loads((GOLDEN / "phi_check_runs.json").read_text())
+# one variant alone, a time-varying eta, an eta of 0 (the infection terms
+# vanish), another start and parameters, a grid of two blocks of
+# sim._PHI_BLOCK points, and an eta that dips near zero on a longer window
+PHI_CHECK_RUNS = [
+    ["--variant", "miao"],
+    ["--variant", "corrected"],
+    ["--eta", "1/2 + t/20"],
+    ["--eta", "0"],
+    ["--init", "1,0.2,1", "--lambda", "2", "--N", "3"],
+    ["--grid", "5000"],
+    ["--eta", "(t-5)^2/50 + 1/10", "--tf", "20"],
+]
+
+
+def test_the_phi_check_goldens_are_the_runs_tested():
+    assert list(PHI_CHECK_GOLDEN) == [" ".join(argv)
+                                      for argv in PHI_CHECK_RUNS]
+
+
+@pytest.mark.parametrize("argv", PHI_CHECK_RUNS,
+                         ids=[" ".join(argv) for argv in PHI_CHECK_RUNS])
+def test_phi_check_reports_match_the_stored_ones(capsys, argv):
+    code, out, _ = run(capsys, "phi-check", *argv, "--output", "json")
+    assert code == 0
+    assert json.loads(out) == PHI_CHECK_GOLDEN[" ".join(argv)]
 
 
 # ------------------------------------------------------------------ parse
