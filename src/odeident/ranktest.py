@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import operator
 import random
@@ -182,9 +181,6 @@ class RankReport:
             "elapsed_ms": self.elapsed_ms,
             "structured_point_rank": self.structured_point_rank,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 _MILLER_RABIN_BOUND = 318665857834031151167461  # psi_12, OEIS A014233

@@ -30,8 +30,10 @@ included). The vector field includes eta: the signal's expression in t
 stands in for the model's time-varying parameter, and the program takes
 t in its place, so each right-hand side evaluation runs one program.
 The signal's own program still samples eta on the grid. Relation
-residuals compile one program each for eta with eta', the output jets
-and the terms of every relation variant.
+residuals compile two programs: eta with eta', and the terms of every
+relation variant composed with the output jets by
+`ranktest.substitute_dynamics`, as one program over the states, the
+parameters, eta and eta'.
 
 The indistinguishability experiment co-integrates the original system and
 the transformed one as a single 6-state ODE. The transformed eta is
@@ -64,8 +66,8 @@ import numpy as np
 from . import expr
 from .expr import (AUX, Expression, Symbol, compile_float_fn,
                    compile_program, free_symbols)
-from .model import OdeModel, hiv_model, output_jet, output_symbol
-from .ranktest import CORRECTED, build_phi
+from .model import OdeModel, hiv_model
+from .ranktest import CORRECTED, build_phi, substitute_dynamics
 from .transform import (Params, SingularPoint, TauFamily,
                         admissible_tau_interval, eta_prime_expr,
                         eta_prime_poles)
@@ -796,7 +798,7 @@ def phi_residual_along(trajectory: Trajectory, params: Params,
 
 
 # grid points per block of phi_residuals_along: its programs' temporaries
-# are block-length arrays, about 290 bytes per point, so a block peaks near
+# are block-length arrays, about 200 bytes per point, so a block peaks near
 # 1 MB whatever the grid, and at the default 401 points one block is the grid
 _PHI_BLOCK = 4096
 
@@ -804,40 +806,38 @@ _PHI_BLOCK = 4096
 def phi_residuals_along(trajectory: Trajectory, params: Params,
                         eta: EtaSignal, variants: Sequence[str]
                         ) -> dict[str, float]:
-    """`phi_residual_along` for each variant of the relation, from one
-    program per site: eta with eta', the output jets, and the terms of
-    every variant. Each runs once per block of `_PHI_BLOCK` grid points,
-    and the residual is the largest of the blocks'. eta and eta' enter the
-    jets as columns: substituted into them, an eta of 0 folds the
-    infection terms away and changes the residual's last bits."""
+    """`phi_residual_along` for each variant of the relation, from two
+    programs: eta with eta', and the terms of every variant composed with
+    the output jets by `substitute_dynamics`, the very terms whose sum
+    `phi_vanishes_on_dynamics` proves zero. Each runs once per block of
+    `_PHI_BLOCK` grid points, and the residual is the largest of the
+    blocks'. eta and eta' enter the terms as columns: substituted into
+    them, an eta of 0 folds the infection terms away and changes the
+    residual's last bits."""
     if len(trajectory.times) == 0:
         return {variant: 0.0 for variant in variants}
     m = hiv_model()
     values = _param_values(m, params.as_dict())
 
-    # the relation is second order: jets to order 2, which read eta and eta'
     tv = m.tv_params[0]
     (eta_dt,), = expr.partials([eta.expression], [TIME_SYMBOL])
     signal = compile_program([eta.expression, eta_dt],
                              [TIME_SYMBOL]).float_fn()
-    jets = compile_program(
-        [e for i in (1, 2) for e in output_jet(m, i, 2).entries],
-        [*m.states, *m.const_params, tv, tv.derivative(1)]).float_fn()
-    jet_symbols = [output_symbol(m, i, k) for i in (1, 2) for k in range(3)]
-
     terms = [r.args if isinstance(r, expr.Sum) else (r,)
              for r in map(build_phi, variants)]
-    program = compile_program([term for ts in terms for term in ts],
-                              [*jet_symbols, *m.const_params]).float_fn()
+    # the relation is second order: along the dynamics its terms read the
+    # states, the parameters, eta and eta'
+    program = compile_program(
+        substitute_dynamics([[term for ts in terms for term in ts]])[0],
+        [*m.states, *m.const_params, tv, tv.derivative(1)]).float_fn()
     block_max: dict[str, list[float]] = {variant: [] for variant in variants}
     for lo in range(0, len(trajectory.times), _PHI_BLOCK):
         grid = trajectory.times[lo:lo + _PHI_BLOCK]
         consts = [np.full_like(grid, v) for v in values]
         etas = [np.broadcast_to(np.asarray(v, dtype=float), grid.shape)
                 for v in signal(grid)]
-        jet_vals = jets(*trajectory.states[lo:lo + _PHI_BLOCK].T, *consts,
-                        *etas)
-        outputs = iter(program(*jet_vals, *consts))
+        outputs = iter(program(*trajectory.states[lo:lo + _PHI_BLOCK].T,
+                               *consts, *etas))
         for variant, ts in zip(variants, terms):
             term_vals = np.column_stack(
                 [np.broadcast_to(next(outputs), grid.shape) for _ in ts])

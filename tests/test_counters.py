@@ -491,14 +491,14 @@ def _compile_calls(monkeypatch, run) -> int:
 
 
 # the eta signal (1), the vector field (1) and the outputs of every
-# trajectory (1); phi-check adds one program each for eta with eta', the
-# output jets and the terms of every relation variant (3)
+# trajectory (1); phi-check adds one program for eta with eta' and one for
+# the terms of every relation variant composed with the output jets (2)
 @pytest.mark.parametrize("run, bound", [
     (lambda: S.run_indistinguishability(
         ONES, (1.0, 0.2, 1.0), S.EtaSignal.from_text("1/2"), 0.7), 3),
     (lambda: S.tau_sweep(
         ONES, (1.0, 0.2, 1.0), S.EtaSignal.from_text("1/2"), SWEEP_TAUS), 3),
-    (lambda: cli.main(["phi-check"]), 6),
+    (lambda: cli.main(["phi-check"]), 5),
 ], ids=["single tau", "tau sweep", "phi-check"])
 def test_programs_compiled_per_run(monkeypatch, capsys, run, bound):
     assert _compile_calls(monkeypatch, run) <= bound

@@ -1,9 +1,10 @@
 """Agreement with independent oracles: scipy's DOP853 for the integrator,
 sympy's power series for the output jets, `sympy.cancel` for exact zero
-tests and sympy's exact rank for the rank verdicts. The integrator and jet
-oracles live in `perfbench/oracles.py` and, like the rank oracle here,
-share no code with odeident; these tests skip when sympy or scipy is not
-installed."""
+tests, sympy's exact rank for the rank verdicts and sympy's exact kernel
+of the output jets' Jacobian for what is unidentifiable. The integrator
+and jet oracles live in `perfbench/oracles.py` and, like the rank and
+kernel oracles here, share no code with odeident; these tests skip when
+sympy or scipy is not installed."""
 
 import functools
 import importlib.util
@@ -223,3 +224,69 @@ def test_rank_verdicts_agree_with_sympy(mode, rank):
         (kernel,) = matrix.nullspace()
         assert matrix * tangent == sp.zeros(5, 1)
         assert sp.Matrix.hstack(kernel, tangent).rank() == 1
+
+
+# ------------------------------------------- identifiability from the jets
+
+_STATE_NAMES = ("T_U", "T_I", "V")
+# the order-6 jets read eta to eta^(4): y'' is the first to read eta
+_ETA_ORDERS = 5
+
+
+def test_output_jet_kernel_is_the_tau_family_tangent():
+    """A Sedoglavic-style test written out in sympy's sparse polynomials
+    over Q, sharing no code with odeident: the Jacobian of the HIV output
+    jets to order 6 with respect to the parameters, the initial states and
+    eta's chain, at a random rational point, has a one-dimensional kernel,
+    and that kernel is the tau family's tangent.
+
+    The tangent by hand, from `transform.params_prime_exprs` and
+    `state_map_exprs` with u = e^(-rho tau), d/du at u = 1:
+    - delta' = delta*rho/((rho - delta)*u + delta) gives
+      -delta*rho*(rho - delta)/rho^2 = -delta*(rho - delta)/rho;
+    - N' = N*u gives N; lambda, rho and c do not move;
+    - T_I' = T_I*(delta/u + rho - delta)/rho gives -delta*T_I/rho;
+    - T_U' = T_U + T_I - T_I' gives delta*T_I/rho; V' = V does not move.
+    Scaled by rho: (0, delta^2 - delta*rho, 0, 0, N*rho | delta*T_I,
+    -delta*T_I, 0)."""
+    sp = pytest.importorskip("sympy")
+    DomainMatrix = sp.polys.matrices.DomainMatrix
+    QQ = sp.QQ
+    ring, *gens = sp.polys.rings.ring(
+        [*_PARAM_NAMES, *_STATE_NAMES,
+         *(f"eta_{j}" for j in range(_ETA_ORDERS))], QQ)
+    lam, delta, rho, c, N, tu, ti, v = gens[:8]
+    eta = gens[8:]
+    field = {tu: lam - rho*tu - eta[0]*tu*v,
+             ti: eta[0]*tu*v - delta*ti,
+             v: N*delta*ti - c*v}
+
+    def lie(p):
+        # eta^(j) -> eta^(j+1); the last of the chain never occurs here
+        assert p.diff(eta[-1]) == 0
+        return (sum((p.diff(x) * fx for x, fx in field.items()), ring.zero)
+                + sum((p.diff(eta[j]) * eta[j + 1]
+                       for j in range(_ETA_ORDERS - 1)), ring.zero))
+
+    jets = []
+    for y in (tu + ti, v):
+        jets.append(y)
+        for _ in range(_JET_ORDER):
+            jets.append(lie(jets[-1]))
+
+    rng = random.Random(20261020)
+    point = [QQ(rng.randint(1, 60), rng.randint(1, 20)) for _ in gens]
+    jacobian = DomainMatrix([[y.diff(g)(*point) for g in gens] for y in jets],
+                            (len(jets), len(gens)), QQ)
+    assert jacobian.shape == (14, 13)
+    assert jacobian.rank() == 12
+    (k,) = jacobian.nullspace().to_list()
+    names = [*_PARAM_NAMES, *_STATE_NAMES,
+             *(f"eta^({j})" for j in range(_ETA_ORDERS))]
+    assert {n for n, x in zip(names, k) if x} == {
+        "delta", "N", "T_U", "T_I", *(f"eta^({j})" for j in range(5))}
+
+    d, r, n, t_i = (point[gens.index(g)] for g in (delta, rho, N, ti))
+    tangent = [QQ(0), d*d - d*r, QQ(0), QQ(0), n*r, d*t_i, -d*t_i, QQ(0)]
+    scale = k[1] / tangent[1]
+    assert k[:8] == [scale * x for x in tangent]
