@@ -20,7 +20,11 @@ standard output itself.
 
 Only `simulate` and `phi-check` import the simulator, `odeident.sim`, and
 with it numpy; `verify-identities`, `rank` and `parse` run on exact and
-modular integer arithmetic and never load either.
+modular integer arithmetic and never load either. `verify-identities`,
+`simulate` and `phi-check` import `odeident.transform`, which the first
+reads its identities from and the other two their parameters; `rank` and
+`parse` never load it. `odeident.ranktest` loads with this module, since
+the `--variant` choices are its constants.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import math
 import os
 import sys
 
-from . import expr, model, ranktest, transform
+from . import expr, model, ranktest
 
 _USAGE_ERROR = 2
 _MATH_FAIL = 1
@@ -72,7 +76,10 @@ def _failing(code: int, *errors, prefix: str = "error"):
         raise _Failure(code, f"{prefix}: {exc}") from None
 
 
-def _params_from_args(args) -> transform.Params:
+def _params_from_args(args):
+    """The `transform.Params` of the model-parameter flags."""
+    from . import transform
+
     flags = {dest: flag for flag, dest, _ in _PARAM_FLAGS}
     params = transform.Params(**{dest: getattr(args, dest) for dest in flags})
     for field in dataclasses.fields(params):  # names --delta before --rho
@@ -158,6 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # Each returns (exit code, JSON payload, pretty lines).
 
 def _cmd_verify_identities(args):
+    from . import transform
+
     checks = transform.verify_identities()
     ok = all(ch.holds for ch in checks)
     payload = {"identities": [{"name": ch.name, "pass": ch.holds}

@@ -830,25 +830,32 @@ def phi_residuals_along(trajectory: Trajectory, params: Params,
     program = compile_program(
         substitute_dynamics([[term for ts in terms for term in ts]])[0],
         [*m.states, *m.const_params, tv, tv.derivative(1)]).float_fn()
-    block_max: dict[str, list[float]] = {variant: [] for variant in variants}
-    for lo in range(0, len(trajectory.times), _PHI_BLOCK):
+
+    def block_maxima(lo: int) -> list[float]:
+        # each variant's largest residual on the block from `lo`; the
+        # block's columns go with the call, before the next block's run
         grid = trajectory.times[lo:lo + _PHI_BLOCK]
         consts = [np.full_like(grid, v) for v in values]
         etas = [np.broadcast_to(np.asarray(v, dtype=float), grid.shape)
                 for v in signal(grid)]
         outputs = iter(program(*trajectory.states[lo:lo + _PHI_BLOCK].T,
                                *consts, *etas))
-        for variant, ts in zip(variants, terms):
+        maxima = []
+        for ts in terms:
             term_vals = np.column_stack(
                 [np.broadcast_to(next(outputs), grid.shape) for _ in ts])
             total = np.abs(term_vals.sum(axis=1))
             scale = np.abs(term_vals).max(axis=1)
             residual = np.where(scale > 0,
                                 total / np.where(scale > 0, scale, 1.0), 0.0)
-            block_max[variant].append(residual.max())
+            maxima.append(residual.max())
+        return maxima
+
+    blocks = [block_maxima(lo)
+              for lo in range(0, len(trajectory.times), _PHI_BLOCK)]
     # np.max, not max: a NaN in any block stays NaN, as over the whole grid
-    return {variant: float(np.max(maxima))
-            for variant, maxima in block_max.items()}
+    return {variant: float(np.max([maxima[i] for maxima in blocks]))
+            for i, variant in enumerate(variants)}
 
 
 # ----------------------------------------------------------- CSV export

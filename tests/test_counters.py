@@ -25,8 +25,9 @@ plain run checks finiteness through numpy at most twice. The programs
 a simulation compiles are bounded per run, not per output or per twin,
 and a run's compiled code leaves nothing for the cyclic garbage
 collector. Cold start is counted in modules: a fresh `import odeident`
-loads a pinned set of package modules and not numpy, and the symbolic
-subcommands run with numpy blocked.
+loads a pinned set of package modules and not numpy, the symbolic
+subcommands run with numpy blocked, and `rank` and `parse` never load
+the transformation.
 """
 
 import gc
@@ -563,14 +564,18 @@ def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+_LOADED = ("print(json.dumps(sorted(m for m in sys.modules if m == 'numpy' "
+           "or m.startswith(('numpy.', 'odeident')))))")
+
+
 def test_import_loads_the_symbolic_modules_only():
-    done = _fresh("import sys, json, odeident; print(json.dumps(sorted("
-                  "m for m in sys.modules "
-                  "if m == 'numpy' or m.startswith(('numpy.', 'odeident')))))")
+    # the rank test and the transformation load on first use: importing
+    # them here compiled 744 more lines and two closed-form programs
+    done = _fresh(f"import sys, json, odeident; {_LOADED}; "
+                  f"odeident.hiv_model(); {_LOADED}")
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [
-        "odeident", "odeident.expr", "odeident.model", "odeident.ranktest",
-        "odeident.transform"]
+    imported, built = map(json.loads, done.stdout.splitlines())
+    assert imported == built == ["odeident", "odeident.expr", "odeident.model"]
 
 
 _BLOCKED_MAIN = """
@@ -579,23 +584,26 @@ sys.modules["numpy"] = None
 from odeident.cli import main
 code = main(sys.argv[1:])
 print(json.dumps({"code": code,
-                  "sim_loaded": "odeident.sim" in sys.modules}))
+                  "sim_loaded": "odeident.sim" in sys.modules,
+                  "transform_loaded": "odeident.transform" in sys.modules}))
 """
 
 _ELAPSED = re.compile(r'"elapsed_ms": \d+')
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify-identities"],
-    ["rank", "--seed", "7", "--trials", "3", "--mode", "naive"],
-    ["rank", "--seed", "7", "--trials", "3", "--mode", "constrained"],
-    ["parse", _HIV_FILE],
+@pytest.mark.parametrize("argv, transform_loaded", [
+    (["verify-identities"], True),
+    (["rank", "--seed", "7", "--trials", "3", "--mode", "naive"], False),
+    (["rank", "--seed", "7", "--trials", "3", "--mode", "constrained"], False),
+    (["parse", _HIV_FILE], False),
 ], ids=["verify-identities", "rank naive", "rank constrained", "parse"])
-def test_symbolic_subcommands_run_without_numpy(capsys, argv):
+def test_symbolic_subcommands_run_without_numpy(capsys, argv,
+                                                transform_loaded):
     done = _fresh(_BLOCKED_MAIN, *argv)
     assert done.returncode == 0, done.stderr
     *output, status = done.stdout.splitlines(keepends=True)
-    assert json.loads(status) == {"code": 0, "sim_loaded": False}
+    assert json.loads(status) == {"code": 0, "sim_loaded": False,
+                                  "transform_loaded": transform_loaded}
     assert cli.main(argv) == 0
     expected = capsys.readouterr().out
     assert _ELAPSED.sub("", "".join(output)) == _ELAPSED.sub("", expected)

@@ -1,6 +1,7 @@
 """Every name a module lists in `__all__` exists, so a star import works,
-and no module reaches into another's private names, by import or by
-attribute."""
+the package lists and resolves the names it re-exports, whether its
+module loaded with the package or loads on first access, and no module
+reaches into another's private names, by import or by attribute."""
 
 import ast
 import importlib
@@ -45,3 +46,46 @@ def test_no_module_imports_a_private_name_from_another():
                   and isinstance(node.value, ast.Name)
                   and node.value.id in modules]
     assert found == []
+
+
+# the public names `dir(odeident)` listed while every module but the
+# simulator was imported with the package
+_PACKAGE_NAMES = [
+    "CORRECTED", "DEFAULT_PRIMES", "DenominatorIdenticallyZero",
+    "DivisionByZero", "DuplicateDeclaration", "ExhaustedRetries", "ExprError",
+    "Expression", "ExpressionTooLarge", "HIV_MODEL_TEXT", "IdentityCheck",
+    "MIAO_AS_PRINTED", "MissingOdeForState", "MixedModeSymbols", "OdeModel",
+    "OutputJet", "PARAM_ORDER", "Params", "ParseError", "PrimeDisagreement",
+    "RankReport", "RationalCanonical", "SingularPoint", "SingularTau",
+    "Symbol", "SymbolTable", "TauFamily", "UnboundSymbol", "UndeclaredSymbol",
+    "add", "admissible_tau_interval", "build_phi", "build_phi_system",
+    "const", "derivative_chain", "differentiate", "div", "eta_prime_value",
+    "evaluate", "expr", "free_symbols", "generic_rank", "hiv_model", "model",
+    "mul", "neg", "normalize", "output_jet", "output_symbol",
+    "parameter_jacobian", "parse_expression", "parse_model", "partials",
+    "phi_vanishes_on_dynamics", "pow_", "print_model", "ranktest",
+    "run_rank_test", "sub", "substitute_dynamics", "sym", "to_text",
+    "total_time_derivative", "transform", "transform_params",
+    "transform_state", "verify_identities",
+]
+
+
+def test_the_package_lists_its_names_and_star_imports_them():
+    assert len(_PACKAGE_NAMES) == 67
+    assert [n for n in dir(odeident) if not n.startswith("_")] \
+        == _PACKAGE_NAMES
+    assert odeident.__all__ == _PACKAGE_NAMES
+    namespace = {}
+    exec("from odeident import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(_PACKAGE_NAMES)
+
+
+def test_each_package_name_is_its_module_s_object():
+    modules = {m: importlib.import_module(f"odeident.{m}")
+               for m in ("expr", "model", "ranktest", "transform")}
+    homes = {name: [m for m in modules.values() if name in m.__all__]
+             for name in _PACKAGE_NAMES if name not in modules}
+    assert [n for n, found in homes.items() if len(found) != 1] == []
+    assert [n for n, (home,) in homes.items()
+            if getattr(odeident, n) is not getattr(home, n)] == []
+    assert all(getattr(odeident, m) is modules[m] for m in modules)

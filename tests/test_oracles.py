@@ -290,3 +290,127 @@ def test_output_jet_kernel_is_the_tau_family_tangent():
     tangent = [QQ(0), d*d - d*r, QQ(0), QQ(0), n*r, d*t_i, -d*t_i, QQ(0)]
     scale = k[1] / tangent[1]
     assert k[:8] == [scale * x for x in tangent]
+
+
+_CORPUS = Path(__file__).resolve().parent / "corpus"
+_CORPUS_ORDER = 4  # K: each output and its first four derivatives
+
+
+def _read_model_file(path: Path):
+    """(declarations by keyword, {state: rhs text}, [output text]) of a
+    model file, read line by line without odeident's parser."""
+    declared = {"states": [], "params": [], "tvparams": []}
+    odes, outputs = {}, []
+    for line in path.read_text().splitlines():
+        keyword, _, rest = line.split("#")[0].strip().partition(" ")
+        name, _, text = rest.partition("=")
+        if keyword in declared:
+            declared[keyword] = rest.split()
+        elif keyword == "ode":
+            odes[name.strip()] = text
+        elif keyword == "output":
+            outputs.append(text)
+    return declared, odes, outputs
+
+
+def _corpus_jacobian(path: Path, sp):
+    """(column names, exact Jacobian rows, output-jet values) of a model's
+    outputs and their first K derivatives with respect to its declared
+    parameters, its initial states and each tv parameter's chain u_0 ...
+    u_(K-1), at a seeded rational point, in sympy's rational function field
+    over Q. The columns come from the declarations, so a parameter that no
+    jet entry mentions is a zero column."""
+    declared, odes, outputs = _read_model_file(path)
+    chains = {u: [f"{u}_{j}" for j in range(_CORPUS_ORDER)]
+              for u in declared["tvparams"]}
+    names = [*declared["params"], *declared["states"],
+             *(c for chain in chains.values() for c in chain)]
+    field, *gens = sp.field(names, sp.QQ)
+    by_name = dict(zip(names, gens))
+    local = {**{n: sp.Symbol(n) for n in names},
+             **{u: sp.Symbol(chain[0]) for u, chain in chains.items()}}
+
+    def read(text):
+        return field.from_expr(
+            sp.parse_expr(text.replace("^", "**"), local_dict=local))
+
+    rhs = {by_name[x]: read(text) for x, text in odes.items()}
+    chain_gens = [[by_name[n] for n in chain] for chain in chains.values()]
+
+    def lie(p):
+        # u^(j) -> u^(j+1); the chain is long enough when its last entry
+        # never occurs
+        total = sum((p.diff(x) * f for x, f in rhs.items()), field.zero)
+        for chain in chain_gens:
+            assert p.diff(chain[-1]) == 0
+            total += sum((p.diff(chain[j]) * chain[j + 1]
+                          for j in range(_CORPUS_ORDER - 1)), field.zero)
+        return total
+
+    jets = []
+    for y in map(read, outputs):
+        jets.append(y)
+        for _ in range(_CORPUS_ORDER):
+            jets.append(lie(jets[-1]))
+    rng = random.Random(20261020)
+    point = [sp.QQ(rng.randint(1, 60), rng.randint(1, 20)) for _ in gens]
+
+    def at(f):
+        return f.numer(*point) / f.denom(*point)
+
+    return names, [[at(y.diff(g)) for g in gens] for y in jets], \
+        [at(y) for y in jets]
+
+
+_U_W = {f"{u}_{j}" for u in "uw" for j in range(_CORPUS_ORDER)}
+
+
+# model: (rank, kernel support)
+_CORPUS_KERNELS = {
+    "chain3": (5, set()), "decay": (2, set()), "logistic": (3, set()),
+    "lotka": (6, set()), "michaelis": (4, set()), "noparams": (2, set()),
+    "oscillator": (3, set()),
+    # y_sum' = 0: y_sum reads x_1 + x_2 only, and no entry reads k_on or
+    # k_off
+    "messy": (1, {"k_on", "k_off", "x_1", "x_2"}),
+    # x' = (a - w)x + u with x observed: x(0) is known, and a, w and u
+    # move together (see the test below)
+    "twosignals": (5, {"a", *_U_W}),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_CORPUS_KERNELS))
+def test_corpus_output_jet_kernels(model):
+    """The HIV test's method on the rest of the corpus: the rank of each
+    model's output-jet Jacobian at K = 4 and the support of its kernel,
+    the unknowns it cannot identify."""
+    sp = pytest.importorskip("sympy")
+    assert {p.stem for p in _CORPUS.glob("*.ode")} \
+        == {"hiv", *_CORPUS_KERNELS}
+    rank, support = _CORPUS_KERNELS[model]
+    names, rows, _ = _corpus_jacobian(_CORPUS / f"{model}.ode", sp)
+    matrix = sp.polys.matrices.DomainMatrix(rows, (len(rows), len(names)),
+                                            sp.QQ)
+    assert matrix.rank() == rank
+    kernel = matrix.nullspace().to_list() if rank < len(names) else []
+    assert len(kernel) == len(names) - rank
+    assert {n for k in kernel for n, x in zip(names, k) if x} == support
+
+
+def test_twosignals_kernel_is_spanned_by_its_families():
+    """By hand: x' = (a - w)x + u keeps every output derivative under
+    a -> a + e, w -> w + e, and under w -> w + g(t), u -> u + g(t) x(t) for
+    any g. Their tangents are (a, w_0) = (1, 1) and, for g = t^j/j!,
+    w_j = 1 with u_i = C(i, j) x^(i-j)(0) for i >= j: five independent
+    vectors, as many as the 10 columns less the rank 5, so they span the
+    kernel, whose support is a and both chains."""
+    sp = pytest.importorskip("sympy")
+    names, rows, jet = _corpus_jacobian(_CORPUS / "twosignals.ode", sp)
+    tangents = [{"a": 1, "w_0": 1}]
+    for j in range(_CORPUS_ORDER):
+        tangents.append({f"w_{j}": 1, **{
+            f"u_{i}": math.comb(i, j) * jet[i - j]
+            for i in range(j, _CORPUS_ORDER)}})
+    vectors = sp.Matrix([[t.get(n, 0) for n in names] for t in tangents]).T
+    assert sp.Matrix(rows) * vectors == sp.zeros(len(rows), len(tangents))
+    assert vectors.rank() == len(tangents) == len(names) - 5

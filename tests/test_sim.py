@@ -1014,6 +1014,30 @@ def test_blocked_relation_residual_matches_the_whole_grid(eta_text):
                 == _residual_term_by_term(traj, SKEWED, eta, variant))
 
 
+def test_relation_residual_holds_one_block_of_columns_at_a_time():
+    # past one block (4,096 points) the traced peak stays that of one
+    # block: keeping a block's columns alive while the next block's
+    # programs ran peaked at 1.5 times it from two blocks on
+    import tracemalloc
+    peaks, residuals = [], []
+    for points in (4096, 8192, 50000):
+        traj = S.integrate(hiv, ONES_DICT, [1.0, 1.0, 1.0], HALF,
+                           S.SimConfig(tf=10.0, dense_output_points=points))
+        S.phi_residuals_along(traj, ONES, HALF, ["corrected", "miao"])
+        tracemalloc.start()
+        try:
+            residuals.append(S.phi_residuals_along(traj, ONES, HALF,
+                                                   ["corrected", "miao"]))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks[1:]) <= 1.1 * peaks[0], peaks
+    assert residuals == [
+        {"corrected": 5.128194307869327e-16, "miao": 0.5989104486703885},
+        {"corrected": 6.342328486549087e-16, "miao": 0.5989104768701107},
+        {"corrected": 5.605903249913246e-16, "miao": 0.5989105091339679}]
+
+
 _PEAKS = """
 import contextlib, io, json, resource, sys
 from odeident import cli, sim
