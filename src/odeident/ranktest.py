@@ -12,7 +12,9 @@ ranks it there by one fraction-free elimination, which takes no modular
 inverse and gives the rank modulo every prime at once. None of the
 algebra depends on the seed, the trials or the primes, so `run_rank_test`
 builds and compiles the matrix of each (mode, variant) once per process
-and keeps only its program; every verdict still draws, evaluates and
+and keeps only its program, which carries the symbols it binds, and its
+column count. From the compiled program on, `generic_rank` and
+`run_rank_test` take one path: every verdict draws, evaluates and
 eliminates all its points.
 Differentiation happens before the dynamics substitution; the two orders
 are not interchangeable and the first is the one this test means.
@@ -25,13 +27,13 @@ rank of at most 4.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
 import operator
 import random
 import time
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import expr
@@ -155,7 +157,7 @@ def phi_vanishes_on_dynamics(phi: Expression) -> tuple[bool, RationalCanonical]:
 
 # --------------------------------------------------------------- rank test
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RankReport:
     """Result of a randomized generic-rank measurement."""
 
@@ -170,17 +172,13 @@ class RankReport:
     structured_point_rank: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "variant": self.variant,
-            "trials": self.trials,
-            "primes": [str(p) for p in self.primes],
-            "observed_ranks": {str(r): n for r, n in sorted(self.observed_ranks.items())},
-            "generic_rank": self.generic_rank,
-            "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms,
-            "structured_point_rank": self.structured_point_rank,
-        }
+        """The fields in their order, the primes as strings (JSON numbers
+        past 2^53 lose digits in many readers) and the observed ranks keyed
+        by their rank as a string, in rank order."""
+        return {**dataclasses.asdict(self),
+                "primes": [str(p) for p in self.primes],
+                "observed_ranks": {str(r): n for r, n
+                                   in sorted(self.observed_ranks.items())}}
 
 
 _MILLER_RABIN_BOUND = 318665857834031151167461  # psi_12, OEIS A014233
@@ -266,26 +264,24 @@ def _checked_rank_args(trials: int, primes: Sequence[int]) -> tuple[int, ...]:
     return primes
 
 
-def _ranks_at(program: expr.Program, seed: int,
-              order: Mapping[Symbol, int], shape: tuple[int, int], trial,
-              primes: tuple[int, ...],
-              pinned: Mapping[Symbol, int]) -> list[int]:
-    """Rank mod each of `primes` of the `shape` matrix that `program`
-    computes from the symbols in `order`, at the first point drawn for
-    `trial` under that prime that misses every denominator; the `pinned`
-    symbols keep their values. A module function, so that its retry per
-    prime refers to no closure and a `generic_rank` run's program dies
-    with the run; `run_rank_test`'s programs live in the process's cache
-    of them."""
-    (n_rows, n_cols), modulus = shape, math.prod(primes)
+def _ranks_at(program: expr.Program, n_cols: int, seed: int, trial,
+              primes: tuple[int, ...], pinned: Mapping[int, int]) -> list[int]:
+    """Rank mod each of `primes` of the matrix, `n_cols` entries a row,
+    that `program` computes, at the first point drawn for `trial` under
+    that prime that misses every denominator; a point holds one value per
+    input of `program`, and the inputs whose index `pinned` maps keep their
+    values. A module function, so that its retry per prime refers to no
+    closure and a `generic_rank` run's program dies with the run;
+    `run_rank_test`'s programs live in the process's cache of them."""
+    modulus = math.prod(primes)
     lift = [modulus // p * pow(modulus // p, -1, p) for p in primes]
     for attempt in range(_MAX_RETRIES_PER_TRIAL if len(primes) == 1
                          else 1):
-        points = [_draw_point(seed, p, trial, attempt, len(order))
+        points = [_draw_point(seed, p, trial, attempt, program.n_inputs)
                   for p in primes]
         for point, p in zip(points, primes):
-            for s, v in pinned.items():
-                point[order[s]] = v % p
+            for i, v in pinned.items():
+                point[i] = v % p
         try:
             values = program.run_mod(
                 [sum(map(operator.mul, lift, xs)) for xs in zip(*points)],
@@ -293,42 +289,41 @@ def _ranks_at(program: expr.Program, seed: int,
         except DivisionByZero:
             if len(primes) == 1:
                 continue
-            return [_ranks_at(program, seed, order, shape, trial, (p,),
-                              pinned)[0] for p in primes]
-        rows = [values[r * n_cols:(r + 1) * n_cols] for r in range(n_rows)]
-        return _rank_mod(rows, primes)
+            return [_ranks_at(program, n_cols, seed, trial, (p,), pinned)[0]
+                    for p in primes]
+        # a matrix without columns has no entries, and rank 0
+        return _rank_mod([values[i:i + n_cols] for i in
+                          range(0, len(values), n_cols or 1)], primes)
     raise ExhaustedRetries(
         f"{_MAX_RETRIES_PER_TRIAL} random points in a row hit a "
         f"denominator (prime {primes[0]}, trial {trial})")
 
 
 def _flat(matrix: Sequence[Sequence[Expression]]
-          ) -> tuple[list[Expression], tuple[Symbol, ...], tuple[int, int]]:
+          ) -> tuple[list[Expression], tuple[Symbol, ...], int]:
     """The entries of `matrix` row by row, its free symbols in
-    `Symbol.sort_key` order and its shape; a ragged matrix raises
-    ValueError."""
-    n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
+    `Symbol.sort_key` order, which `compile_program` takes as the program's
+    inputs, and its column count; a ragged matrix raises ValueError."""
+    n_cols = len(matrix[0]) if matrix else 0
     if any(len(row) != n_cols for row in matrix):
         raise ValueError(f"matrix rows differ in length: "
                          f"{sorted({len(row) for row in matrix})}")
     flat = [e for row in matrix for e in row]
     symbols = tuple(sorted(free_symbols(*flat), key=Symbol.sort_key))
-    return flat, symbols, (n_rows, n_cols)
+    return flat, symbols, n_cols
 
 
-def _rank_report(program: expr.Program, symbols: Sequence[Symbol],
-                 shape: tuple[int, int], trials: int, seed: int,
+def _rank_report(program: expr.Program, n_cols: int, trials: int, seed: int,
                  primes: tuple[int, ...],
-                 structured_point: Mapping[Symbol, int] | None,
-                 mode: str, variant: str) -> RankReport:
-    """The report, labelled `mode` and `variant`, of `generic_rank` for the
-    `shape` matrix that `program` computes from `symbols`, once the
-    arguments are checked: every trial's points drawn, evaluated and
-    eliminated. `elapsed_ms` times this alone, so it includes emitting and
-    exec'ing the modular source only on the program's first run."""
+                 structured_point: Mapping[Symbol, int] | None) -> RankReport:
+    """The report of `generic_rank` for the matrix, `n_cols` entries a row,
+    that `program` computes from its inputs, once the arguments are
+    checked: every trial's points drawn, evaluated and eliminated. Its
+    `mode` and `variant` are empty. `elapsed_ms` times this alone, so it
+    includes emitting and exec'ing the modular source only on the
+    program's first run."""
     started = time.perf_counter()
-    ranks_at = functools.partial(_ranks_at, program, seed,
-                                 {s: i for i, s in enumerate(symbols)}, shape)
+    ranks_at = functools.partial(_ranks_at, program, n_cols, seed)
 
     observed: dict[int, int] = {}
     per_prime_max = [0] * len(primes)
@@ -344,13 +339,14 @@ def _rank_report(program: expr.Program, symbols: Sequence[Symbol],
 
     structured_rank = None
     if structured_point is not None:
-        structured_rank = ranks_at("structured", primes[:1],
-                                   structured_point)[0]
+        index = {s: i for i, s in enumerate(program.input_symbols)}
+        structured_rank = ranks_at("structured", primes[:1], {
+            index[s]: v for s, v in structured_point.items()})[0]
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return RankReport(
-        mode=mode,
-        variant=variant,
+        mode="",
+        variant="",
         trials=trials,
         primes=primes,
         observed_ranks=observed,
@@ -377,7 +373,7 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
     agree across primes. With `structured_point`, the listed symbols are
     pinned to the given values (the rest stay random) and the rank at one
     such point under the first prime is recorded separately. The report's
-    `mode` and `variant` are left empty; `run_rank_test` fills them in.
+    `mode` and `variant` are left empty; `run_rank_test` labels its own.
 
     Each evaluation serves one or more primes: every prime draws its own
     point, the points are lifted by the Chinese remainder theorem to one
@@ -392,11 +388,11 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
 
     A ragged matrix, and a structured point that pins a symbol the matrix
     does not hold or to a value that is not an int, raise ValueError
-    before any evaluation. The matrix is compiled on every call, and its
-    program dies with the run.
+    before anything is compiled. The matrix is compiled on every call, its
+    program carries the symbols it binds, and it dies with the run.
     """
     primes = _checked_rank_args(trials, primes)
-    flat, symbols, shape = _flat(matrix)
+    flat, symbols, n_cols = _flat(matrix)
     for s, v in (structured_point or {}).items():
         name = getattr(s, "display", repr(s))
         if s not in symbols:
@@ -405,22 +401,22 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
         if not isinstance(v, int):
             raise ValueError(f"structured point value of {name} must be an "
                              f"int, got {v!r}")
-    return _rank_report(compile_program(flat, symbols), symbols, shape,
-                        trials, seed, primes, structured_point, "", "")
+    return _rank_report(compile_program(flat, symbols), n_cols, trials, seed,
+                        primes, structured_point)
 
 
 @functools.cache
 def _hiv_rank_program(mode: str, variant: str
-                      ) -> tuple[expr.Program, tuple[Symbol, ...],
-                                 tuple[int, int]]:
-    """The HIV parameter Jacobian of `mode` and `variant`, compiled, with
-    the symbols it binds and its shape. Built once per process per key; it
-    holds no expression, so the DAG it was built from is freed."""
+                      ) -> tuple[expr.Program, int]:
+    """The HIV parameter Jacobian of `mode` and `variant`, compiled (the
+    program carries the symbols it binds), with its column count. Built
+    once per process per key; it holds no expression, so the DAG it was
+    built from is freed."""
     matrix = parameter_jacobian(build_phi_system(build_phi(variant)))
     if mode == "constrained":
         matrix = substitute_dynamics(matrix)
-    flat, symbols, shape = _flat(matrix)
-    return compile_program(flat, symbols), symbols, shape
+    flat, symbols, n_cols = _flat(matrix)
+    return compile_program(flat, symbols), n_cols
 
 
 def run_rank_test(mode: str = "constrained",
@@ -437,14 +433,14 @@ def run_rank_test(mode: str = "constrained",
 
     The matrix of each (mode, variant) is built and compiled on its first
     verdict in the process and kept, as a program only; every verdict
-    still draws, evaluates and eliminates all its points.
+    still draws, evaluates and eliminates all its points, on the path
+    `generic_rank` takes once it has compiled its matrix.
     """
     primes = _checked_rank_args(trials, primes)
     if mode not in ("naive", "constrained"):
         raise ValueError(f"unknown mode {mode!r}")
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    program, symbols, shape = _hiv_rank_program(mode, variant)
 
     structured = None
     if mode == "constrained":
@@ -453,5 +449,6 @@ def run_rank_test(mode: str = "constrained",
         tv = hiv_model().tv_params[0]
         structured = {tv.derivative(k): 0 for k in range(1, 6)}
 
-    return _rank_report(program, symbols, shape, trials, seed, primes,
-                        structured, mode, variant)
+    report = _rank_report(*_hiv_rank_program(mode, variant), trials, seed,
+                          primes, structured)
+    return dataclasses.replace(report, mode=mode, variant=variant)

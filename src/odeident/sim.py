@@ -58,7 +58,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -151,9 +151,7 @@ class SimConfig:
         return np.linspace(self.t0, self.tf, self.dense_output_points)
 
     def to_dict(self) -> dict:
-        return {"t0": self.t0, "tf": self.tf, "abs_tol": self.abs_tol,
-                "rel_tol": self.rel_tol, "max_step": self.max_step,
-                "dense_output_points": self.dense_output_points}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -813,7 +811,8 @@ def phi_residuals_along(trajectory: Trajectory, params: Params,
     `_PHI_BLOCK` grid points, and the residual is the largest of the
     blocks'. eta and eta' enter the terms as columns: substituted into
     them, an eta of 0 folds the infection terms away and changes the
-    residual's last bits."""
+    residual's last bits. A term that is not finite at a grid point, or a
+    sum of terms that overflows, raises `NonFiniteState`."""
     if len(trajectory.times) == 0:
         return {variant: 0.0 for variant in variants}
     m = hiv_model()
@@ -845,16 +844,21 @@ def phi_residuals_along(trajectory: Trajectory, params: Params,
             term_vals = np.column_stack(
                 [np.broadcast_to(next(outputs), grid.shape) for _ in ts])
             total = np.abs(term_vals.sum(axis=1))
+            # a term that is not finite, or a sum that overflows, leaves
+            # the sum so; the residual would read it as 0 or NaN
+            if not _finite(total):
+                raise NonFiniteState("a term of the relation overflows on "
+                                     "the grid")
             scale = np.abs(term_vals).max(axis=1)
             residual = np.where(scale > 0,
                                 total / np.where(scale > 0, scale, 1.0), 0.0)
             maxima.append(residual.max())
         return maxima
 
-    blocks = [block_maxima(lo)
-              for lo in range(0, len(trajectory.times), _PHI_BLOCK)]
-    # np.max, not max: a NaN in any block stays NaN, as over the whole grid
-    return {variant: float(np.max([maxima[i] for maxima in blocks]))
+    with np.errstate(all="ignore"):  # a term that overflows is reported
+        blocks = [block_maxima(lo)
+                  for lo in range(0, len(trajectory.times), _PHI_BLOCK)]
+    return {variant: float(max(maxima[i] for maxima in blocks))
             for i, variant in enumerate(variants)}
 
 

@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, exit codes, schema-stable JSON."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -10,6 +12,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from odeident import cli, expr, ranktest, sim
 from odeident.transform import Params
@@ -591,6 +594,21 @@ def test_phi_check_printed_variant_alone_fails(capsys):
     assert payload["residuals"]["miao"] > 1e-2
 
 
+@pytest.mark.parametrize("variant", [["--variant", "corrected"], []],
+                         ids=["corrected", "both"])
+def test_phi_check_whose_terms_overflow_fails_with_one_error_line(capsys,
+                                                                  variant):
+    # delta = 1e308 overflows the relation's terms; a NaN residual once
+    # read as 0, so the corrected variant passed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "phi-check", *variant, "--init",
+                             "0,0,0", "--delta", "1e308", "--output",
+                             "pretty")
+    assert (code, out, caught) == (1, "", [])
+    assert err == "error: a term of the relation overflows on the grid\n"
+
+
 # ---------------------------------------------------------- golden outputs
 # stored from `simulate --tau T --eta E --output json`, the sha256 of the
 # same run with `--output csv`, `simulate --sweep ... --output json` keyed
@@ -804,3 +822,112 @@ def test_an_eta_constant_under_the_bound_prints_and_reads_back(capsys):
     assert code == 0 and err == ""
     text = json.loads(out)["eta"]
     assert expr.parse_expression(text) is expr.parse_expression(eta)
+
+
+# ----------------------------------------------------------- random argv
+# A command with some of its flags, each valid but for at most two, which
+# take an odd value: one from a pool of edge values or one the flag
+# refuses. Runs stay short: `--tf` at most 0.5 (no negative-tau twin
+# reaches its pole before), `--t0` never far below it, `--grid` at most 5,
+# `--trials` at most 3 and no tolerance under 1e-10 (1e-20 is valid and
+# spends the whole step budget). No `--csv` path can be written.
+
+_EDGE = ("nan", "inf", "1e308", "-1e308", "1e-20", "", "abc", "0,0,0", "1,2")
+
+
+def _edge_but(*values, odd=()):
+    return tuple(v for v in _EDGE if v not in values) + odd
+
+
+_OUTPUT = {"--output=": (("json", "pretty"), _edge_but(odd=("csv",)))}
+_SIM_FLAGS = {  # flag: (valid values, odd values)
+    "--eta=": (("1/2", "t", "1/2 + t/20"),
+               _edge_but(odd=("1/t", "10^400", "(t - 1/80)^-150", "t^"))),
+    "--t0=": (("0", "0.25"), _edge_but("-1e308", odd=("-inf",))),
+    "--tol=": (("1e-10", "1e-6", "1e-3"), _edge_but("1e-20", odd=("0",))),
+    "--init=": (("1,1,1", "1,0.2,1", "0,1,1"), _edge_but(odd=("1,2,3,4",))),
+    **{f"--{name}=": (("1", "2", "0.5"), _edge_but(odd=("0", "-1")))
+       for name in ("lambda", "rho", "delta", "N", "c")},
+}
+_SHORT_RUN = {
+    "--tf=": (("0.5", "0.25", "1e-20"), _edge_but("1e308", odd=("0", "-1"))),
+    "--grid=": (("2", "3", "5"), _edge_but(odd=("1", "0", "-1"))),
+}
+_UNWRITABLE = ("", "/nonexistent/dir/x.csv", str(Path(__file__).parent))
+_COMMANDS = (  # name, required flags, optional flags
+    ("verify-identities", {}, _OUTPUT),
+    ("rank", {"--seed=": (("7", "0", "-1"), _EDGE)}, {
+        "--mode=": (("naive", "constrained"), _edge_but(odd=("bogus",))),
+        "--variant=": (("corrected", "miao"), _edge_but(odd=("bogus",))),
+        "--trials=": (("1", "3"), _edge_but(odd=("0", "-1"))),
+        "--primes=": (("4611686018427388039,4611686018427388073",),
+                      _edge_but(odd=("101,103", "4611686018427388039,"
+                                                "4611686018427388039"))),
+        **_OUTPUT}),
+    ("simulate", _SHORT_RUN, {
+        "--tau=": (("0", "0.5", "-0.5", "0.7"),
+                   _edge_but(odd=("1000", "-0.6931471805599453"))),
+        "--sweep=": (("0:1:3", "-1:1.5:4", "0.5:0.5:1"), _edge_but(odd=(
+            "0:1", "a:b:c", "0:1:0", "0:1:-2", "nan:1:2", "-1e308:1e308:3",
+            "0:1:1e9", "0:1:100000000"))),
+        "--csv=": (_UNWRITABLE, _UNWRITABLE),
+        **_SIM_FLAGS,
+        "--output=": (("json", "pretty", "csv"), _EDGE)}),
+    ("phi-check", _SHORT_RUN, {
+        "--variant=": (("both", "corrected", "miao"),
+                       _edge_but(odd=("bogus",))),
+        **_SIM_FLAGS, **_OUTPUT}),
+    ("parse", {"": ((str(REPO_MODEL.resolve()),), _edge_but(
+        odd=("/nonexistent.ode", str(Path(__file__).parent))))}, _OUTPUT),
+)
+
+
+@st.composite
+def _argv(draw):
+    name, required, optional = draw(st.sampled_from(_COMMANDS))
+    flags = [*required, *draw(st.lists(st.sampled_from(list(optional)),
+                                       unique=True))]
+    odd = draw(st.sets(st.sampled_from(flags), max_size=2)) if flags else ()
+    values = {**required, **optional}
+    return [name] + [flag + draw(st.sampled_from(
+        values[flag][1] if flag in odd else values[flag][0])) for flag in flags]
+
+
+def _main_in_process(argv):
+    """(exit code, stdout, stderr) of `cli.main(argv)`; each warning counts
+    as a line of stderr, which is where a process would print it."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue() + "".join(
+        f"{w.category.__name__}: {w.message}\n" for w in caught)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@example(["phi-check", "--variant=corrected", "--init=0,0,0",
+          "--delta=1e308", "--tf=0.5", "--grid=5"])  # the terms overflow
+@given(argv=_argv())
+def test_random_argv_never_crashes_the_cli(argv):
+    code, out, err = _main_in_process(argv)
+    assert code in (0, 1, 2), code
+    assert "Traceback" not in err
+    one_line = out == "" and err.endswith("\n") and err.count("\n") == 1
+    if code == 0:
+        assert err == ""
+        flags = dict(a.split("=", 1) for a in argv if a.startswith("--"))
+        pretty = argv[0] in ("verify-identities", "parse")
+        if flags.get("--output", "pretty" if pretty else "json") == "json":
+            json.loads(out, parse_constant=_no_constant)
+    elif code == 1:
+        # a failed check reports on stdout; anything else is one line
+        assert (out != "" and err == "") or one_line, (out, err)
+    else:
+        usage = err.startswith("usage: ") and re.search(
+            rf"\nodeident {argv[0]}: error: .*\n\Z", err)
+        assert out == "" and (one_line or usage), err

@@ -231,6 +231,14 @@ def test_rank_of_deficient_matrix():
     assert report.generic_rank == 1
 
 
+@pytest.mark.parametrize("matrix", [[], [[]], [[], []]],
+                         ids=["no rows", "one empty row", "two empty rows"])
+def test_a_matrix_without_entries_has_rank_0(matrix):
+    report = R.generic_rank(matrix, 2, 1)
+    assert report.generic_rank == 0
+    assert report.observed_ranks == {0: 6}
+
+
 def test_rank_report_is_deterministic():
     x = E.Symbol("x")
     m = [[E.sym(x), E.ONE], [E.ONE, E.sym(x)]]
@@ -401,6 +409,26 @@ def test_printed_variant_still_rank_five_naive():
     report = R.run_rank_test(mode="naive", variant=R.MIAO_AS_PRINTED,
                              trials=5, seed=7)
     assert report.generic_rank == 5
+
+
+@pytest.mark.parametrize("mode, variant", [
+    ("naive", R.CORRECTED), ("constrained", R.CORRECTED),
+    ("constrained", R.MIAO_AS_PRINTED)])
+def test_the_pipeline_reports_what_generic_rank_does_on_its_matrix(mode,
+                                                                   variant):
+    jac = R.parameter_jacobian(R.build_phi_system(R.build_phi(variant)))
+    structured = None
+    if mode == "constrained":
+        jac = R.substitute_dynamics(jac)
+        structured = {hiv.tv_params[0].derivative(k): 0 for k in range(1, 6)}
+    by_hand = R.generic_rank(jac, trials=5, seed=7,
+                             structured_point=structured).to_dict()
+    piped = R.run_rank_test(mode, variant, trials=5, seed=7).to_dict()
+    assert (by_hand.pop("mode"), by_hand.pop("variant")) == ("", "")
+    assert (piped.pop("mode"), piped.pop("variant")) == (mode, variant)
+    by_hand.pop("elapsed_ms")
+    piped.pop("elapsed_ms")
+    assert by_hand == piped
 
 
 def test_report_json_schema():
