@@ -9,7 +9,9 @@ experiment.
 Importing the package loads `odeident.expr` and `odeident.model` only,
 which is all that parsing a model needs. Every other name, the modules
 `ranktest`, `transform` and `sim` among them, is resolved on first access
-through `_LAZY`, which is when its module is imported: the rank-test names
+through `_LAZY`, which is when its module is imported: `normalize`,
+`RationalCanonical` and `evaluate` load `odeident.canonical` or
+`odeident.program` through `odeident.expr`, the rank-test names
 (`run_rank_test`, `CORRECTED`, ...) load `odeident.ranktest`, the
 transformation names (`Params`, `verify_identities`, ...) load
 `odeident.transform`, and the simulator names (`EtaSignal`, `SimConfig`,
@@ -22,10 +24,10 @@ from importlib import import_module as _import_module
 
 from .expr import (
     DenominatorIdenticallyZero, DivisionByZero, DuplicateDeclaration,
-    Expression, ExpressionTooLarge, ExprError, ParseError, RationalCanonical,
+    Expression, ExpressionTooLarge, ExprError, ParseError,
     Symbol, SymbolTable, UnboundSymbol, UndeclaredSymbol,
-    add, const, differentiate, div, evaluate, free_symbols, mul, neg,
-    normalize, parse_expression, partials, pow_, sub, sym, to_text,
+    add, const, differentiate, div, free_symbols, mul, neg,
+    parse_expression, partials, pow_, sub, sym, to_text,
 )
 from .model import (
     HIV_MODEL_TEXT, MissingOdeForState, MixedModeSymbols, OdeModel,
@@ -38,6 +40,7 @@ __version__ = "0.1.0"
 # The names each module exports here; they, and the module's own name,
 # load it on first access.
 _LAZY_EXPORTS = {
+    "expr": ("RationalCanonical", "evaluate", "normalize"),
     "ranktest": (
         "CORRECTED", "DEFAULT_PRIMES", "MIAO_AS_PRINTED", "PARAM_ORDER",
         "ExhaustedRetries", "PrimeDisagreement", "RankReport",

@@ -7,6 +7,11 @@ Two expressions are equal as rational functions exactly when
 `normalize(a - b).is_zero`: the difference is expanded into numerator and
 denominator, so the test never relies on simplification heuristics or
 numerics.
+
+This module builds and reads expressions; `odeident.canonical` decides
+equality (`normalize`) and `odeident.program` evaluates (`compile_program`).
+Their names here load their module on first access, so building a model
+compiles neither.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import import_module as _import_module
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -31,6 +37,28 @@ __all__ = [
     "parse_expression", "partials", "pow_", "sub", "substitute_many", "sym",
     "to_text", "ZERO", "ONE",
 ]
+
+# Names of the modules built on this one; each loads its module on first
+# access. Tests and the benchmark read the private ones here.
+_LAZY_EXPORTS = {
+    "canonical": ("RationalCanonical", "normalize", "_MAX_PRODUCT_TERMS"),
+    "program": ("Program", "compile_float_fn", "compile_program", "evaluate",
+                "_LAZY_BITS", "_OP_MUL", "_PIECE_CHARS", "_as_residue"),
+}
+_LAZY = {name: module for module, names in _LAZY_EXPORTS.items()
+         for name in names}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        _import_module(f".{_LAZY[name]}", __package__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
 
 
 # ------------------------------------------------------------------ errors
@@ -358,7 +386,7 @@ class _Composite(Expression):
         # the DAG as a flat post-order list, rebuilt in a loop through the
         # constructors, which intern the copy again; nothing recurses, so a
         # chain of any depth pickles
-        order = _topo([self])
+        order = topo_order([self])
         index = {id(node): i for i, node in enumerate(order)}
         return _rebuild, ([(type(node), tuple(index[id(c)] for c in node.args),
                             getattr(node, "exponent", None)) if node.args
@@ -542,10 +570,10 @@ def neg(a) -> Expression:
 
 # -------------------------------------------------------------- traversal
 
-def _topo(roots: Sequence[Expression], seen=None) -> list[Expression]:
+def topo_order(roots: Sequence[Expression], seen=None) -> list[Expression]:
     """Unique nodes of the DAG(s), children before parents. Iterative. A
     node whose id `seen` holds is left out with the nodes below it, and
-    `seen` gains the ids returned."""
+    `seen` gains the ids returned. Every pass over a DAG starts here."""
     order: list[Expression] = []
     seen = set() if seen is None else seen
     stack: list[tuple[Expression, bool]] = [(r, False) for r in reversed(roots)]
@@ -566,7 +594,7 @@ def _topo(roots: Sequence[Expression], seen=None) -> list[Expression]:
 def free_symbols(*exprs: Expression) -> set[Symbol]:
     """The symbols that occur in any of `exprs`, from one traversal of
     their shared DAG."""
-    return {node.symbol for node in _topo(exprs) if isinstance(node, Sym)}
+    return {node.symbol for node in topo_order(exprs) if isinstance(node, Sym)}
 
 
 # ---------------------------------------------------------- differentiate
@@ -596,7 +624,7 @@ class PartialsMemo:
     def see(self, roots: Sequence[Expression]) -> "PartialsMemo":
         """Traverse the nodes of `roots` not seen before; returns self."""
         masks, bits = self.masks, self.bits
-        for node in _topo(roots, self.seen):
+        for node in topo_order(roots, self.seen):
             if isinstance(node, Sym):
                 masks[id(node)] = bits.setdefault(node.symbol, 1 << len(bits))
             else:  # a constant has no args, so its mask is 0
@@ -669,7 +697,7 @@ def substitute_many(exprs: Sequence[Expression],
     if not bindings:
         return list(exprs)
     images = {s: _coerce(v) for s, v in bindings.items()}
-    order = _topo(list(exprs))
+    order = topo_order(list(exprs))
     memo: dict[int, Expression] = {}
     for node in order:
         if isinstance(node, Sym):
@@ -693,763 +721,6 @@ def substitute_many(exprs: Sequence[Expression],
     return [memo[id(e)] for e in exprs]
 
 
-# ---------------------------------------------- polynomials and normalize
-#
-# `normalize` expands over packed monomials. The free symbols of the
-# expression, sorted by `Symbol.sort_key`, are numbered 0, 1, ..., and a
-# monomial is one int that holds symbol i's exponent in the bit field
-# [i*w, (i+1)*w), so multiplying two monomials is adding their ints. The
-# field width w is the bit length of a bound on the total degree of every
-# polynomial the expansion forms, so no exponent reaches 2**w and no field
-# carries into the next (`normalize` derives the bound). A polynomial is a
-# dict mapping monomials to nonzero coefficients, which stay Python ints
-# until a non-integral constant brings in a `Fraction`; the empty dict is
-# zero. `RationalCanonical` holds the public form of the same dicts: each
-# monomial unpacked into (Symbol, exponent) pairs and each coefficient made
-# a Fraction. The expansion is where sizes grow, so a product of more than
-# `_MAX_PRODUCT_TERMS` pairs of terms raises `ExpressionTooLarge` before
-# it is formed.
-
-_POLY_ONE = {0: 1}
-# The bundled model's largest product is 3 x 496 = 1,488 term pairs
-# (y1's order-8 jet). The tier-1 property tests expand only random draws
-# whose degree bounds keep every product under the limit; the largest
-# they formed over 50 runs was 9,216 pairs. A product under the limit has
-# at most 4 million terms; one with 4 million distinct small-coefficient
-# terms takes about 2.5 s and 440 MB.
-_MAX_PRODUCT_TERMS = 4_000_000
-
-
-def _poly_add(p1, p2):
-    if not p1:
-        return p2
-    if not p2:
-        return p1
-    out = dict(p1)
-    for m, c in p2.items():
-        v = out.get(m)
-        if v is None:
-            out[m] = c
-        else:
-            v = v + c
-            if v == 0:
-                del out[m]
-            else:
-                out[m] = v
-    return out
-
-
-def _poly_scale(p, f):
-    if f == 0:
-        return {}
-    if f == 1:
-        return p
-    return {m: c * f for m, c in p.items()}
-
-
-def _poly_mul(p1, p2):
-    if not p1 or not p2:
-        return {}
-    if p1 is _POLY_ONE:
-        return p2
-    if p2 is _POLY_ONE:
-        return p1
-    if len(p1) > len(p2):
-        p1, p2 = p2, p1
-    if len(p1) * len(p2) > _MAX_PRODUCT_TERMS:
-        raise ExpressionTooLarge(
-            f"expanding a product of {len(p1)} and {len(p2)} terms exceeds "
-            f"the limit of {_MAX_PRODUCT_TERMS:,} term pairs")
-    out: dict = {}
-    terms = p2.items()
-    for m1, c1 in p1.items():
-        for m2, c2 in terms:
-            m = m1 + m2
-            v = out.get(m)
-            if v is None:
-                out[m] = c1 * c2
-            else:
-                v = v + c1 * c2
-                if v == 0:
-                    del out[m]
-                else:
-                    out[m] = v
-    return out
-
-
-def _poly_pow(p, k: int):
-    result = _POLY_ONE
-    base = p
-    while k:
-        if k & 1:
-            result = _poly_mul(result, base)
-        base = _poly_mul(base, base) if k > 1 else base
-        k >>= 1
-    return result
-
-
-def _public(p, symbols, width):
-    """The public form of the packed polynomial `p` over `symbols`."""
-    mask = (1 << width) - 1
-    out = {}
-    for m, c in p.items():
-        mono = []
-        i = 0
-        while m:
-            k = m & mask
-            if k:
-                mono.append((symbols[i], k))
-            m >>= width
-            i += 1
-        out[tuple(mono)] = Fraction(c)
-    return out
-
-
-def _mono_order_key(mono):
-    return (sum(k for _, k in mono), tuple((s.sort_key(), k) for s, k in mono))
-
-
-def _leading_coefficient(p) -> Fraction:
-    return p[max(p, key=_mono_order_key)]
-
-
-def _mono_str(mono) -> str:
-    return "*".join(s.display if k == 1 else f"{s.display}^{k}" for s, k in mono)
-
-
-def _poly_str(p) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for mono in sorted(p, key=_mono_order_key, reverse=True):
-        c = p[mono]
-        body = _mono_str(mono)
-        if not body:
-            term = str(c)
-        elif c == 1:
-            term = body
-        elif c == -1:
-            term = f"-{body}"
-        else:
-            term = f"{c}*{body}"
-        parts.append(term)
-    text = " + ".join(parts)
-    return text.replace("+ -", "- ")
-
-
-class RationalCanonical:
-    """Expanded numerator/denominator pair of a rational function.
-
-    Each polynomial is a dict from monomials, tuples of (Symbol, exponent)
-    pairs in sort-key order, to nonzero Fractions. The denominator is
-    scaled so its leading coefficient (graded-lex order) is 1; numerator
-    and denominator are not GCD-reduced. The numerator is empty exactly
-    when the function is zero, so `is_zero` is exact without cancellation.
-    """
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator, denominator):
-        if not denominator:
-            raise DenominatorIdenticallyZero("denominator expands to the zero polynomial")
-        if not numerator:
-            numerator, denominator = {}, {(): Fraction(1)}
-        else:
-            lead = _leading_coefficient(denominator)
-            if lead != 1:
-                inv = 1 / lead
-                numerator = _poly_scale(numerator, inv)
-                denominator = _poly_scale(denominator, inv)
-        self.numerator = numerator
-        self.denominator = denominator
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.numerator
-
-    def coefficient(self, monomial: Mapping[Symbol, int]) -> Fraction:
-        """Numerator coefficient of the given monomial (use with denominator 1)."""
-        key = tuple(sorted(((s, k) for s, k in monomial.items() if k),
-                           key=lambda it: it[0].sort_key()))
-        return self.numerator.get(key, Fraction(0))
-
-    def __str__(self):
-        num = _poly_str(self.numerator)
-        if self.denominator == {(): 1}:
-            return num
-        return f"({num}) / ({_poly_str(self.denominator)})"
-
-    def __repr__(self):
-        return f"<RationalCanonical {self}>"
-
-
-def normalize(e: Expression) -> RationalCanonical:
-    """Expand `e` into a canonical numerator/denominator pair.
-
-    `normalize(e).is_zero` is an exact zero test for the rational
-    function `e` denotes. Shared DAG nodes are expanded once. The
-    expansion runs over packed monomials and int coefficients (see the
-    section comment), and the public form is built once, from the root's
-    pair.
-
-    The field width comes from a bound (num, den) on the total degrees of
-    each node's pair, taken in the same pass that collects the symbols: a
-    constant has (0, 0) and a symbol (1, 0); a sum or difference of
-    children (n_i, d_i) has (max(n_i + D - d_i), D) with D = sum(d_i); a
-    product adds the children's bounds; a quotient of (n1, d1) by
-    (n2, d2) has (n1 + d2, d1 + n2); a power k >= 0 scales (n, d) by k,
-    and k < 0 scales the swapped (d, n) by -k. Every intermediate
-    polynomial stays within its node's bound, so the largest bound over
-    all nodes caps every exponent.
-    """
-    order = _topo([e])
-    symbols = set()
-    bounds: dict[int, tuple[int, int]] = {}
-    top = 0
-    for node in order:
-        kind = type(node)
-        if kind is Const:
-            bound = (0, 0)
-        elif kind is Sym:
-            symbols.add(node.symbol)
-            bound = (1, 0)
-        elif kind is Sum or kind is Difference:
-            children = [bounds[id(c)] for c in node.args]
-            den = sum(d for _, d in children)
-            bound = (max(n + den - d for n, d in children), den)
-        elif kind is Product:
-            children = [bounds[id(c)] for c in node.args]
-            bound = (sum(n for n, _ in children), sum(d for _, d in children))
-        elif kind is Quotient:
-            n1, d1 = bounds[id(node.args[0])]
-            n2, d2 = bounds[id(node.args[1])]
-            bound = (n1 + d2, d1 + n2)
-        else:  # Power
-            n, d = bounds[id(node.args[0])]
-            k = node.exponent
-            bound = (k * n, k * d) if k >= 0 else (-k * d, -k * n)
-        bounds[id(node)] = bound
-        top = max(top, *bound)
-    width = top.bit_length()
-    symbols = sorted(symbols, key=Symbol.sort_key)
-    shift = {s: i * width for i, s in enumerate(symbols)}
-    memo: dict[int, tuple[dict, dict]] = {}
-    for node in order:
-        kind = type(node)
-        if kind is Const:
-            v = node.value
-            num = {0: v.numerator if v.denominator == 1 else v} if v else {}
-            memo[id(node)] = (num, _POLY_ONE)
-        elif kind is Sym:
-            memo[id(node)] = ({1 << shift[node.symbol]: 1}, _POLY_ONE)
-        elif kind is Sum:
-            n, d = memo[id(node.args[0])]
-            for child in node.args[1:]:
-                n2, d2 = memo[id(child)]
-                if d is d2 is _POLY_ONE:
-                    n = _poly_add(n, n2)
-                else:
-                    n = _poly_add(_poly_mul(n, d2), _poly_mul(n2, d))
-                    d = _poly_mul(d, d2)
-            memo[id(node)] = (n, d)
-        elif kind is Difference:
-            n1, d1 = memo[id(node.args[0])]
-            n2, d2 = memo[id(node.args[1])]
-            n2 = _poly_scale(n2, -1)
-            if d1 is d2 is _POLY_ONE:
-                memo[id(node)] = (_poly_add(n1, n2), _POLY_ONE)
-            else:
-                memo[id(node)] = (
-                    _poly_add(_poly_mul(n1, d2), _poly_mul(n2, d1)),
-                    _poly_mul(d1, d2),
-                )
-        elif kind is Product:
-            n, d = _POLY_ONE, _POLY_ONE
-            for child in node.args:
-                n2, d2 = memo[id(child)]
-                n = _poly_mul(n, n2)
-                d = _poly_mul(d, d2)
-            memo[id(node)] = (n, d)
-        elif kind is Quotient:
-            n1, d1 = memo[id(node.args[0])]
-            n2, d2 = memo[id(node.args[1])]
-            if not n2:
-                raise DenominatorIdenticallyZero(
-                    "denominator expands to the zero polynomial")
-            memo[id(node)] = (_poly_mul(n1, d2), _poly_mul(d1, n2))
-        else:  # Power
-            n, d = memo[id(node.args[0])]
-            k = node.exponent
-            if k >= 0:
-                memo[id(node)] = (_poly_pow(n, k), _poly_pow(d, k))
-            else:
-                if not n:
-                    raise DenominatorIdenticallyZero(
-                        "zero raised to a negative power")
-                memo[id(node)] = (_poly_pow(d, -k), _poly_pow(n, -k))
-    num, den = memo[id(e)]
-    return RationalCanonical(_public(num, symbols, width),
-                             _public(den, symbols, width))
-
-
-# -------------------------------------------------------------- evaluation
-
-_OP_ADD, _OP_SUB, _OP_MUL, _OP_DIV, _OP_POW = range(5)
-
-# CPython's parser and compiler recurse on nesting: a single-use operand
-# whose inlined text would nest this deep gets a temporary instead, and a
-# Sum or Product with more operands than _CHUNK is folded left to right
-# through a running temporary, so the float rounding order is unchanged.
-_MAX_INLINE_DEPTH = 48
-_CHUNK = 32
-# Compiling takes about 150 bytes of memory per character of source
-# (CPython 3.11); a long program is compiled in pieces of about this many
-# characters, which bounds that memory
-_PIECE_CHARS = 8192
-# The modular rendering reduces lazily. Every value it computes is below
-# 2^(a*W + b) in magnitude, W the bit length of the modulus, and each
-# operand carries its (a, b): residues (inputs, constants, temporaries and
-# the results of pow and _inv) are (1, 0), n summands add ceil(log2 n) to b,
-# and factors add both. `% p` is emitted only where a bound would pass
-# _LAZY_BITS, and at every temporary and output, so one source serves every
-# modulus and no intermediate exceeds 2^(4*W + 16).
-_LAZY_BITS = (4, 16)
-_REDUCED = (1, 0)
-_KEPT_MODULI = 4  # a rank verdict's three primes and their product
-
-
-class Program:
-    """Straight-line evaluator compiled from expression DAGs.
-
-    Value slots are laid out as [inputs][constants][temporaries]. Each
-    instruction `(op, dst, ...)` fills one temporary from earlier slots, so
-    shared subexpressions occupy a single slot and are computed once per
-    run. The instruction list is the only intermediate form: on the first
-    run in an arithmetic domain it is emitted as straight-line Python
-    source (`source`), compiled once and cached on the program. The plain
-    rendering (+ - * / **) is bound twice, with float64 constants
-    (`float_fn`) and with exact ones (`plain_fn`, which `run_exact` runs).
-    The modular rendering reduces lazily: it emits `% p` only where a
-    value's bound would pass 2^(4*W + 16), W the bit length of the modulus,
-    and at every temporary and output (see `_LAZY_BITS`). It raises
-    DivisionByZero on a value with no inverse and is bound per modulus
-    (`run_mod`), a prime or a product of distinct primes; the program keeps
-    the `_KEPT_MODULI` latest bindings. Each domain converts its inputs by
-    one rule: `run_exact` by `_as_fraction`, `run_mod` by `_as_residue`.
-    """
-
-    def __init__(self, instructions, constants, outputs, input_symbols):
-        self.instructions = instructions
-        self.constants = constants
-        self.outputs = outputs
-        self.input_symbols = input_symbols
-        self.n_inputs = len(input_symbols)
-        # every instruction fills one temporary slot of its own
-        self.n_slots = self.n_inputs + len(constants) + len(instructions)
-        self._rendered: dict[bool, tuple] = {}  # modular -> (source, maker)
-        self._fns: dict = {}  # "float", "plain" or a modulus -> code
-
-    def _render(self, modular: bool) -> tuple:
-        rendered = self._rendered.get(modular)
-        if rendered is None:
-            pieces, prelude, body, outputs = _emit(self, modular)
-            inputs = [f"v{j}" for j in range(self.n_inputs)]
-            result = (outputs if isinstance(outputs, str)
-                      else f"[{', '.join(outputs)}]")
-            units = [*pieces, _unit("_make", "p, c" if modular else "c",
-                                    prelude, inputs, body, result)]
-            rendered = self._rendered[modular] = ("\n".join(units),
-                                                  _define(units))
-        return rendered
-
-    def source(self, modular: bool = False) -> str:
-        """The emitted Python source: `_make(constants)`, or
-        `_make(p, residues)` when modular, returns a function of the input
-        values that returns the list of output values."""
-        return self._render(modular)[0]
-
-    def _bind(self, domain, modular: bool, make_args):
-        fn = self._fns[domain] = self._render(modular)[1](*make_args)
-        return fn
-
-    def float_fn(self):
-        """The plain rendering in float64 as a function of the input
-        values. Arguments pass through unconverted, so numpy arrays
-        broadcast; scalar division by zero raises ZeroDivisionError. A
-        constant outside the float64 range raises ValueError."""
-        return self._fns.get("float") or self._bind(
-            "float", False, (self.float_constants(),))
-
-    def float_constants(self) -> list[float]:
-        """The constants in float64, as `float_fn` binds them. One outside
-        the float64 range raises ValueError."""
-        try:
-            return [float(c) for c in self.constants]
-        except OverflowError:
-            raise ValueError("a constant is outside the float64 "
-                             "range") from None
-
-    def inline(self, host):
-        """Compile a function of the caller's that runs the plain rendering
-        in line, in as many places as it likes.
-
-        `host(prelude, body, outputs)` returns the source of one function,
-        `def _make(c, ...)`, whose `c` takes `float_constants()`. Its top
-        level runs the lines `prelude`, which bind the constants c<k> and,
-        for a long program, its pieces _p<k>. Wherever it runs the lines
-        `body` of `float_fn`, input j is read from the name v<j>, and
-        `outputs[j]` is then the expression of output j; besides the
-        inputs they use c<k>, _p<k>, temporaries t<k> and _out. The
-        pieces are compiled first, as for `float_fn`, so the host's source
-        holds only their calls and compile memory stays bounded. Returns
-        the compiled `_make`."""
-        pieces, prelude, body, outputs = _emit(self, False)
-        if isinstance(outputs, str):  # the last piece's call
-            body = [*body, f"_out = {outputs}"]
-            outputs = [f"_out[{j}]" for j in range(len(self.outputs))]
-        return _define([*pieces, host(prelude, body, outputs)])
-
-    def plain_fn(self):
-        """float_fn with integral constants bound as Python ints: Fraction
-        inputs stay exact, and float inputs give float_fn's bits."""
-        return self._fns.get("plain") or self._bind("plain", False, (
-            [int(c) if c.denominator == 1 else c for c in self.constants],))
-
-    def run_exact(self, values: Sequence) -> list[Fraction]:
-        """The outputs as Fractions at the input `values`, which are ints,
-        Fractions or floats (taken exactly); runs `plain_fn`."""
-        try:
-            outputs = self.plain_fn()(*map(_as_fraction, values))
-        except ZeroDivisionError as exc:
-            raise DivisionByZero(str(exc)) from None
-        return list(map(Fraction, outputs))  # an integral constant is an int
-
-    def run_mod(self, values: Sequence, p: int) -> list[int]:
-        """The outputs in [0, p) at the input `values`, which are ints or
-        Fractions, reduced mod p. `p` is a prime or a product of distinct
-        primes, so by the Chinese remainder theorem the outputs mod each
-        prime factor are those of a run mod that factor. A division by a
-        value with no inverse mod p, or a Fraction whose denominator has
-        none, raises DivisionByZero; mod a product that is a value zero
-        mod some factor. `p` must be at least 2."""
-        fn = self._fns.get(p)
-        if fn is None:
-            if p < 2:
-                raise ValueError("modulus must be at least 2")
-            moduli = [k for k in self._fns if type(k) is int]
-            if len(moduli) >= _KEPT_MODULI:
-                del self._fns[moduli[0]]
-            fn = self._bind(p, True,
-                            (p, [_as_residue(c, p) for c in self.constants]))
-        return fn(*[_as_residue(v, p) for v in values])
-
-
-def _emit(program: Program, modular: bool) -> tuple:
-    """Straight-line source for `program`'s instructions, in parts:
-    `(pieces, prelude, body, outputs)`.
-
-    A slot read more than once, or an operand nested `_MAX_INLINE_DEPTH`
-    deep, gets a temporary `t<slot>`; every other slot is inlined into its
-    one reader, so a tree-shaped expression becomes one nested expression.
-    Input slot j is read from the name v<j>. `body` is the lines of
-    `_make`'s `_fn`, `outputs` the list of the expressions it returns and
-    `prelude` the lines of `_make` that bind the constants. A program
-    longer than `_PIECE_CHARS` is cut into piece functions that pass on
-    the temporaries crossing a cut, defined by the units `pieces`, which
-    are compiled first; prelude then binds them, body is their calls but
-    the last, and outputs is the last call, which returns the list.
-    """
-    uses = [0] * program.n_slots
-    for ins in program.instructions:
-        op = ins[0]
-        for j in (ins[2] if op in (_OP_ADD, _OP_MUL)
-                  else ins[2:3] if op == _OP_POW else ins[2:4]):
-            uses[j] += 1
-    for o in program.outputs:
-        uses[o] += 1
-
-    n_in, n_leaves = program.n_inputs, program.n_inputs + len(program.constants)
-
-    def name(j):
-        return f"v{j}" if j < n_in else f"c{j - n_in}" if j < n_leaves else f"t{j}"
-
-    # slot -> (text, depth, slots read, bound): depth bounds the syntactic
-    # nesting; bound is the modular rendering's magnitude bound (a, b), and
-    # plain values, which need no reduction, carry _REDUCED throughout
-    text = {j: (name(j), 0, (j,), _REDUCED) for j in range(n_leaves)}
-    lines = []  # (temporary assigned, expression, slots read)
-
-    def read(j):  # a slot read once leaves the table when read
-        return text.pop(j) if uses[j] == 1 else text[j]
-
-    def settled(expression, bound):  # temporaries and outputs are residues
-        return expression if bound == _REDUCED else f"{expression} % p"
-
-    for ins in program.instructions:
-        op, dst = ins[0], ins[1]
-        bound = _REDUCED
-        if op == _OP_POW:
-            base, depth, reads, _ = read(ins[2])
-            k = ins[3]
-            if not modular:
-                expression = f"({base}**{k})" if k >= 0 else f"({base}**({k}))"
-            elif k >= 0:
-                expression = f"pow({base}, {k}, p)"
-            else:
-                expression = f"_inv(pow({base}, {-k}, p))"
-            depth += 2
-        elif op in (_OP_SUB, _OP_DIV):
-            (a, da, ra, ba), (b, db, rb, bb) = read(ins[2]), read(ins[3])
-            if not modular:
-                body = f"{a} - {b}" if op == _OP_SUB else f"{a} / {b}"
-            elif op == _OP_SUB:
-                body, bound = _mod_sum([(a, ba), (b, bb)], " - ")
-            else:  # pow in _inv takes any int and returns a residue
-                body, bound = _mod_product([(a, ba), (f"_inv({b})", _REDUCED)])
-            expression, depth, reads = f"({body})", max(da, db) + 3, ra + rb
-        else:
-            operands = [read(j) for j in ins[2]]
-            for start in range(0, len(operands), _CHUNK):
-                chunk = operands[start:start + _CHUNK]
-                if start:
-                    chunk.insert(0, (name(dst), 0, (dst,), _REDUCED))
-                if not modular:
-                    body = (" + " if op == _OP_ADD else "*").join(
-                        [t for t, _, _, _ in chunk])
-                elif op == _OP_ADD:
-                    body, bound = _mod_sum([(t, b) for t, _, _, b in chunk], " + ")
-                else:
-                    body, bound = _mod_product([(t, b) for t, _, _, b in chunk])
-                expression = f"({body})"
-                depth = max(d for _, d, _, _ in chunk) + len(chunk) + 1
-                reads = tuple(r for _, _, rs, _ in chunk for r in rs)
-                if start + _CHUNK < len(operands):
-                    lines.append((dst, settled(expression, bound), reads))
-        if uses[dst] == 1 and depth < _MAX_INLINE_DEPTH:
-            text[dst] = (expression, depth, reads, bound)
-        else:
-            lines.append((dst, settled(expression, bound), reads))
-            text[dst] = (name(dst), 0, (dst,), _REDUCED)
-
-    returned = [read(o) for o in program.outputs]
-    outputs = [settled(t, bound) for t, _, _, bound in returned]
-    pieces = [[]]
-    size = 0
-    for line in lines:
-        if size > _PIECE_CHARS:
-            pieces.append([])
-            size = 0
-        pieces[-1].append(line)
-        size += len(line[1])
-
-    make = "p, c" if modular else "c"
-    inv = ["def _inv(b):",
-           "    try:",
-           "        return pow(b, -1, p)",
-           "    except ValueError:",
-           "        raise DivisionByZero(\"denominator is zero at this point\") "
-           "from None"] if modular else []
-    later = {r for _, _, reads, _ in returned for r in reads}  # read after a piece
-    units, calls = [], []
-    for k in reversed(range(len(pieces))):
-        last = k == len(pieces) - 1
-        defined, takes = set(), set()
-        for dst, _, reads in pieces[k]:
-            takes.update(r for r in reads if r not in defined)
-            defined.add(dst)
-        if last:
-            takes.update(r for r in later if r not in defined)
-            hands = f"[{', '.join(outputs)}]"
-        else:
-            hands = f"[{', '.join(map(name, sorted(defined & later)))}]"
-        later = (later - defined) | takes
-        prelude = [f"{name(r)} = c[{r - n_in}]" for r in sorted(takes)
-                   if n_in <= r < n_leaves] + inv
-        assigns = [f"t{dst} = {expression}" for dst, expression, _ in pieces[k]]
-        if len(pieces) == 1:
-            return [], prelude, assigns, outputs
-        args = [name(r) for r in sorted(takes) if not n_in <= r < n_leaves]
-        units.append(_unit(f"_piece{k}", make, prelude, args, assigns, hands))
-        calls.append(f"_p{k}({', '.join(args)})" if last
-                     else f"{hands} = _p{k}({', '.join(args)})")
-    units.reverse()  # both were gathered last piece first
-    calls.reverse()
-    made = [f"_p{k} = _piece{k}({make})" for k in range(len(pieces))]
-    return units, made, calls[:-1], calls[-1]
-
-
-def _define(units: Sequence[str]):
-    """Compile `units`, each the source of one function, in order; returns
-    the last unit's function. Each is defined in a namespace of its own
-    that holds the functions defined before it but not itself, so no
-    function and namespace form a reference cycle: the compiled code goes
-    with its last function, not with the cyclic GC."""
-    made = {}
-    for unit in units:  # generated purely from a program
-        namespace = {"DivisionByZero": DivisionByZero, **made}
-        exec(unit, namespace)
-        name = unit[len("def "):unit.index("(")]
-        made[name] = namespace.pop(name)
-    return made[name]
-
-
-def _mod_sum(operands, sign: str) -> tuple[str, tuple[int, int]]:
-    """The (text, bound) operands joined by `sign` (" + " or " - ") and the
-    bound of the result: n operands add ceil(log2 n) to b, and an operand
-    that would push the result past _LAZY_BITS is reduced first."""
-    extra = (len(operands) - 1).bit_length()
-    operands = [(f"({t} % p)", _REDUCED) if b[1] + extra > _LAZY_BITS[1]
-                else (t, b) for t, b in operands]
-    return sign.join(t for t, _ in operands), (
-        max(b[0] for _, b in operands), max(b[1] for _, b in operands) + extra)
-
-
-def _mod_product(operands) -> tuple[str, tuple[int, int]]:
-    """The (text, bound) operands multiplied left to right and the bound of
-    the result: bounds add, and where a factor would push the running
-    product past _LAZY_BITS, the product so far is reduced, then the factor
-    if needed."""
-    a_max, b_max = _LAZY_BITS
-    text, (a, b) = operands[0]
-    parts = [text]
-    for text, (fa, fb) in operands[1:]:
-        if a + fa > a_max or b + fb > b_max:
-            if (a, b) != _REDUCED:
-                parts.append(" % p")
-                a, b = _REDUCED
-            if a + fa > a_max or b + fb > b_max:
-                text, fa, fb = f"({text} % p)", 1, 0
-        parts.append(f" * {text}")
-        a, b = a + fa, b + fb
-    return "".join(parts), (a, b)
-
-
-def _unit(name, make, prelude, args, body, result) -> str:
-    """`def name(make)` runs `prelude` and returns a function of `args`
-    that runs `body` and returns `result`."""
-    return "".join([f"def {name}({make}):\n",
-                    *(f"    {line}\n" for line in prelude),
-                    f"    def _fn({', '.join(args)}):\n",
-                    *(f"        {line}\n" for line in body),
-                    f"        return {result}\n",
-                    "    return _fn\n"])
-
-
-def compile_program(exprs: Sequence[Expression],
-                    inputs: Sequence[Symbol]) -> Program:
-    """Compile expressions into a `Program` over the given input symbols.
-
-    Raises UnboundSymbol, naming every missing symbol, if an expression
-    mentions a symbol outside `inputs`. No source is emitted here; that
-    happens on the first run in each arithmetic domain.
-    """
-    input_slot = {s: i for i, s in enumerate(inputs)}
-    const_slot: dict[Fraction, int] = {}
-    constants: list[Fraction] = []
-    instructions: list[tuple] = []
-    memo: dict[int, int] = {}
-    next_slot = len(inputs)  # constants and temporaries are appended
-
-    order = _topo(list(exprs))
-    missing = sorted({node.symbol.display for node in order
-                      if isinstance(node, Sym) and node.symbol not in input_slot})
-    if missing:
-        raise UnboundSymbol(f"no value bound for symbol(s) {', '.join(missing)}")
-    # constants first so the slot layout is [inputs][constants][temps]
-    for node in order:
-        if isinstance(node, Const) and node.value not in const_slot:
-            const_slot[node.value] = next_slot
-            constants.append(node.value)
-            next_slot += 1
-
-    for node in order:
-        if isinstance(node, Const):
-            memo[id(node)] = const_slot[node.value]
-        elif isinstance(node, Sym):
-            memo[id(node)] = input_slot[node.symbol]
-        else:
-            kids = tuple(memo[id(c)] for c in node.args)
-            dst = next_slot
-            next_slot += 1
-            if isinstance(node, Sum):
-                instructions.append((_OP_ADD, dst, kids))
-            elif isinstance(node, Product):
-                instructions.append((_OP_MUL, dst, kids))
-            elif isinstance(node, Difference):
-                instructions.append((_OP_SUB, dst, kids[0], kids[1]))
-            elif isinstance(node, Quotient):
-                instructions.append((_OP_DIV, dst, kids[0], kids[1]))
-            else:
-                instructions.append((_OP_POW, dst, kids[0], node.exponent))
-            memo[id(node)] = dst
-
-    outputs = [memo[id(e)] for e in exprs]
-    return Program(instructions, constants, outputs, tuple(inputs))
-
-
-def evaluate(e: Expression, point: Mapping[Symbol, object],
-             arithmetic="exact"):
-    """Evaluate `e` at `point`.
-
-    `arithmetic` is "exact" (Fraction result), "float64", or an integer
-    modulus p, a prime or a product of distinct primes (int result in
-    [0, p)). Exact and modular modes are deterministic; division by zero
-    raises, never silently absorbs.
-    """
-    symbols = sorted(point.keys(), key=Symbol.sort_key)
-    values = [point[s] for s in symbols]
-    if arithmetic == "float64":
-        return compile_float_fn(e, symbols)(*map(float, values))
-    program = compile_program([e], symbols)  # raises UnboundSymbol if underbound
-    if arithmetic == "exact":
-        return program.run_exact(values)[0]
-    if isinstance(arithmetic, int):
-        return program.run_mod(values, arithmetic)[0]
-    raise ValueError(f"unknown arithmetic mode {arithmetic!r}")
-
-
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v)  # exact binary expansion
-    raise TypeError(f"cannot evaluate exactly with value of type {type(v).__name__}")
-
-
-def _as_residue(v, p: int) -> int:
-    if isinstance(v, int):
-        return v % p
-    if isinstance(v, Fraction):
-        try:
-            return v.numerator * pow(v.denominator, -1, p) % p
-        except ValueError:  # the denominator shares a factor with p
-            raise DivisionByZero(f"value {v} has no residue mod {p}") from None
-    raise TypeError("prime-field evaluation takes ints or Fractions")
-
-
-def compile_float_fn(e: Expression, inputs: Sequence[Symbol]):
-    """Compile to a plain Python function of float (or numpy array) args.
-
-    The code is `compile_program([e], inputs)`'s plain rendering, which
-    uses only + - * / **, so numpy arrays broadcast through it unchanged.
-    Scalar division by zero raises DivisionByZero. The function's
-    docstring holds the generated source.
-    """
-    program = compile_program([e], inputs)
-    raw = program.float_fn()
-
-    def fn(*values):
-        try:
-            return raw(*values)[0]
-        except ZeroDivisionError as exc:
-            raise DivisionByZero(str(exc)) from None
-
-    fn.__doc__ = program.source()
-    return fn
-
-
 # ---------------------------------------------------------------- printing
 
 _LVL_SUM, _LVL_PROD, _LVL_POWBASE, _LVL_ATOM = 1, 2, 3, 4
@@ -1463,7 +734,7 @@ def _render(e: Expression) -> tuple[str, int]:
     nothing else, extends the child's list in place, so a left-nested chain
     such as `x - x - ... - x` or `x/x/.../x` renders in linear time.
     """
-    order = _topo([e])
+    order = topo_order([e])
     uses: dict[int, int] = {}
     for node in order:
         for child in node.args:

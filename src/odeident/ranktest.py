@@ -39,8 +39,8 @@ from typing import Mapping, Sequence
 from . import expr
 from .expr import (
     OUTPUT_DERIV,
-    DivisionByZero, Expression, RationalCanonical, Symbol,
-    compile_program, free_symbols, normalize, substitute_many, sym,
+    DivisionByZero, Expression, Symbol,
+    free_symbols, substitute_many, sym,
 )
 from .model import derivative_chain, hiv_model, output_jet, output_symbol
 
@@ -148,10 +148,11 @@ def substitute_dynamics(matrix: Sequence[Sequence[Expression]]
     return tuple(tuple(sub[r * n:(r + 1) * n]) for r in range(len(matrix)))
 
 
-def phi_vanishes_on_dynamics(phi: Expression) -> tuple[bool, RationalCanonical]:
+def phi_vanishes_on_dynamics(phi: Expression
+                             ) -> tuple[bool, expr.RationalCanonical]:
     """Exact check that the relation is zero along every trajectory:
     substitute the output jets and expand."""
-    canonical = normalize(substitute_dynamics([[phi]])[0][0])
+    canonical = expr.normalize(substitute_dynamics([[phi]])[0][0])
     return canonical.is_zero, canonical
 
 
@@ -401,8 +402,8 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
         if not isinstance(v, int):
             raise ValueError(f"structured point value of {name} must be an "
                              f"int, got {v!r}")
-    return _rank_report(compile_program(flat, symbols), n_cols, trials, seed,
-                        primes, structured_point)
+    return _rank_report(expr.compile_program(flat, symbols), n_cols, trials,
+                        seed, primes, structured_point)
 
 
 @functools.cache
@@ -416,7 +417,7 @@ def _hiv_rank_program(mode: str, variant: str
     if mode == "constrained":
         matrix = substitute_dynamics(matrix)
     flat, symbols, n_cols = _flat(matrix)
-    return compile_program(flat, symbols), n_cols
+    return expr.compile_program(flat, symbols), n_cols
 
 
 def run_rank_test(mode: str = "constrained",

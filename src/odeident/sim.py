@@ -139,9 +139,11 @@ class SimConfig:
             raise ValueError("tf must exceed t0")
         if not math.isfinite(self.tf - self.t0):
             raise ValueError("tf - t0 must be finite")
+        # float64 meets no tighter tolerance: at 3e-14 a default tau run
+        # spends its whole step budget halfway through the window
         for tol in (self.abs_tol, self.rel_tol):
-            if not (0 < tol <= 1e-2):
-                raise ValueError("tolerances must lie in (0, 1e-2]")
+            if not (1e-13 <= tol <= 1e-2):
+                raise ValueError("tolerances must lie in [1e-13, 1e-2]")
         if self.max_step is not None and not self.max_step > 0:
             raise ValueError("max_step must be positive")
         if self.dense_output_points < 2:

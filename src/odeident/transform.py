@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import expr
-from .expr import AUX, Expression, RationalCanonical, Symbol, sym
+from .expr import AUX, Expression, Symbol, sym
 from .model import hiv_model, total_time_derivative
 
 __all__ = [
@@ -261,7 +261,7 @@ class IdentityCheck:
 
     name: str
     holds: bool
-    residual: RationalCanonical
+    residual: expr.RationalCanonical
 
 
 def verify_identities() -> list[IdentityCheck]:

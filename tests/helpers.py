@@ -164,7 +164,7 @@ def _ref_poly_pow(p, k):
 def reference_normalize(e: E.Expression) -> E.RationalCanonical:
     """Expand `e` the way the engine did before it indexed its symbols."""
     memo = {}
-    for node in E._topo([e]):
+    for node in E.topo_order([e]):
         if isinstance(node, E.Const):
             num = {(): node.value} if node.value != 0 else {}
             memo[id(node)] = (num, _REF_ONE)
@@ -221,7 +221,7 @@ def reference_normalize(e: E.Expression) -> E.RationalCanonical:
 
 def reference_differentiate(e: E.Expression, s: E.Symbol) -> E.Expression:
     """d e / d s with one traversal of `e` for this one symbol."""
-    order = E._topo([e])
+    order = E.topo_order([e])
     mentions = {}
     for node in order:
         if isinstance(node, E.Sym):

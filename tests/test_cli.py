@@ -8,13 +8,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from odeident import cli, expr, ranktest, sim
+from odeident import canonical, cli, expr, ranktest, sim
 from odeident.transform import Params
 
 ONES = Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
@@ -44,7 +45,7 @@ def test_verify_identities_pretty(capsys):
 
 def test_expansion_past_the_size_limit_prints_only_the_error_line(
         capsys, monkeypatch):
-    monkeypatch.setattr(expr, "_MAX_PRODUCT_TERMS", 10)
+    monkeypatch.setattr(canonical, "_MAX_PRODUCT_TERMS", 10)
     code, out, err = run(capsys, "verify-identities")
     assert code == 1
     assert out == "" and err.count("\n") == 1
@@ -349,6 +350,26 @@ def test_endless_run_stops_at_the_step_budget(capsys, monkeypatch, flags,
     assert out == "" and err.count("\n") == 1
     assert re.fullmatch(r"error: no end after 5000 step attempts, at t = "
                         rf"\S+ of {window}, for tau = 0\.5\n", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--tau=0.5", "--tol=1e-20"], ["phi-check", "--tol=1e-14"]],
+    ids=["simulate", "phi-check"])
+def test_a_tolerance_float64_cannot_meet_is_a_usage_error(capsys, argv):
+    # such a run used to spend its whole step budget, about 1 s, and fail
+    # with a message that read like a pole
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.2
+    assert (code, out, err) == (
+        2, "", "error: tolerances must lie in [1e-13, 1e-2]\n")
+
+
+def test_the_tightest_tolerance_runs(capsys):
+    code, out, err = run(capsys, "simulate", "--tau=0.5", "--tol=1e-13",
+                         "--grid=5")
+    assert code == 0 and err == ""
+    assert json.loads(out)["config"]["abs_tol"] == 1e-13
 
 
 @pytest.mark.parametrize("flag, budget, failure, where", [
@@ -829,8 +850,8 @@ def test_an_eta_constant_under_the_bound_prints_and_reads_back(capsys):
 # take an odd value: one from a pool of edge values or one the flag
 # refuses. Runs stay short: `--tf` at most 0.5 (no negative-tau twin
 # reaches its pole before), `--t0` never far below it, `--grid` at most 5,
-# `--trials` at most 3 and no tolerance under 1e-10 (1e-20 is valid and
-# spends the whole step budget). No `--csv` path can be written.
+# `--trials` at most 3 and no valid tolerance under 1e-10. No `--csv`
+# path can be written.
 
 _EDGE = ("nan", "inf", "1e308", "-1e308", "1e-20", "", "abc", "0,0,0", "1,2")
 
@@ -844,7 +865,7 @@ _SIM_FLAGS = {  # flag: (valid values, odd values)
     "--eta=": (("1/2", "t", "1/2 + t/20"),
                _edge_but(odd=("1/t", "10^400", "(t - 1/80)^-150", "t^"))),
     "--t0=": (("0", "0.25"), _edge_but("-1e308", odd=("-inf",))),
-    "--tol=": (("1e-10", "1e-6", "1e-3"), _edge_but("1e-20", odd=("0",))),
+    "--tol=": (("1e-10", "1e-6", "1e-3"), _edge_but(odd=("0",))),
     "--init=": (("1,1,1", "1,0.2,1", "0,1,1"), _edge_but(odd=("1,2,3,4",))),
     **{f"--{name}=": (("1", "2", "0.5"), _edge_but(odd=("0", "-1")))
        for name in ("lambda", "rho", "delta", "N", "c")},

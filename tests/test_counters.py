@@ -24,10 +24,11 @@ tau run, single or swept, checks eta''s pole once per kept state, and a
 plain run checks finiteness through numpy at most twice. The programs
 a simulation compiles are bounded per run, not per output or per twin,
 and a run's compiled code leaves nothing for the cyclic garbage
-collector. Cold start is counted in modules: a fresh `import odeident`
-loads a pinned set of package modules and not numpy, the symbolic
-subcommands run with numpy blocked, and `rank` and `parse` never load
-the transformation.
+collector. Cold start is counted in modules and lines: a fresh `import
+odeident` loads a pinned set of package modules, of bounded source
+length, and not numpy, the symbolic subcommands run with numpy blocked,
+`rank` and `parse` never load the transformation or exact algebra, and
+`parse` never loads the evaluator.
 """
 
 import gc
@@ -47,6 +48,7 @@ import odeident
 from odeident import cli
 from odeident import expr as E
 from odeident import model as M
+from odeident import program as P
 from odeident import ranktest as R
 from odeident import sim as S
 from odeident import transform as T
@@ -56,7 +58,7 @@ ONES = T.Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
 
 
 def _nodes(exprs) -> int:
-    return len(E._topo(list(exprs)))
+    return len(E.topo_order(list(exprs)))
 
 
 def _jacobian(mode: str):
@@ -111,8 +113,9 @@ def _spy(monkeypatch, module, name) -> list:
 
 
 def _traversals(monkeypatch, run) -> int:
-    """Calls of the engine's one DAG traversal, `expr._topo`, by `run`."""
-    calls = _spy(monkeypatch, E, "_topo")
+    """Calls of the engine's one DAG traversal, `expr.topo_order`, by
+    `run`; `normalize` and `compile_program` call it through `expr`."""
+    calls = _spy(monkeypatch, E, "topo_order")
     run()
     return len(calls)
 
@@ -198,9 +201,9 @@ def test_rank_eliminations_per_run(monkeypatch, capsys, mode, eliminations):
 ])
 def test_a_warm_rank_verdict_builds_and_compiles_nothing(
         monkeypatch, capsys, mode, variant, traversals, eliminations):
-    spies = [_spy(monkeypatch, E, "_topo"),
-             _spy(monkeypatch, R, "compile_program"),
-             _spy(monkeypatch, E, "_emit"),
+    spies = [_spy(monkeypatch, E, "topo_order"),
+             _spy(monkeypatch, E, "compile_program"),
+             _spy(monkeypatch, P, "_emit"),
              _spy(monkeypatch, R, "_rank_mod")]
     R._hiv_rank_program.cache_clear()
     counts = []
@@ -484,9 +487,12 @@ def test_single_tau_run_checks_the_eta_prime_pole_once_per_kept_state(
 
 
 def _compile_calls(monkeypatch, run) -> int:
-    """compile_program calls made by `run`, compile_float_fn's included."""
-    calls = _spy(monkeypatch, E, "compile_program")
-    monkeypatch.setattr(S, "compile_program", E.compile_program)
+    """compile_program calls made by `run`, compile_float_fn's included:
+    the spy replaces the evaluator's own name, which compile_float_fn
+    calls, and the bindings that `expr` and `sim` hold."""
+    calls = _spy(monkeypatch, P, "compile_program")
+    monkeypatch.setattr(E, "compile_program", P.compile_program)
+    monkeypatch.setattr(S, "compile_program", P.compile_program)
     run()
     return len(calls)
 
@@ -502,7 +508,8 @@ def _compile_calls(monkeypatch, run) -> int:
     (lambda: cli.main(["phi-check"]), 5),
 ], ids=["single tau", "tau sweep", "phi-check"])
 def test_programs_compiled_per_run(monkeypatch, capsys, run, bound):
-    assert _compile_calls(monkeypatch, run) <= bound
+    # exactly: a spy that misses a call site counts too few
+    assert _compile_calls(monkeypatch, run) == bound
 
 
 def _left_to_the_cyclic_gc(run) -> list[str]:
@@ -566,16 +573,43 @@ def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
 
 _LOADED = ("print(json.dumps(sorted(m for m in sys.modules if m == 'numpy' "
            "or m.startswith(('numpy.', 'odeident')))))")
+_SOURCE_LINES = ("print(sum(len(open(m.__file__).readlines()) for name, m in "
+                 "list(sys.modules.items()) if name.startswith('odeident')))")
 
 
 def test_import_loads_the_symbolic_modules_only():
     # the rank test and the transformation load on first use: importing
-    # them here compiled 744 more lines and two closed-form programs
+    # them here compiled 744 more lines and two closed-form programs; so do
+    # exact algebra and the evaluator, which made the three modules 2,125
+    # lines
     done = _fresh(f"import sys, json, odeident; {_LOADED}; "
-                  f"odeident.hiv_model(); {_LOADED}")
+                  f"odeident.hiv_model(); {_LOADED}; {_SOURCE_LINES}")
     assert done.returncode == 0, done.stderr
-    imported, built = map(json.loads, done.stdout.splitlines())
+    imported, built, lines = map(json.loads, done.stdout.splitlines())
     assert imported == built == ["odeident", "odeident.expr", "odeident.model"]
+    assert lines <= 1400
+
+
+_FACADE = """
+import json, sys
+import odeident.cli, odeident.expr as E
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("odeident."))
+fresh, listed, namespace = loaded(), set(dir(E)), {}
+exec("from odeident.expr import *", namespace)
+print(json.dumps([fresh, sorted(set(E.__all__) - listed),
+                  sorted(set(E.__all__) - namespace.keys()), loaded()]))
+"""
+
+
+def test_expr_lists_every_name_and_loads_its_other_modules_on_first_access():
+    done = _fresh(_FACADE)
+    assert done.returncode == 0, done.stderr
+    fresh, unlisted, unbound, loaded = json.loads(done.stdout)
+    assert fresh == ["odeident.cli", "odeident.expr", "odeident.model",
+                     "odeident.ranktest"]
+    assert unlisted == unbound == []
+    assert loaded == sorted([*fresh, "odeident.canonical", "odeident.program"])
 
 
 _BLOCKED_MAIN = """
@@ -583,27 +617,28 @@ import json, sys
 sys.modules["numpy"] = None
 from odeident.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code,
-                  "sim_loaded": "odeident.sim" in sys.modules,
-                  "transform_loaded": "odeident.transform" in sys.modules}))
+print(json.dumps({"code": code, "loaded": sorted(
+    m for m in ("sim", "transform", "canonical", "program")
+    if f"odeident.{m}" in sys.modules)}))
 """
 
 _ELAPSED = re.compile(r'"elapsed_ms": \d+')
 
 
-@pytest.mark.parametrize("argv, transform_loaded", [
-    (["verify-identities"], True),
-    (["rank", "--seed", "7", "--trials", "3", "--mode", "naive"], False),
-    (["rank", "--seed", "7", "--trials", "3", "--mode", "constrained"], False),
-    (["parse", _HIV_FILE], False),
+# the simulator and the transformation, exact algebra (`canonical`) and
+# the evaluator (`program`) each load only where the subcommand uses them
+@pytest.mark.parametrize("argv, loaded", [
+    (["verify-identities"], ["canonical", "program", "transform"]),
+    (["rank", "--seed", "7", "--trials", "3", "--mode", "naive"], ["program"]),
+    (["rank", "--seed", "7", "--trials", "3", "--mode", "constrained"],
+     ["program"]),
+    (["parse", _HIV_FILE], []),
 ], ids=["verify-identities", "rank naive", "rank constrained", "parse"])
-def test_symbolic_subcommands_run_without_numpy(capsys, argv,
-                                                transform_loaded):
+def test_symbolic_subcommands_run_without_numpy(capsys, argv, loaded):
     done = _fresh(_BLOCKED_MAIN, *argv)
     assert done.returncode == 0, done.stderr
     *output, status = done.stdout.splitlines(keepends=True)
-    assert json.loads(status) == {"code": 0, "sim_loaded": False,
-                                  "transform_loaded": transform_loaded}
+    assert json.loads(status) == {"code": 0, "loaded": loaded}
     assert cli.main(argv) == 0
     expected = capsys.readouterr().out
     assert _ELAPSED.sub("", "".join(output)) == _ELAPSED.sub("", expected)

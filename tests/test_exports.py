@@ -1,7 +1,8 @@
 """Every name a module lists in `__all__` exists, so a star import works,
 the package lists and resolves the names it re-exports, whether its
-module loaded with the package or loads on first access, and no module
-reaches into another's private names, by import or by attribute."""
+module loaded with the package or loads on first access, `expr` resolves
+the names of the modules built on it, and no module reaches into
+another's private names, by import or by attribute."""
 
 import ast
 import importlib
@@ -12,14 +13,35 @@ import pytest
 import odeident
 
 
-@pytest.mark.parametrize("module", ["expr", "model", "ranktest", "transform",
-                                    "sim"])
+@pytest.mark.parametrize("module", ["expr", "canonical", "program", "model",
+                                    "ranktest", "transform", "sim"])
 def test_every_exported_name_resolves(module):
     m = importlib.import_module(f"odeident.{module}")
     assert [n for n in m.__all__ if not hasattr(m, n)] == []
     namespace = {}
     exec(f"from odeident.{module} import *", namespace)
     assert set(m.__all__) <= namespace.keys()
+
+
+# the private names of exact algebra and the evaluator that tests and the
+# benchmark read through `expr`
+_THROUGH_EXPR = {"canonical": ["_MAX_PRODUCT_TERMS"],
+                 "program": ["_LAZY_BITS", "_OP_MUL", "_PIECE_CHARS",
+                             "_as_residue"]}
+
+
+def test_expr_resolves_each_name_to_its_module_s_object():
+    expr = importlib.import_module("odeident.expr")
+    for home, private in _THROUGH_EXPR.items():
+        module = importlib.import_module(f"odeident.{home}")
+        names = [*module.__all__, *private]
+        assert set(module.__all__) <= set(expr.__all__)
+        assert set(names) <= set(dir(expr))
+        assert [n for n in names
+                if getattr(expr, n) is not getattr(module, n)] == []
+    # a name outside the table is not there to patch
+    with pytest.raises(AttributeError, match="has no attribute '_emit'"):
+        expr._emit
 
 
 def test_no_module_imports_a_private_name_from_another():

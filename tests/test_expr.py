@@ -77,7 +77,7 @@ def _degree_bound(e) -> int:
     """The largest n + d over the nodes of `e`, where (n, d) bounds the
     degrees of the node's numerator and denominator as `normalize` does."""
     bounds = {}
-    for node in E._topo([e]):
+    for node in E.topo_order([e]):
         kids = [bounds[id(c)] for c in node.args]
         if isinstance(node, E.Sym):
             bound = (1, 0)
@@ -468,11 +468,22 @@ def test_free_symbols_of_several_expressions_takes_one_traversal(
     a, b = X * Y + 1, Y / Z
     union = E.free_symbols(a) | E.free_symbols(b)
     calls = []
-    topo = E._topo
-    monkeypatch.setattr(E, "_topo", lambda roots: calls.append(roots)
+    topo = E.topo_order
+    monkeypatch.setattr(E, "topo_order", lambda roots: calls.append(roots)
                         or topo(roots))
     assert E.free_symbols(a, b) == union == {xs, ys, zs}
     assert len(calls) == 1
+
+
+def test_exact_algebra_and_the_evaluator_traverse_through_expr(monkeypatch):
+    # one spy on `expr` sees the traversal of every module built on it
+    calls = []
+    topo = E.topo_order
+    monkeypatch.setattr(E, "topo_order", lambda roots, seen=None:
+                        calls.append(roots) or topo(roots, seen))
+    E.normalize(X * Y + 1)
+    E.compile_program([X * Y + 1], [xs, ys])
+    assert len(calls) == 2
 
 
 def _deep_or_wide(shape, x, nary):
@@ -865,7 +876,7 @@ def test_program_matches_normalized_rational_function(e, point):
         assert prog.run_mod(values, p) == [want]
     # float64 rounds every intermediate, so cancellation leaves an error
     # that scales with the largest intermediate, not with the result
-    every_node = E.compile_program(E._topo([e]), XYZ).run_exact(values)
+    every_node = E.compile_program(E.topo_order([e]), XYZ).run_exact(values)
     scale = max(1.0, max(abs(float(v)) for v in every_node))
     assert prog.float_fn()(*map(float, values))[0] == pytest.approx(
         float(exact), rel=1e-12, abs=1e-12 * scale)
@@ -886,7 +897,7 @@ def _structure_keys(order):
 @given(exprs=st.lists(_expressions, min_size=1, max_size=3))
 def test_compile_emits_one_instruction_per_distinct_subexpression(exprs):
     exprs.append(E.differentiate(E.add(*exprs), xs))
-    order = E._topo(exprs)
+    order = E.topo_order(exprs)
     keys = _structure_keys(order)
     assert len(set(keys)) == len(keys)  # no two nodes share a structure
     prog = E.compile_program(exprs, XYZ)

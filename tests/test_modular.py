@@ -418,14 +418,14 @@ def test_a_rank_run_frees_its_program_on_return(monkeypatch):
     """No reference cycle keeps a run's program alive until the next
     garbage collection, whether the run returns or raises."""
     programs = []
-    compile_program = R.compile_program
+    compile_program = E.compile_program
 
     def keep_ref(*args):
         program = compile_program(*args)
         programs.append(weakref.ref(program))
         return program
 
-    monkeypatch.setattr(R, "compile_program", keep_ref)
+    monkeypatch.setattr(E, "compile_program", keep_ref)
     gc.disable()
     try:
         R.generic_rank([[X + 1]], 3, 1, structured_point={x: 2})

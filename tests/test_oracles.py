@@ -70,7 +70,7 @@ def _to_sympy(e, sp):
     """`e` rebuilt node by node as a sympy expression."""
     names = {}
     memo = {}
-    for node in E._topo([e]):
+    for node in E.topo_order([e]):
         if isinstance(node, E.Const):
             value = sp.Rational(node.value.numerator, node.value.denominator)
         elif isinstance(node, E.Sym):

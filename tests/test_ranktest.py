@@ -274,13 +274,13 @@ def test_generic_rank_binds_the_sorted_free_symbols(monkeypatch, constrained,
     explicit = sorted({s for row in jac for e in row for s in E.free_symbols(e)},
                       key=E.Symbol.sort_key)
     bound = []
-    compile_program = R.compile_program
+    compile_program = E.compile_program
 
     def spy(exprs, symbols):
         bound.append(list(symbols))
         return compile_program(exprs, symbols)
 
-    monkeypatch.setattr(R, "compile_program", spy)
+    monkeypatch.setattr(E, "compile_program", spy)
     report = R.generic_rank(jac, trials=5, seed=7)
     assert bound == [explicit]
     assert report.observed_ranks == {rank: 15}
@@ -343,7 +343,7 @@ def test_generic_rank_checks_its_matrix_and_point_before_any_evaluation(
         monkeypatch, matrix, structured, message):
     def no_evaluation(*args, **kwargs):
         raise AssertionError("the matrix was compiled")
-    monkeypatch.setattr(R, "compile_program", no_evaluation)
+    monkeypatch.setattr(E, "compile_program", no_evaluation)
     with pytest.raises(ValueError, match=message):
         R.generic_rank(matrix, trials=3, seed=1, structured_point=structured)
 

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from odeident import expr as E
 from odeident import model as M
+from odeident import program as P
 from odeident import sim as S
 from odeident.transform import (Params, SingularPoint, SingularTau,
                                 TauFamily, eta_prime_expr)
@@ -85,6 +86,11 @@ def test_sim_config_validation():
         S.SimConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         S.SimConfig(rel_tol=0.5)
+    for tol in (9.9e-14, 1e-20):
+        with pytest.raises(ValueError, match=r"^tolerances must lie in "
+                                             r"\[1e-13, 1e-2\]$"):
+            S.SimConfig(abs_tol=tol)
+    assert S.SimConfig(abs_tol=1e-13, rel_tol=1e-2).rel_tol == 1e-2
     with pytest.raises(ValueError):
         S.SimConfig(max_step=0.0)
     with pytest.raises(ValueError):
@@ -578,14 +584,14 @@ def _wide_model(width: int, rng) -> M.OdeModel:
 
 
 @pytest.mark.parametrize("width, piece_chars", [
-    (9, E._PIECE_CHARS), (130, E._PIECE_CHARS), (9, 5)],
+    (9, P._PIECE_CHARS), (130, P._PIECE_CHARS), (9, 5)],
     ids=["9", "130", "9 in pieces"])
 def test_wide_flat_state_matches_reference_stepper(monkeypatch, width,
                                                    piece_chars):
     # from 8 components numpy sums the squared errors pairwise, and a plain
     # run, which steps on Python floats, must sum them in the same order;
     # a field cut into pieces runs in each stage as the pieces' calls
-    monkeypatch.setattr(E, "_PIECE_CHARS", piece_chars)
+    monkeypatch.setattr(P, "_PIECE_CHARS", piece_chars)
     rng = np.random.default_rng(width)
     m = _wide_model(width, rng)
     field = E.compile_program(m.rhs, m.states)
