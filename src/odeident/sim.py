@@ -41,16 +41,15 @@ evaluated pointwise from the co-integrated ORIGINAL states (its closed
 form is a function of the original trajectory), so no interpolation error
 enters the coupling. One program, built by `_twin_field` from the closed
 forms, holds the whole 6-state field, eta and eta' included. A single
-twin runs it on Python floats, in line in its step attempt. A tau sweep
-stacks one row per twin and runs the program once per right-hand side
-call, on the shared original states as Python floats and the twins'
-states as numpy columns. For one
-twin and a sweep alike, one check runs eta''s pole rule,
-`transform.eta_prime_poles`, at t0 and once per accepted step, not per
-call.
-Reported are the worst relative deviation between the two output pairs,
-and the stronger check: the worst deviation between the integrated
-transformed states and the algebraic image of the original states.
+twin runs it on Python floats, as a plain run does. A tau sweep stacks
+one row per twin and runs the program once per right-hand side call, on
+the shared original states as Python floats and the twins' states as
+numpy columns. For one twin and a sweep alike, one check runs eta''s
+pole rule, `transform.eta_prime_poles`, at t0 and once per accepted
+step, not per call. Reported are the worst relative deviation between
+the two output pairs, and the stronger check: the worst deviation
+between the integrated transformed states and the algebraic image of the
+original states.
 """
 
 from __future__ import annotations
@@ -315,15 +314,11 @@ def _stacked_attempt():
     return namespace["_attempt"]
 
 
-def _attempt_fn(field: expr.Program | None = None, rest: Sequence = ()):
-    """The step attempt of a numpy state (`field` None), compiled once, or
-    of a flat state stepped by the program `field`, whose inputs are the
-    state, t and `rest`. The flat attempt runs the field in line in every
-    stage; it is compiled once per field source text and width, for the
-    `_KEPT_ATTEMPTS` latest, and bound here to the field's constants and
-    `rest`."""
-    if field is None:
-        return _stacked_attempt()
+def _attempt_fn(field: expr.Program, rest: Sequence):
+    """The step attempt of a flat state, which runs the program `field` on
+    the stage's state, t and `rest` in line. It is compiled once per field
+    source text and width, for the `_KEPT_ATTEMPTS` latest, and bound here
+    to the field's constants and `rest`."""
     width = field.n_inputs - 1 - len(rest)
     key = field.source(), width
     make = _flat_makers.get(key)
@@ -335,26 +330,43 @@ def _attempt_fn(field: expr.Program | None = None, rest: Sequence = ()):
     return make(field.float_constants(), rest)
 
 
+def _flat_field(field: expr.Program, rest: Sequence, check=None):
+    """f(t, y) of a flat state y, a list of Python floats: `field` run on
+    (*y, t, *rest), as `_attempt_fn` runs it. A division by zero first
+    runs `check(t, y)`, if given, so that a twin's stage exactly at its
+    pole raises the twin's SingularPoint."""
+    fn = field.float_fn()
+
+    def f(t, y):
+        try:
+            return fn(*y, t, *rest)
+        except ZeroDivisionError:
+            if check is not None:
+                check(t, y)
+            raise
+
+    return f
+
+
 def _solve(f, y0, cfg: SimConfig, check=None, attempt=None) -> np.ndarray:
     """Adaptive RKF45 over the window of `cfg`; returns the states on
     `cfg.grid()`, shaped (grid points, *y0.shape).
 
-    `check(t, y)`, if given, tests the states the run keeps: the start
-    state before the first call of f, and each accepted step's end before
-    f is called there. It raises to stop the run; stage states are not
-    checked.
+    The states the run keeps, the start state and each accepted step's
+    end, pass one rule: `check(t, y)`, if given, tests the state and
+    raises to stop the run, then f is called there, and a derivative that
+    is not finite raises NonFiniteState. Stage states are not checked.
 
     Given `attempt`, a flat attempt from `_attempt_fn`, `y0` is one system
-    stepped on Python floats: f takes and returns a list, and an accepted
-    step checks f, compares its end with the next grid time and fills a
-    single grid point without converting to numpy; only a step that
-    covers several points does. Otherwise `y0` is 2-D, one system per
-    row, stepped as one numpy array: each stage calls f on all rows, and
+    stepped on Python floats, and f, from `_flat_field`, takes and returns
+    a list: a step that covers one grid point fills it without converting
+    to numpy. Otherwise `y0` is 2-D, one system per row, stepped as one
+    numpy array by `_stacked_attempt`: each stage calls f on all rows, and
     all rows take the same steps. The step error is the largest of the
-    rows' RMS errors, so no row is held to a looser tolerance than it
-    would be in a run of its own. A run gives up with StepBudgetExceeded
-    after `_MAX_ATTEMPTS` step attempts; a scalar division by zero in the
-    field raises DivisionByZero, and a scalar overflow NonFiniteState.
+    rows' RMS errors, so no row is held to a looser tolerance than in a
+    run of its own. A run gives up with StepBudgetExceeded after
+    `_MAX_ATTEMPTS` step attempts; a scalar division by zero in the field
+    raises DivisionByZero, and a scalar overflow NonFiniteState.
 
     Each accepted step fills the grid points it covers by cubic Hermite
     interpolation and is then dropped, so only the current step is held.
@@ -378,8 +390,16 @@ def _solve(f, y0, cfg: SimConfig, check=None, attempt=None) -> np.ndarray:
     if not finite(y):
         raise NonFiniteState("initial state is not finite")
     width = y0.shape[-1]
-    if not flat:
-        attempt = _attempt_fn()
+    attempt = attempt or _stacked_attempt()
+
+    def derivative(t, y):  # at a state the run keeps
+        if check is not None:
+            check(t, y)
+        dy = f(t, y)
+        if not finite(dy):
+            raise NonFiniteState(f"derivative not finite at t = {t}")
+        return dy
+
     states = np.empty((len(grid), *y0.shape))
     filled = 0
     t_next = grid.item(0)  # the first grid point not yet filled
@@ -387,9 +407,7 @@ def _solve(f, y0, cfg: SimConfig, check=None, attempt=None) -> np.ndarray:
     h = min(max_step, max((tf - t) / 100.0, 1e-14 * max(abs(t), 1.0)))
     attempts = 0
     try:
-        if check is not None:
-            check(t, y)
-        f_left = f(t, y)
+        f_left = derivative(t, y)
         while tf - t > at_end:
             h = min(h, max_step, tf - t)
             if h < 1e-14 * max(abs(t), 1.0):
@@ -407,12 +425,7 @@ def _solve(f, y0, cfg: SimConfig, check=None, attempt=None) -> np.ndarray:
             err = math.sqrt(sq / width)
             if err <= 1.0:
                 t_right = t + h
-                if check is not None:
-                    check(t_right, y4)
-                f_right = f(t_right, y4)
-                if not finite(f_right):
-                    raise NonFiniteState(
-                        f"derivative not finite at t = {t_right}")
+                f_right = derivative(t_right, y4)
                 # the step covers the grid points below `end`
                 if tf - t_right > at_end:
                     end = t_right
@@ -546,12 +559,8 @@ def integrate(m: OdeModel, params: Mapping[str, float],
         expr.substitute_many(m.rhs, {tv: sig.expression for tv, sig
                                      in zip(m.tv_params, sigs)}),
         [*m.states, TIME_SYMBOL, *m.const_params])
-    fn = field.float_fn()
-
-    def f(t, y):
-        return fn(*y, t, *pvals)
-
-    states = _solve(f, init, cfg, attempt=_attempt_fn(field, pvals))
+    states = _solve(_flat_field(field, pvals), init, cfg,
+                    attempt=_attempt_fn(field, pvals))
     outputs = compile_program([e for _, e in m.outputs],
                               [*m.states, *m.tv_params, *m.const_params])
     return _trajectory(m, outputs, grid, states, *cols, *pvals)
@@ -565,27 +574,24 @@ class IndistReport:
     transformed twin over the integration window."""
 
     tau: float
-    max_rel_output_dev: float
-    max_rel_state_map_dev: float
-    grid_size: int
     params: Params
     params_prime: Params
     admissible_tau_interval: tuple[float | None, float | None]
+    max_rel_output_dev: float
+    max_rel_state_map_dev: float
+    grid_size: int
     eta_text: str
     config: SimConfig
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "params": self.params.as_dict(),
-            "params_prime": self.params_prime.as_dict(),
-            "admissible_tau_interval": list(self.admissible_tau_interval),
-            "max_rel_output_dev": self.max_rel_output_dev,
-            "max_rel_state_map_dev": self.max_rel_state_map_dev,
-            "grid_size": self.grid_size,
-            "eta": self.eta_text,
-            "config": self.config.to_dict(),
-        }
+        """The fields in their order, the parameters keyed by their names
+        in `Params.as_dict`, the interval as a list and `eta_text` as
+        "eta"."""
+        fields = {**asdict(self), "params": self.params.as_dict(),
+                  "params_prime": self.params_prime.as_dict(),
+                  "admissible_tau_interval": list(self.admissible_tau_interval)}
+        return {("eta" if k == "eta_text" else k): v
+                for k, v in fields.items()}
 
 
 def run_indistinguishability(params: Params, init: Sequence[float],
@@ -666,12 +672,12 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
         map_dev = np.abs(prim.states - mapped) / (1.0 + np.abs(mapped))
         runs.append((IndistReport(
             tau=inst.tau,
-            max_rel_output_dev=float(np.max(out_dev)),
-            max_rel_state_map_dev=float(np.max(map_dev)),
-            grid_size=len(grid),
             params=params,
             params_prime=inst.params_prime,
             admissible_tau_interval=admissible_tau_interval(params),
+            max_rel_output_dev=float(np.max(out_dev)),
+            max_rel_state_map_dev=float(np.max(map_dev)),
+            grid_size=len(grid),
             eta_text=eta.text(),
             config=cfg,
         ), orig, prim))
@@ -681,11 +687,11 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
 def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
     """The vector field f(t, y) of the original system co-integrated with
     the twins `insts`, the pole check `check(t, y)` and the step attempt
-    that `_solve` takes: for one twin y is flat, the original states then
-    the twin's, on Python floats, and the attempt runs the field's
-    program in line (`_attempt_fn`); for several, y stacks one row per
-    twin, and the attempt is None, the stacked one. check is None for one
-    twin with u == 1, which has no pole.
+    that `_solve` takes. For one twin y is flat, the original states then
+    the twin's, and f and the attempt come from `_flat_field` and
+    `_attempt_fn`, as a plain run's do; check is None if u == 1, which
+    has no pole. For several, y stacks one row per twin and the attempt
+    is None: `_solve` takes the stacked one.
 
     f calls one program, built from the closed forms that
     `verify_identities` proves: the model right-hand side on the original
@@ -723,7 +729,6 @@ def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
                              {m.tv_params[0]: eta.expression}),
         [*m.states, *states_p, TIME_SYMBOL, *m.const_params, *consts_p,
          Symbol("u", AUX)])
-    field = program.float_fn()
     base = _param_values(m, insts[0].params.as_dict())
     primed = [_param_values(m, inst.params_prime.as_dict()) for inst in insts]
     u = insts[0].u if flat else np.array([inst.u for inst in insts])
@@ -740,16 +745,11 @@ def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
 
     if flat:
         rest = [*base, *primed[0], u]
+        check = check if u != 1 else None
+        return (_flat_field(program, rest, check), check,
+                _attempt_fn(program, rest))
 
-        def f(t, y):
-            try:
-                return field(*y, t, *rest)
-            except ZeroDivisionError:
-                check(t, y)
-                raise
-
-        return f, (check if u != 1 else None), _attempt_fn(program, rest)
-
+    field = program.float_fn()
     rest = [*base, *np.array(primed).T, u]
     ones = np.flatnonzero(u == 1)
 

@@ -114,8 +114,10 @@ def transform_state(T_U, T_I, V, params: Params, *, u):
 
 def _at_pole(den, scale):
     """eta''s pole rule, for floats and numpy arrays alike: its denominator
-    is 0 or within 1e-12 of the scale V rho (T_U + T_I) u; False at NaN."""
-    return (den == 0) | (abs(den) <= _DENOM_EPS * abs(scale))
+    is 0 or within 1e-12 of the scale V rho (T_U + T_I) u; False at NaN
+    and at an infinite denominator, an overflow, not a zero."""
+    size = abs(den)
+    return (den == 0) | ((size <= _DENOM_EPS * abs(scale)) & (size < math.inf))
 
 
 def eta_prime_poles(T_U, T_I, V, params: Params, u):

@@ -336,14 +336,14 @@ def reference_eta_prime_value(T_U, T_I, V, eta, params, *, u):
                / [V (T_I d + T_U rho) u - V T_I d]              (d = delta)
 
     Raises SingularPoint when the denominator falls below 1e-12 of the
-    natural scale V rho (T_U + T_I) u.
+    natural scale V rho (T_U + T_I) u; one that overflows is no pole.
     """
     if not u > 0:
         raise ValueError(f"u must be positive, got {u}")
     if u == 1:
         return eta
     num, den, scale = _reference_eta_prime_parts(T_U, T_I, V, eta, params, u)
-    if den == 0 or abs(den) <= T._DENOM_EPS * scale:
+    if den == 0 or abs(den) <= T._DENOM_EPS * scale and abs(den) < math.inf:
         raise T.SingularPoint(
             f"eta' denominator {den} vanishes relative to scale {scale}")
     return num / den
@@ -355,7 +355,8 @@ def reference_eta_prime_values(T_U, T_I, V, eta, params, *, u):
     raises SingularPoint."""
     num, den, scale = _reference_eta_prime_parts(T_U, T_I, V, eta, params, u)
     same = u == 1
-    bad = ((den == 0) | (abs(den) <= T._DENOM_EPS * scale)) & ~same
+    bad = ((den == 0) | ((abs(den) <= T._DENOM_EPS * scale)
+                         & (abs(den) < math.inf))) & ~same
     if bad.any():
         i = int(np.argmax(bad))
         raise T.SingularPoint(f"eta' denominator {den[i]} vanishes relative "

@@ -372,6 +372,22 @@ def test_the_tightest_tolerance_runs(capsys):
     assert json.loads(out)["config"]["abs_tol"] == 1e-13
 
 
+# an eta' denominator that overflows is no pole, and a start state whose
+# derivative is not finite says so, not that the step size underflowed
+@pytest.mark.parametrize("argv, line", [
+    (["simulate", "--tau", "0.5", "--init", "1e200,1,1e200"],
+     "derivative not finite at t = 0.0, for tau = 0.5"),
+    (["simulate", "--sweep=0.1:1:3", "--init", "1,1,1e308"],
+     "step size underflow at t = 0.0, for tau in [0.1, 1]"),
+    (["simulate", "--tau", "0.5", "--init", "1,1,1e308"],
+     "step size underflow at t = 0.0, for tau = 0.5"),
+    (["phi-check", "--init", "1e200,1,1e200"],
+     "derivative not finite at t = 0.0"),
+], ids=["tau", "sweep", "tau underflow", "phi-check"])
+def test_an_overflowing_start_state_is_not_a_pole(capsys, argv, line):
+    assert run(capsys, *argv) == (1, "", f"error: {line}\n")
+
+
 @pytest.mark.parametrize("flag, budget, failure, where", [
     ("--tau=-1", None, "step size underflow at t =",
      "tau = -1 (eta' has its pole at T_I/T_U = 0.582)"),

@@ -1,9 +1,11 @@
 """Machine-independent counters of the rank-test and simulation pipelines.
 
 The bounds are the sizes the hash-consed engine and the straight-line
-emitter produce; a change that grows the DAG, the compiled program or its
-generated source fails here before it shows up as wall time, and so does
-one that traverses the DAG more often to build the jets or the Jacobian,
+emitter produce; a change that grows the DAG, in nodes or in edges (the
+total arity over its unique nodes, which the time follows), the compiled
+program or its generated source fails here before it shows up as wall
+time, and so does one that traverses the DAG more often to build the
+jets or the Jacobian,
 or that traverses or differentiates a node of a derivative chain again
 at a later order, or eliminates more than once per rank trial, and so
 does a second rank verdict in a process that builds, compiles or emits its matrix again
@@ -61,6 +63,10 @@ def _nodes(exprs) -> int:
     return len(E.topo_order(list(exprs)))
 
 
+def _edges(exprs) -> int:
+    return sum(len(node.args) for node in E.topo_order(list(exprs)))
+
+
 def _jacobian(mode: str):
     matrix = R.parameter_jacobian(R.build_phi_system(R.build_phi()))
     if mode == "constrained":
@@ -96,6 +102,21 @@ def test_jacobian_and_program_sizes(mode, nodes, instructions, muls):
 @pytest.mark.parametrize("output_index, nodes", [(1, 1881), (2, 1002)])
 def test_order_eight_jet_sizes(output_index, nodes):
     assert _nodes([M.output_jet(hiv, output_index, 8).entries[8]]) <= nodes
+
+
+# the time to build, differentiate and compile a DAG follows its edges
+# more closely than its nodes: the Jacobians' 1,047 and 1,729 nodes have
+# 3,536 and 6,060 edges, and the widest node has 19 children (38 in the
+# y1 jet)
+@pytest.mark.parametrize("dag, edges", [
+    (lambda: [M.output_jet(hiv, 1, 8).entries[8]], 8556),
+    (lambda: [M.output_jet(hiv, 2, 8).entries[8]], 4117),
+    (lambda: _jacobian("naive"), 3536),
+    (lambda: _jacobian("constrained"), 6060),
+], ids=["y1 order-8 jet", "y2 order-8 jet", "naive Jacobian",
+        "constrained Jacobian"])
+def test_dag_edges(dag, edges):
+    assert _edges(dag()) <= edges
 
 
 def _spy(monkeypatch, module, name) -> list:
@@ -364,18 +385,17 @@ def _dense_output(monkeypatch, run, width) -> dict[str, int]:
     point (a scalar theta, per component where the state is flat) and
     "many" the fills of several (a column of thetas)."""
     counts = {"accepted": 0, "one": 0, "many": 0, "components": 0}
-    attempt_fn, hermite = S._attempt_fn, S._hermite
+    attempt_fn, stacked, hermite = (S._attempt_fn, S._stacked_attempt,
+                                    S._hermite)
 
-    def attempt_spy(*args):
-        attempt = attempt_fn(*args)
-
-        def counting(*args):
+    def counting(attempt):
+        def step_counting(*args):
             step = attempt(*args)
             if step is not None and math.sqrt(step[1] / width) <= 1.0:
                 counts["accepted"] += 1
             return step
 
-        return counting
+        return step_counting
 
     def hermite_spy(theta, h, y0, *rest):
         if isinstance(theta, np.ndarray):
@@ -386,7 +406,11 @@ def _dense_output(monkeypatch, run, width) -> dict[str, int]:
             counts["components"] += 1
         return hermite(theta, h, y0, *rest)
 
-    monkeypatch.setattr(S, "_attempt_fn", attempt_spy)
+    # a flat run takes its attempt from _attempt_fn, a stacked one from
+    # _stacked_attempt
+    monkeypatch.setattr(S, "_attempt_fn",
+                        lambda *args: counting(attempt_fn(*args)))
+    monkeypatch.setattr(S, "_stacked_attempt", lambda: counting(stacked()))
     monkeypatch.setattr(S, "_hermite", hermite_spy)
     run(S.EtaSignal.from_text("1/2"))
     assert counts["components"] % width == 0

@@ -10,6 +10,7 @@ import functools
 import importlib.util
 import math
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -134,31 +135,40 @@ _PARAM_NAMES = ("lambda", "delta", "rho", "c", "N")  # the Jacobian's columns
 _JET_ORDER = 6  # the relation's fourth derivative reads outputs to order 6
 
 
+def _phi_sympy(lam, delta, rho, c, N, y1, dy1, ddy1, y2, dy2, ddy2,
+               printed=False):
+    """The relation written out again, over any sympy arithmetic: the
+    corrected form, or with `printed` the form Miao et al. printed, whose
+    y1*y2*y2' coefficient takes in the (rho + delta)*y1'*y2*y2' term and
+    whose c*y2*y2' term lost its lambda."""
+    if printed:
+        middle = ((delta*rho + rho + delta - delta**2 - delta*c)*y1*y2*dy2
+                  + c*y2*dy2)
+    else:
+        middle = ((delta*rho - delta**2 - delta*c)*y1*y2*dy2
+                  + (rho + delta)*dy1*y2*dy2 + lam*c*y2*dy2)
+    return (ddy1*y2*dy2 - dy1*y2*ddy2 - delta*y1*y2*ddy2 + lam*y2*ddy2
+            - (delta + c)*dy1*y2*dy2 + middle
+            + rho*c*dy1*y2**2 + (rho*delta*c - delta**2*c)*y1*y2**2
+            - N*delta*y1*ddy1*y2 + c*ddy1*y2**2
+            - N*delta*(rho + delta)*y1*dy1*y2
+            - N*delta**2*rho*y1**2*y2 + N*delta**2*lam*y1*y2)
+
+
 @functools.cache
 def _jacobian_sympy():
-    """The corrected relation written out again in sympy's sparse
-    polynomials over Q, its first four total time derivatives with the
-    output derivatives y<i>_<k> as independent symbols, and the 5x5
-    Jacobian of those five in the parameters. Returns (ring, generators,
-    Jacobian)."""
+    """The corrected relation in sympy's sparse polynomials over Q, its
+    first four total time derivatives with the output derivatives y<i>_<k>
+    as independent symbols, and the 5x5 Jacobian of those five in the
+    parameters. Returns (ring, generators, Jacobian)."""
     sp = pytest.importorskip("sympy")
     ring, *gens = sp.polys.rings.ring(
         [*_PARAM_NAMES, *(f"y{i}_{k}" for i in (1, 2)
                           for k in range(_JET_ORDER + 1))], sp.QQ)
-    lam, delta, rho, c, N = gens[:5]
     y = {(i, k): gens[5 + (i - 1) * (_JET_ORDER + 1) + k]
          for i in (1, 2) for k in range(_JET_ORDER + 1)}
-    y1, dy1, ddy1 = y[1, 0], y[1, 1], y[1, 2]
-    y2, dy2, ddy2 = y[2, 0], y[2, 1], y[2, 2]
-    phi = (ddy1*y2*dy2 - dy1*y2*ddy2 - delta*y1*y2*ddy2 + lam*y2*ddy2
-           - (delta + c)*dy1*y2*dy2
-           + (delta*rho - delta**2 - delta*c)*y1*y2*dy2
-           + (rho + delta)*dy1*y2*dy2 + lam*c*y2*dy2
-           + rho*c*dy1*y2**2 + (rho*delta*c - delta**2*c)*y1*y2**2
-           - N*delta*y1*ddy1*y2 + c*ddy1*y2**2
-           - N*delta*(rho + delta)*y1*dy1*y2
-           - N*delta**2*rho*y1**2*y2 + N*delta**2*lam*y1*y2)
-    system = [phi]
+    system = [_phi_sympy(*gens[:5], *(y[i, k] for i in (1, 2)
+                                      for k in range(3)))]
     for _ in range(4):
         system.append(sum((system[-1].diff(y[i, k]) * y[i, k + 1]
                            for i in (1, 2) for k in range(_JET_ORDER)),
@@ -414,3 +424,78 @@ def test_twosignals_kernel_is_spanned_by_its_families():
     vectors = sp.Matrix([[t.get(n, 0) for n in names] for t in tangents]).T
     assert sp.Matrix(rows) * vectors == sp.zeros(len(rows), len(tangents))
     assert vectors.rank() == len(tangents) == len(names) - 5
+
+
+# ------------------------------------- the relation derived from the model
+
+_MODEL = Path(__file__).resolve().parent.parent / "models" / "hiv.ode"
+
+
+def test_relation_is_r1_and_its_derivative_multiplied_out():
+    """The eta-free witness r1 = y1' + rho*y1 - lambda - k*(y2' + c*y2),
+    k = (rho - delta)/(N*delta), read off the model file's own lines:
+
+    - r1 and r1' vanish on the dynamics, eta left free;
+    - with y1' and y1'' taken from r1 and r1', the corrected relation
+      reduces to 0 and the printed one to a nonzero remainder, so the
+      corrected relation lies in the ideal of r1 and r1', and the printed
+      one does not;
+    - the printed relation differs from the corrected one by the two slips;
+    - the tau family keeps k, and its T_I' is T_I*N*delta/(N'*delta'),
+      as y2' + c*y2 = N*delta*T_I requires of both systems."""
+    sp = pytest.importorskip("sympy")
+    declared, odes, outputs = _read_model_file(_MODEL)
+    assert declared["params"] == ["lambda", "rho", "delta", "N", "c"]
+    names = [*declared["states"], *declared["params"], *declared["tvparams"]]
+    # lambda is a Python keyword, which sympy's parser refuses
+    local = {n: sp.Symbol("lam" if n == "lambda" else n) for n in names}
+
+    def read(text):
+        text = re.sub(r"\blambda\b", "lam", text.replace("^", "**"))
+        return sp.parse_expr(text, local_dict={s.name: s
+                                               for s in local.values()})
+
+    rhs = {local[x]: read(text) for x, text in odes.items()}
+    (eta,) = (local[n] for n in declared["tvparams"])
+    eta_1 = sp.Symbol("eta_1")  # eta', free
+
+    def lie(e):
+        return sp.expand(sum(e.diff(x) * f for x, f in rhs.items())
+                         + e.diff(eta) * eta_1)
+
+    lam, rho, delta, N, c = (local[n] for n in declared["params"])
+    jets = []
+    for y in map(read, outputs):
+        jets.append([y, lie(y), lie(lie(y))])
+    y1, dy1, ddy1, y2, dy2, ddy2 = sp.symbols("y1 dy1 ddy1 y2 dy2 ddy2")
+    on_dynamics = dict(zip((y1, dy1, ddy1, y2, dy2, ddy2),
+                           (*jets[0], *jets[1])))
+
+    k = (rho - delta) / (N*delta)
+    r1 = dy1 + rho*y1 - lam - k*(dy2 + c*y2)
+    r1_dt = ddy1 + rho*dy1 - k*(ddy2 + c*dy2)  # its total derivative
+    for r in (r1, r1_dt):
+        assert sp.cancel(r.subs(on_dynamics)) == 0
+
+    # r1 and r1' are linear in y1' and y1'' with coefficient 1
+    dy1_r = dy1 - r1
+    ddy1_r = (ddy1 - r1_dt).subs(dy1, dy1_r)
+    params = (lam, delta, rho, c, N)
+    corrected, printed = (_phi_sympy(*params, y1, dy1, ddy1, y2, dy2, ddy2,
+                                     printed=p) for p in (False, True))
+    reduced = [sp.cancel(phi.subs({ddy1: ddy1_r}).subs({dy1: dy1_r}))
+               for phi in (corrected, printed)]
+    assert reduced[0] == 0
+    remainder = y2*dy2*(N*delta**2*(rho + 1)*y1 + N*delta*rho*(rho + 1)*y1
+                        - N*delta*lam*(c + delta + rho) + N*c*delta
+                        + (delta**2 - rho**2)*(c*y2 + dy2)) / (N*delta)
+    assert sp.cancel(reduced[1] - remainder) == 0
+    assert sp.expand(printed - corrected
+                     - y2*dy2*((rho + delta)*(y1 - dy1) + c*(1 - lam))) == 0
+
+    u, T_I = sp.Symbol("u", positive=True), local["T_I"]
+    delta_p, N_p = delta*rho / ((rho - delta)*u + delta), N*u
+    assert sp.cancel(k.subs({delta: delta_p, N: N_p}, simultaneous=True)
+                     - k) == 0
+    assert sp.cancel(T_I*(delta/u + rho - delta)/rho
+                     - T_I*N*delta/(N_p*delta_p)) == 0

@@ -171,6 +171,22 @@ def test_non_finite_initial_state_raises_typed_error(init):
         S.integrate(hiv, ONES_DICT, init, HALF, S.SimConfig(tf=1.0))
 
 
+# T_U = V = 1e200: the state is finite, but its derivative is not. The
+# start state is checked as an accepted step's end is, before any step,
+# and the twin's eta' denominator, inf, is no pole
+@pytest.mark.parametrize("run, where", [
+    (lambda init: S.integrate(hiv, ONES_DICT, init, HALF), ""),
+    (lambda init: S.run_indistinguishability(ONES, init, HALF, 0.5),
+     ", for tau = 0.5"),
+    (lambda init: S.tau_sweep(ONES, init, HALF, [0.1, 0.5]),
+     r", for tau in \[0.1, 0.5\]"),
+], ids=["plain", "single tau", "tau sweep"])
+def test_a_start_derivative_that_is_not_finite_raises_at_t0(run, where):
+    with pytest.raises(S.NonFiniteState,
+                       match=f"^derivative not finite at t = 0.0{where}$"):
+        run([1e200, 1.0, 1e200])
+
+
 def test_step_budget_raises_typed_error(monkeypatch):
     # a window far longer than the dynamics runs out of step attempts
     monkeypatch.setattr(S, "_MAX_ATTEMPTS", 500)
@@ -928,10 +944,14 @@ def test_report_dict_shape():
     report, _, _ = S.run_indistinguishability(
         ONES, [1.0, 1.0, 1.0], HALF, 0.1, S.SimConfig(tf=2.0))
     d = report.to_dict()
-    assert set(d) == {"tau", "params", "params_prime",
-                      "admissible_tau_interval", "max_rel_output_dev",
-                      "max_rel_state_map_dev", "grid_size", "eta", "config"}
+    # in this order in the simulate and sweep JSON
+    assert list(d) == ["tau", "params", "params_prime",
+                       "admissible_tau_interval", "max_rel_output_dev",
+                       "max_rel_state_map_dev", "grid_size", "eta", "config"]
     assert d["params_prime"]["lambda"] == d["params"]["lambda"]
+    assert d["params"] == ONES_DICT and d["eta"] == "1/2"
+    assert d["admissible_tau_interval"] == [None, None]
+    assert d["config"] == report.config.to_dict()
 
 
 # ------------------------------------------------------ relation residual

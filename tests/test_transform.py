@@ -167,6 +167,20 @@ def test_eta_prime_poles_takes_a_column_of_u():
                             for u in us.tolist()]
 
 
+# a denominator that overflows is no pole: at these states it and its
+# scale are inf, where the rule's inf <= 1e-12 * inf used to hold
+@pytest.mark.parametrize("state, value", [
+    ((1e200, 1.0, 1e200), math.nan), ((1.0, 1.0, 1e308), 0.0)],
+    ids=["T_U and V 1e200", "V 1e308"])
+def test_an_overflowing_eta_prime_denominator_is_no_pole(state, value):
+    assert T.eta_prime_poles(*state, ONES, 0.5) is False
+    assert T.eta_prime_poles(*state, ONES, np.array([0.5, 2.0])).tolist() == [
+        False, False]
+    for fn in (T.eta_prime_value, H.reference_eta_prime_value):
+        got = fn(*state, 0.5, ONES, u=0.5)
+        assert got == value or math.isnan(got) and math.isnan(value)
+
+
 @pytest.mark.parametrize("params", [ONES, SKEW], ids=["ones", "skew"])
 def test_tau_family_pole_is_where_eta_prime_has_it(params):
     for tau in (-0.5, -0.1):
