@@ -9,7 +9,10 @@ deep as the matrix needs (order 6), and measure the generic rank of the
 5x5 matrix by exact evaluation at random points of large prime fields.
 Each trial evaluates the matrix once modulo the product of the primes and
 ranks it there by one fraction-free elimination, which takes no modular
-inverse and gives the rank modulo every prime at once. None of the
+inverse and gives the rank modulo every prime at once. A trial that gives
+no single rank there, because the lifted point hits a denominator or a
+pivot column is zero under only some primes, is redone prime by prime, in
+one place (`_ranks_at`). None of the
 algebra depends on the seed, the trials or the primes, so `run_rank_test`
 builds and compiles the matrix of each (mode, variant) once per process
 and keeps only its program, which carries the symbols it binds, and its
@@ -213,34 +216,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _rank_mod(rows: list[list[int]], primes: tuple[int, ...]) -> list[int]:
-    """The rank of the integer matrix `rows` mod each of `primes`, by one
-    fraction-free elimination mod their product m.
+def _rank_mod(rows: list[list[int]], m: int) -> int | None:
+    """The rank of the integer matrix `rows` modulo m, a prime or a product
+    of distinct primes, by one fraction-free elimination, or None where it
+    is not one rank for every prime of m.
 
     A pivot pv must be a unit mod m, so a unit mod every prime: the row
     update pv*v - f*w then scales a row by a unit and subtracts a multiple
     of the pivot row, which keeps every rank mod p, and no inverse is
     taken. A column whose entries left are all non-units but not all zero
-    mod m may hold a pivot under some primes and none under others; from
-    there the rest of the matrix is ranked mod each prime alone. Under one
-    prime every nonzero entry is a unit, so that never recurses."""
-    m = math.prod(primes)
+    mod m may hold a pivot under some primes and none under others: that
+    gives None, and the caller ranks mod each prime alone. Under one prime
+    every nonzero entry is a unit, so a prime never gives None. `rows` is
+    not mutated."""
     rank = 0
     while rows and rows[0]:
         pivot = next((r for r, row in enumerate(rows)
                       if math.gcd(row[0], m) == 1), None)
         if pivot is None:
             if any(row[0] % m for row in rows):
-                return [rank + _rank_mod([[v % p for v in row]
-                                          for row in rows], (p,))[0]
-                        for p in primes]
+                return None
             rows = [row[1:] for row in rows]
             continue
         pv, *head = rows[pivot]
         rows = [[(pv * v - f * w) % m for v, w in zip(tail, head)] if f
                 else tail for f, *tail in rows[:pivot] + rows[pivot + 1:]]
         rank += 1
-    return [rank] * len(primes)
+    return rank
 
 
 def _draw_point(seed: int, p: int, trial, attempt: int, n: int) -> list[int]:
@@ -271,9 +273,17 @@ def _ranks_at(program: expr.Program, n_cols: int, seed: int, trial,
     that `program` computes, at the first point drawn for `trial` under
     that prime that misses every denominator; a point holds one value per
     input of `program`, and the inputs whose index `pinned` maps keep their
-    values. A module function, so that its retry per prime refers to no
-    closure and a `generic_rank` run's program dies with the run;
-    `run_rank_test`'s programs live in the process's cache of them."""
+    values.
+
+    The primes' points are lifted by CRT to one point mod their product,
+    evaluated and eliminated once there. Where that is not one rank for
+    every prime, because the lifted point hits a denominator or a pivot
+    column is zero under only some primes, the trial is redone prime by
+    prime, each drawing the points it drew in the lifted run; a prime
+    alone redraws only after a denominator. A module function, so that
+    its retry per prime refers to no closure and a `generic_rank` run's
+    program dies with the run; `run_rank_test`'s programs live in the
+    process's cache of them."""
     modulus = math.prod(primes)
     lift = [modulus // p * pow(modulus // p, -1, p) for p in primes]
     for attempt in range(_MAX_RETRIES_PER_TRIAL if len(primes) == 1
@@ -288,13 +298,16 @@ def _ranks_at(program: expr.Program, n_cols: int, seed: int, trial,
                 [sum(map(operator.mul, lift, xs)) for xs in zip(*points)],
                 modulus)
         except DivisionByZero:
-            if len(primes) == 1:
-                continue
+            rank = None
+        else:
+            # a matrix without columns has no entries, and rank 0
+            rank = _rank_mod([values[i:i + n_cols] for i in
+                              range(0, len(values), n_cols or 1)], modulus)
+        if rank is not None:
+            return [rank] * len(primes)
+        if len(primes) > 1:
             return [_ranks_at(program, n_cols, seed, trial, (p,), pinned)[0]
                     for p in primes]
-        # a matrix without columns has no entries, and rank 0
-        return _rank_mod([values[i:i + n_cols] for i in
-                          range(0, len(values), n_cols or 1)], primes)
     raise ExhaustedRetries(
         f"{_MAX_RETRIES_PER_TRIAL} random points in a row hit a "
         f"denominator (prime {primes[0]}, trial {trial})")
@@ -381,11 +394,12 @@ def generic_rank(matrix: Sequence[Sequence[Expression]],
     point mod the product of the primes and evaluated once there
     (`Program.run_mod` reduces lazily), and the matrix is ranked there by
     one elimination whose pivots are units mod every prime (`_rank_mod`).
-    It goes on prime by prime only from a column whose entries left are
-    each zero under some prime but not all zero mod the product. If the
-    lifted point hits a denominator, each prime is evaluated alone and
-    redraws only its own points, so the draws, retries, errors and report
-    are those of one prime at a time.
+    One fallback covers both ways that can fail to give every prime its
+    rank, a lifted point on a denominator and a column whose entries left
+    are each zero under some prime but not all zero mod the product: the
+    trial is evaluated and eliminated under each prime alone, and each
+    prime redraws only its own points, so the draws, retries, errors and
+    report are those of one prime at a time.
 
     A ragged matrix, and a structured point that pins a symbol the matrix
     does not hold or to a value that is not an int, raise ValueError

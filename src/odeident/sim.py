@@ -355,7 +355,11 @@ def _solve(f, y0, cfg: SimConfig, check=None, attempt=None) -> np.ndarray:
     The states the run keeps, the start state and each accepted step's
     end, pass one rule: `check(t, y)`, if given, tests the state and
     raises to stop the run, then f is called there, and a derivative that
-    is not finite raises NonFiniteState. Stage states are not checked.
+    is not finite raises NonFiniteState. Stage states are not checked,
+    but a run whose step shrinks below the smallest resolvable one while
+    its last attempt was not finite raises NonFiniteState, not
+    StepSizeUnderflow: no step from there stays finite, which is an
+    overflow and no sign of stiffness or a pole.
 
     Given `attempt`, a flat attempt from `_attempt_fn`, `y0` is one system
     stepped on Python floats, and f, from `_flat_field`, takes and returns
@@ -406,11 +410,14 @@ def _solve(f, y0, cfg: SimConfig, check=None, attempt=None) -> np.ndarray:
     at_end = 1e-13 * max(abs(tf), 1.0)  # this close to tf counts as there
     h = min(max_step, max((tf - t) / 100.0, 1e-14 * max(abs(t), 1.0)))
     attempts = 0
+    step = ()  # the last attempt's result, None when it was not finite
     try:
         f_left = derivative(t, y)
         while tf - t > at_end:
             h = min(h, max_step, tf - t)
             if h < 1e-14 * max(abs(t), 1.0):
+                if step is None:
+                    raise NonFiniteState(f"no step from t = {t} stays finite")
                 raise StepSizeUnderflow(f"step size underflow at t = {t}")
             attempts += 1
             if attempts > _MAX_ATTEMPTS:

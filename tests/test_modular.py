@@ -9,7 +9,8 @@ exactly what evaluating under one prime at a time does
 (`helpers.reference_generic_rank`), and keep nothing per trial. Its one
 elimination per trial, modulo the product, must give each prime the rank
 that eliminating under that prime alone gives
-(`helpers.reference_rank_mod`). `run_rank_test` keeps each HIV matrix
+(`helpers.reference_rank_mod`), or say that it cannot, and the trial is
+then redone under each prime alone, as after a denominator. `run_rank_test` keeps each HIV matrix
 compiled across verdicts; its reports must be those of a cold build, for
 every mode, variant, seed and prime set, in any order."""
 
@@ -246,17 +247,19 @@ def test_a_rendering_without_reduction_at_temporaries_breaks_the_bound():
 # small primes, so that entries which are nonzero modulo their product but
 # not units, the case that splits the elimination per prime, are common
 SMALL = (101, 103, 107)
+SMALL_PRODUCT = math.prod(SMALL)
 
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The primes of each `ranktest._rank_mod` call, in call order."""
+    """The (modulus, rank) of each `ranktest._rank_mod` call, in call
+    order."""
     calls = []
     rank_mod = R._rank_mod
 
-    def spy(rows, primes):
-        calls.append(primes)
-        return rank_mod(rows, primes)
+    def spy(rows, m):
+        calls.append((m, rank_mod(rows, m)))
+        return calls[-1][1]
 
     monkeypatch.setattr(R, "_rank_mod", spy)
     return calls
@@ -280,6 +283,13 @@ def _lifted_matrix(rng):
              for j in range(n_cols)] for i in range(n_rows)]
 
 
+def _trial(rows):
+    """The ranks under `SMALL` of one `_ranks_at` trial on the constant
+    matrix `rows`, compiled as a program without inputs."""
+    program = E.compile_program([E.const(v) for row in rows for v in row], [])
+    return R._ranks_at(program, len(rows[0]), 0, 0, SMALL, {})
+
+
 def test_elimination_modulo_a_product_gives_every_prime_its_own_rank(
         eliminations):
     rng = random.Random(11)
@@ -288,14 +298,20 @@ def test_elimination_modulo_a_product_gives_every_prime_its_own_rank(
         rows = _lifted_matrix(rng)
         want = [reference_rank_mod(rows, p) for p in SMALL]
         eliminations.clear()
-        assert R._rank_mod(rows, SMALL) == want, rows
-        split += len(eliminations) > 1
+        assert _trial(rows) == want, rows
+        (m, rank), *per_prime = eliminations
+        assert m == SMALL_PRODUCT
+        if rank is None:
+            # ranked again under each prime alone, where every nonzero
+            # entry is a unit: no prime gives None
+            split += 1
+            assert per_prime == list(zip(SMALL, want))
+        else:
+            assert per_prime == [] and want == [rank] * len(SMALL)
         differ += len(set(want)) > 1
-        # under a single prime every nonzero entry is a unit: no split
+        # the lifted entries themselves, unreduced, under each prime
         for p, rank in zip(SMALL, want):
-            eliminations.clear()
-            assert R._rank_mod(rows, (p,)) == [rank]
-            assert eliminations == [(p,)]
+            assert R._rank_mod(rows, p) == rank
     # both routes ran, and the ranks often differ between the primes
     assert 40 < split < 360 and differ > 40, (split, differ)
 
@@ -303,17 +319,22 @@ def test_elimination_modulo_a_product_gives_every_prime_its_own_rank(
 def test_a_later_unit_pivots_before_an_earlier_non_unit(eliminations):
     # column 0 reads 0, then 101 (zero mod 101 only), then the unit 1
     rows = [[0, 5], [101, 1], [1, 0]]
-    assert R._rank_mod(rows, SMALL) == [2, 2, 2]
-    assert eliminations == [SMALL]
+    assert R._rank_mod(rows, SMALL_PRODUCT) == 2
+    assert eliminations == [(SMALL_PRODUCT, 2)]
 
 
 def test_a_non_unit_made_by_a_row_update_splits_the_elimination(
         eliminations):
     # every entry is a unit, but after the first pivot column 1 holds
-    # 105 - 2 = 103: the rest is ranked under each prime alone
+    # 105 - 2 = 103: no one rank modulo the product, so the trial is
+    # ranked again under each prime alone
     rows = [[1, 2], [1, 105]]
-    assert R._rank_mod(rows, SMALL) == [2, 1, 2]
-    assert eliminations == [SMALL] + [(p,) for p in SMALL]
+    assert R._rank_mod(rows, SMALL_PRODUCT) is None
+    assert rows == [[1, 2], [1, 105]]
+    eliminations.clear()
+    assert _trial(rows) == [2, 1, 2]
+    assert eliminations == [(SMALL_PRODUCT, None), (101, 2), (103, 1),
+                            (107, 2)]
     assert rows == [[1, 2], [1, 105]]
 
 
@@ -378,11 +399,16 @@ def test_a_lifted_failure_under_one_prime_leaves_other_primes_draws_alone():
     assert got["observed_ranks"] == {"2": 3 * trials}
 
 
-def test_a_rank_drop_at_one_prime_and_trial_is_counted_once():
+def test_a_rank_drop_at_one_prime_and_trial_is_counted_once(run_mod_moduli):
     seed, trials = 5, 6
-    d = R._draw_point(seed, PRIMES[2], 3, 0, 1)[0]
+    p0, p1, p2 = PRIMES
+    d = R._draw_point(seed, p2, 3, 0, 1)[0]
     matrix = [[X - E.const(d), E.ZERO], [E.ZERO, E.ONE]]
     got = _report(R.generic_rank, matrix, trials, seed)
+    # trial 3's pivot x - d is zero under p2 only: the trial is evaluated
+    # again under each prime alone, at the points the lifted run combined
+    assert run_mod_moduli == ([PRODUCT] * 4 + [p0, p1, p2]
+                              + [PRODUCT] * (trials - 4))
     assert got == _report(reference_generic_rank, matrix, trials, seed)
     assert got["observed_ranks"] == {"1": 1, "2": 3 * trials - 1}
 

@@ -4,7 +4,10 @@ tests, sympy's exact rank for the rank verdicts and sympy's exact kernel
 of the output jets' Jacobian for what is unidentifiable. The integrator
 and jet oracles live in `perfbench/oracles.py` and, like the rank and
 kernel oracles here, share no code with odeident; these tests skip when
-sympy or scipy is not installed."""
+sympy or scipy is not installed. Truncated power series mod p are a
+second jet oracle that needs neither: they read only the instruction list
+that `compile_program` makes of a model's vector field, and none of
+odeident's differentiation."""
 
 import functools
 import importlib.util
@@ -18,9 +21,10 @@ import numpy as np
 import pytest
 
 from odeident import expr as E
+from odeident import program as P
 from odeident import ranktest as R
 from odeident import sim as S
-from odeident.model import hiv_model, output_jet
+from odeident.model import hiv_model, output_jet, parse_model
 from odeident.transform import Params
 from helpers import identity_residuals, random_expression
 
@@ -499,3 +503,106 @@ def test_relation_is_r1_and_its_derivative_multiplied_out():
                      - k) == 0
     assert sp.cancel(T_I*(delta/u + rho - delta)/rho
                      - T_I*N*delta/(N_p*delta_p)) == 0
+
+
+# ------------------------------------------- output jets as series mod p
+
+_SERIES_PRIME = R.DEFAULT_PRIMES[0]
+_SERIES_ORDER = 8  # K: each output and its first eight derivatives
+
+
+def _series_mul(a, b):
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) % _SERIES_PRIME
+            for k in range(len(a))]
+
+
+def _series_inverse(b):
+    try:
+        inv0 = pow(b[0], -1, _SERIES_PRIME)
+    except ValueError:  # b(0) = 0: no inverse series
+        raise E.DivisionByZero("series without an inverse") from None
+    out = [inv0]
+    for k in range(1, len(b)):
+        out.append(-inv0 * sum(b[i] * out[k - i] for i in range(1, k + 1))
+                   % _SERIES_PRIME)
+    return out
+
+
+def _run_series(program, inputs, n):
+    """The outputs of `program` on truncated power series mod the prime,
+    n coefficients each, by interpreting its instruction list: add and
+    subtract termwise, multiply by convolution, divide by the inverse
+    series and raise to an integer power by products, inverting the base
+    for a negative one."""
+    slots = [*inputs,
+             *([c.numerator * pow(c.denominator, -1, _SERIES_PRIME)
+                % _SERIES_PRIME] + [0] * (n - 1) for c in program.constants),
+             *[None] * len(program.instructions)]
+    for op, dst, *args in program.instructions:
+        if op == P._OP_ADD:
+            value = [sum(col) % _SERIES_PRIME
+                     for col in zip(*(slots[j] for j in args[0]))]
+        elif op == P._OP_MUL:
+            value = functools.reduce(_series_mul, (slots[j] for j in args[0]))
+        elif op == P._OP_SUB:
+            value = [(a - b) % _SERIES_PRIME
+                     for a, b in zip(slots[args[0]], slots[args[1]])]
+        elif op == P._OP_DIV:
+            value = _series_mul(slots[args[0]], _series_inverse(slots[args[1]]))
+        else:
+            base, exponent = slots[args[0]], args[1]
+            if exponent < 0:
+                base, exponent = _series_inverse(base), -exponent
+            value = functools.reduce(_series_mul, [base] * exponent)
+        slots[dst] = value
+    return [slots[o] for o in program.outputs]
+
+
+def _series_output_jets(m, point, order):
+    """y_i^(k)(0) mod the prime for every output i and k <= order, from the
+    model's vector field alone: the states' Taylor coefficients by one
+    Picard pass each, x_(k+1) = f(x)_k / (k+1), with each tv parameter fed
+    in as the series of its chain, u(t) = sum u^(j)(0) t^j / j!; then
+    y^(k)(0) = k! * y_k."""
+    n, p = order + 1, _SERIES_PRIME
+    inputs = [*m.states, *m.const_params, *m.tv_params]
+    field = E.compile_program(m.rhs, inputs)
+    outputs = E.compile_program([e for _, e in m.outputs], inputs)
+    states = [[point[s]] + [0] * order for s in m.states]
+    series = [*states, *([point[s]] + [0] * order for s in m.const_params),
+              *([point[u.derivative(j)] * pow(math.factorial(j), -1, p) % p
+                 for j in range(n)] for u in m.tv_params)]
+    for k in range(order):
+        for x, f in zip(states, _run_series(field, series, n)):
+            x[k + 1] = f[k] * pow(k + 1, -1, p) % p
+    return [[math.factorial(k) * y[k] % p for k in range(n)]
+            for y in _run_series(outputs, series, n)]
+
+
+@pytest.mark.parametrize("path", sorted(_CORPUS.glob("*.ode")),
+                         ids=lambda path: path.stem)
+def test_output_jets_agree_with_series_jets_mod_p(path):
+    """Every output jet of every corpus model, HIV with its eta chain
+    included, to order K = 8, equals its Taylor-series counterpart mod a
+    prime at a random point, redrawn while a denominator vanishes."""
+    m = parse_model(path.read_text())
+    order = _SERIES_ORDER
+    symbols = [*m.states, *m.const_params,
+               *(u.derivative(j) for u in m.tv_params
+                 for j in range(order + 1))]
+    jets = [output_jet(m, i, order).entries
+            for i in range(1, len(m.outputs) + 1)]
+    program = E.compile_program([e for jet in jets for e in jet], symbols)
+    rng = random.Random(f"series:{path.stem}")
+    for _ in range(8):
+        point = {s: rng.randrange(_SERIES_PRIME) for s in symbols}
+        try:
+            want = program.run_mod([point[s] for s in symbols], _SERIES_PRIME)
+            got = _series_output_jets(m, point, order)
+        except E.DivisionByZero:
+            continue
+        break
+    else:
+        pytest.fail("every point met a denominator")
+    assert got == [want[i:i + order + 1]
+                   for i in range(0, len(want), order + 1)]

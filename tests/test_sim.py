@@ -187,6 +187,20 @@ def test_a_start_derivative_that_is_not_finite_raises_at_t0(run, where):
         run([1e200, 1.0, 1e200])
 
 
+# V = 1e308: the start state and its derivative are finite, but every
+# step attempt's stages overflow, however small the step. The run ends
+# when the step underflows, and says that no step stayed finite
+@pytest.mark.parametrize("run, where", [
+    (lambda init: S.integrate(hiv, ONES_DICT, init, HALF), ""),
+    (lambda init: S.run_indistinguishability(ONES, init, HALF, 0.5),
+     ", for tau = 0.5"),
+], ids=["plain", "single tau"])
+def test_a_start_whose_every_step_overflows_raises_non_finite(run, where):
+    with pytest.raises(S.NonFiniteState,
+                       match=f"^no step from t = 0.0 stays finite{where}$"):
+        run([1.0, 1.0, 1e308])
+
+
 def test_step_budget_raises_typed_error(monkeypatch):
     # a window far longer than the dynamics runs out of step attempts
     monkeypatch.setattr(S, "_MAX_ATTEMPTS", 500)
