@@ -39,11 +39,11 @@ __all__ = [
 ]
 
 # Names of the modules built on this one; each loads its module on first
-# access. Tests and the benchmark read the private ones here.
+# access. The benchmark reads the one private name here, `_OP_MUL`.
 _LAZY_EXPORTS = {
-    "canonical": ("RationalCanonical", "normalize", "_MAX_PRODUCT_TERMS"),
+    "canonical": ("RationalCanonical", "normalize"),
     "program": ("Program", "compile_float_fn", "compile_program", "evaluate",
-                "_LAZY_BITS", "_OP_MUL", "_PIECE_CHARS", "_as_residue"),
+                "_OP_MUL"),
 }
 _LAZY = {name: module for module, names in _LAZY_EXPORTS.items()
          for name in names}

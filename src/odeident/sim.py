@@ -15,8 +15,10 @@ renderings. A plain run and one twin step a flat state, one Python float
 per component, and their attempt holds the vector field's program in
 line: each of the five stages evaluates it on its own local floats, with
 no call. That attempt is compiled once per field source text and bound
-per run to the field's constants and parameters; Python calls the field
-only for the derivative at each state the run keeps. A sweep's stacked
+per run to the field's constants and parameters and, for a twin, its
+pole check; Python calls the field only for the derivative at each state
+the run keeps, and a stage that divides by zero goes to the pole check,
+if any, and is re-raised, without calling the field. A sweep's stacked
 2-D state is one numpy array, and each stage calls the field once on
 all rows; the time there goes to numpy operations on small arrays, which
 fusing would not remove, and no fused or re-laid-out stacked rendering
@@ -46,7 +48,8 @@ one row per twin and runs the program once per right-hand side call, on
 the shared original states as Python floats and the twins' states as
 numpy columns. For one twin and a sweep alike, one check runs eta''s
 pole rule, `transform.eta_prime_poles`, at t0 and once per accepted
-step, not per call. Reported are the worst relative deviation between
+step, not per call; a single twin's stage that divides by zero runs it
+too. Reported are the worst relative deviation between
 the two output pairs, and the stronger check: the worst deviation
 between the integrated transformed states and the algebraic image of the
 original states.
@@ -216,10 +219,10 @@ def _pairwise(terms: list[str]) -> str:
 
 def _emit_attempt(width: int | None, n_rest: int = 0, prelude=(),
                   body=(), outputs=()) -> str:
-    """Source of one RKF45 step attempt `_attempt(f, t, h, y, k0, atol,
-    rtol)` of size h from (t, y), where k0 = f(t, y). It returns the
-    4th-order solution y4 and the worst row's sum of squared scaled
-    errors, or None as soon as a stage, y4 or the error is not finite.
+    """Source of one RKF45 step attempt of size h from (t, y), where k0 =
+    f(t, y). It returns the 4th-order solution y4 and the worst row's sum
+    of squared scaled errors, or None as soon as a stage, y4 or the error
+    is not finite.
 
     Each stage sum is rendered as the generic `y + h * sum(a*k for ...)`
     evaluates it, `y + h * (0 + a0*k0 + a1*k1 ...)`, so it rounds the same
@@ -229,16 +232,18 @@ def _emit_attempt(width: int | None, n_rest: int = 0, prelude=(),
     still makes s2 or the error not finite.
 
     With `width` None the state is one numpy array whose rows are stacked
-    systems, and each stage calls f. With an int it is `width` Python
-    floats, one variable each, and the source is `_make(c, rest)`: it
-    binds a field program's constants c and its `n_rest` inputs after t,
-    `rest`, and returns `_attempt`, whose stages run the field in line.
+    systems, the attempt is `_attempt(f, t, h, y, k0, atol, rtol)`, and
+    each stage calls f. With an int the state is `width` Python floats,
+    one variable each, and the source is `_make(c, rest, check)`: it
+    binds a field program's constants c, its `n_rest` inputs after t,
+    `rest`, and a pole check or None, and returns `_attempt(t, h, y, k0,
+    atol, rtol)`, whose stages run the field in line and call no f.
     `prelude`, `body` and `outputs` come from `Program.inline`: each
     stage names its state and time as the field's inputs v<j>, runs
     `body` and assigns output j, the derivative, to its k<i>_j. A stage
-    that divides by zero calls f at its own time and state, which raises
-    as the field does, through a twin's pole check; f is otherwise called
-    only for k0, by the caller.
+    that divides by zero passes its own time and state to `check`, when
+    there is one, so that a twin's stage exactly on its pole raises the
+    twin's SingularPoint, and otherwise re-raises the ZeroDivisionError.
     """
     flat = width is not None
     parts = [f"_{j}" for j in range(width)] if flat else [""]
@@ -273,8 +278,8 @@ def _emit_attempt(width: int | None, n_rest: int = 0, prelude=(),
                   f"v{width} = t + {_C[i]!r}*h", "try:",
                   *(f"    {line}" for line in body),
                   *(f"    k{i}{c} = {o}" for c, o in zip(parts, outputs)),
-                  "except ZeroDivisionError:",
-                  f"    f(v{width}, [{', '.join(stage)}])",
+                  "except ZeroDivisionError:", "    if check is not None:",
+                  f"        check(v{width}, [{', '.join(stage)}])",
                   "    raise"]
     lines += [f"y4{c} = y{c} + h * {stage_sum(_B4, c)}" for c in parts]
     lines += [f"e{c} = h * {stage_sum(_E, c)}" for c in parts]
@@ -289,11 +294,11 @@ def _emit_attempt(width: int | None, n_rest: int = 0, prelude=(),
     lines.append(f"return [{vec('y4')}], "
                  f"{_pairwise([f'q{c}*q{c}' for c in parts])}")
     rest = [f"v{j}" for j in range(width + 1, width + 1 + n_rest)]
-    return "".join(["def _make(c, rest):\n",
+    return "".join(["def _make(c, rest, check):\n",
                     "    from math import isfinite\n",
                     *(f"    {line}\n" for line in prelude),
                     *([f"    {', '.join(rest)}, = rest\n"] if rest else []),
-                    "    def _attempt(f, t, h, y, k0, atol, rtol):\n",
+                    "    def _attempt(t, h, y, k0, atol, rtol):\n",
                     *(f"        {line}\n" for line in lines),
                     "    return _attempt\n"])
 
@@ -314,11 +319,13 @@ def _stacked_attempt():
     return namespace["_attempt"]
 
 
-def _attempt_fn(field: expr.Program, rest: Sequence):
-    """The step attempt of a flat state, which runs the program `field` on
-    the stage's state, t and `rest` in line. It is compiled once per field
-    source text and width, for the `_KEPT_ATTEMPTS` latest, and bound here
-    to the field's constants and `rest`."""
+def _attempt_fn(field: expr.Program, rest: Sequence, check=None):
+    """The step attempt `attempt(t, h, y, k0, atol, rtol)` of a flat
+    state, which runs the program `field` on the stage's state, t and
+    `rest` in line. It is compiled once per field source text and width,
+    for the `_KEPT_ATTEMPTS` latest, and bound here to the field's
+    constants, `rest` and `check(t, y)`, which a stage that divides by
+    zero calls, if given, before it re-raises."""
     width = field.n_inputs - 1 - len(rest)
     key = field.source(), width
     make = _flat_makers.get(key)
@@ -327,25 +334,14 @@ def _attempt_fn(field: expr.Program, rest: Sequence):
             del _flat_makers[next(iter(_flat_makers))]
         make = _flat_makers[key] = field.inline(
             functools.partial(_emit_attempt, width, len(rest)))
-    return make(field.float_constants(), rest)
+    return make(field.float_constants(), rest, check)
 
 
-def _flat_field(field: expr.Program, rest: Sequence, check=None):
+def _flat_field(field: expr.Program, rest: Sequence):
     """f(t, y) of a flat state y, a list of Python floats: `field` run on
-    (*y, t, *rest), as `_attempt_fn` runs it. A division by zero first
-    runs `check(t, y)`, if given, so that a twin's stage exactly at its
-    pole raises the twin's SingularPoint."""
+    (*y, t, *rest), as `_attempt_fn` runs it."""
     fn = field.float_fn()
-
-    def f(t, y):
-        try:
-            return fn(*y, t, *rest)
-        except ZeroDivisionError:
-            if check is not None:
-                check(t, y)
-            raise
-
-    return f
+    return lambda t, y: fn(*y, t, *rest)
 
 
 def _solve(f, y0, cfg: SimConfig, check=None, attempt=None) -> np.ndarray:
@@ -365,12 +361,14 @@ def _solve(f, y0, cfg: SimConfig, check=None, attempt=None) -> np.ndarray:
     stepped on Python floats, and f, from `_flat_field`, takes and returns
     a list: a step that covers one grid point fills it without converting
     to numpy. Otherwise `y0` is 2-D, one system per row, stepped as one
-    numpy array by `_stacked_attempt`: each stage calls f on all rows, and
-    all rows take the same steps. The step error is the largest of the
-    rows' RMS errors, so no row is held to a looser tolerance than in a
-    run of its own. A run gives up with StepBudgetExceeded after
-    `_MAX_ATTEMPTS` step attempts; a scalar division by zero in the field
-    raises DivisionByZero, and a scalar overflow NonFiniteState.
+    numpy array by `_stacked_attempt`, bound here to f: each stage calls f
+    on all rows, and all rows take the same steps. Either attempt is
+    called as `attempt(t, h, y, k0, atol, rtol)`. The step error is the
+    largest of the rows' RMS errors, so no row is held to a looser
+    tolerance than in a run of its own. A run gives up with
+    StepBudgetExceeded after `_MAX_ATTEMPTS` step attempts; a scalar
+    division by zero in the field raises DivisionByZero, and a scalar
+    overflow NonFiniteState.
 
     Each accepted step fills the grid points it covers by cubic Hermite
     interpolation and is then dropped, so only the current step is held.
@@ -394,7 +392,7 @@ def _solve(f, y0, cfg: SimConfig, check=None, attempt=None) -> np.ndarray:
     if not finite(y):
         raise NonFiniteState("initial state is not finite")
     width = y0.shape[-1]
-    attempt = attempt or _stacked_attempt()
+    attempt = attempt or functools.partial(_stacked_attempt(), f)
 
     def derivative(t, y):  # at a state the run keeps
         if check is not None:
@@ -424,7 +422,7 @@ def _solve(f, y0, cfg: SimConfig, check=None, attempt=None) -> np.ndarray:
                 raise StepBudgetExceeded(
                     f"no end after {_MAX_ATTEMPTS} step attempts, at t = {t} "
                     f"of [{cfg.t0}, {tf}] ({(t - cfg.t0) / (tf - cfg.t0):.0%})")
-            step = attempt(f, t, h, y, f_left, atol, rtol)
+            step = attempt(t, h, y, f_left, atol, rtol)
             if step is None:
                 h *= _MIN_SHRINK
                 continue
@@ -662,8 +660,8 @@ def _twin_runs(params: Params, init: Sequence[float], eta: EtaSignal,
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             states = _solve(f, y0[0] if attempt else y0, cfg, check, attempt)
     except (StepSizeUnderflow, NonFiniteState, expr.DivisionByZero) as exc:
-        # the SingularPoint of check, or of a flat f on a stage exactly at
-        # the pole, names the twin itself
+        # the SingularPoint of check, at a kept state or a flat stage
+        # exactly at the pole, names the twin itself
         raise type(exc)(f"{exc}, for {_where(insts)}") from None
     states = states.reshape(len(grid), len(insts), 6)
 
@@ -696,9 +694,10 @@ def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
     the twins `insts`, the pole check `check(t, y)` and the step attempt
     that `_solve` takes. For one twin y is flat, the original states then
     the twin's, and f and the attempt come from `_flat_field` and
-    `_attempt_fn`, as a plain run's do; check is None if u == 1, which
-    has no pole. For several, y stacks one row per twin and the attempt
-    is None: `_solve` takes the stacked one.
+    `_attempt_fn`, as a plain run's do, with the pole check passed in to
+    the attempt; check is None if u == 1, which has no pole. For several,
+    y stacks one row per twin and the attempt is None: `_solve` takes the
+    stacked one.
 
     f calls one program, built from the closed forms that
     `verify_identities` proves: the model right-hand side on the original
@@ -720,9 +719,11 @@ def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
     one reduction over the u column for a sweep; `_solve` calls it on the
     start state and each accepted step's end, so a stage near a pole is
     only a rejected step. At a pole it raises, after eta(t), the first such
-    twin's SingularPoint through `inst.eta`, naming the twin. The flat f
-    sends a division by zero, a stage exactly on a pole, through `check`;
-    any other propagates, eta's own at its pole included.
+    twin's SingularPoint through `inst.eta`, naming the twin. The flat
+    attempt sends a stage's division by zero, a stage exactly on a pole,
+    through `check` and then re-raises it; f itself checks nothing, and
+    any other division by zero propagates, eta's own at its pole
+    included.
     """
     states_p, consts_p = ([Symbol(s.name + "'", AUX) for s in symbols]
                           for symbols in (m.states, m.const_params))
@@ -753,8 +754,8 @@ def _twin_field(m: OdeModel, eta: EtaSignal, insts: Sequence[TauFamily]):
     if flat:
         rest = [*base, *primed[0], u]
         check = check if u != 1 else None
-        return (_flat_field(program, rest, check), check,
-                _attempt_fn(program, rest))
+        return (_flat_field(program, rest), check,
+                _attempt_fn(program, rest, check))
 
     field = program.float_fn()
     rest = [*base, *np.array(primed).T, u]

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from odeident import canonical as C
 from odeident import expr as E
 from odeident import model as M
 from odeident import ranktest as R
@@ -70,7 +71,7 @@ _small_expressions = _expression_strategy(4)
 # each squared divisor, `_safe_div`'s and the tests' own b*b + 1.
 _SAFE_DEGREE = max(k for k in range(200)
                    if math.comb(k // 2 + 3, 3) * math.comb(k - k // 2 + 3, 3)
-                   <= E._MAX_PRODUCT_TERMS)
+                   <= C._MAX_PRODUCT_TERMS)
 
 
 def _degree_bound(e) -> int:

@@ -32,6 +32,7 @@ import pytest
 
 from odeident import cli
 from odeident import expr as E
+from odeident import program as P
 from odeident import ranktest as R
 from helpers import (XYZ, random_expression, reference_generic_rank,
                      reference_rank_mod)
@@ -203,14 +204,14 @@ def _run_bounded(source, program, modulus, point, limit):
     namespace = {"DivisionByZero": E.DivisionByZero}
     exec(source, namespace)
     _Bounded.limit, _Bounded.widest = limit, 0
-    fn = namespace["_make"](modulus, [_Bounded(E._as_residue(c, modulus))
+    fn = namespace["_make"](modulus, [_Bounded(P._as_residue(c, modulus))
                                       for c in program.constants])
     outputs = fn(*[_Bounded(v % modulus) for v in point])
     return [int(v) for v in outputs], _Bounded.widest
 
 
 def _lazy_limit(modulus):
-    a, b = E._LAZY_BITS
+    a, b = P._LAZY_BITS
     return a * modulus.bit_length() + b
 
 

@@ -9,6 +9,7 @@ import pytest
 from odeident import expr as E
 from odeident import model as M
 from odeident import ranktest as R
+from odeident import transform as T
 from helpers import fd_derivative
 
 hiv = M.hiv_model()
@@ -444,3 +445,41 @@ def test_report_json_schema():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         R.run_rank_test(mode="bogus", trials=1, seed=1)
+
+
+# ------------------------------------------------ the tau family's tangent
+# the erratum's headline as an exact identity: the tangent of the tau
+# family at tau = 0 lies in the kernel of the constrained corrected
+# Jacobian, row by row, and of no other of the four matrices. The sympy
+# oracle checks the kernel at one rational point only
+
+def _tau_tangent() -> list[E.Expression]:
+    """v = rho * d/du of the transformed constants at u = 1, in
+    PARAM_ORDER, derived from `params_prime_exprs`."""
+    u = E.Symbol("u", E.AUX)
+    forms = T.params_prime_exprs()
+    column = E.partials([forms[name] for name in R.PARAM_ORDER], [u])
+    at_one = E.substitute_many([d for (d,) in column], {u: 1})
+    return [E.sym(rho) * d for d in at_one]
+
+
+def test_the_tau_tangent_is_the_erratum_s_kernel_vector():
+    d, r, n = E.sym(delta), E.sym(rho), E.sym(N)
+    want = [E.ZERO, d * d - d * r, E.ZERO, E.ZERO, n * r]
+    assert [E.normalize(v - w).is_zero
+            for v, w in zip(_tau_tangent(), want)] == [True] * 5
+
+
+@pytest.mark.parametrize("mode, variant, in_kernel", [
+    ("constrained", R.CORRECTED, True),
+    ("constrained", R.MIAO_AS_PRINTED, False),
+    ("naive", R.CORRECTED, False),
+    ("naive", R.MIAO_AS_PRINTED, False)])
+def test_the_tau_tangent_is_in_the_kernel_of_the_constrained_corrected_matrix(
+        mode, variant, in_kernel):
+    jac = R.parameter_jacobian(R.build_phi_system(R.build_phi(variant)))
+    if mode == "constrained":
+        jac = R.substitute_dynamics(jac)
+    v = _tau_tangent()
+    rows = [E.add(*(j * vj for j, vj in zip(row, v))) for row in jac]
+    assert [E.normalize(row).is_zero for row in rows] == [in_kernel] * 5

@@ -242,8 +242,9 @@ def test_flat_right_hand_side_division_by_zero_is_typed():
 def test_a_stage_that_divides_by_zero_raises_division_by_zero(monkeypatch):
     # s' = -vmax*s/(km + s) with km = 0: k0 = -16 at s = 1, and the first
     # step, a hundredth of the window, is 1/4, so the first stage state is
-    # s = 1 + 1/4*(1/4*-16) = 0. The step attempt runs the field in line;
-    # the stage calls f once more, at its own time, to raise as f does
+    # s = 1 + 1/4*(1/4*-16) = 0. The step attempt runs the field in line,
+    # and the stage re-raises its own division by zero without calling f,
+    # which runs only at the start state
     m = M.parse_model(
         (Path(__file__).parent / "corpus" / "michaelis.ode").read_text())
     times = []
@@ -264,7 +265,7 @@ def test_a_stage_that_divides_by_zero_raises_division_by_zero(monkeypatch):
     with pytest.raises(E.DivisionByZero, match="^float division by zero$"):
         S.integrate(m, {"vmax": 16.0, "km": 0.0}, [1.0, 0.0], None,
                     S.SimConfig(tf=25.0))
-    assert times == [0.0, 0.0625]
+    assert times == [0.0]
 
 
 @pytest.mark.parametrize("text, params, init, message", [
@@ -299,7 +300,7 @@ def test_twin_field_raises_eta_prime_values_error_at_the_pole(T_I):
         inst.eta(1.0, T_I, 1.0, 0.5)
     # one twin's check, which `_solve` runs on the states it keeps, raises
     # at the pole, as a sweep's does; its f guards no call
-    f, check, _ = S._twin_field(hiv, HALF, [inst])
+    f, check, attempt = S._twin_field(hiv, HALF, [inst])
     y = [1.0, T_I, 1.0, *inst.map_state(1.0, T_I, 1.0)]
     with pytest.raises(SingularPoint) as got:
         check(0.0, y)
@@ -309,10 +310,14 @@ def test_twin_field_raises_eta_prime_values_error_at_the_pole(T_I):
     if T_I == 1.0:
         assert str(want.value) == ("eta' denominator 0.0 vanishes relative "
                                    "to scale 1.0")
-        # a stage exactly on the pole divides by zero: f raises the same
+        # a stage exactly on the pole divides by zero and raises the same
+        # through the check bound into the attempt: with h = 0 stage 1 is
+        # the state y itself. f alone divides by zero
         with pytest.raises(SingularPoint) as stage:
-            f(0.0, y)
+            attempt(0.0, 0.0, y, [0.0] * 6, 1e-10, 1e-10)
         assert str(stage.value) == str(got.value)
+        with pytest.raises(ZeroDivisionError):
+            f(0.0, y)
     else:
         assert len(f(0.0, y)) == 6
 
