@@ -411,17 +411,27 @@ def test_negative_tau_failure_names_the_tau_and_the_pole(
     assert err.endswith(f", for {where}\n")
 
 
-@pytest.mark.parametrize("flag", ["--tau=-0.6931471805599453",
-                                  "--sweep=-0.6931471805599453:0.5:2"],
-                         ids=["single", "sweep"])
-def test_a_twin_on_its_eta_prime_pole_is_named(capsys, flag):
+_ON_ITS_POLE = ("eta' denominator 0.0 vanishes relative to scale 1.0, for "
+                "tau = -0.693147 (eta' has its pole at T_I/T_U = 1)")
+_SKEWED_TWIN = ["--eta", "1/2 + t/20", "--init", "1,0.2,1", "--lambda", "1.3",
+                "--delta", "0.8", "--rho", "1.7", "--c", "0.9", "--N", "3"]
+_MID_RUN = ("eta' denominator 1.2652101588628284e-12 vanishes relative to "
+            "scale 1.2890235121507128, for tau = -0.5 (eta' has its pole at "
+            "T_I/T_U = 1.59)")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--tau=-0.6931471805599453"], _ON_ITS_POLE),
+    (["--sweep=-0.6931471805599453:0.5:2"], _ON_ITS_POLE),
+    (["--tau=-0.5", *_SKEWED_TWIN], _MID_RUN),
+    (["--sweep=-0.5:0.5:2", *_SKEWED_TWIN], _MID_RUN),
+], ids=["single", "sweep", "mid-run single", "mid-run sweep"])
+def test_a_twin_on_its_eta_prime_pole_is_named(capsys, argv, line):
     # from the default start, T_I/T_U = 1, the twin with u = 1/2 starts on
-    # its pole; a sweep names that twin as its single run does
-    code, out, err = run(capsys, "simulate", flag)
-    assert code == 1 and out == ""
-    assert err == ("error: eta' denominator 0.0 vanishes relative to scale "
-                   "1.0, for tau = -0.693147 (eta' has its pole at "
-                   "T_I/T_U = 1)\n")
+    # its pole; from 1,0.2,1 under skewed parameters the original reaches
+    # T_I/T_U = 1.59, the tau = -0.5 twin's pole, mid-run. A sweep names
+    # the twin, and stops at the same accepted step, as its single run does
+    assert run(capsys, "simulate", *argv) == (1, "", f"error: {line}\n")
 
 
 @pytest.mark.parametrize("command", [["simulate", "--tau", "0.5"],
@@ -437,9 +447,11 @@ def test_eta_pole_prints_only_the_error_line(capsys, command):
 
 
 @pytest.mark.parametrize("command, where", [
-    (["simulate", "--tau", "0.5"], ", for tau = 0.5"),
+    (["simulate", "--tau", "0.5", "--init", "1,0.2,1"], ", for tau = 0.5"),
+    (["simulate", "--sweep=0:0.5:2", "--init", "1,0.2,1"],
+     ", for tau in [0, 0.5]"),
     (["phi-check"], ""),
-], ids=["simulate", "phi-check"])
+], ids=["simulate", "sweep", "phi-check"])
 def test_eta_pole_at_a_stage_time_prints_only_the_error_line(capsys, command,
                                                              where):
     # the 400-point grid misses t = 1/40, where the first step's first
@@ -739,6 +751,17 @@ def test_parse_valid_model_json(capsys):
     payload = json.loads(out)
     assert payload["states"] == ["T_U", "T_I", "V"]
     assert payload["outputs"] == ["y1", "y2"]
+
+
+CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.ode"))
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+def test_parse_prints_one_summary_line_for_each_corpus_model(capsys, path):
+    code, out, err = run(capsys, "parse", str(path))
+    assert (code, err) == (0, "")
+    assert re.fullmatch(r"model \w+: \d+ states, \d+ params, \d+ tvparams, "
+                        r"\d+ outputs\n", out)
 
 
 def test_parse_reports_position(tmp_path, capsys):

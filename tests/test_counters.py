@@ -653,11 +653,13 @@ _ELAPSED = re.compile(r'"elapsed_ms": \d+')
 # the evaluator (`program`) each load only where the subcommand uses them
 @pytest.mark.parametrize("argv, loaded", [
     (["verify-identities"], ["canonical", "program", "transform"]),
-    (["rank", "--seed", "7", "--trials", "3", "--mode", "naive"], ["program"]),
-    (["rank", "--seed", "7", "--trials", "3", "--mode", "constrained"],
+    (["rank", "--seed", "7", "--trials", "5", "--mode", "naive"], ["program"]),
+    (["rank", "--seed", "7", "--trials", "5"], ["program"]),
+    (["rank", "--seed", "7", "--trials", "5", "--variant", "miao"],
      ["program"]),
     (["parse", _HIV_FILE], []),
-], ids=["verify-identities", "rank naive", "rank constrained", "parse"])
+], ids=["verify-identities", "rank naive", "rank constrained", "rank miao",
+        "parse"])
 def test_symbolic_subcommands_run_without_numpy(capsys, argv, loaded):
     done = _fresh(_BLOCKED_MAIN, *argv)
     assert done.returncode == 0, done.stderr

@@ -255,6 +255,33 @@ def test_symbol_table_duplicates():
         E.SymbolTable([E.Symbol("a"), E.Symbol("a", E.STATE)])
 
 
+# the reflected operators, the operands and symbol kinds refused, and
+# printing: str, and repr cut to 120 characters of text
+_WIDE = E.add(*(E.sym(f"a{i}") for i in range(40)))
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: 1 + X, E.add(E.ONE, X)),
+    (lambda: 1 - X, E.sub(E.ONE, X)),
+    (lambda: 2 / X, E.div(E.const(2), X)),
+    (lambda: X ** 1.5, TypeError("exponents must be Python ints")),
+    (lambda: X + 1.5, TypeError("cannot use float as an expression")),
+    (lambda: X + None, TypeError("cannot use NoneType as an expression")),
+    (lambda: E.Symbol("a", "bogus"),
+     ValueError("unknown symbol kind 'bogus'")),
+    (lambda: str(X * Y + 1), "x*y + 1"),
+    (lambda: repr(_WIDE), f"<Sum {E.to_text(_WIDE)[:117]}...>"),
+], ids=["1 + x", "1 - x", "2 / x", "x ** 1.5", "x + 1.5", "x + None",
+        "unknown kind", "str", "long repr"])
+def test_operators_refusals_and_printing(build, want):
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as info:
+            build()
+        assert str(info.value) == str(want)
+    else:
+        assert build() == want
+
+
 # --------------------------------------------------------- differentiate
 
 def test_differentiate_product_and_power_rule():
@@ -350,6 +377,20 @@ def test_normalize_appendix_second_equation_members():
 def test_normalize_denominator_identically_zero():
     with pytest.raises(E.DenominatorIdenticallyZero):
         E.normalize(E.div(E.ONE, X - X))
+
+
+@pytest.mark.parametrize("fail, error, message", [
+    (lambda: E.compile_float_fn(1 / X, [xs])(0.0), E.DivisionByZero,
+     "float division by zero"),
+    (lambda: E.normalize((X - X) ** -1), E.DenominatorIdenticallyZero,
+     "zero raised to a negative power"),
+    (lambda: C.RationalCanonical({(): 1}, {}), E.DenominatorIdenticallyZero,
+     "denominator expands to the zero polynomial"),
+], ids=["float division", "negative power of zero", "empty denominator"])
+def test_typed_errors_carry_their_messages(fail, error, message):
+    with pytest.raises(error) as info:
+        fail()
+    assert str(info.value) == message
 
 
 def test_canonical_denominator_is_monic():
