@@ -258,8 +258,6 @@ class Expression:
         return div(_coerce(other), self)
 
     def __pow__(self, k):
-        if not isinstance(k, int):
-            raise TypeError("exponents must be Python ints")
         return pow_(self, k)
 
     def __neg__(self):

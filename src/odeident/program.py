@@ -32,8 +32,10 @@ _CHUNK = 32
 _PIECE_CHARS = 8192
 # The modular rendering reduces lazily. Every value it computes is below
 # 2^(a*W + b) in magnitude, W the bit length of the modulus, and each
-# operand carries its (a, b): residues (inputs, constants, temporaries and
-# the results of pow and _inv) are (1, 0), n summands add ceil(log2 n) to b,
+# operand carries its (a, b): residues (inputs, temporaries, the results of
+# pow and _inv, and constants other than small ints) are (1, 0), an integral
+# constant of at most _LAZY_BITS[1] bits is bound as itself with
+# (0, its bit length) (`_constant_bound`), n summands add ceil(log2 n) to b,
 # and factors add both. `% p` is emitted only where a bound would pass
 # _LAZY_BITS, and at every temporary and output, so one source serves every
 # modulus and no intermediate exceeds 2^(4*W + 16).
@@ -60,6 +62,8 @@ class Program:
     (`run_mod`), a prime or a product of distinct primes; the program keeps
     the `_KEPT_MODULI` latest bindings. Each domain converts its inputs by
     one rule: `run_exact` by `_as_fraction`, `run_mod` by `_as_residue`.
+    `run_mod` binds a small integral constant as itself and any other as
+    its residue (`_constant_bound`).
     """
 
     def __init__(self, instructions, constants, outputs, input_symbols):
@@ -88,8 +92,9 @@ class Program:
 
     def source(self, modular: bool = False) -> str:
         """The emitted Python source: `_make(constants)`, or
-        `_make(p, residues)` when modular, returns a function of the input
-        values that returns the list of output values."""
+        `_make(p, constants)` when modular, with the constants bound as
+        `_constant_bound` says, returns a function of the input values that
+        returns the list of output values."""
         return self._render(modular)[0]
 
     def _bind(self, domain, modular: bool, make_args):
@@ -163,8 +168,7 @@ class Program:
             moduli = [k for k in self._fns if type(k) is int]
             if len(moduli) >= _KEPT_MODULI:
                 del self._fns[moduli[0]]
-            fn = self._bind(p, True,
-                            (p, [_as_residue(c, p) for c in self.constants]))
+            fn = self._bind(p, True, (p, _mod_constants(self.constants, p)))
         return fn(*[_as_residue(v, p) for v in values])
 
 
@@ -200,7 +204,9 @@ def _emit(program: Program, modular: bool) -> tuple:
     # slot -> (text, depth, slots read, bound): depth bounds the syntactic
     # nesting; bound is the modular rendering's magnitude bound (a, b), and
     # plain values, which need no reduction, carry _REDUCED throughout
-    text = {j: (name(j), 0, (j,), _REDUCED) for j in range(n_leaves)}
+    bounds = [_REDUCED] * n_in + [_constant_bound(c) if modular else _REDUCED
+                                  for c in program.constants]
+    text = {j: (name(j), 0, (j,), bound) for j, bound in enumerate(bounds)}
     lines = []  # (temporary assigned, expression, slots read)
 
     def read(j):  # a slot read once leaves the table when read
@@ -440,6 +446,24 @@ def _as_fraction(v) -> Fraction:
     if isinstance(v, float):
         return Fraction(v)  # exact binary expansion
     raise TypeError(f"cannot evaluate exactly with value of type {type(v).__name__}")
+
+
+def _constant_bound(c: Fraction) -> tuple[int, int]:
+    """The modular rendering's bound of constant `c`, which says how
+    `run_mod` binds it: an integer of at most _LAZY_BITS[1] bits as
+    itself, (0, its bit length), so that it multiplies as a small int;
+    any other constant as its residue, _REDUCED. The rule does not depend
+    on the modulus, so one source serves every modulus."""
+    if c.denominator == 1 and c.numerator.bit_length() <= _LAZY_BITS[1]:
+        return (0, c.numerator.bit_length())
+    return _REDUCED
+
+
+def _mod_constants(constants: Sequence[Fraction], p: int) -> list[int]:
+    """`constants` as the modular rendering binds them mod p, each by the
+    rule of `_constant_bound`."""
+    return [c.numerator if _constant_bound(c) != _REDUCED
+            else _as_residue(c, p) for c in constants]
 
 
 def _as_residue(v, p: int) -> int:

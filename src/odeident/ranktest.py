@@ -246,9 +246,18 @@ def _rank_mod(rows: list[list[int]], m: int) -> int | None:
 
 
 def _draw_point(seed: int, p: int, trial, attempt: int, n: int) -> list[int]:
-    # string seeding is stable across platforms and runs
+    # string seeding is stable across platforms and runs; each value is
+    # drawn as randrange(p) draws it, by rejection from p.bit_length() bits,
+    # without randrange's argument checks
     rng = random.Random(f"{seed}:{p}:{trial}:{attempt}")
-    return [rng.randrange(p) for _ in range(n)]
+    bits, width = rng.getrandbits, p.bit_length()
+    point = []
+    for _ in range(n):
+        v = bits(width)
+        while v >= p:
+            v = bits(width)
+        point.append(v)
+    return point
 
 
 def _checked_rank_args(trials: int, primes: Sequence[int]) -> tuple[int, ...]:

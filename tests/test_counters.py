@@ -3,9 +3,9 @@
 The bounds are the sizes the hash-consed engine and the straight-line
 emitter produce; a change that grows the DAG, in nodes or in edges (the
 total arity over its unique nodes, which the time follows), the compiled
-program or its generated source fails here before it shows up as wall
-time, and so does one that traverses the DAG more often to build the
-jets or the Jacobian,
+program, its generated source or the reductions in its modular
+rendering fails here before it shows up as wall time, and so does one
+that traverses the DAG more often to build the jets or the Jacobian,
 or that traverses or differentiates a node of a derivative chain again
 at a later order, or eliminates more than once per rank trial, and so
 does a second rank verdict in a process that builds, compiles or emits its matrix again
@@ -185,11 +185,24 @@ def test_chain_nodes_traversed_and_partials_taken(monkeypatch, run, nodes,
 
 # the modular rendering reduces lazily, where a bound requires it and at
 # temporaries and outputs; reducing after every operation made these 39368
-# and 75395
-@pytest.mark.parametrize("mode, chars", [("naive", 35550),
-                                         ("constrained", 64365)])
+# and 75395, and binding small integral constants as residues 35550 and
+# 64365
+@pytest.mark.parametrize("mode, chars", [("naive", 35320),
+                                         ("constrained", 64059)])
 def test_jacobian_mod_p_source_size(mode, chars):
     assert len(_program(_jacobian(mode)).source(modular=True)) <= chars
+
+
+# every constant of the rank matrices is a small int, which the modular
+# rendering multiplies as itself, so no constant operand is full-width;
+# bound as residues, their full width forced 493 and 884 reductions
+@pytest.mark.parametrize("mode, reductions", [("naive", 448),
+                                              ("constrained", 820)])
+def test_jacobian_mod_p_reductions(mode, reductions):
+    program = _program(_jacobian(mode))
+    assert program.source(modular=True).count("% p") <= reductions
+    assert [c for c in program.constants
+            if P._constant_bound(c) == P._REDUCED] == []
 
 
 @pytest.mark.parametrize("output_index, chars", [(1, 94168), (2, 36466)])

@@ -204,8 +204,8 @@ def _run_bounded(source, program, modulus, point, limit):
     namespace = {"DivisionByZero": E.DivisionByZero}
     exec(source, namespace)
     _Bounded.limit, _Bounded.widest = limit, 0
-    fn = namespace["_make"](modulus, [_Bounded(P._as_residue(c, modulus))
-                                      for c in program.constants])
+    fn = namespace["_make"](modulus, [
+        _Bounded(c) for c in P._mod_constants(program.constants, modulus)])
     outputs = fn(*[_Bounded(v % modulus) for v in point])
     return [int(v) for v in outputs], _Bounded.widest
 
@@ -241,6 +241,81 @@ def test_a_rendering_without_reduction_at_temporaries_breaks_the_bound():
     with pytest.raises(_TooWide):
         _run_bounded(mutant, program, PRIMES[0], point,
                      _lazy_limit(PRIMES[0]))
+
+
+# small ints, which run_mod binds as themselves, the widest of them and
+# the first too wide, a fraction and a 200-bit int, which it binds as
+# residues
+SMALL_AND_WIDE = (-1, 2, -4, 2**16 - 1, -(2**16 + 7), Fraction(1, 2),
+                  2**199 + 12345)
+
+
+def _constant_heavy_expression(rng, depth):
+    """A random expression over XYZ whose leaves are mostly constants of
+    `SMALL_AND_WIDE`, in sums, differences, products of up to six
+    factors, powers, and quotients by a constant or an expression."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.6:
+            return E.const(rng.choice(SMALL_AND_WIDE))
+        return E.sym(rng.choice(XYZ))
+    op = rng.choice(("add", "sub", "mul", "mul", "div", "pow"))
+    a = _constant_heavy_expression(rng, depth - 1)
+    if op == "pow":
+        return E.pow_(a, rng.randint(-2, 3))
+    if op == "mul":
+        return functools.reduce(E.mul, [a, *(
+            _constant_heavy_expression(rng, depth - 1)
+            for _ in range(rng.randint(1, 5)))])
+    b = (E.const(rng.choice(SMALL_AND_WIDE)) if rng.random() < 0.3
+         else _constant_heavy_expression(rng, depth - 1))
+    return {"add": E.add, "sub": E.sub, "div": E.div}[op](a, b)
+
+
+@pytest.mark.parametrize("modulus", [PRIMES[0], PRODUCT, 2, 3, 5],
+                         ids=["63-bit prime", "189-bit product", "2", "3",
+                              "5"])
+def test_run_mod_with_small_and_wide_constants_is_exact_evaluation_mod_p(
+        modulus):
+    rng = random.Random(modulus % 1000)
+    bound, agreed = set(), 0
+    for _ in range(300):
+        try:
+            exprs = [_constant_heavy_expression(rng, 3) for _ in range(3)]
+        except E.DenominatorIdenticallyZero:  # a quotient by a folded 0
+            continue
+        # a constant output, which no operation reduces
+        exprs.append(E.const(rng.choice(SMALL_AND_WIDE)))
+        program = E.compile_program(exprs, XYZ)
+        bound.update(program.constants)
+        point = [rng.randrange(-2**70, 2**70) for _ in XYZ]
+        try:
+            exact = program.run_exact(point)
+        except E.DivisionByZero:
+            with pytest.raises(E.DivisionByZero):
+                program.run_mod(point, modulus)
+            continue
+        try:
+            outputs = program.run_mod(point, modulus)
+        except E.DivisionByZero:
+            # a denominator that vanishes mod p, or the constant 1/2 mod 2,
+            # which raise on most runs mod 2 and 3
+            continue
+        assert outputs == [P._as_residue(v, modulus) for v in exact]
+        assert all(0 <= v < modulus for v in outputs)
+        # and no value outgrows the bound its constants were given
+        assert _run_bounded(program.source(modular=True), program, modulus,
+                            point, _lazy_limit(modulus))[0] == outputs
+        agreed += 1
+    assert set(SMALL_AND_WIDE) <= bound
+    assert agreed >= 30
+
+
+def test_a_constant_whose_denominator_the_modulus_divides_raises():
+    half = E.compile_program([E.const(Fraction(1, 2)) * X + 4], [x])
+    for modulus in (2, 2 * PRIMES[0]):
+        with pytest.raises(E.DivisionByZero, match="no residue"):
+            half.run_mod([1], modulus)
+    assert half.run_mod([1], 3) == [(2 + 4) % 3]
 
 
 # ------------------------------------- elimination modulo a product

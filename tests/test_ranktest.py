@@ -251,6 +251,20 @@ def test_rank_report_is_deterministic():
     assert da == db
 
 
+# each default prime, a product of two, and a modulus just above a power
+# of two, under which about half of the draws are rejected
+@pytest.mark.parametrize("p", [*R.DEFAULT_PRIMES,
+                               R.DEFAULT_PRIMES[0] * R.DEFAULT_PRIMES[1],
+                               2**61 + 1],
+                         ids=["p0", "p1", "p2", "p0*p1", "2^61+1"])
+def test_trial_points_are_the_values_randrange_draws(p):
+    for seed in range(40):
+        for trial, attempt in [(0, 0), (seed * 7, 1), ("structured", 0)]:
+            rng = random.Random(f"{seed}:{p}:{trial}:{attempt}")
+            assert R._draw_point(seed, p, trial, attempt, 14) == [
+                rng.randrange(p) for _ in range(14)]
+
+
 def test_rank_scale_invariance():
     system = R.build_phi_system(R.build_phi(R.CORRECTED))
     jac = R.parameter_jacobian(system)
