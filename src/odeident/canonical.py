@@ -63,10 +63,6 @@ def _poly_add(p1, p2):
 
 
 def _poly_scale(p, f):
-    if f == 0:
-        return {}
-    if f == 1:
-        return p
     return {m: c * f for m, c in p.items()}
 
 

@@ -349,7 +349,17 @@ def main(argv=None) -> int:
     try:
         with _failing(_MATH_FAIL, expr.ExpressionTooLarge):
             code, payload, lines = _COMMANDS[args.command](args)
-        if args.output == "json":
+        if args.output == "json" and isinstance(payload, list):
+            # a sweep's reports one at a time, in the layout of
+            # json.dumps(payload, indent=2): with indent, json holds every
+            # chunk of the whole text until its final join
+            sep = "[\n  "
+            for report in payload:
+                sys.stdout.write(
+                    sep + json.dumps(report, indent=2).replace("\n", "\n  "))
+                sep = ",\n  "
+            sys.stdout.write("\n]\n")
+        elif args.output == "json":
             print(json.dumps(payload, indent=2))
         elif args.output == "pretty":
             print("\n".join(lines))

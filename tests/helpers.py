@@ -1,12 +1,18 @@
 """Shared test utilities: random expressions, a finite-difference oracle,
 reference implementations of expansion and differentiation, a reference
-RKF45 stepper, and the rank test's serial loop over primes."""
+RKF45 stepper, the rank test's serial loop over primes, and a child
+interpreter under an address-space cap and a timeout."""
 
 from __future__ import annotations
 
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -15,6 +21,32 @@ from odeident import ranktest as R
 from odeident import transform as T
 
 XYZ = tuple(E.Symbol(n) for n in ("x", "y", "z"))
+
+REPO = Path(__file__).resolve().parents[1]
+
+# what `ulimit -v 2000000` sets: 2,000,000 KiB of address space
+_ADDRESS_SPACE_CAP = 2_000_000 * 1024
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (_ADDRESS_SPACE_CAP, _ADDRESS_SPACE_CAP))
+
+
+def run_capped(*args, timeout: float, stdout=subprocess.PIPE):
+    """`python ARGS` in a new interpreter on this tree's `src`, started in
+    the repository root with one BLAS thread and its address space capped
+    at `_ADDRESS_SPACE_CAP`, so that an allocation past the cap raises
+    `MemoryError` in the child. Raises `subprocess.TimeoutExpired` after
+    `timeout` seconds; returns the `subprocess.CompletedProcess`, with
+    standard error captured."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(REPO / "src"),
+                                 os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, cwd=REPO,
+                          preexec_fn=_cap_address_space, timeout=timeout)
 
 
 def random_expression(rng: random.Random, symbols=XYZ, depth=3) -> E.Expression:

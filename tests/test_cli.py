@@ -17,6 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from odeident import canonical, cli, expr, ranktest, sim
 from odeident.transform import Params
+from helpers import run_capped
+
+CLI = ("-m", "odeident.cli")
 
 ONES = Params(lam=1.0, delta=1.0, rho=1.0, c=1.0, N=1.0)
 
@@ -201,6 +204,16 @@ def test_simulate_sweep(capsys):
     assert [r["tau"] for r in payload] == [-0.5, 0.0, 0.5]
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_sweep_written_report_by_report_is_its_json_dumps(capsys, n):
+    code, out, err = run(capsys, "simulate", f"--sweep=-0.5:0.5:{n}",
+                         "--tf", "4", "--grid", "5")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert len(payload) == n
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_simulate_singular_tau_fails_mathematically(capsys):
     code, _, err = run(capsys, "simulate", "--tau", "5", "--delta", "2",
                        "--rho", "0.5")
@@ -264,26 +277,33 @@ def test_a_failed_run_leaves_an_existing_csv_file_as_it_was(tmp_path,
     assert out_csv.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("lines", [0, 1], ids=["closed", "one line"])
 @pytest.mark.parametrize("argv", [
-    ["rank", "--seed", "7", "--trials", "5", "--output", "pretty"],
+    ["rank", "--seed", "7", "--output", "pretty"],
     ["simulate", "--tau", "0.5", "--output", "csv"],
-], ids=["rank pretty", "simulate csv"])
-def test_a_reader_that_closes_early_ends_the_run_with_exit_1(argv):
+    ["simulate", "--sweep=0:1:400", "--output", "pretty"],
+], ids=["rank pretty", "simulate csv", "sweep pretty"])
+def test_a_reader_that_closes_early_ends_the_run_without_a_traceback(
+        argv, lines):
     # a new interpreter, on this odeident, whose standard output is a pipe
-    # with its read end already closed: the first write fails with EPIPE
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(Path(cli.__file__).parents[1]),
-                      os.environ.get("PYTHONPATH")])))
+    # with its read end closed at once, so the first write fails with
+    # EPIPE, or by a reader that exits after one line
     read_end, write_end = os.pipe()
+    reader = None
+    if lines:
+        reader = subprocess.Popen(
+            [sys.executable, "-S", "-c", "import sys; sys.stdin.readline()"],
+            stdin=read_end)
     os.close(read_end)
     try:
-        done = subprocess.run([sys.executable, "-m", "odeident.cli", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE,
-                              env=env, timeout=60)
+        done = run_capped(*CLI, *argv, timeout=60, stdout=write_end)
     finally:
         os.close(write_end)
-    assert done.returncode == 1
+        if reader is not None:
+            reader.wait(timeout=60)
     assert done.stderr == b""
+    # a reader of one line may find the whole output in the pipe's buffer
+    assert done.returncode in ((0, 1) if lines else (1,))
 
 
 def test_simulate_bad_eta_expression(capsys):
@@ -883,6 +903,76 @@ def test_an_eta_constant_under_the_bound_prints_and_reads_back(capsys):
     assert code == 0 and err == ""
     text = json.loads(out)["eta"]
     assert expr.parse_expression(text) is expr.parse_expression(eta)
+
+
+# ------------------------------------ time and memory in a capped child
+# Each run below is a new interpreter under `run_capped`'s 2,000,000 KiB
+# address-space cap, so an input that allocates before it is checked
+# fails with a MemoryError, not with its one error line.
+
+_DEEP = "(" * 260 + "1" + ")" * 260
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--tau", "0.5", "--eta", "10^400"],
+    ["phi-check", "--eta", "10^400"],
+    ["simulate", "--sweep=0:1:100000000"],
+    ["rank", "--seed", "7", "--trials", "0"],
+    ["rank", "--seed", "7", "--primes", "abc"],
+    ["rank", "--seed", "7", "--primes", ""],
+    # a window whose width tf - t0 overflows to inf
+    ["simulate", "--tau", "0.5", "--t0=-1e308", "--tf", "1e308"],
+    ["phi-check", "--t0=-1e308", "--tf", "1e308"],
+    # parentheses past the parser's 100-level limit, and a superscript digit
+    ["simulate", "--tau", "0.5", "--eta", _DEEP],
+    ["simulate", "--tau", "0.5", "--eta", "t^\u00b2"],
+    # identifiers are [A-Za-z_][A-Za-z0-9_]*: t, then a superscript
+    ["simulate", "--tau", "0.5", "--eta", "t\u00b2"],
+    # a --csv path that cannot be opened, and an empty one
+    ["simulate", "--tau", "0.5", "--csv", "/nonexistent/dir/x.csv"],
+    ["simulate", "--tau", "0.5", "--csv", ""],
+    # ["parse", rhs] parses the HIV model with rhs as V's right-hand side:
+    # past the depth limit, a constant past the 13,288-bit bound, refused
+    # before the power is computed, a superscript digit and a 5,000-digit
+    # literal
+    ["parse", _DEEP],
+    ["parse", "10^99999999"],
+    ["parse", "-c*V^\u00b2"],
+    ["parse", "7" * 5000 + "*V"],
+], ids=["simulate eta 10^400", "phi-check eta 10^400", "sweep of 10^8",
+        "zero trials", "primes abc", "empty primes", "simulate window",
+        "phi-check window", "deep eta", "eta t^2", "eta t2", "csv in no dir",
+        "empty csv", "deep ode", "ode 10^99999999", "ode superscript",
+        "ode long literal"])
+def test_a_bad_input_exits_2_with_one_line_within_5_s_under_a_cap(
+        tmp_path, argv):
+    if argv[0] == "parse":
+        argv = ["parse", str(_hiv_with_virus_rhs(tmp_path, argv[1]))]
+    done = run_capped(*CLI, *argv, timeout=5)
+    assert done.returncode == 2
+    assert done.stdout == b"" and done.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--tau", "0.5", "--grid", "1500000"],
+    ["phi-check", "--grid", "1500000"],
+    ["simulate", "--sweep=0:1:20", "--grid", "75000"],
+], ids=["simulate", "phi-check", "sweep"])
+def test_the_largest_grids_run_under_a_cap(argv):
+    # 1,500,000 samples each, the limit that the memory note on
+    # `cli._MAX_SAMPLES` sizes; on these grids a step covers many points
+    # and takes the integrator's column fill
+    done = run_capped(*CLI, *argv, timeout=60, stdout=subprocess.DEVNULL)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+def test_a_100000_term_ode_line_parses_within_30_s_under_a_cap(tmp_path):
+    # the parser folds each run of + operands once, so a long sum is read
+    # in linear time
+    path = _hiv_with_virus_rhs(tmp_path, " + ".join(["c*V"] * 100_000))
+    done = run_capped(*CLI, "parse", str(path), timeout=30)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.startswith(b"model hiv: 3 states")
 
 
 # ----------------------------------------------------------- random argv

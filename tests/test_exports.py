@@ -2,15 +2,18 @@
 the package lists and resolves the names it re-exports, whether its
 module loaded with the package or loads on first access, `expr` resolves
 the names of the modules built on it, and no module reaches into
-another's private names, by import or by attribute."""
+another's private names, by import or by attribute, and the README's
+library example runs."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import odeident
+from helpers import REPO, run_capped
 
 
 @pytest.mark.parametrize("module", ["expr", "canonical", "program", "model",
@@ -113,3 +116,12 @@ def test_each_package_name_is_its_module_s_object():
     assert [n for n, (home,) in homes.items()
             if getattr(odeident, n) is not getattr(home, n)] == []
     assert all(getattr(odeident, m) is modules[m] for m in modules)
+
+
+def test_the_readme_library_example_runs_within_60_s():
+    # the first python block under "## Library", as a reader runs it
+    text = (REPO / "README.md").read_text()
+    library = text[text.index("\n## Library\n"):]
+    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    done = run_capped("-c", block, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")

@@ -20,7 +20,7 @@ from odeident import model as M
 from odeident import ranktest as R
 from helpers import (XYZ, fd_cases, fd_derivative, identity_residuals,
                      random_expression, random_point, reference_differentiate,
-                     reference_normalize)
+                     reference_normalize, run_capped)
 
 X, Y, Z = (E.sym(s) for s in XYZ)
 xs, ys, zs = XYZ
@@ -1060,6 +1060,16 @@ def test_expanding_a_too_large_product_fails_before_forming_it():
     total = E.add(*(E.sym(f"x{i}") for i in range(1, 11)))
     with pytest.raises(E.ExpressionTooLarge, match="715 and 24310 terms"):
         E.normalize(total ** 12)
+
+
+def test_the_expansion_limits_fire_under_an_address_space_cap():
+    # the typed error must fire before the expansion runs out of memory:
+    # the two too_large tests above, in a child pytest under run_capped's
+    # cap, with no cache plugin, so that it leaves this run's cache alone
+    done = run_capped("-m", "pytest", "-q", "-p", "no:cacheprovider",
+                      "tests/test_expr.py", "-k", "too_large", timeout=60)
+    assert done.returncode == 0, done.stdout.decode()
+    assert b"\n2 passed, " in done.stdout
 
 
 @settings(max_examples=60, deadline=None)

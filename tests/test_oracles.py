@@ -3,11 +3,12 @@ sympy's power series for the output jets, `sympy.cancel` for exact zero
 tests, sympy's exact rank for the rank verdicts and sympy's exact kernel
 of the output jets' Jacobian for what is unidentifiable. The integrator
 and jet oracles live in `perfbench/oracles.py` and, like the rank and
-kernel oracles here, share no code with odeident; these tests skip when
-sympy or scipy is not installed. Truncated power series mod p are a
-second jet oracle that needs neither: they read only the instruction list
-that `compile_program` makes of a model's vector field, and none of
-odeident's differentiation."""
+kernel oracles here, share no code with odeident. sympy and scipy are
+test dependencies, like hypothesis: this module imports both, so without
+them it fails at collection instead of skipping. Truncated power series
+mod p are a second jet oracle that needs neither: they read only the
+instruction list that `compile_program` makes of a model's vector field,
+and none of odeident's differentiation."""
 
 import functools
 import importlib.util
@@ -19,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate  # noqa: F401, read by perfbench/oracles.py's DOP853
+import sympy as sp
 
 from odeident import expr as E
 from odeident import program as P
@@ -40,7 +43,6 @@ def _oracles():
 
 
 def test_integrator_agrees_with_scipy_dop853():
-    pytest.importorskip("scipy")
     init, eta = (1.0, 0.2, 1.0), S.EtaSignal.from_text("1/2")
     got = S.integrate(hiv_model(), ONES.as_dict(), init, eta)
     want = _oracles().hiv_trajectory_scipy(init, ONES.as_dict(), eta,
@@ -50,7 +52,6 @@ def test_integrator_agrees_with_scipy_dop853():
 
 
 def test_output_jets_agree_with_sympy_power_series():
-    pytest.importorskip("sympy")
     order = 6
     m = hiv_model()
     tv = m.tv_params[0]
@@ -71,7 +72,7 @@ def test_output_jets_agree_with_sympy_power_series():
     assert got == want
 
 
-def _to_sympy(e, sp):
+def _to_sympy(e):
     """`e` rebuilt node by node as a sympy expression."""
     names = {}
     memo = {}
@@ -98,8 +99,7 @@ def _to_sympy(e, sp):
 
 
 def _cancels_to_zero(e) -> bool:
-    sp = pytest.importorskip("sympy")
-    return sp.cancel(_to_sympy(e, sp)) == 0
+    return sp.cancel(_to_sympy(e)) == 0
 
 
 def test_zero_test_agrees_with_sympy_on_random_expressions():
@@ -165,7 +165,6 @@ def _jacobian_sympy():
     first four total time derivatives with the output derivatives y<i>_<k>
     as independent symbols, and the 5x5 Jacobian of those five in the
     parameters. Returns (ring, generators, Jacobian)."""
-    sp = pytest.importorskip("sympy")
     ring, *gens = sp.polys.rings.ring(
         [*_PARAM_NAMES, *(f"y{i}_{k}" for i in (1, 2)
                           for k in range(_JET_ORDER + 1))], sp.QQ)
@@ -223,7 +222,6 @@ def _rank_point(mode: str) -> list[F]:
 
 @pytest.mark.parametrize("mode, rank", [("naive", 5), ("constrained", 4)])
 def test_rank_verdicts_agree_with_sympy(mode, rank):
-    sp = pytest.importorskip("sympy")
     ring, _, jacobian = _jacobian_sympy()
     point = [sp.QQ(x.numerator, x.denominator) for x in _rank_point(mode)]
     matrix = sp.Matrix([[ring.domain.to_sympy(entry(*point)) for entry in row]
@@ -263,7 +261,6 @@ def test_output_jet_kernel_is_the_tau_family_tangent():
     - T_U' = T_U + T_I - T_I' gives delta*T_I/rho; V' = V does not move.
     Scaled by rho: (0, delta^2 - delta*rho, 0, 0, N*rho | delta*T_I,
     -delta*T_I, 0)."""
-    sp = pytest.importorskip("sympy")
     DomainMatrix = sp.polys.matrices.DomainMatrix
     QQ = sp.QQ
     ring, *gens = sp.polys.rings.ring(
@@ -327,7 +324,7 @@ def _read_model_file(path: Path):
     return declared, odes, outputs
 
 
-def _corpus_jacobian(path: Path, sp):
+def _corpus_jacobian(path: Path):
     """(column names, exact Jacobian rows, output-jet values) of a model's
     outputs and their first K derivatives with respect to its declared
     parameters, its initial states and each tv parameter's chain u_0 ...
@@ -398,11 +395,10 @@ def test_corpus_output_jet_kernels(model):
     """The HIV test's method on the rest of the corpus: the rank of each
     model's output-jet Jacobian at K = 4 and the support of its kernel,
     the unknowns it cannot identify."""
-    sp = pytest.importorskip("sympy")
     assert {p.stem for p in _CORPUS.glob("*.ode")} \
         == {"hiv", *_CORPUS_KERNELS}
     rank, support = _CORPUS_KERNELS[model]
-    names, rows, _ = _corpus_jacobian(_CORPUS / f"{model}.ode", sp)
+    names, rows, _ = _corpus_jacobian(_CORPUS / f"{model}.ode")
     matrix = sp.polys.matrices.DomainMatrix(rows, (len(rows), len(names)),
                                             sp.QQ)
     assert matrix.rank() == rank
@@ -418,8 +414,7 @@ def test_twosignals_kernel_is_spanned_by_its_families():
     w_j = 1 with u_i = C(i, j) x^(i-j)(0) for i >= j: five independent
     vectors, as many as the 10 columns less the rank 5, so they span the
     kernel, whose support is a and both chains."""
-    sp = pytest.importorskip("sympy")
-    names, rows, jet = _corpus_jacobian(_CORPUS / "twosignals.ode", sp)
+    names, rows, jet = _corpus_jacobian(_CORPUS / "twosignals.ode")
     tangents = [{"a": 1, "w_0": 1}]
     for j in range(_CORPUS_ORDER):
         tangents.append({f"w_{j}": 1, **{
@@ -447,7 +442,6 @@ def test_relation_is_r1_and_its_derivative_multiplied_out():
     - the printed relation differs from the corrected one by the two slips;
     - the tau family keeps k, and its T_I' is T_I*N*delta/(N'*delta'),
       as y2' + c*y2 = N*delta*T_I requires of both systems."""
-    sp = pytest.importorskip("sympy")
     declared, odes, outputs = _read_model_file(_MODEL)
     assert declared["params"] == ["lambda", "rho", "delta", "N", "c"]
     names = [*declared["states"], *declared["params"], *declared["tvparams"]]
@@ -503,6 +497,50 @@ def test_relation_is_r1_and_its_derivative_multiplied_out():
                      - k) == 0
     assert sp.cancel(T_I*(delta/u + rho - delta)/rho
                      - T_I*N*delta/(N_p*delta_p)) == 0
+
+
+def test_the_tau_family_is_the_flow_of_one_symmetry_field():
+    """With u = e^(rho tau), so d/dtau = rho*u*d/du, the family's closed
+    forms of `transform.py`, typed out again here, solve
+    dX'/dtau = W_X(X') for the one rational field
+
+        W = delta*(delta - rho) d/ddelta + rho*N d/dN
+            + delta*T_I (d/dT_U - d/dT_I) + W_eta d/deta,
+        W_eta = -delta*eta*(T_U + T_I)/T_U + delta*(delta - rho)*T_I/(T_U*V),
+
+    while lambda, rho, c and V do not move. W commutes with the HIV field,
+    eta's component included, fixes both outputs and the identifiable
+    k = (rho - delta)/(N*delta), and eta''s denominator is V*rho*u*T_U',
+    so a twin's eta' pole is where its T_U' is zero."""
+    lam, rho, delta, N, c, T_U, T_I, V, eta = sp.symbols(
+        "lam rho delta N c T_U T_I V eta")
+    u = sp.Symbol("u", positive=True)
+    T_I_p = T_I*(delta/u + rho - delta)/rho
+    T_U_p = T_U + T_I - T_I_p
+    eta_den = V*(T_I*delta + T_U*rho)*u - V*T_I*delta
+    eta_p = (eta*T_U*V*rho*u
+             + (T_I*delta**2 - T_I*delta*rho - eta*T_U*V*delta)*(u - 1)
+             ) / eta_den
+    primed = {delta: delta*rho/((rho - delta)*u + delta), N: N*u,
+              T_U: T_U_p, T_I: T_I_p, eta: eta_p}
+    W = {delta: delta*(delta - rho), N: rho*N, T_U: delta*T_I,
+         T_I: -delta*T_I,
+         eta: -delta*eta*(T_U + T_I)/T_U + delta*(delta - rho)*T_I/(T_U*V)}
+    for x, x_p in primed.items():
+        flow = rho*u*sp.diff(x_p, u)
+        assert sp.cancel(flow - W[x].subs(primed, simultaneous=True)) == 0, x
+
+    def along(field, e):
+        return sum(sp.diff(e, x)*f for x, f in field.items())
+
+    hiv = {T_U: lam - rho*T_U - eta*T_U*V, T_I: eta*T_U*V - delta*T_I,
+           V: N*delta*T_I - c*V}
+    assert along(W, T_U + T_I) == 0 and along(W, V) == 0
+    for x, f in hiv.items():
+        # W_x reads no eta, so the HIV field needs no eta' to move it
+        assert sp.cancel(along(W, f) - along(hiv, W.get(x, 0))) == 0, x
+    assert sp.cancel(along(W, (rho - delta)/(N*delta))) == 0
+    assert sp.expand(eta_den - V*rho*u*T_U_p) == 0
 
 
 # ------------------------------------------- output jets as series mod p
