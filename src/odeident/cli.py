@@ -349,18 +349,11 @@ def main(argv=None) -> int:
     try:
         with _failing(_MATH_FAIL, expr.ExpressionTooLarge):
             code, payload, lines = _COMMANDS[args.command](args)
-        if args.output == "json" and isinstance(payload, list):
-            # a sweep's reports one at a time, in the layout of
-            # json.dumps(payload, indent=2): with indent, json holds every
-            # chunk of the whole text until its final join
-            sep = "[\n  "
-            for report in payload:
-                sys.stdout.write(
-                    sep + json.dumps(report, indent=2).replace("\n", "\n  "))
-                sep = ",\n  "
-            sys.stdout.write("\n]\n")
-        elif args.output == "json":
-            print(json.dumps(payload, indent=2))
+        if args.output == "json":
+            # json.dump writes each chunk as the encoder yields it, where
+            # json.dumps with indent holds them all until its final join
+            json.dump(payload, sys.stdout, indent=2)
+            sys.stdout.write("\n")
         elif args.output == "pretty":
             print("\n".join(lines))
         sys.stdout.flush()
